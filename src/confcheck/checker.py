@@ -161,17 +161,9 @@ def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Vi
     first witness by span id. A partial match emits nothing: the root of a
     disallowed pattern typically also matches legitimate behavior.
     """
-    ctx = MatchContext(design_trace, trace)
-    observed_spans = _span_iteration_order(trace)
-    witnesses: List[Tuple[str, SpanId]] = []
-    for design_span in design_trace.spans_in_order():
-        witness = next(
-            (span.span_id for span in observed_spans if chain_matches(design_span, span, ctx)),
-            None,
-        )
-        if witness is None:
-            return []
-        witnesses.append((design_span.design_span_id, witness))
+    witnesses = match_witnesses(design_trace, trace)
+    if None in witnesses.values():
+        return []
     return [
         Violation(
             kind=ViolationKind.DISALLOWED_PRESENT,
@@ -179,7 +171,7 @@ def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Vi
             design_span_id=design_span_id,
             observed_span_id=witness,
         )
-        for design_span_id, witness in witnesses
+        for design_span_id, witness in witnesses.items()
     ]
 
 
@@ -198,7 +190,8 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
 
 def match_witnesses(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, Optional[SpanId]]:
     """Strict witness per design span (smallest span id), or None when the
-    span is unwitnessed. Used for rendering and for omission experiments."""
+    span is unwitnessed. Used by check_disallowed, for rendering and for
+    omission experiments."""
     ctx = MatchContext(design_trace, trace)
     observed_spans = _span_iteration_order(trace)
     return {

@@ -41,11 +41,17 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _write_output(text: str, out_path: Optional[str]) -> None:
+def _write_output(text: str, out_path: Optional[str], status: int = EXIT_CONFORMANT) -> int:
+    """Write ``text`` to ``out_path``, or to stdout when it is None, and
+    return the command's exit ``status``; an unwritable file is an IO error."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return status
+    try:
         Path(out_path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _fail(str(exc))
+    return status
 
 
 def _load_design(path: str) -> design.DesignTraceSet:
@@ -73,10 +79,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     corpus_report, verdicts = checker.check_corpus(design_set, traces, workers=args.workers)
     if args.format == "json":
         payload = report.report_to_json_dict(corpus_report, verdicts, max_ids=args.max_ids)
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        _write_output(report.render_text_report(corpus_report), args.out)
-    return EXIT_CONFORMANT if corpus_report.nonconformant_traces == 0 else EXIT_NONCONFORMANT
+        text = report.render_text_report(corpus_report)
+    status = EXIT_CONFORMANT if corpus_report.nonconformant_traces == 0 else EXIT_NONCONFORMANT
+    return _write_output(text, args.out, status)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -108,8 +115,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     trace = next((t for t in traces if t.trace_id == args.trace_id), None)
     if trace is None:
         return _fail(f"trace id {args.trace_id} not found in {args.traces}")
-    _write_output(report.render_trace_dot(design_set, trace), args.out)
-    return EXIT_CONFORMANT
+    return _write_output(report.render_trace_dot(design_set, trace), args.out)
 
 
 def cmd_import_design(args: argparse.Namespace) -> int:
@@ -126,8 +132,7 @@ def cmd_import_design(args: argparse.Namespace) -> int:
         design_set = design.DesignTraceSet.of([imported])
     except ValueError as exc:
         return _fail(str(exc))
-    _write_output(design.serialize_design_set(design_set), args.out)
-    return EXIT_CONFORMANT
+    return _write_output(design.serialize_design_set(design_set), args.out)
 
 
 def cmd_validate_design(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ from .model import (
     SERVICE_NAME_KEY,
     SpanId,
     ensure_attr_value,
+    parent_cycles,
 )
 
 __all__ = [
@@ -196,30 +197,11 @@ def validate_design_trace(trace: DesignTrace) -> List[ValidationError]:
                 span.design_span_id,
             )
 
-    # One error per distinct parent cycle, anchored at its smallest span id.
-    done: set = set()
-    reported_cycles = set()
-    for start in sorted(trace.spans):
-        if start in done:
-            continue
-        path: List[str] = []
-        on_path = set()
-        current: Optional[str] = start
-        while current is not None and current in trace.spans and current not in done:
-            if current in on_path:
-                cycle = tuple(sorted(path[path.index(current):]))
-                if cycle not in reported_cycles:
-                    reported_cycles.add(cycle)
-                    err(
-                        ValidationErrorKind.PARENT_CYCLE,
-                        f"parent chain cycle through {', '.join(cycle)}",
-                        cycle[0],
-                    )
-                break
-            path.append(current)
-            on_path.add(current)
-            current = trace.spans[current].parent_design_span_id
-        done.update(path)
+    # One error per parent cycle, anchored at its smallest span id.
+    parents = {span.design_span_id: span.parent_design_span_id for span in trace.spans_in_order()}
+    for cycle in parent_cycles(parents):
+        cycle.sort()
+        err(ValidationErrorKind.PARENT_CYCLE, f"parent chain cycle through {', '.join(cycle)}", cycle[0])
 
     flags = {span.is_disallowed for span in trace.spans.values()}
     if len(flags) > 1:
@@ -308,7 +290,8 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
     Structural problems (bad JSON, wrong types) raise MalformedDesignError
     immediately; semantic problems are collected across the whole document
     and raised together as DesignValidationError so authors see every issue
-    in one pass.
+    in one pass: first those found while reading spans (bad durations,
+    duplicate span ids), then those :meth:`DesignTraceSet.of` finds.
     """
     try:
         data = json.loads(document)
@@ -319,7 +302,6 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
 
     errors: List[ValidationError] = []
     traces: List[DesignTrace] = []
-    seen_trace_ids = set()
     for trace_index, raw_trace in enumerate(data["designTraces"]):
         if not isinstance(raw_trace, dict):
             raise MalformedDesignError(f"designTraces[{trace_index}] is not an object")
@@ -329,16 +311,6 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
         raw_spans = raw_trace.get("spans")
         if not isinstance(raw_spans, list):
             raise MalformedDesignError(f"design trace {trace_id}: spans must be a list")
-
-        if trace_id in seen_trace_ids:
-            errors.append(
-                ValidationError(
-                    design_trace_id=trace_id,
-                    kind=ValidationErrorKind.DUPLICATE_TRACE_ID,
-                    detail="design trace id appears more than once in the set",
-                )
-            )
-        seen_trace_ids.add(trace_id)
 
         spans: dict = {}
         for index, raw_span in enumerate(raw_spans):
@@ -354,13 +326,15 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
                 )
                 continue
             spans[span.design_span_id] = span
-        trace = DesignTrace(design_trace_id=trace_id, spans=spans)
-        errors.extend(validate_design_trace(trace))
-        traces.append(trace)
+        traces.append(DesignTrace(design_trace_id=trace_id, spans=spans))
 
+    try:
+        design_set = DesignTraceSet.of(traces)
+    except DesignValidationError as exc:
+        raise DesignValidationError(errors + exc.errors) from None
     if errors:
         raise DesignValidationError(errors)
-    return DesignTraceSet(design_traces=tuple(traces))
+    return design_set
 
 
 def import_design_from_observed(trace: ObservedTrace, keep: "set[SpanId]") -> DesignTrace:

@@ -6,7 +6,10 @@ object with a ``resourceSpans`` array). The latter is also the canonical
 storage format this package writes, so ``parse_otel_json`` and
 ``serialize_otel_json`` round-trip exactly.
 
-Parsers normalize raw spans into :class:`~confcheck.model.ObservedSpan`;
+A document's JSON is decoded once: ``parse_trace_document`` detects the
+format from the decoded value and hands that value to the format's parser,
+which normalizes raw spans into :class:`~confcheck.model.ObservedSpan`.
+``parse_zipkin_v2`` and ``parse_otel_json`` decode and then do the same.
 ``assemble_traces`` groups normalized spans into per-trace DAGs.
 """
 
@@ -21,6 +24,7 @@ from typing import Iterable, List, Optional, Tuple
 from .model import (
     AttrValue,
     CyclicParentChainError,
+    DuplicateSpanIdError,
     ObservedSpan,
     ObservedTrace,
     SERVICE_NAME_KEY,
@@ -57,10 +61,6 @@ class MissingFieldError(MalformedDocumentError):
 class MissingServiceNameError(MalformedDocumentError):
     """A resource entry lacks the service.name attribute, which means the
     export came from an uninstrumented resource."""
-
-
-class DuplicateSpanIdError(ValueError):
-    """Two spans share the same (trace id, span id); the export is corrupt."""
 
 
 class IngestWarningKind(Enum):
@@ -131,7 +131,10 @@ def parse_zipkin_v2(
     (Zipkin permits 64-bit trace ids). Tags become string-typed attributes,
     matching Zipkin's string-only tag model.
     """
-    data = _load_json(document)
+    return _zipkin_spans(_load_json(document), warnings)
+
+
+def _zipkin_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
     if not isinstance(data, list):
         raise MalformedDocumentError("a Zipkin v2 export must be a JSON array of spans")
 
@@ -256,7 +259,10 @@ def parse_otel_json(
     attribute; every span under it inherits that service name. Typed
     attribute values are preserved.
     """
-    data = _load_json(document)
+    return _otel_spans(_load_json(document), warnings)
+
+
+def _otel_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
     if not isinstance(data, dict) or not isinstance(data.get("resourceSpans"), list):
         raise MalformedDocumentError("expected a JSON object with a resourceSpans array")
 
@@ -326,9 +332,9 @@ def parse_trace_document(
     ``resourceSpans`` is the OTel-style layout."""
     data = _load_json(document)
     if isinstance(data, list):
-        return parse_zipkin_v2(document, warnings)
+        return _zipkin_spans(data, warnings)
     if isinstance(data, dict) and "resourceSpans" in data:
-        return parse_otel_json(document, warnings)
+        return _otel_spans(data, warnings)
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
     )
@@ -345,19 +351,14 @@ def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace],
     Raises DuplicateSpanIdError when two spans share (trace id, span id) and
     CyclicParentChainError when parent references loop.
     """
-    grouped: "dict[TraceId, dict[SpanId, ObservedSpan]]" = {}
+    grouped: "dict[TraceId, list[ObservedSpan]]" = {}
     for span in spans:
-        group = grouped.setdefault(span.trace_id, {})
-        if span.span_id in group:
-            raise DuplicateSpanIdError(
-                f"trace {span.trace_id}: duplicate span id {span.span_id}"
-            )
-        group[span.span_id] = span
+        grouped.setdefault(span.trace_id, []).append(span)
 
     traces = []
     warnings: List[IngestWarning] = []
     for trace_id in sorted(grouped):
-        trace = ObservedTrace(trace_id=trace_id, spans=grouped[trace_id])
+        trace = ObservedTrace.from_spans(trace_id, grouped[trace_id])
         traces.append(trace)
         for span_id in sorted(trace.dangling_parents):
             parent_id = trace.spans[span_id].parent_span_id

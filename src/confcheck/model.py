@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
 AttrValue = Union[str, int, float, bool]
 
@@ -39,6 +39,35 @@ _UINT64_MAX = 2**64 - 1
 
 class CyclicParentChainError(ValueError):
     """Parent references within a single trace form a cycle."""
+
+
+class DuplicateSpanIdError(ValueError):
+    """Two spans share the same (trace id, span id); the export is corrupt."""
+
+
+def parent_cycles(parents: Mapping[str, Optional[str]]) -> Iterator[List[str]]:
+    """Yield each cycle of parent links once, as its ids in walk order.
+
+    ``parents`` maps every id to its parent id, or to None for a root; a
+    parent id that is not a key ends the walk like a root does. Walks start
+    in the mapping's order, and each id is walked at most once, so a chain
+    that runs into a cycle yields only the ids on the cycle itself.
+    """
+    done: set = set()
+    for start in parents:
+        if start in done:
+            continue
+        path: List[str] = []
+        on_path: set = set()
+        current: Optional[str] = start
+        while current is not None and current in parents and current not in done:
+            if current in on_path:
+                yield path[path.index(current):]
+                break
+            path.append(current)
+            on_path.add(current)
+            current = parents[current]
+        done.update(path)
 
 
 def validate_span_id(value: str) -> str:
@@ -164,6 +193,7 @@ class ObservedTrace:
     def __post_init__(self) -> None:
         validate_trace_id(self.trace_id)
         dangling = set()
+        parents = {}
         for span_id, span in self.spans.items():
             if span.span_id != span_id:
                 raise ValueError(f"span map key {span_id} does not match span id {span.span_id}")
@@ -173,35 +203,21 @@ class ObservedTrace:
                 )
             if span.parent_span_id is not None and span.parent_span_id not in self.spans:
                 dangling.add(span_id)
-        self._reject_parent_cycles()
+            parents[span_id] = span.parent_span_id
+        for cycle in parent_cycles(parents):
+            raise CyclicParentChainError(
+                f"trace {self.trace_id}: parent chain cycle through {' -> '.join(cycle)}"
+            )
         object.__setattr__(self, "dangling_parents", frozenset(dangling))
-
-    def _reject_parent_cycles(self) -> None:
-        done: dict = {}
-        for start in self.spans:
-            if start in done:
-                continue
-            path: list = []
-            on_path = set()
-            current: Optional[str] = start
-            while current is not None and current in self.spans and current not in done:
-                if current in on_path:
-                    cycle = path[path.index(current):]
-                    raise CyclicParentChainError(
-                        f"trace {self.trace_id}: parent chain cycle through {' -> '.join(cycle)}"
-                    )
-                path.append(current)
-                on_path.add(current)
-                current = self.spans[current].parent_span_id
-            for span_id in path:
-                done[span_id] = True
 
     @classmethod
     def from_spans(cls, trace_id: TraceId, spans: "list[ObservedSpan]") -> "ObservedTrace":
+        """Build a trace from its spans; raises DuplicateSpanIdError when two
+        of them share a span id."""
         by_id: dict = {}
         for span in spans:
             if span.span_id in by_id:
-                raise ValueError(f"duplicate span id {span.span_id} in trace {trace_id}")
+                raise DuplicateSpanIdError(f"trace {trace_id}: duplicate span id {span.span_id}")
             by_id[span.span_id] = span
         return cls(trace_id=trace_id, spans=by_id)
 

@@ -114,6 +114,23 @@ class TestLoading:
             load_design_set(document)
         assert [e.kind for e in exc.value.errors] == [ValidationErrorKind.PARENT_CYCLE]
 
+    @pytest.mark.parametrize(
+        "parents, cycles",
+        [
+            ({"A": "B", "B": "A", "C": "E", "D": "C", "E": "D"}, [("A", "A, B"), ("C", "C, D, E")]),
+            ({"A": "B", "B": "D", "C": "D", "D": "C"}, [("C", "C, D")]),
+        ],
+        ids=["disjoint-cycles", "chain-into-cycle"],
+    )
+    def test_each_cycle_reported_at_its_smallest_id(self, parents, cycles):
+        document = design_file([design_span_json(span_id, parent) for span_id, parent in parents.items()])
+        with pytest.raises(DesignValidationError) as exc:
+            load_design_set(document)
+        assert [(e.kind, e.design_span_id, e.detail) for e in exc.value.errors] == [
+            (ValidationErrorKind.PARENT_CYCLE, anchor, f"parent chain cycle through {ids}")
+            for anchor, ids in cycles
+        ]
+
     def test_mixed_flags_reported(self):
         document = design_file(
             [design_span_json("A", isDisallowed=True), design_span_json("B")]
@@ -136,6 +153,22 @@ class TestLoading:
         with pytest.raises(DesignValidationError) as exc:
             load_design_set(document)
         assert ValidationErrorKind.DUPLICATE_TRACE_ID in {e.kind for e in exc.value.errors}
+
+    def test_span_errors_precede_set_errors(self):
+        document = design_file(
+            [design_span_json("A", parent="Z")],
+            extra_traces=[
+                {"id": "t1", "spans": [design_span_json("B")]},
+                {"id": "t2", "spans": [design_span_json("C", maxDuration="-3ms")]},
+            ],
+        )
+        with pytest.raises(DesignValidationError) as exc:
+            load_design_set(document)
+        assert [(e.design_trace_id, e.kind) for e in exc.value.errors] == [
+            ("t2", ValidationErrorKind.BAD_DURATION),
+            ("t1", ValidationErrorKind.UNKNOWN_PARENT),
+            ("t1", ValidationErrorKind.DUPLICATE_TRACE_ID),
+        ]
 
     def test_missing_service_name_reported(self):
         span = design_span_json("A")
@@ -201,6 +234,16 @@ class TestValidateDesignTrace:
             ValidationErrorKind.MISSING_SERVICE_NAME,
             ValidationErrorKind.BAD_DURATION,
         }
+
+
+class TestDesignTraceSet:
+    def test_duplicate_trace_id_reported(self, design_set):
+        trace = design_set.design_traces[0]
+        with pytest.raises(DesignValidationError) as exc:
+            DesignTraceSet.of([trace, trace])
+        assert [(e.design_trace_id, e.kind) for e in exc.value.errors] == [
+            (trace.design_trace_id, ValidationErrorKind.DUPLICATE_TRACE_ID),
+        ]
 
 
 def chain_trace():

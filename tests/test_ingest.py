@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from confcheck import model
 from confcheck.ingest import (
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -23,6 +24,20 @@ from confcheck.ingest import (
 from confcheck.model import ObservedSpan, ObservedTrace
 
 TRACE_ID = "00000000000000000000000000000001"
+
+
+@pytest.fixture()
+def json_loads_calls(monkeypatch):
+    """Every document ``json.loads`` decodes while the test runs."""
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(document, *args, **kwargs):
+        calls.append(document)
+        return real_loads(document, *args, **kwargs)
+
+    monkeypatch.setattr("confcheck.ingest.json.loads", counting_loads)
+    return calls
 
 
 def zipkin_span(**overrides):
@@ -217,6 +232,15 @@ class TestAutoDetection:
         with pytest.raises(MalformedDocumentError):
             parse_trace_document(b'{"other": 1}')
 
+    @pytest.mark.parametrize(
+        "document",
+        [json.dumps([zipkin_span()]), otel_document([otel_span()])],
+        ids=["zipkin", "otel"],
+    )
+    def test_document_decoded_once(self, document, json_loads_calls):
+        assert len(parse_trace_document(document)) == 1
+        assert json_loads_calls == [document]
+
 
 def make_span(span_id, parent=None, trace_id=TRACE_ID):
     return ObservedSpan(
@@ -263,8 +287,10 @@ class TestAssembly:
 
     def test_duplicate_span_id_raises(self):
         spans = [make_span("0000000000000001"), make_span("0000000000000001")]
-        with pytest.raises(DuplicateSpanIdError):
+        with pytest.raises(DuplicateSpanIdError) as exc:
             assemble_traces(spans)
+        assert str(exc.value) == f"trace {TRACE_ID}: duplicate span id 0000000000000001"
+        assert DuplicateSpanIdError is model.DuplicateSpanIdError
 
     def test_parent_cycle_raises(self):
         spans = [
@@ -333,6 +359,15 @@ class TestCorpusDirectory:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus_dir(tmp_path / "nope")
+
+    def test_each_file_decoded_once(self, tmp_path, json_loads_calls):
+        (tmp_path / "zipkin.json").write_text(json.dumps([zipkin_span()]))
+        (tmp_path / "otel.json").write_text(
+            otel_document([otel_span(traceId="00000000000000000000000000000002")])
+        )
+        traces, _ = load_corpus_dir(tmp_path)
+        assert len(traces) == 2
+        assert len(json_loads_calls) == 2
 
     def test_malformed_file_names_the_file(self, tmp_path):
         (tmp_path / "bad.json").write_text("{broken")

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from confcheck.model import (
     CyclicParentChainError,
+    DuplicateSpanIdError,
     ObservedSpan,
     ObservedTrace,
     TraceVerdict,
     Violation,
     ViolationKind,
     attr_values_equal,
+    parent_cycles,
     validate_span_id,
     validate_trace_id,
 )
@@ -116,14 +118,17 @@ class TestObservedTrace:
 
     def test_duplicate_span_ids_rejected_by_from_spans(self):
         span = make_span()
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateSpanIdError):
             ObservedTrace.from_spans(TRACE_ID, [span, span])
 
     def test_parent_cycle_rejected(self):
         a = make_span(span_id="00000000000000a1", parent="00000000000000b2")
         b = make_span(span_id="00000000000000b2", parent="00000000000000a1")
-        with pytest.raises(CyclicParentChainError):
+        with pytest.raises(CyclicParentChainError) as exc:
             ObservedTrace.from_spans(TRACE_ID, [a, b])
+        assert str(exc.value) == (
+            f"trace {TRACE_ID}: parent chain cycle through 00000000000000a1 -> 00000000000000b2"
+        )
 
     def test_self_parent_rejected(self):
         a = make_span(span_id="00000000000000a1", parent="00000000000000a1")
@@ -138,6 +143,21 @@ class TestObservedTrace:
         assert trace.dangling_parents == {"00000000000000c3"}
         assert trace.parent_of(c) is None
         assert [s.span_id for s in trace.ancestors_of(b)] == ["00000000000000a1"]
+
+
+@pytest.mark.parametrize(
+    "parents, cycles",
+    [
+        ({"a": None, "b": "a", "c": "b", "d": "zz"}, []),
+        ({"a": "a"}, [["a"]]),
+        ({"a": "b", "b": "a", "c": "e", "d": "c", "e": "d"}, [["a", "b"], ["c", "e", "d"]]),
+        ({"a": "b", "b": "c", "c": "d", "d": "c"}, [["c", "d"]]),
+        ({"b": "a", "a": "b"}, [["b", "a"]]),
+    ],
+    ids=["forest", "self-parent", "disjoint-cycles", "chain-into-cycle", "mapping-order"],
+)
+def test_parent_cycles_yields_each_cycle_once_in_walk_order(parents, cycles):
+    assert list(parent_cycles(parents)) == cycles
 
 
 attr_value_strategy = st.one_of(

@@ -185,6 +185,12 @@ class TestCheckCommand:
         code = main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--max-ids", "-1"])
         assert code == 2
 
+    def test_unwritable_out_exits_two(self, fixture_corpus_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        code = main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulateCommand:
     def test_simulate_writes_corpus(self, tmp_path, capsys):
@@ -253,6 +259,14 @@ class TestGraphCommand:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_two(self, fixture_corpus_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.dot"
+        code = main(
+            ["graph", BUNDLED_DESIGN, str(fixture_corpus_dir), "--trace-id", NONCONFORMANT_ID, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestImportDesignCommand:
     def test_full_import_round_trips_through_check(self, conformant_corpus_dir, tmp_path):
@@ -308,6 +322,12 @@ class TestImportDesignCommand:
             ]
         )
         assert code == 2
+
+    def test_unwritable_out_exits_two(self, conformant_corpus_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "imported.design.json"
+        code = main(["import-design", str(conformant_corpus_dir), "--trace-id", CONFORMANT_ID, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestValidateDesignCommand:
