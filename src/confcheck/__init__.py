@@ -9,9 +9,7 @@ workloads for experiments and tests.
 
 from .checker import (
     ConformanceReport,
-    MatchContext,
     attrs_match,
-    chain_matches,
     check_corpus,
     check_disallowed,
     check_required,
@@ -68,7 +66,6 @@ __all__ = [
     "DesignValidationError",
     "IngestWarning",
     "IngestWarningKind",
-    "MatchContext",
     "ObservedSpan",
     "ObservedTrace",
     "SimConfig",
@@ -82,7 +79,6 @@ __all__ = [
     "assemble_traces",
     "attr_values_equal",
     "attrs_match",
-    "chain_matches",
     "check_corpus",
     "check_disallowed",
     "check_required",

@@ -6,6 +6,11 @@ design parent chain. Witnesses need not be distinct across design spans.
 A design span with no parent anchors anywhere in the observed DAG, which
 keeps the check robust to wrapper spans added by auto-instrumentation.
 
+Matches are resolved once per design trace, parents first: a child design
+span's candidates are tested against its parent's finished match set, and
+ancestor walks cache their answer for every span they pass, so each design
+span costs one pass over the observed spans whatever the trace's depth.
+
 Duration bounds apply to the design span being witnessed, not to ancestor
 hops while validating its chain; a slow root therefore produces exactly one
 duration violation instead of cascading structural failures down the tree.
@@ -18,10 +23,9 @@ its spans is witnessed does it emit violations, one per span.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .design import DesignTraceSet
 from .model import (
@@ -37,11 +41,9 @@ from .model import (
 )
 
 __all__ = [
-    "MatchContext",
     "ConformanceReport",
     "attrs_match",
     "duration_ok",
-    "chain_matches",
     "check_required",
     "check_disallowed",
     "check_trace",
@@ -69,52 +71,56 @@ def duration_ok(design: DesignSpan, observed: ObservedSpan) -> bool:
     return design.max_duration_micros is None or observed.duration_micros <= design.max_duration_micros
 
 
-class MatchContext:
-    """Memoized structural-match state for one (design trace, observed trace)
-    pair. Entries are consistent with a from-scratch evaluation; the cache
-    only avoids re-walking shared ancestor chains."""
+def _has_matched_ancestor(
+    trace: ObservedTrace, span: ObservedSpan, matched_ids: Set[SpanId], reaches: Dict[SpanId, bool]
+) -> bool:
+    """True when some strict ancestor of ``span`` is in ``matched_ids``.
 
-    __slots__ = ("design_trace", "observed_trace", "memo")
-
-    def __init__(self, design_trace: DesignTrace, observed_trace: ObservedTrace):
-        self.design_trace = design_trace
-        self.observed_trace = observed_trace
-        self.memo: Dict[Tuple[str, SpanId], bool] = {}
-
-    def structural_match(self, design: DesignSpan, observed: ObservedSpan) -> bool:
-        key = (design.design_span_id, observed.span_id)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(design, observed)
-        self.memo[key] = result
-        return result
-
-    def _compute(self, design: DesignSpan, observed: ObservedSpan) -> bool:
-        if not attrs_match(design, observed):
-            return False
-        parent_id = design.parent_design_span_id
-        if parent_id is None:
-            # A parentless pattern anchors anywhere in the observed DAG.
-            return True
-        parent_design = self.design_trace.spans[parent_id]
-        if design.allow_non_immediate_parent:
-            for ancestor in self.observed_trace.ancestors_of(observed):
-                if self.structural_match(parent_design, ancestor):
-                    return True
-            return False
-        parent = self.observed_trace.parent_of(observed)
-        return parent is not None and self.structural_match(parent_design, parent)
+    ``reaches`` records the answer for every unmatched span on the walked
+    chain, so over one design span each observed span is walked once."""
+    walked: List[SpanId] = []
+    current = trace.parent_of(span)
+    while current is not None and current.span_id not in matched_ids and current.span_id not in reaches:
+        walked.append(current.span_id)
+        current = trace.parent_of(current)
+    # A span where the walk stopped is either matched or already answered.
+    found = current is not None and reaches.get(current.span_id, True)
+    reaches.update(dict.fromkeys(walked, found))
+    return found
 
 
-def chain_matches(design: DesignSpan, observed: ObservedSpan, ctx: MatchContext) -> bool:
-    """Full witness test: structural chain match plus the duration bound of
-    the design span under evaluation."""
-    return ctx.structural_match(design, observed) and duration_ok(design, observed)
+def _structural_matches(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, List[ObservedSpan]]:
+    """Every structural match per design span, in span-id order.
 
-
-def _span_iteration_order(trace: ObservedTrace) -> List[ObservedSpan]:
-    return [trace.spans[span_id] for span_id in sorted(trace.spans)]
+    Design spans resolve parents first. A root's matches are the spans that
+    pass ``attrs_match``; a child's are its ``attrs_match`` candidates whose
+    parent, or with ``allow_non_immediate_parent`` any ancestor, is among its
+    parent's matches. Durations are not consulted, so a slow ancestor never
+    vetoes the chain below it.
+    """
+    observed_spans = [trace.spans[span_id] for span_id in sorted(trace.spans)]
+    matches: Dict[str, List[ObservedSpan]] = {}
+    pending = design_trace.spans_in_order()
+    while pending:
+        deferred: List[DesignSpan] = []
+        for design in pending:
+            parent_id = design.parent_design_span_id
+            if parent_id is not None and parent_id not in matches:
+                deferred.append(design)
+                continue
+            candidates = [span for span in observed_spans if attrs_match(design, span)]
+            if parent_id is not None:
+                matched_ids = {span.span_id for span in matches[parent_id]}
+                if design.allow_non_immediate_parent:
+                    reaches: Dict[SpanId, bool] = {}
+                    candidates = [s for s in candidates if _has_matched_ancestor(trace, s, matched_ids, reaches)]
+                else:
+                    candidates = [s for s in candidates if s.parent_span_id in matched_ids]
+            matches[design.design_span_id] = candidates
+        if len(deferred) == len(pending):
+            raise ValueError(f"design trace {design_trace.design_trace_id}: unknown or cyclic design parents")
+        pending = deferred
+    return matches
 
 
 def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
@@ -125,13 +131,12 @@ def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Viol
     violation carrying the fastest such candidate (ties broken by span id);
     no structural witness at all is a MissingRequired violation.
     """
-    ctx = MatchContext(design_trace, trace)
-    observed_spans = _span_iteration_order(trace)
+    matches = _structural_matches(design_trace, trace)
     violations: List[Violation] = []
     for design_span in design_trace.spans_in_order():
-        if any(chain_matches(design_span, span, ctx) for span in observed_spans):
+        candidates = matches[design_span.design_span_id]
+        if any(duration_ok(design_span, span) for span in candidates):
             continue
-        candidates = [span for span in observed_spans if ctx.structural_match(design_span, span)]
         if candidates:
             witness = min(candidates, key=lambda s: (s.duration_micros, s.span_id))
             violations.append(
@@ -191,12 +196,14 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
 def match_witnesses(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, Optional[SpanId]]:
     """Strict witness per design span (smallest span id), or None when the
     span is unwitnessed. Used by check_disallowed, for rendering and for
-    omission experiments."""
-    ctx = MatchContext(design_trace, trace)
-    observed_spans = _span_iteration_order(trace)
+    omission experiments.
+
+    Reads the same parents-first structural matches as check_required, so
+    the cost is linear in design spans times observed spans."""
+    matches = _structural_matches(design_trace, trace)
     return {
         design_span.design_span_id: next(
-            (span.span_id for span in observed_spans if chain_matches(design_span, span, ctx)),
+            (span.span_id for span in matches[design_span.design_span_id] if duration_ok(design_span, span)),
             None,
         )
         for design_span in design_trace.spans_in_order()
@@ -365,7 +372,3 @@ def check_corpus(
             report = report.merge(partial_report)
             verdicts.extend(chunk_verdicts)
     return report, verdicts
-
-
-def default_worker_count() -> int:
-    return os.cpu_count() or 1

@@ -33,7 +33,7 @@ def _default_workers() -> int:
         except ValueError:
             pass
         print(f"warning: ignoring invalid {WORKERS_ENV_VAR}={env!r}", file=sys.stderr)
-    return checker.default_worker_count()
+    return os.cpu_count() or 1
 
 
 def _fail(message: str) -> int:
@@ -66,8 +66,9 @@ def _load_corpus(path: str):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        return _fail(f"--workers must be a positive integer, got {args.workers}")
+    workers = _default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        return _fail(f"--workers must be a positive integer, got {workers}")
     if args.max_ids < 0:
         return _fail(f"--max-ids must be non-negative, got {args.max_ids}")
     try:
@@ -76,7 +77,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    corpus_report, verdicts = checker.check_corpus(design_set, traces, workers=args.workers)
+    corpus_report, verdicts = checker.check_corpus(design_set, traces, workers=workers)
     if args.format == "json":
         payload = report.report_to_json_dict(corpus_report, verdicts, max_ids=args.max_ids)
         text = json.dumps(payload, indent=2) + "\n"
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("traces", help="directory of exported trace files")
     p_check.add_argument("--out", help="write the report here instead of stdout")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--workers", type=int, default=_default_workers())
+    p_check.add_argument("--workers", type=int, help=f"worker processes (default: ${WORKERS_ENV_VAR} or the CPU count)")
     p_check.add_argument("--max-ids", type=int, default=1000, help="cap on nonConformantTraceIds in JSON output")
     p_check.set_defaults(func=cmd_check)
 
@@ -208,6 +209,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 for --help.
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+    # A missing output directory fails before any input is read, rather
+    # than after a full ingest and check.
+    out = getattr(args, "out", None)
+    if out is not None and not Path(out).parent.is_dir():
+        return _fail(f"cannot write {out}: no such directory {Path(out).parent}")
     return args.func(args)
 
 

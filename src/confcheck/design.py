@@ -355,26 +355,13 @@ def import_design_from_observed(trace: ObservedTrace, keep: "set[SpanId]") -> De
     design_spans: dict = {}
     for span_id in sorted(keep):
         span = trace.spans[span_id]
-        parent_id = None
-        skipped = 0
-        if span.parent_span_id is not None:
-            current = trace.parent_of(span)
-            while current is not None:
-                if current.span_id in keep:
-                    parent_id = current.span_id
-                    break
-                skipped += 1
-                current = trace.parent_of(current)
-            else:
-                # The walk ended at a root or dangling terminal without
-                # reaching a kept span; everything above was pruned.
-                skipped += 1
+        parent_id = next((a.span_id for a in trace.ancestors_of(span) if a.span_id in keep), None)
         design_spans[span_id] = DesignSpan(
             design_span_id=span_id,
             name=span.name,
             match_attributes={SERVICE_NAME_KEY: span.service_name},
             parent_design_span_id=parent_id,
-            allow_non_immediate_parent=skipped > 0,
+            allow_non_immediate_parent=parent_id != span.parent_span_id,
             is_disallowed=False,
         )
     return DesignTrace(design_trace_id=f"imported-{trace.trace_id}", spans=design_spans)

@@ -6,9 +6,7 @@ import pytest
 
 from confcheck.checker import (
     ConformanceReport,
-    MatchContext,
     attrs_match,
-    chain_matches,
     check_corpus,
     check_disallowed,
     check_required,
@@ -154,8 +152,7 @@ class TestChainMatches:
     def test_grandparent_chain_satisfies_non_immediate_parent(self, design_set):
         trace = gateway_trace()
         design_trace, span_c = design(design_set, "C")
-        ctx = MatchContext(design_trace, trace)
-        assert chain_matches(span_c, trace.spans[MS_QUERY], ctx)
+        assert match_witnesses(design_trace, trace)[span_c.design_span_id] == MS_QUERY
 
     def test_parentless_pattern_anchors_anywhere(self, design_set):
         nested_root = [
@@ -177,8 +174,7 @@ class TestChainMatches:
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, rehung)
         design_trace, span_a = design(design_set, "A")
-        ctx = MatchContext(design_trace, trace)
-        assert chain_matches(span_a, trace.spans[ROOT], ctx)
+        assert match_witnesses(design_trace, trace)[span_a.design_span_id] == ROOT
 
     def test_no_matching_ancestor_fails(self, design_set):
         # A microservice request with no gateway request anywhere above it.
@@ -188,8 +184,7 @@ class TestChainMatches:
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, spans)
         design_trace, span_b = design(design_set, "B")
-        ctx = MatchContext(design_trace, trace)
-        assert not chain_matches(span_b, trace.spans[MS_REQUEST], ctx)
+        assert match_witnesses(design_trace, trace)[span_b.design_span_id] is None
 
     def test_immediate_parent_mode_rejects_grandparent(self):
         parent = DesignSpan(design_span_id="P", name="root-op", match_attributes={"service.name": "svc"})
@@ -207,14 +202,12 @@ class TestChainMatches:
             observed(MS_REQUEST, "leaf-op", "svc", parent=CLIENT),
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, spans)
-        ctx = MatchContext(design_trace, trace)
-        assert not chain_matches(child, trace.spans[MS_REQUEST], ctx)
+        assert match_witnesses(design_trace, trace)["Q"] is None
         direct = ObservedTrace.from_spans(
             TRACE_ID,
             [observed(ROOT, "root-op", "svc"), observed(CLIENT, "leaf-op", "svc", parent=ROOT)],
         )
-        ctx2 = MatchContext(design_trace, direct)
-        assert chain_matches(child, direct.spans[CLIENT], ctx2)
+        assert match_witnesses(design_trace, direct)["Q"] == CLIENT
 
     def test_dangling_parent_is_chain_terminal(self):
         parent = DesignSpan(design_span_id="P", name="root-op", match_attributes={"service.name": "svc"})
@@ -229,16 +222,48 @@ class TestChainMatches:
         trace = ObservedTrace.from_spans(
             TRACE_ID, [observed(ROOT, "leaf-op", "svc", parent="00000000000000ff")]
         )
-        ctx = MatchContext(design_trace, trace)
-        assert not chain_matches(child, trace.spans[ROOT], ctx)
+        assert match_witnesses(design_trace, trace)["Q"] is None
 
     def test_ancestor_duration_does_not_veto_chain(self, design_set):
         # The root is over its own budget, but budgets bind only the span
         # being witnessed, so the chain under it still matches.
         trace = gateway_trace(root_duration_micros=600_000)
         design_trace, span_b = design(design_set, "B")
-        ctx = MatchContext(design_trace, trace)
-        assert chain_matches(span_b, trace.spans[MS_REQUEST], ctx)
+        assert match_witnesses(design_trace, trace)[span_b.design_span_id] == MS_REQUEST
+
+
+    def test_child_listed_before_parent_resolves(self):
+        # Design spans resolve parents first, whatever their id order.
+        parent = DesignSpan(design_span_id="Z", name="root-op", match_attributes={"service.name": "svc"})
+        child = DesignSpan(
+            design_span_id="A",
+            name="leaf-op",
+            match_attributes={"service.name": "svc"},
+            parent_design_span_id="Z",
+            allow_non_immediate_parent=True,
+        )
+        design_trace = DesignTrace(design_trace_id="t", spans={"A": child, "Z": parent})
+        trace = ObservedTrace.from_spans(
+            TRACE_ID,
+            [
+                observed(ROOT, "root-op", "svc"),
+                observed(CLIENT, "hop", "svc", parent=ROOT),
+                observed(MS_REQUEST, "leaf-op", "svc", parent=CLIENT),
+            ],
+        )
+        assert match_witnesses(design_trace, trace) == {"A": MS_REQUEST, "Z": ROOT}
+
+    def test_unknown_design_parent_raises(self):
+        orphan = DesignSpan(
+            design_span_id="Q",
+            name="leaf-op",
+            match_attributes={"service.name": "svc"},
+            parent_design_span_id="missing",
+        )
+        design_trace = DesignTrace(design_trace_id="t", spans={"Q": orphan})
+        trace = ObservedTrace.from_spans(TRACE_ID, [observed(ROOT, "leaf-op", "svc")])
+        with pytest.raises(ValueError, match="design trace t"):
+            check_required(design_trace, trace)
 
 
 class TestCheckRequired:

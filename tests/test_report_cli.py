@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from confcheck import ingest
 from confcheck.checker import check_corpus
 from confcheck.cli import main
 from confcheck.design import load_design_set
@@ -330,6 +331,30 @@ class TestImportDesignCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestMissingOutDirectory:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", BUNDLED_DESIGN, "{corpus}", "--workers", "1"],
+            ["graph", BUNDLED_DESIGN, "{corpus}", "--trace-id", NONCONFORMANT_ID],
+            ["import-design", "{corpus}", "--trace-id", NONCONFORMANT_ID],
+        ],
+        ids=["check", "graph", "import-design"],
+    )
+    def test_fails_before_ingest(self, command, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
+        loads = []
+        real_load = ingest.load_corpus_dir
+        monkeypatch.setattr(ingest, "load_corpus_dir", lambda path: loads.append(path) or real_load(path))
+        argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
+        out = tmp_path / "missing" / "result.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert loads == []
+        # The same command with a writable --out does read the corpus.
+        assert main(argv + ["--out", str(tmp_path / "result.out")]) in (0, 1)
+        assert loads == [str(fixture_corpus_dir)]
+
+
 class TestValidateDesignCommand:
     def test_valid_design_summary(self, capsys):
         assert main(["validate-design", BUNDLED_DESIGN]) == 0
@@ -374,3 +399,18 @@ class TestUsage:
         assert _default_workers() == 3
         monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
         assert _default_workers() >= 1
+
+    def test_invalid_workers_env_warns_only_for_check(self, fixture_corpus_dir, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
+        assert main(["validate-design", BUNDLED_DESIGN]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir)]) == 1
+        assert capsys.readouterr().err == "warning: ignoring invalid CONFCHECK_WORKERS='bogus'\n"
+
+    def test_workers_flag_leaves_env_unread(self, fixture_corpus_dir, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv("CONFCHECK_WORKERS", "1")
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir)]) == 1
+        assert capsys.readouterr().err == ""
