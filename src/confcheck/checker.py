@@ -22,10 +22,11 @@ its spans is witnessed does it emit violations, one per span.
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .design import DesignTraceSet
 from .model import (
@@ -48,6 +49,7 @@ __all__ = [
     "check_disallowed",
     "check_trace",
     "check_corpus",
+    "check_partitions",
     "match_witnesses",
 ]
 
@@ -290,38 +292,77 @@ class ConformanceReport:
         )
 
 
-# Worker-process state installed by the pool initializer. Under the fork
-# start method the corpus crosses into workers through copy-on-write memory
-# rather than pickling, which is what makes parallel checking pay off: the
-# per-trace check is tens of microseconds, far cheaper than serializing the
-# trace it checks.
-_WORKER_DESIGN_SET: Optional[DesignTraceSet] = None
-_WORKER_TRACES: Optional[Sequence[ObservedTrace]] = None
+# A partition loader maps a partition index to that partition's traces and
+# the ingest warnings raised while loading them.
+PartitionLoader = Callable[[int], Tuple[Sequence[ObservedTrace], Sequence[object]]]
+PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
 
-def _init_worker(design_set: DesignTraceSet, traces: Optional[Sequence[ObservedTrace]]) -> None:
-    global _WORKER_DESIGN_SET, _WORKER_TRACES
-    _WORKER_DESIGN_SET = design_set
-    _WORKER_TRACES = traces
+def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: int) -> PartialCheck:
+    """The one worker entry point: load partition ``index``, check each of its
+    traces, and return the partial report, the non-conformant verdicts and
+    the number of ingest warnings."""
+    traces, warnings = load(index)
+    verdicts = [check_trace(design_set, trace) for trace in traces]
+    return (
+        ConformanceReport.from_verdicts(verdicts),
+        [verdict for verdict in verdicts if not verdict.conformant],
+        len(warnings),
+    )
 
 
-def _check_index_range(bounds: Tuple[int, int]) -> Tuple[ConformanceReport, List[TraceVerdict]]:
-    assert _WORKER_DESIGN_SET is not None and _WORKER_TRACES is not None
-    start, end = bounds
-    verdicts = [check_trace(_WORKER_DESIGN_SET, _WORKER_TRACES[i]) for i in range(start, end)]
-    return ConformanceReport.from_verdicts(verdicts), verdicts
+# Installed in each pool worker by the initializer: under fork the loader,
+# and any corpus it holds, is inherited through copy-on-write memory rather
+# than pickled; under spawn it is pickled once per worker.
+_WORKER_JOB: Optional[Tuple[DesignTraceSet, PartitionLoader]] = None
 
 
-def _check_chunk(traces: Sequence[ObservedTrace]) -> Tuple[ConformanceReport, List[TraceVerdict]]:
-    assert _WORKER_DESIGN_SET is not None
-    verdicts = [check_trace(_WORKER_DESIGN_SET, trace) for trace in traces]
-    return ConformanceReport.from_verdicts(verdicts), verdicts
+def _init_worker(design_set: DesignTraceSet, load: PartitionLoader) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = (design_set, load)
 
 
-def _fork_context() -> "Optional[multiprocessing.context.BaseContext]":
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
+def _run_worker(index: int) -> PartialCheck:
+    return _check_partition(*_WORKER_JOB, index)
+
+
+def check_partitions(design_set: DesignTraceSet, load: PartitionLoader, partitions: int) -> PartialCheck:
+    """Check ``partitions`` partitions, each loaded and checked by its own
+    worker process, or in this process when there is one partition.
+
+    Returns the merged report, the non-conformant verdicts ordered by trace
+    id, and the total ingest warning count. The merge is associative and
+    commutative, so the result does not depend on which worker finishes
+    first.
+    """
+    if partitions < 1:
+        raise ValueError(f"partitions must be a positive integer, got {partitions}")
+    if partitions == 1:
+        results = [_check_partition(design_set, load, 0)]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=partitions, initializer=_init_worker, initargs=(design_set, load)
+        ) as pool:
+            # Frozen objects are skipped by the collector, so a forked worker's
+            # collections do not write to, and copy, the pages it inherited.
+            # Fork starts every worker on the first submit.
+            gc.freeze()
+            try:
+                futures = [pool.submit(_run_worker, index) for index in range(partitions)]
+            finally:
+                gc.unfreeze()
+            results = [future.result() for future in futures]
+    report = ConformanceReport()
+    nonconformant: List[TraceVerdict] = []
+    for partial_report, partial_verdicts, _ in results:
+        report = report.merge(partial_report)
+        nonconformant.extend(partial_verdicts)
+    nonconformant.sort(key=lambda verdict: verdict.trace_id)
+    return report, nonconformant, sum(warning_count for _, _, warning_count in results)
+
+
+def _given_partition(parts: Sequence[Sequence[ObservedTrace]], index: int) -> Tuple[Sequence[ObservedTrace], list]:
+    return parts[index], []
 
 
 def check_corpus(
@@ -329,46 +370,19 @@ def check_corpus(
     traces: Iterable[ObservedTrace],
     workers: int = 1,
 ) -> Tuple[ConformanceReport, List[TraceVerdict]]:
-    """Check a corpus of traces, optionally in parallel.
+    """Check an in-memory corpus of traces, optionally in parallel.
 
-    Per-trace checks are independent, so the corpus is split into contiguous
-    chunks distributed across worker processes and the partial reports are
-    merged. The merge is associative and commutative: the report and the
-    verdict list are identical for every worker count. Verdicts are returned
-    ordered by trace id.
-
-    Where the fork start method exists, workers inherit the corpus through
-    shared memory and receive only index ranges; elsewhere the chunks
-    themselves are sent, which is correct but slower.
+    The traces, ordered by trace id, are cut into one contiguous partition
+    per worker and checked by :func:`check_partitions`. Returns the report
+    and the non-conformant verdicts ordered by trace id; both are identical
+    for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     trace_list = sorted(traces, key=lambda t: t.trace_id)
-
-    if workers == 1 or len(trace_list) < 2 * workers:
-        verdicts = [check_trace(design_set, trace) for trace in trace_list]
-        return ConformanceReport.from_verdicts(verdicts), verdicts
-
-    # Several chunks per worker smooths out uneven per-trace cost.
-    chunk_size = max(1, -(-len(trace_list) // (workers * 4)))
-    bounds = [
-        (start, min(start + chunk_size, len(trace_list)))
-        for start in range(0, len(trace_list), chunk_size)
-    ]
-    fork_ctx = _fork_context()
-    report = ConformanceReport()
-    verdicts: List[TraceVerdict] = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=fork_ctx or multiprocessing.get_context(),
-        initializer=_init_worker,
-        initargs=(design_set, trace_list if fork_ctx is not None else None),
-    ) as pool:
-        if fork_ctx is not None:
-            results = pool.map(_check_index_range, bounds)
-        else:
-            results = pool.map(_check_chunk, [trace_list[lo:hi] for lo, hi in bounds])
-        for partial_report, chunk_verdicts in results:
-            report = report.merge(partial_report)
-            verdicts.extend(chunk_verdicts)
+    # A tiny corpus is not worth starting processes for.
+    partitions = workers if len(trace_list) >= 2 * workers else 1
+    cuts = [len(trace_list) * index // partitions for index in range(partitions + 1)]
+    parts = [trace_list[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    report, verdicts, _ = check_partitions(design_set, functools.partial(_given_partition, parts), partitions)
     return report, verdicts

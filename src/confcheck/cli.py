@@ -8,6 +8,7 @@ found by a completed check, 2 for usage, IO, or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,11 +59,30 @@ def _load_design(path: str) -> design.DesignTraceSet:
     return design.load_design_set(Path(path).read_bytes())
 
 
+def _warn_ingest(count: int) -> None:
+    if count:
+        print(f"warning: {count} ingest warning(s)", file=sys.stderr)
+
+
 def _load_corpus(path: str):
     traces, warnings = ingest.load_corpus_dir(path)
-    if warnings:
-        print(f"warning: {len(warnings)} ingest warning(s)", file=sys.stderr)
+    _warn_ingest(len(warnings))
     return traces
+
+
+def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
+    """Check the corpus in ``path`` with one worker per trace-id partition,
+    each ingesting and checking its own share."""
+    load = functools.partial(ingest.load_corpus_dir, path, partitions=workers)
+    try:
+        return checker.check_partitions(design_set, load, workers)
+    except (OSError, ValueError):
+        if workers > 1:
+            # A single load checks everything the partitions do, so it fails
+            # too, and with the error a serial run reports (the first bad file
+            # in name order, not the one a worker happened to reach).
+            ingest.load_corpus_dir(path)
+        raise
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -73,11 +93,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(f"--max-ids must be non-negative, got {args.max_ids}")
     try:
         design_set = _load_design(args.design)
-        traces = _load_corpus(args.traces)
+        corpus_report, verdicts, warning_count = _check_corpus_dir(design_set, args.traces, workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    _warn_ingest(warning_count)
 
-    corpus_report, verdicts = checker.check_corpus(design_set, traces, workers=workers)
     if args.format == "json":
         payload = report.report_to_json_dict(corpus_report, verdicts, max_ids=args.max_ids)
         text = json.dumps(payload, indent=2) + "\n"

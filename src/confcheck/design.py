@@ -297,6 +297,8 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
         data = json.loads(document)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedDesignError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDesignError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("designTraces"), list):
         raise MalformedDesignError("expected a JSON object with a designTraces array")
 

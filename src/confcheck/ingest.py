@@ -11,11 +11,17 @@ format from the decoded value and hands that value to the format's parser,
 which normalizes raw spans into :class:`~confcheck.model.ObservedSpan`.
 ``parse_zipkin_v2`` and ``parse_otel_json`` decode and then do the same.
 ``assemble_traces`` groups normalized spans into per-trace DAGs.
+
+``load_corpus_dir`` can load one of K partitions of a corpus: it still
+decodes every file, but normalizes and assembles only the spans whose trace
+id hashes to that partition, so K processes can each ingest and check their
+own share of the traces without sending spans to one another.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -83,7 +89,7 @@ def _normalize_parent_id(raw: object) -> Optional[str]:
         return None
     if not isinstance(raw, str):
         raise MalformedDocumentError(f"parent span id must be a string, got {type(raw).__name__}")
-    if raw == "" or set(raw) == {"0"}:
+    if not raw.strip("0"):
         return None
     return raw
 
@@ -92,11 +98,28 @@ def _pad_trace_id(raw: str) -> str:
     return raw.rjust(TRACE_ID_LENGTH, "0")
 
 
+# A parser's ``share`` is (partition, partitions): it normalizes only the
+# spans of that partition. None normalizes every span.
+_Share = Optional[Tuple[int, int]]
+
+
+def _partition_of(raw_trace_id: object, partitions: int) -> int:
+    """The partition, of ``partitions``, that normalizes a span with this raw
+    trace id: a stable hash of the padded id, so a trace's spans meet in one
+    partition whichever files hold them. An id that cannot be read goes to
+    partition 0, which then raises its error."""
+    if not isinstance(raw_trace_id, str) or not raw_trace_id:
+        return 0
+    return zlib.crc32(_pad_trace_id(raw_trace_id).encode("utf-8", "surrogatepass")) % partitions
+
+
 def _load_json(document: "bytes | str") -> object:
     try:
         return json.loads(document)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDocumentError(f"JSON nested too deeply: {exc}") from exc
 
 
 def _clamp_times(
@@ -134,7 +157,9 @@ def parse_zipkin_v2(
     return _zipkin_spans(_load_json(document), warnings)
 
 
-def _zipkin_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
+def _zipkin_spans(
+    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
+) -> List[ObservedSpan]:
     if not isinstance(data, list):
         raise MalformedDocumentError("a Zipkin v2 export must be a JSON array of spans")
 
@@ -143,6 +168,8 @@ def _zipkin_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> Li
         if not isinstance(raw, dict):
             raise MalformedDocumentError(f"span #{index} is not an object")
         raw_trace_id = raw.get("traceId")
+        if share is not None and _partition_of(raw_trace_id, share[1]) != share[0]:
+            continue
         raw_span_id = raw.get("id")
         if not raw_trace_id or not raw_span_id:
             raise MissingFieldError(f"span #{index} lacks id or traceId")
@@ -230,6 +257,10 @@ def _attrs_from_json(raw_attrs: object, context: str) -> dict:
     for entry in raw_attrs:
         if not isinstance(entry, dict) or "key" not in entry:
             raise MalformedDocumentError(f"{context}: attribute entries must be objects with a key")
+        if not isinstance(entry["key"], str):
+            raise MalformedDocumentError(
+                f"{context}: attribute key must be a string, got {type(entry['key']).__name__}"
+            )
         value = _attr_value_from_json(entry.get("value", {}))
         if value is not None:
             attributes[entry["key"]] = value
@@ -262,7 +293,9 @@ def parse_otel_json(
     return _otel_spans(_load_json(document), warnings)
 
 
-def _otel_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
+def _otel_spans(
+    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
+) -> List[ObservedSpan]:
     if not isinstance(data, dict) or not isinstance(data.get("resourceSpans"), list):
         raise MalformedDocumentError("expected a JSON object with a resourceSpans array")
 
@@ -290,6 +323,8 @@ def _otel_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List
                 if not isinstance(raw, dict):
                     raise MalformedDocumentError("span entries must be objects")
                 trace_id = raw.get("traceId")
+                if share is not None and _partition_of(trace_id, share[1]) != share[0]:
+                    continue
                 span_id = raw.get("spanId")
                 if not trace_id or not span_id:
                     raise MissingFieldError("a span lacks spanId or traceId")
@@ -330,11 +365,16 @@ def parse_trace_document(
     """Parse a trace export of either supported format, auto-detected by the
     top-level JSON shape: an array is Zipkin v2, an object with
     ``resourceSpans`` is the OTel-style layout."""
-    data = _load_json(document)
+    return _document_spans(_load_json(document), warnings)
+
+
+def _document_spans(
+    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
+) -> List[ObservedSpan]:
     if isinstance(data, list):
-        return _zipkin_spans(data, warnings)
+        return _zipkin_spans(data, warnings, share)
     if isinstance(data, dict) and "resourceSpans" in data:
-        return _otel_spans(data, warnings)
+        return _otel_spans(data, warnings, share)
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
     )
@@ -437,9 +477,21 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
     return json.dumps({"resourceSpans": resource_entries}, separators=(",", ":"))
 
 
-def load_corpus_dir(directory: "Path | str") -> Tuple[List[ObservedTrace], List[IngestWarning]]:
+def load_corpus_dir(
+    directory: "Path | str", partition: int = 0, partitions: int = 1
+) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
     """Ingest every ``*.json`` file in a directory, auto-detecting formats,
-    and assemble the combined span set into traces."""
+    and assemble the combined span set into traces.
+
+    With ``partitions`` > 1, only the traces whose id hashes to
+    ``partition`` are assembled, with only their warnings. Every file is
+    still decoded, so a document-level error is raised by every partition
+    and a span-level error by the partition that holds the span; the
+    ``partitions`` loads together check everything a single load checks.
+    """
+    if not 0 <= partition < partitions:
+        raise ValueError(f"partition {partition} is outside 0..{partitions - 1}")
+    share = (partition, partitions) if partitions > 1 else None
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
@@ -447,7 +499,7 @@ def load_corpus_dir(directory: "Path | str") -> Tuple[List[ObservedTrace], List[
     spans: List[ObservedSpan] = []
     for path in sorted(directory.glob("*.json")):
         try:
-            spans.extend(parse_trace_document(path.read_bytes(), warnings))
+            spans.extend(_document_spans(_load_json(path.read_bytes()), warnings, share))
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{path.name}: {exc}") from exc
     traces, assembly_warnings = assemble_traces(spans)

@@ -11,7 +11,6 @@ failing on the first one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List, Mapping, Optional, Tuple, Union
@@ -26,8 +25,7 @@ SERVICE_NAME_KEY = "service.name"
 SPAN_ID_LENGTH = 16
 TRACE_ID_LENGTH = 32
 
-_SPAN_ID_RE = re.compile(r"[0-9a-f]{16}")
-_TRACE_ID_RE = re.compile(r"[0-9a-f]{32}")
+_LOWER_HEX = "0123456789abcdef"
 
 _ZERO_SPAN_ID = "0" * SPAN_ID_LENGTH
 _ZERO_TRACE_ID = "0" * TRACE_ID_LENGTH
@@ -75,7 +73,7 @@ def validate_span_id(value: str) -> str:
 
     Span ids are 16 lowercase hex characters (8 bytes) and never all-zero.
     """
-    if not isinstance(value, str) or _SPAN_ID_RE.fullmatch(value) is None:
+    if not isinstance(value, str) or len(value) != SPAN_ID_LENGTH or value.strip(_LOWER_HEX):
         raise ValueError(f"span id must be {SPAN_ID_LENGTH} lowercase hex chars, got {value!r}")
     if value == _ZERO_SPAN_ID:
         raise ValueError("span id must not be all zeros")
@@ -87,7 +85,7 @@ def validate_trace_id(value: str) -> str:
 
     Trace ids are 32 lowercase hex characters (16 bytes) and never all-zero.
     """
-    if not isinstance(value, str) or _TRACE_ID_RE.fullmatch(value) is None:
+    if not isinstance(value, str) or len(value) != TRACE_ID_LENGTH or value.strip(_LOWER_HEX):
         raise ValueError(f"trace id must be {TRACE_ID_LENGTH} lowercase hex chars, got {value!r}")
     if value == _ZERO_TRACE_ID:
         raise ValueError("trace id must not be all zeros")
@@ -155,6 +153,8 @@ class ObservedSpan:
                 f"span {self.span_id}: end time {self.end_time_nanos} precedes start time {self.start_time_nanos}"
             )
         for key, value in self.attributes.items():
+            if not isinstance(key, str):
+                raise ValueError(f"attribute key must be a string, got {type(key).__name__}")
             ensure_attr_value(key, value)
         for link_trace_id, link_span_id in self.links:
             validate_trace_id(link_trace_id)

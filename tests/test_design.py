@@ -211,6 +211,12 @@ class TestLoading:
         with pytest.raises(MalformedDesignError):
             load_design_set(document)
 
+    def test_too_deeply_nested_json_is_malformed(self):
+        depth = 200_000
+        document = b'{"designTraces": ' + b"[" * depth + b"]" * depth + b"}"
+        with pytest.raises(MalformedDesignError, match="nested too deeply"):
+            load_design_set(document)
+
 
 class TestValidateDesignTrace:
     def test_valid_trace_returns_no_errors(self, design_set):

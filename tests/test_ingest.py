@@ -108,6 +108,11 @@ class TestZipkinParsing:
         with pytest.raises(MalformedDocumentError):
             parse_zipkin_v2(b"{nope")
 
+    def test_too_deeply_nested_json_is_malformed(self):
+        depth = 200_000
+        with pytest.raises(MalformedDocumentError, match="nested too deeply"):
+            parse_trace_document(b"[" * depth + b"]" * depth)
+
     def test_negative_duration_clamped_with_warning(self):
         warnings = []
         spans = parse_zipkin_v2(json.dumps([zipkin_span(duration=-5)]), warnings)
@@ -213,6 +218,12 @@ class TestOtelParsing:
             )
         )
         assert spans[0].links == ((other_trace, "00000000000000ff"),)
+
+    @pytest.mark.parametrize("key", [5, None, ["k"]])
+    def test_non_string_attribute_key_rejected(self, key):
+        span = otel_span(attributes=[{"key": key, "value": {"stringValue": "x"}}])
+        with pytest.raises(MalformedDocumentError, match="attribute key must be a string"):
+            parse_otel_json(otel_document([span]))
 
     def test_missing_resource_spans_rejected(self):
         with pytest.raises(MalformedDocumentError):
@@ -373,3 +384,42 @@ class TestCorpusDirectory:
         (tmp_path / "bad.json").write_text("{broken")
         with pytest.raises(MalformedDocumentError, match="bad.json"):
             load_corpus_dir(tmp_path)
+
+    @pytest.mark.parametrize("partitions", [2, 3, 5])
+    def test_partitions_split_the_traces_and_warnings(self, tmp_path, partitions):
+        trace_ids = [f"{index:032x}" for index in range(1, 41)]
+        # Each trace has a root in the Zipkin file (with a 16-char id that
+        # pads to the OTel one) and a child in the OTel file whose end
+        # precedes its start; every tenth child's parent is missing.
+        (tmp_path / "a.json").write_text(
+            json.dumps([zipkin_span(traceId=trace_id.lstrip("0").rjust(16, "0")) for trace_id in trace_ids])
+        )
+        children = [
+            otel_span(
+                traceId=trace_id,
+                spanId="0000000000000002",
+                parentSpanId="00000000000000ff" if index % 10 == 0 else "0000000000000001",
+                startTimeUnixNano="9",
+                endTimeUnixNano="5",
+            )
+            for index, trace_id in enumerate(trace_ids)
+        ]
+        (tmp_path / "b.json").write_text(otel_document(children))
+        whole, whole_warnings = load_corpus_dir(tmp_path)
+        shares = [load_corpus_dir(tmp_path, index, partitions) for index in range(partitions)]
+        assert all(traces for traces, _ in shares)
+        assert sorted((t for traces, _ in shares for t in traces), key=lambda t: t.trace_id) == whole
+        assert all(len(trace.spans) == 2 for trace in whole)
+        assert sorted(repr(w) for _, warnings in shares for w in warnings) == sorted(map(repr, whole_warnings))
+        assert len(whole_warnings) == 44
+
+    def test_unreadable_trace_id_raises_in_partition_zero(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps([zipkin_span(traceId=None)]))
+        with pytest.raises(MalformedDocumentError, match="bad.json: span #0 lacks id or traceId"):
+            load_corpus_dir(tmp_path, 0, 2)
+        assert load_corpus_dir(tmp_path, 1, 2) == ([], [])
+
+    @pytest.mark.parametrize("partition, partitions", [(-1, 2), (2, 2), (0, 0)])
+    def test_partition_out_of_range_rejected(self, tmp_path, partition, partitions):
+        with pytest.raises(ValueError, match="outside"):
+            load_corpus_dir(tmp_path, partition, partitions)

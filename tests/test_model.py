@@ -55,6 +55,32 @@ class TestIds:
         with pytest.raises(ValueError):
             validate_trace_id(bad)
 
+    # Near misses of a valid id: one upper-case digit, one character short
+    # or long, a trailing newline in place of the last digit, and a digit
+    # outside ASCII.
+    NEAR_MISSES = [
+        lambda n: "a" * (n - 1) + "B",
+        lambda n: "a" * (n - 1),
+        lambda n: "a" * (n + 1),
+        lambda n: "a" * n + "\n",
+        lambda n: "a" * (n - 1) + "\n",
+        lambda n: "a" * (n - 1) + "\u0663",
+    ]
+    NEAR_MISS_IDS = ["upper-case", "short", "long", "trailing-newline", "newline-for-digit", "arabic-indic-digit"]
+
+    @pytest.mark.parametrize("near_miss", NEAR_MISSES, ids=NEAR_MISS_IDS)
+    def test_near_miss_ids_rejected(self, near_miss):
+        with pytest.raises(ValueError):
+            validate_span_id(near_miss(16))
+        with pytest.raises(ValueError):
+            validate_trace_id(near_miss(32))
+        with pytest.raises(ValueError):
+            make_span(span_id=near_miss(16))
+        with pytest.raises(ValueError):
+            make_span(parent=near_miss(16))
+        with pytest.raises(ValueError):
+            make_span(trace_id=near_miss(32))
+
 
 class TestDuration:
     def test_zero_length_span(self):
@@ -95,6 +121,10 @@ class TestObservedSpanInvariants:
             make_span(attributes={"k": [1, 2]})
         with pytest.raises(ValueError):
             make_span(attributes={"k": 2**63})
+
+    def test_non_string_attribute_key_rejected(self):
+        with pytest.raises(ValueError, match="attribute key must be a string"):
+            make_span(attributes={5: "x"})
 
     def test_bad_link_rejected(self):
         with pytest.raises(ValueError):

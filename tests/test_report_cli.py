@@ -8,10 +8,11 @@ from importlib import resources
 
 import pytest
 
-from confcheck import ingest
+from confcheck import ingest, simulator
 from confcheck.checker import check_corpus
 from confcheck.cli import main
 from confcheck.design import load_design_set
+from confcheck.model import ObservedSpan, ObservedTrace
 from confcheck.report import render_text_report, render_trace_dot, report_to_json_dict
 
 from conftest import FIXTURES_DIR
@@ -344,7 +345,9 @@ class TestMissingOutDirectory:
     def test_fails_before_ingest(self, command, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
         loads = []
         real_load = ingest.load_corpus_dir
-        monkeypatch.setattr(ingest, "load_corpus_dir", lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(
+            ingest, "load_corpus_dir", lambda path, *share, **kw: loads.append(path) or real_load(path, *share, **kw)
+        )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         out = tmp_path / "missing" / "result.out"
         assert main(argv + ["--out", str(out)]) == 2
@@ -353,6 +356,145 @@ class TestMissingOutDirectory:
         # The same command with a writable --out does read the corpus.
         assert main(argv + ["--out", str(tmp_path / "result.out")]) in (0, 1)
         assert loads == [str(fixture_corpus_dir)]
+
+
+def _otel_file(path, spans, service="microservice"):
+    resource = {"attributes": [{"key": "service.name", "value": {"stringValue": service}}]}
+    path.write_text(json.dumps({"resourceSpans": [{"resource": resource, "scopeSpans": [{"spans": spans}]}]}))
+
+
+def _raw_span(trace_id, span_id, parent=None, start="1000", end="2000"):
+    span = {"traceId": trace_id, "spanId": span_id, "name": "op", "startTimeUnixNano": start, "endTimeUnixNano": end}
+    if parent is not None:
+        span["parentSpanId"] = parent
+    return span
+
+
+def _trace_id_in(partitions_by_k):
+    """The first trace id whose partition at each K is the one given."""
+    for index in range(1, 10_000):
+        trace_id = f"{index:032x}"
+        if all(ingest._partition_of(trace_id, k) == part for k, part in partitions_by_k.items()):
+            return trace_id
+    raise AssertionError(f"no trace id lands in {partitions_by_k}")
+
+
+def _split_traces_corpus(corpus):
+    """Simulated traces, each split across an OTel and a Zipkin file, plus
+    a span with a missing parent and one whose end precedes its start."""
+    traces = simulator.generate_corpus(
+        simulator.SimConfig(seed=5, trace_count=40, p_omit=0.2, p_slow=0.2, p_direct=0.2)
+    )
+    halves = ([], [])
+    for trace in traces:
+        ids = sorted(trace.spans)
+        for half, chosen in zip(halves, (ids[::2], ids[1::2])):
+            half.append(ObservedTrace(trace.trace_id, {span_id: trace.spans[span_id] for span_id in chosen}))
+    (corpus / "a.json").write_text(ingest.serialize_otel_json(halves[0]))
+    zipkin = [
+        {
+            "traceId": span.trace_id,
+            "id": span.span_id,
+            **({"parentId": span.parent_span_id} if span.parent_span_id else {}),
+            "name": span.name,
+            "timestamp": span.start_time_nanos // 1000,
+            "duration": span.duration_micros,
+            "localEndpoint": {"serviceName": span.service_name},
+            "tags": {key: str(value) for key, value in span.attributes.items()},
+        }
+        for trace in halves[1]
+        for span in trace.spans.values()
+    ]
+    (corpus / "b.json").write_text(json.dumps(zipkin))
+    first, last = traces[0].trace_id, traces[-1].trace_id
+    _otel_file(
+        corpus / "c.json",
+        [
+            _raw_span(first, "00000000000000d1", parent="00000000000000ee"),
+            _raw_span(last, "00000000000000d2", start="5000", end="4000"),
+        ],
+    )
+
+
+def _malformed_corpus(corpus):
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    (corpus / "m.json").write_text('{"resourceSpans": [')
+    shutil.copy(FIXTURES_DIR / "nonconformant.trace.json", corpus / "z.json")
+
+
+def _deeply_nested_corpus(corpus):
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    (corpus / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+
+
+def _duplicate_span_corpus(corpus):
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    _otel_file(corpus / "b.json", [_raw_span(CONFORMANT_ID, "00000000000000b2", parent="00000000000000b1")])
+    _otel_file(corpus / "c.json", [_raw_span(CONFORMANT_ID, "00000000000000b2", end="3000")])
+
+
+def _parent_cycle_corpus(corpus):
+    shutil.copy(FIXTURES_DIR / "nonconformant.trace.json", corpus / "a.json")
+    trace_id = _trace_id_in({2: 1})
+    _otel_file(corpus / "b.json", [_raw_span(trace_id, "00000000000000c1", parent="00000000000000c2")])
+    _otel_file(corpus / "c.json", [_raw_span(trace_id, "00000000000000c2", parent="00000000000000c1")])
+
+
+def _errors_in_two_partitions_corpus(corpus):
+    # The first file's error lies in a later partition than the second
+    # file's, so a partition's own error is not the one a serial run names.
+    late, early = _trace_id_in({2: 1, 3: 2}), _trace_id_in({2: 0, 3: 0})
+    _otel_file(corpus / "a.json", [_raw_span(late, "00000000000000a1", end="soon")])
+    _otel_file(
+        corpus / "b.json",
+        [
+            _raw_span(early, "00000000000000a1", parent="00000000000000a2"),
+            _raw_span(early, "00000000000000a2", parent="00000000000000a1"),
+        ],
+    )
+
+
+class TestPartitionedCheck:
+    """``check --workers K`` gives one worker per trace-id partition; its
+    output and exit code must not depend on K."""
+
+    CORPORA = {
+        "split-traces": (_split_traces_corpus, 1, "warning: 2 ingest warning(s)\n"),
+        "malformed-file": (_malformed_corpus, 2, "error: m.json: invalid JSON"),
+        "deeply-nested-file": (_deeply_nested_corpus, 2, "error: deep.json: JSON nested too deeply"),
+        "duplicate-span-across-files": (
+            _duplicate_span_corpus, 2, f"error: trace {CONFORMANT_ID}: duplicate span id 00000000000000b2"
+        ),
+        "parent-cycle": (_parent_cycle_corpus, 2, "error: trace "),
+        "errors-in-two-partitions": (_errors_in_two_partitions_corpus, 2, "error: a.json: span 00000000000000a1"),
+    }
+
+    @pytest.mark.parametrize("name", list(CORPORA))
+    def test_output_independent_of_worker_count(self, name, tmp_path, capsys):
+        build, expected_code, expected_err = self.CORPORA[name]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        build(corpus)
+        for fmt in ("json", "text"):
+            runs = []
+            for workers in ("1", "2", "3"):
+                code = main(["check", BUNDLED_DESIGN, str(corpus), "--format", fmt, "--workers", workers])
+                runs.append((code, *capsys.readouterr()))
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+            code, out, err = runs[0]
+            assert code == expected_code
+            assert err.startswith(expected_err)
+            assert (out == "") == (expected_code == 2)
+
+    def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
+        built = []
+        real_post_init = ObservedSpan.__post_init__
+        monkeypatch.setattr(ObservedSpan, "__post_init__", lambda span: built.append(span) or real_post_init(span))
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 1
+        assert built == []
+        # The same check in process does build them.
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]) == 1
+        assert len(built) == 12
 
 
 class TestValidateDesignCommand:
