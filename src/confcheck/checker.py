@@ -9,7 +9,14 @@ keeps the check robust to wrapper spans added by auto-instrumentation.
 Matches are resolved once per design trace, parents first: a child design
 span's candidates are tested against its parent's finished match set, and
 ancestor walks cache their answer for every span they pass, so each design
-span costs one pass over the observed spans whatever the trace's depth.
+span costs one pass over its candidates whatever the trace's depth.
+
+Candidates come from a per-trace index that buckets the observed spans by
+``(name, service name)``, built once per trace and shared by every required
+and disallowed design trace. A design span tests ``attrs_match`` only on
+the bucket of its own name and ``service.name`` match attribute, since no
+other span can pass it; a design span without that attribute (possible only
+in an unvalidated ``DesignTrace``) takes every span of its name.
 
 Duration bounds apply to the design span being witnessed, not to ancestor
 hops while validating its chain; a slow root therefore produces exactly one
@@ -34,6 +41,7 @@ from .model import (
     DesignTrace,
     ObservedSpan,
     ObservedTrace,
+    SERVICE_NAME_KEY,
     SpanId,
     TraceVerdict,
     Violation,
@@ -91,7 +99,35 @@ def _has_matched_ancestor(
     return found
 
 
-def _structural_matches(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, List[ObservedSpan]]:
+# Observed spans by (name, service name), each bucket in span-id order.
+CandidateIndex = Dict[Tuple[str, str], List[ObservedSpan]]
+
+
+def _candidate_index(trace: ObservedTrace) -> CandidateIndex:
+    index: CandidateIndex = {}
+    spans = trace.spans
+    for span_id in sorted(spans):
+        span = spans[span_id]
+        index.setdefault((span.name, span.service_name), []).append(span)
+    return index
+
+
+def _candidates(design: DesignSpan, index: CandidateIndex) -> List[ObservedSpan]:
+    """The spans that pass ``attrs_match`` for ``design``, in span-id order,
+    tested only on the bucket that can hold them."""
+    if SERVICE_NAME_KEY in design.match_attributes:
+        bucket = index.get((design.name, design.match_attributes[SERVICE_NAME_KEY]), ())
+    else:
+        bucket = sorted(
+            (span for (name, _), spans in index.items() if name == design.name for span in spans),
+            key=lambda span: span.span_id,
+        )
+    return [span for span in bucket if attrs_match(design, span)]
+
+
+def _structural_matches(
+    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
+) -> Dict[str, List[ObservedSpan]]:
     """Every structural match per design span, in span-id order.
 
     Design spans resolve parents first. A root's matches are the spans that
@@ -100,7 +136,8 @@ def _structural_matches(design_trace: DesignTrace, trace: ObservedTrace) -> Dict
     parent's matches. Durations are not consulted, so a slow ancestor never
     vetoes the chain below it.
     """
-    observed_spans = [trace.spans[span_id] for span_id in sorted(trace.spans)]
+    if index is None:
+        index = _candidate_index(trace)
     matches: Dict[str, List[ObservedSpan]] = {}
     pending = design_trace.spans_in_order()
     while pending:
@@ -110,7 +147,7 @@ def _structural_matches(design_trace: DesignTrace, trace: ObservedTrace) -> Dict
             if parent_id is not None and parent_id not in matches:
                 deferred.append(design)
                 continue
-            candidates = [span for span in observed_spans if attrs_match(design, span)]
+            candidates = _candidates(design, index)
             if parent_id is not None:
                 matched_ids = {span.span_id for span in matches[parent_id]}
                 if design.allow_non_immediate_parent:
@@ -125,15 +162,18 @@ def _structural_matches(design_trace: DesignTrace, trace: ObservedTrace) -> Dict
     return matches
 
 
-def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
+def check_required(
+    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
+) -> List[Violation]:
     """Evaluate one required design trace.
 
     Per design span: a strict witness means no violation; a span matched
     structurally but over its duration budget is a DurationExceeded
     violation carrying the fastest such candidate (ties broken by span id);
-    no structural witness at all is a MissingRequired violation.
+    no structural witness at all is a MissingRequired violation. ``index``
+    is the trace's candidate index, built here when not given.
     """
-    matches = _structural_matches(design_trace, trace)
+    matches = _structural_matches(design_trace, trace, index)
     violations: List[Violation] = []
     for design_span in design_trace.spans_in_order():
         candidates = matches[design_span.design_span_id]
@@ -160,7 +200,9 @@ def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Viol
     return violations
 
 
-def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
+def check_disallowed(
+    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
+) -> List[Violation]:
     """Evaluate one disallowed design trace as a joint pattern.
 
     Only when every design span in the trace is witnessed does the pattern
@@ -168,7 +210,7 @@ def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Vi
     first witness by span id. A partial match emits nothing: the root of a
     disallowed pattern typically also matches legitimate behavior.
     """
-    witnesses = match_witnesses(design_trace, trace)
+    witnesses = match_witnesses(design_trace, trace, index)
     if None in witnesses.values():
         return []
     return [
@@ -186,23 +228,26 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
     """Decide conformance of one observed trace against a validated design
     set. Pure function; violations are ordered by (design trace id, design
     span id) so two invocations agree bit for bit."""
+    index = _candidate_index(trace)
     violations: List[Violation] = []
     for design_trace in design_set.required_traces:
-        violations.extend(check_required(design_trace, trace))
+        violations.extend(check_required(design_trace, trace, index))
     for design_trace in design_set.disallowed_traces:
-        violations.extend(check_disallowed(design_trace, trace))
+        violations.extend(check_disallowed(design_trace, trace, index))
     violations.sort(key=lambda v: (v.design_trace_id, v.design_span_id))
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
 
 
-def match_witnesses(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, Optional[SpanId]]:
+def match_witnesses(
+    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
+) -> Dict[str, Optional[SpanId]]:
     """Strict witness per design span (smallest span id), or None when the
     span is unwitnessed. Used by check_disallowed, for rendering and for
     omission experiments.
 
     Reads the same parents-first structural matches as check_required, so
     the cost is linear in design spans times observed spans."""
-    matches = _structural_matches(design_trace, trace)
+    matches = _structural_matches(design_trace, trace, index)
     return {
         design_span.design_span_id: next(
             (span.span_id for span in matches[design_span.design_span_id] if duration_ok(design_span, span)),
@@ -301,9 +346,19 @@ PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: int) -> PartialCheck:
     """The one worker entry point: load partition ``index``, check each of its
     traces, and return the partial report, the non-conformant verdicts and
-    the number of ingest warnings."""
-    traces, warnings = load(index)
-    verdicts = [check_trace(design_set, trace) for trace in traces]
+    the number of ingest warnings.
+
+    The cyclic collector is off meanwhile: loading and checking allocate
+    millions of objects and build no reference cycles, so its passes would
+    find nothing. The caller's collector state is restored on return."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        traces, warnings = load(index)
+        verdicts = [check_trace(design_set, trace) for trace in traces]
+    finally:
+        if was_enabled:
+            gc.enable()
     return (
         ConformanceReport.from_verdicts(verdicts),
         [verdict for verdict in verdicts if not verdict.conformant],

@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -96,6 +97,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         corpus_report, verdicts, warning_count = _check_corpus_dir(design_set, args.traces, workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    except BrokenExecutor:
+        # A killed worker (out of memory, say) leaves the check incomplete;
+        # that is an error, not a non-conformance finding.
+        return _fail(f"a worker process exited unexpectedly; the check of {args.traces} did not complete")
     _warn_ingest(warning_count)
 
     if args.format == "json":

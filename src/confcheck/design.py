@@ -10,6 +10,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -113,11 +114,13 @@ class DesignTraceSet:
             raise DesignValidationError(errors)
         return cls(design_traces=traces)
 
-    @property
+    # Computed on first use and kept, so checking a trace does not re-split
+    # the set.
+    @functools.cached_property
     def required_traces(self) -> Tuple[DesignTrace, ...]:
         return tuple(t for t in self.design_traces if not t.is_disallowed)
 
-    @property
+    @functools.cached_property
     def disallowed_traces(self) -> Tuple[DesignTrace, ...]:
         return tuple(t for t in self.design_traces if t.is_disallowed)
 

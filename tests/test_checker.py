@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import random
+
 import pytest
 
+import genutil
+from confcheck import ingest
 from confcheck.checker import (
     ConformanceReport,
     attrs_match,
     check_corpus,
     check_disallowed,
+    check_partitions,
     check_required,
     check_trace,
     duration_ok,
@@ -398,6 +404,177 @@ class TestCheckTrace:
             design_set.required_traces[0], gateway_trace(root_duration_micros=600_000)
         )
         assert witnesses_slow["A"] is None
+
+
+def scan_matches(design_trace, trace):
+    """Structural matches per design span by an exhaustive ``attrs_match``
+    scan of every observed span, with full ancestor walks."""
+    spans = [trace.spans[span_id] for span_id in sorted(trace.spans)]
+    matches = {}
+
+    def resolve(design_span):
+        if design_span.design_span_id not in matches:
+            found = [span for span in spans if attrs_match(design_span, span)]
+            if design_span.parent_design_span_id is not None:
+                parent_ids = {span.span_id for span in resolve(design_trace.spans[design_span.parent_design_span_id])}
+                if design_span.allow_non_immediate_parent:
+                    found = [s for s in found if any(a.span_id in parent_ids for a in trace.ancestors_of(s))]
+                else:
+                    found = [s for s in found if s.parent_span_id in parent_ids]
+            matches[design_span.design_span_id] = found
+        return matches[design_span.design_span_id]
+
+    for design_span in design_trace.spans.values():
+        resolve(design_span)
+    return matches
+
+
+def scan_witnesses(design_trace, trace):
+    matches = scan_matches(design_trace, trace)
+    return {
+        span_id: next((s.span_id for s in matches[span_id] if duration_ok(design_trace.spans[span_id], s)), None)
+        for span_id in sorted(design_trace.spans)
+    }
+
+
+def scan_required(design_trace, trace):
+    matches = scan_matches(design_trace, trace)
+    violations = []
+    for span_id in sorted(design_trace.spans):
+        design_span = design_trace.spans[span_id]
+        if any(duration_ok(design_span, s) for s in matches[span_id]):
+            continue
+        slow = sorted(matches[span_id], key=lambda s: (s.duration_micros, s.span_id))
+        kind = ViolationKind.DURATION_EXCEEDED if slow else ViolationKind.MISSING_REQUIRED
+        violations.append(Violation(kind, design_trace.design_trace_id, span_id, slow[0].span_id if slow else None))
+    return violations
+
+
+def assert_index_equals_scan(design_trace, trace):
+    assert match_witnesses(design_trace, trace) == scan_witnesses(design_trace, trace)
+    assert check_required(design_trace, trace) == scan_required(design_trace, trace)
+
+
+class TestCandidateIndex:
+    """The (name, service name) candidate index gives exactly what a scan of
+    every observed span gives."""
+
+    def test_design_span_without_service_matches_by_name(self):
+        # Possible only for an unvalidated DesignTrace.
+        pattern = DesignSpan(design_span_id="X", name="aspnet_core.request", match_attributes={})
+        design_trace = DesignTrace(design_trace_id="unvalidated", spans={"X": pattern})
+        trace = gateway_trace()
+        assert_index_equals_scan(design_trace, trace)
+        assert match_witnesses(design_trace, trace) == {"X": ROOT}
+
+    def test_design_span_without_service_still_checks_other_attributes(self):
+        pattern = DesignSpan(design_span_id="X", name="op", match_attributes={"code": 7})
+        design_trace = DesignTrace(design_trace_id="unvalidated", spans={"X": pattern})
+        trace = ObservedTrace.from_spans(
+            TRACE_ID,
+            [observed(NOISE, "op", "b", attributes={"code": 7}), observed(ROOT, "op", "a", attributes={"code": "7"})],
+        )
+        assert_index_equals_scan(design_trace, trace)
+        assert match_witnesses(design_trace, trace) == {"X": NOISE}
+
+    @pytest.mark.parametrize("service", [1, True, 1.0])
+    def test_non_string_service_matches_nothing(self, service):
+        spans = {
+            "S": DesignSpan(design_span_id="S", name="x", match_attributes={"service.name": service}),
+            "T": DesignSpan(design_span_id="T", name="x", match_attributes={"service.name": True}),
+            "U": DesignSpan(design_span_id="U", name="x", match_attributes={"service.name": 1}),
+        }
+        design_trace = DesignTrace(design_trace_id="typed", spans=spans)
+        trace = ObservedTrace.from_spans(
+            TRACE_ID,
+            [
+                observed(ROOT, "x", "1"),
+                observed(CLIENT, "x", "True"),
+                observed(MS_REQUEST, "x", "1.0"),
+                observed(NOISE, "x", "svc", attributes={"service.name": service}),
+            ],
+        )
+        assert_index_equals_scan(design_trace, trace)
+        assert match_witnesses(design_trace, trace) == {"S": None, "T": None, "U": None}
+
+    def test_nan_valued_extra_attribute(self):
+        nan = float("nan")
+        pattern = DesignSpan(design_span_id="X", name="op", match_attributes={"service.name": "svc", "ratio": nan})
+        design_trace = DesignTrace(design_trace_id="nan", spans={"X": pattern})
+        trace = ObservedTrace.from_spans(
+            TRACE_ID,
+            [
+                observed(ROOT, "op", "svc", attributes={"ratio": 0.5}),
+                observed(CLIENT, "op", "svc", attributes={"ratio": "nan"}),
+                observed(NOISE, "op", "svc", attributes={"ratio": nan}),
+            ],
+        )
+        assert_index_equals_scan(design_trace, trace)
+        assert match_witnesses(design_trace, trace) == {"X": NOISE}
+
+    def test_bucket_follows_span_id_order_not_insertion_order(self):
+        later, earlier = "00000000000000f2", "00000000000000a1"
+        bounded = DesignSpan(
+            design_span_id="X", name="op", match_attributes={"service.name": "svc"}, max_duration_micros=10
+        )
+        design_trace = DesignTrace(design_trace_id="order", spans={"X": bounded})
+        trace = ObservedTrace.from_spans(
+            TRACE_ID, [observed(later, "op", "svc", duration_micros=50), observed(earlier, "op", "svc", duration_micros=50)]
+        )
+        assert list(trace.spans) == [later, earlier]
+        assert_index_equals_scan(design_trace, trace)
+        # Equal durations: the DurationExceeded witness is the smaller id.
+        assert check_required(design_trace, trace)[0].observed_span_id == earlier
+        unbounded = DesignTrace(
+            design_trace_id="order",
+            spans={"X": DesignSpan(design_span_id="X", name="op", match_attributes={"service.name": "svc"})},
+        )
+        assert_index_equals_scan(unbounded, trace)
+        assert match_witnesses(unbounded, trace) == {"X": earlier}
+
+    def test_random_instances(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            design_set = genutil.random_design_set(rng)
+            trace = genutil.random_observed_trace(rng)
+            for design_trace in design_set.design_traces:
+                assert_index_equals_scan(design_trace, trace)
+
+
+class TestCollectorState:
+    """check_partitions runs its loads and checks with the cyclic collector
+    off, and leaves the caller's collector state as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_state_restored_after_check(self, design_set, collector, partitions):
+        traces = [with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(4)]
+        seen = []
+
+        def load(index):
+            seen.append(gc.isenabled())
+            return traces[index::partitions], []
+
+        report, verdicts, warnings = check_partitions(design_set, load, partitions)
+        assert (report.total_traces, verdicts, warnings) == (4, [], 0)
+        assert gc.isenabled() is collector
+        if partitions == 1:
+            assert seen == [False]
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_state_restored_after_error(self, design_set, collector, partitions):
+        def load(index):
+            raise ingest.MalformedDocumentError(f"bad partition {index}")
+
+        with pytest.raises(ingest.MalformedDocumentError):
+            check_partitions(design_set, load, partitions)
+        assert gc.isenabled() is collector
 
 
 class TestCheckCorpus:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +136,76 @@ class TestObservedSpanInvariants:
     def test_service_name_wins_in_attribute_view(self):
         span = make_span(attributes={"service.name": "spoofed"})
         assert span.lookup_attribute("service.name") == "svc"
+
+
+ZERO_TRACE = "0" * 32
+
+
+class TestSlottedSpan:
+    def test_span_has_no_instance_dict(self):
+        span = make_span()
+        assert not hasattr(span, "__dict__")
+        assert not hasattr(ObservedTrace.from_spans(TRACE_ID, [span]), "__dict__")
+
+    def test_assigning_a_field_raises(self):
+        span = make_span()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.name = "other"
+        trace = ObservedTrace.from_spans(TRACE_ID, [span])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.trace_id = "0" * 31 + "2"
+
+    def test_pickle_round_trips_span_and_trace(self):
+        root = make_span(attributes={"k": 1.5, "ok": True}, links=((TRACE_ID, "00000000000000ff"),))
+        child = make_span("00000000000000b2", parent=root.span_id, start=5, end=9)
+        orphan = make_span("00000000000000c3", parent="00000000000000dd")
+        trace = ObservedTrace.from_spans(TRACE_ID, [root, child, orphan])
+        assert pickle.loads(pickle.dumps(root)) == root
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy == trace
+        assert copy.dangling_parents == frozenset({orphan.span_id})
+
+    def test_str_subclass_ids_pass_as_before(self):
+        class Hex(str):
+            pass
+
+        span = make_span(Hex("00000000000000a1"), parent=Hex("00000000000000b2"), trace_id=Hex(TRACE_ID))
+        assert span.span_id == "00000000000000a1"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"trace_id": ZERO_TRACE}, "trace id must not be all zeros"),
+            ({"trace_id": "A" * 32}, "trace id must be 32 lowercase hex chars, got 'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'"),
+            ({"trace_id": None}, "trace id must be 32 lowercase hex chars, got None"),
+            ({"span_id": "0" * 16}, "span id must not be all zeros"),
+            ({"span_id": "00000000000000A1"}, "span id must be 16 lowercase hex chars, got '00000000000000A1'"),
+            ({"span_id": 161}, "span id must be 16 lowercase hex chars, got 161"),
+            ({"parent_span_id": "0" * 16}, "span id must not be all zeros"),
+            ({"parent_span_id": "xyz"}, "span id must be 16 lowercase hex chars, got 'xyz'"),
+            ({"name": None}, "span name must be a string, got NoneType"),
+            ({"service_name": ""}, "service_name must be a non-empty string"),
+            ({"service_name": 7}, "service_name must be a non-empty string"),
+            ({"start_time_nanos": True}, "start time must be an unsigned 64-bit nanosecond count, got True"),
+            ({"start_time_nanos": -1}, "start time must be an unsigned 64-bit nanosecond count, got -1"),
+            ({"start_time_nanos": 1.0}, "start time must be an unsigned 64-bit nanosecond count, got 1.0"),
+            ({"end_time_nanos": 2**64}, f"end time must be an unsigned 64-bit nanosecond count, got {2**64}"),
+            ({"end_time_nanos": "5"}, "end time must be an unsigned 64-bit nanosecond count, got '5'"),
+            ({"start_time_nanos": 10, "end_time_nanos": 9}, "span 00000000000000a1: end time 9 precedes start time 10"),
+            ({"attributes": {5: "x"}}, "attribute key must be a string, got int"),
+            ({"attributes": {"k": None}}, "attribute 'k': unsupported value type NoneType"),
+            ({"attributes": {"k": 2**63}}, f"attribute 'k': integer {2**63} outside 64-bit signed range"),
+            ({"links": ((TRACE_ID, "nothex"),)}, "span id must be 16 lowercase hex chars, got 'nothex'"),
+            ({"links": ((ZERO_TRACE, "00000000000000a1"),)}, "trace id must not be all zeros"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, fields, message):
+        defaults = dict(trace_id=TRACE_ID, span_id="00000000000000a1", name="op", service_name="svc",
+                        start_time_nanos=0, end_time_nanos=0)
+        defaults.update(fields)
+        with pytest.raises(ValueError) as excinfo:
+            ObservedSpan(**defaults)
+        assert str(excinfo.value) == message
 
 
 class TestObservedTrace:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from importlib import resources
 
@@ -485,6 +486,23 @@ class TestPartitionedCheck:
             assert code == expected_code
             assert err.startswith(expected_err)
             assert (out == "") == (expected_code == 2)
+
+    def test_dying_worker_is_an_error(self, fixture_corpus_dir, monkeypatch, capsys):
+        # A worker killed mid-check (by the OOM killer, say) leaves the check
+        # incomplete: exit 2 with an error line, not 1 with a traceback.
+        real_load = ingest.load_corpus_dir
+
+        def load(directory, partition=0, partitions=1):
+            if partition == 1:
+                os._exit(9)
+            return real_load(directory, partition, partitions)
+
+        monkeypatch.setattr(ingest, "load_corpus_dir", load)
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a worker process exited unexpectedly")
+        assert "Traceback" not in err
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
         built = []
