@@ -6,17 +6,25 @@ design parent chain. Witnesses need not be distinct across design spans.
 A design span with no parent anchors anywhere in the observed DAG, which
 keeps the check robust to wrapper spans added by auto-instrumentation.
 
-Matches are resolved once per design trace, parents first: a child design
-span's candidates are tested against its parent's finished match set, and
-ancestor walks cache their answer for every span they pass, so each design
-span costs one pass over its candidates whatever the trace's depth.
+Each design trace is compiled once, by :func:`compile_match_plan`, into a
+match plan that ``DesignTrace.match_plan`` keeps: its design spans as steps
+in parents-first order, each holding its candidate bucket key, its other
+match attributes as a tuple, its parent's step index, its non-immediate flag
+and its duration bound. ``check_required``, ``check_disallowed``, ``match_witnesses`` and so
+``check_trace`` all run the plan, keeping matches in a list indexed by
+step. A child step's candidates are tested against its parent step's
+finished match set, and ancestor walks cache their answer for every span
+they pass, so each design span costs one pass over its candidates whatever
+the trace's depth.
 
 Candidates come from a per-trace index that buckets the observed spans by
 ``(name, service name)``, built once per trace and shared by every required
-and disallowed design trace. A design span tests ``attrs_match`` only on
-the bucket of its own name and ``service.name`` match attribute, since no
-other span can pass it; a design span without that attribute (possible only
-in an unvalidated ``DesignTrace``) takes every span of its name.
+and disallowed design trace. A step tests its other match attributes only
+on the bucket of its own name and ``service.name``, since no other span can
+pass it. ``_bucket_service`` is the one rule for a bucket's service on both
+sides: only an exact ``str`` gets one. A design span without such a
+``service.name`` (possible only in an unvalidated ``DesignTrace``) takes
+every span of its name and tests every match attribute.
 
 Duration bounds apply to the design span being witnessed, not to ancestor
 hops while validating its chain; a slow root therefore produces exactly one
@@ -31,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import gc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .design import DesignTraceSet
 from .model import (
+    AttrValue,
     DesignSpan,
     DesignTrace,
     ObservedSpan,
@@ -58,7 +66,9 @@ __all__ = [
     "check_trace",
     "check_corpus",
     "check_partitions",
+    "compile_match_plan",
     "match_witnesses",
+    "WorkerExitedError",
 ]
 
 
@@ -66,9 +76,11 @@ def attrs_match(design: DesignSpan, observed: ObservedSpan) -> bool:
     """True when the observed span's name equals the pattern name and every
     match attribute is present with a type-strict equal value. Extra
     observed attributes never affect the result."""
-    if observed.name != design.name:
-        return False
-    for key, expected in design.match_attributes.items():
+    return observed.name == design.name and _attributes_match(design.match_attributes.items(), observed)
+
+
+def _attributes_match(attributes: Iterable[Tuple[str, AttrValue]], observed: ObservedSpan) -> bool:
+    for key, expected in attributes:
         actual = observed.lookup_attribute(key)
         if actual is None or not attr_values_equal(expected, actual):
             return False
@@ -78,7 +90,11 @@ def attrs_match(design: DesignSpan, observed: ObservedSpan) -> bool:
 def duration_ok(design: DesignSpan, observed: ObservedSpan) -> bool:
     """True when the pattern has no duration bound or the observed duration
     is within it. The bound is inclusive."""
-    return design.max_duration_micros is None or observed.duration_micros <= design.max_duration_micros
+    return _within_bound(design.max_duration_micros, observed)
+
+
+def _within_bound(bound: Optional[int], observed: ObservedSpan) -> bool:
+    return bound is None or observed.duration_micros <= bound
 
 
 def _has_matched_ancestor(
@@ -99,8 +115,78 @@ def _has_matched_ancestor(
     return found
 
 
-# Observed spans by (name, service name), each bucket in span-id order.
-CandidateIndex = Dict[Tuple[str, str], List[ObservedSpan]]
+def _bucket_service(value: object) -> Optional[str]:
+    """The service part of a candidate bucket key, for an observed span's
+    service name and a design span's ``service.name`` alike: the value when
+    it is an exact ``str``, else None. An observed span filed under None is
+    found only by a plan step without a bucket, which tests every match
+    attribute type-strictly."""
+    return value if type(value) is str else None
+
+
+class MatchStep(NamedTuple):
+    """One design span of a compiled match plan."""
+
+    span: DesignSpan
+    # The (name, service name) candidate bucket, or None when the design
+    # span has no bucket service: every span of its name is then a candidate.
+    bucket: Optional[Tuple[str, str]]
+    # The match attributes the bucket does not already decide.
+    attributes: Tuple[Tuple[str, AttrValue], ...]
+    # The parent design span's step index, or -1 for a root.
+    parent: int
+    non_immediate: bool
+    max_duration_micros: Optional[int]
+
+
+class MatchPlan(NamedTuple):
+    """A design trace compiled for matching: ``steps`` parents first, and
+    ``by_id`` the step indices in design span id order, the order in which
+    results are reported."""
+
+    steps: Tuple[MatchStep, ...]
+    by_id: Tuple[int, ...]
+
+
+def compile_match_plan(trace: DesignTrace) -> MatchPlan:
+    """Compile ``trace`` for matching. Use ``trace.match_plan``, which
+    compiles once. Raises ``ValueError`` on unknown or cyclic design parents."""
+    position: Dict[str, int] = {}
+    steps: List[MatchStep] = []
+    pending = trace.spans_in_order()
+    while pending:
+        deferred = []
+        for span in pending:
+            parent_id = span.parent_design_span_id
+            if parent_id is not None and parent_id not in position:
+                deferred.append(span)
+                continue
+            service = _bucket_service(span.match_attributes.get(SERVICE_NAME_KEY))
+            if service is not None:
+                bucket: Optional[Tuple[str, str]] = (span.name, service)
+                attributes = tuple(item for item in span.match_attributes.items() if item[0] != SERVICE_NAME_KEY)
+            else:
+                bucket = None
+                attributes = tuple(span.match_attributes.items())
+            position[span.design_span_id] = len(steps)
+            steps.append(
+                MatchStep(
+                    span=span,
+                    bucket=bucket,
+                    attributes=attributes,
+                    parent=-1 if parent_id is None else position[parent_id],
+                    non_immediate=span.allow_non_immediate_parent,
+                    max_duration_micros=span.max_duration_micros,
+                )
+            )
+        if len(deferred) == len(pending):
+            raise ValueError(f"design trace {trace.design_trace_id}: unknown or cyclic design parents")
+        pending = deferred
+    return MatchPlan(steps=tuple(steps), by_id=tuple(position[span_id] for span_id in sorted(position)))
+
+
+# Observed spans by (name, bucket service), each bucket in span-id order.
+CandidateIndex = Dict[Tuple[str, Optional[str]], List[ObservedSpan]]
 
 
 def _candidate_index(trace: ObservedTrace) -> CandidateIndex:
@@ -108,57 +194,48 @@ def _candidate_index(trace: ObservedTrace) -> CandidateIndex:
     spans = trace.spans
     for span_id in sorted(spans):
         span = spans[span_id]
-        index.setdefault((span.name, span.service_name), []).append(span)
+        index.setdefault((span.name, _bucket_service(span.service_name)), []).append(span)
     return index
 
 
-def _candidates(design: DesignSpan, index: CandidateIndex) -> List[ObservedSpan]:
-    """The spans that pass ``attrs_match`` for ``design``, in span-id order,
-    tested only on the bucket that can hold them."""
-    if SERVICE_NAME_KEY in design.match_attributes:
-        bucket = index.get((design.name, design.match_attributes[SERVICE_NAME_KEY]), ())
-    else:
-        bucket = sorted(
-            (span for (name, _), spans in index.items() if name == design.name for span in spans),
-            key=lambda span: span.span_id,
-        )
-    return [span for span in bucket if attrs_match(design, span)]
+def _plan_matches(
+    plan: MatchPlan, trace: ObservedTrace, index: Optional[CandidateIndex]
+) -> List[Sequence[ObservedSpan]]:
+    """Every structural match per plan step, in span-id order.
 
-
-def _structural_matches(
-    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
-) -> Dict[str, List[ObservedSpan]]:
-    """Every structural match per design span, in span-id order.
-
-    Design spans resolve parents first. A root's matches are the spans that
-    pass ``attrs_match``; a child's are its ``attrs_match`` candidates whose
-    parent, or with ``allow_non_immediate_parent`` any ancestor, is among its
-    parent's matches. Durations are not consulted, so a slow ancestor never
-    vetoes the chain below it.
+    Steps run parents first. A step's candidates are its bucket's spans (or,
+    without a bucket, every span of its name) that pass its other match
+    attributes; a child step keeps those whose parent, or with
+    ``non_immediate`` any ancestor, is among its parent step's matches.
+    Durations are not consulted, so a slow ancestor never vetoes the chain
+    below it. A returned sequence may be the index's own bucket: read it,
+    never change it.
     """
     if index is None:
         index = _candidate_index(trace)
-    matches: Dict[str, List[ObservedSpan]] = {}
-    pending = design_trace.spans_in_order()
-    while pending:
-        deferred: List[DesignSpan] = []
-        for design in pending:
-            parent_id = design.parent_design_span_id
-            if parent_id is not None and parent_id not in matches:
-                deferred.append(design)
-                continue
-            candidates = _candidates(design, index)
-            if parent_id is not None:
-                matched_ids = {span.span_id for span in matches[parent_id]}
-                if design.allow_non_immediate_parent:
+    matches: List[Sequence[ObservedSpan]] = []
+    for design, bucket, attributes, parent, non_immediate, _ in plan.steps:
+        if bucket is not None:
+            candidates: Sequence[ObservedSpan] = index.get(bucket, ())
+        else:
+            candidates = sorted(
+                (span for (name, _service), spans in index.items() if name == design.name for span in spans),
+                key=lambda span: span.span_id,
+            )
+        if attributes and candidates:
+            candidates = [span for span in candidates if _attributes_match(attributes, span)]
+        if parent >= 0 and candidates:
+            parent_matches = matches[parent]
+            if not parent_matches:
+                candidates = ()
+            else:
+                matched_ids = {span.span_id for span in parent_matches}
+                if non_immediate:
                     reaches: Dict[SpanId, bool] = {}
                     candidates = [s for s in candidates if _has_matched_ancestor(trace, s, matched_ids, reaches)]
                 else:
                     candidates = [s for s in candidates if s.parent_span_id in matched_ids]
-            matches[design.design_span_id] = candidates
-        if len(deferred) == len(pending):
-            raise ValueError(f"design trace {design_trace.design_trace_id}: unknown or cyclic design parents")
-        pending = deferred
+        matches.append(candidates)
     return matches
 
 
@@ -173,28 +250,41 @@ def check_required(
     no structural witness at all is a MissingRequired violation. ``index``
     is the trace's candidate index, built here when not given.
     """
-    matches = _structural_matches(design_trace, trace, index)
+    plan = design_trace.match_plan
+    matches = _plan_matches(plan, trace, index)
     violations: List[Violation] = []
-    for design_span in design_trace.spans_in_order():
-        candidates = matches[design_span.design_span_id]
-        if any(duration_ok(design_span, span) for span in candidates):
-            continue
-        if candidates:
-            witness = min(candidates, key=lambda s: (s.duration_micros, s.span_id))
-            violations.append(
-                Violation(
-                    kind=ViolationKind.DURATION_EXCEEDED,
-                    design_trace_id=design_trace.design_trace_id,
-                    design_span_id=design_span.design_span_id,
-                    observed_span_id=witness.span_id,
-                )
-            )
-        else:
+    for position in plan.by_id:
+        candidates = matches[position]
+        step = plan.steps[position]
+        if not candidates:
             violations.append(
                 Violation(
                     kind=ViolationKind.MISSING_REQUIRED,
                     design_trace_id=design_trace.design_trace_id,
-                    design_span_id=design_span.design_span_id,
+                    design_span_id=step.span.design_span_id,
+                )
+            )
+            continue
+        bound = step.max_duration_micros
+        if bound is None:
+            continue
+        # Candidates are in span-id order, so the first of the fastest wins
+        # a tie.
+        witness = None
+        fastest = 0
+        for span in candidates:
+            if _within_bound(bound, span):
+                break
+            duration = span.duration_micros
+            if witness is None or duration < fastest:
+                witness, fastest = span, duration
+        else:
+            violations.append(
+                Violation(
+                    kind=ViolationKind.DURATION_EXCEEDED,
+                    design_trace_id=design_trace.design_trace_id,
+                    design_span_id=step.span.design_span_id,
+                    observed_span_id=witness.span_id,
                 )
             )
     return violations
@@ -242,19 +332,21 @@ def match_witnesses(
     design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
 ) -> Dict[str, Optional[SpanId]]:
     """Strict witness per design span (smallest span id), or None when the
-    span is unwitnessed. Used by check_disallowed, for rendering and for
-    omission experiments.
+    span is unwitnessed, keyed in design span id order. Used by
+    check_disallowed, for rendering and for omission experiments.
 
-    Reads the same parents-first structural matches as check_required, so
-    the cost is linear in design spans times observed spans."""
-    matches = _structural_matches(design_trace, trace, index)
-    return {
-        design_span.design_span_id: next(
-            (span.span_id for span in matches[design_span.design_span_id] if duration_ok(design_span, span)),
-            None,
+    Runs the same compiled plan as check_required, so the cost is linear in
+    design spans times observed spans."""
+    plan = design_trace.match_plan
+    matches = _plan_matches(plan, trace, index)
+    witnesses: Dict[str, Optional[SpanId]] = {}
+    for position in plan.by_id:
+        step = plan.steps[position]
+        bound = step.max_duration_micros
+        witnesses[step.span.design_span_id] = next(
+            (span.span_id for span in matches[position] if _within_bound(bound, span)), None
         )
-        for design_span in design_trace.spans_in_order()
-    }
+    return witnesses
 
 
 def _kind_counts(counts: Optional[Mapping[ViolationKind, int]] = None) -> Dict[ViolationKind, int]:
@@ -337,6 +429,11 @@ class ConformanceReport:
         )
 
 
+class WorkerExitedError(RuntimeError):
+    """A pool worker process exited (killed by the OOM killer, say) before it
+    returned its partition's result, so the check is incomplete."""
+
+
 # A partition loader maps a partition index to that partition's traces and
 # the ingest warnings raised while loading them.
 PartitionLoader = Callable[[int], Tuple[Sequence[ObservedTrace], Sequence[object]]]
@@ -350,20 +447,24 @@ def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: i
 
     The cyclic collector is off meanwhile: loading and checking allocate
     millions of objects and build no reference cycles, so its passes would
-    find nothing. The caller's collector state is restored on return."""
+    find nothing. The caller's collector state is restored on return, once
+    the partial result is built and the partition's traces are dropped: the
+    first allocation after the collector is back on would otherwise start
+    a pass over every object allocated while it was off."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         traces, warnings = load(index)
         verdicts = [check_trace(design_set, trace) for trace in traces]
+        del traces
+        return (
+            ConformanceReport.from_verdicts(verdicts),
+            [verdict for verdict in verdicts if not verdict.conformant],
+            len(warnings),
+        )
     finally:
         if was_enabled:
             gc.enable()
-    return (
-        ConformanceReport.from_verdicts(verdicts),
-        [verdict for verdict in verdicts if not verdict.conformant],
-        len(warnings),
-    )
 
 
 # Installed in each pool worker by the initializer: under fork the loader,
@@ -395,18 +496,25 @@ def check_partitions(design_set: DesignTraceSet, load: PartitionLoader, partitio
     if partitions == 1:
         results = [_check_partition(design_set, load, 0)]
     else:
-        with ProcessPoolExecutor(
-            max_workers=partitions, initializer=_init_worker, initargs=(design_set, load)
-        ) as pool:
-            # Frozen objects are skipped by the collector, so a forked worker's
-            # collections do not write to, and copy, the pages it inherited.
-            # Fork starts every worker on the first submit.
-            gc.freeze()
-            try:
-                futures = [pool.submit(_run_worker, index) for index in range(partitions)]
-            finally:
-                gc.unfreeze()
-            results = [future.result() for future in futures]
+        # Imported here: only a pool needs it, and it is about half of the
+        # package's import time.
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(
+                max_workers=partitions, initializer=_init_worker, initargs=(design_set, load)
+            ) as pool:
+                # Frozen objects are skipped by the collector, so a forked
+                # worker's collections do not write to, and copy, the pages it
+                # inherited. Fork starts every worker on the first submit.
+                gc.freeze()
+                try:
+                    futures = [pool.submit(_run_worker, index) for index in range(partitions)]
+                finally:
+                    gc.unfreeze()
+                results = [future.result() for future in futures]
+        except BrokenExecutor as exc:
+            raise WorkerExitedError("a worker process exited unexpectedly") from exc
     report = ConformanceReport()
     nonconformant: List[TraceVerdict] = []
     for partial_report, partial_verdicts, _ in results:

@@ -7,9 +7,16 @@ storage format this package writes, so ``parse_otel_json`` and
 ``serialize_otel_json`` round-trip exactly.
 
 A document's JSON is decoded once: ``parse_trace_document`` detects the
-format from the decoded value and hands that value to the format's parser,
-which normalizes raw spans into :class:`~confcheck.model.ObservedSpan`.
+format from the decoded value and hands that value to the format's parser.
 ``parse_zipkin_v2`` and ``parse_otel_json`` decode and then do the same.
+Each format parser only reads its layout: it yields one plain record of
+span fields per span, and one normaliser, ``_build_spans``, turns records
+into :class:`~confcheck.model.ObservedSpan`, span by span, so errors keep
+their file order. It clamps end times, normalizes parent ids and wraps
+every span-level ``ValueError`` as ``MalformedDocumentError("span S: ...")``
+in that one place. Within one load it shares one string object per distinct
+trace id (after Zipkin padding), span name and service name, which saves
+memory.
 ``assemble_traces`` groups normalized spans into per-trace DAGs.
 
 ``load_corpus_dir`` can load one of K partitions of a corpus: it still
@@ -25,7 +32,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .model import (
     AttrValue,
@@ -102,6 +109,12 @@ def _pad_trace_id(raw: str) -> str:
 # spans of that partition. None normalizes every span.
 _Share = Optional[Tuple[int, int]]
 
+# One span as a format parser reads it, in ObservedSpan's positional order:
+# trace id (padded), span id, name, service name, start and end nanoseconds,
+# the raw parent id, the attributes (the raw OTel list, or None, when the
+# builder is given a decoder) and the links.
+_Record = Tuple[object, object, object, object, int, int, object, object, tuple]
+
 
 def _partition_of(raw_trace_id: object, partitions: int) -> int:
     """The partition, of ``partitions``, that normalizes a span with this raw
@@ -122,25 +135,62 @@ def _load_json(document: "bytes | str") -> object:
         raise MalformedDocumentError(f"JSON nested too deeply: {exc}") from exc
 
 
-def _clamp_times(
+def _clamped_end(
     start: int,
     end: int,
-    trace_id: str,
-    span_id: str,
+    trace_id: object,
+    span_id: object,
     warnings: "Optional[list[IngestWarning]]",
-) -> Tuple[int, int]:
-    if end < start:
-        if warnings is not None:
-            warnings.append(
-                IngestWarning(
-                    kind=IngestWarningKind.CLAMPED_TIMESTAMP,
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    detail=f"end time {end} precedes start time {start}; clamped to start",
-                )
+) -> int:
+    if warnings is not None:
+        warnings.append(
+            IngestWarning(
+                kind=IngestWarningKind.CLAMPED_TIMESTAMP,
+                trace_id=trace_id,
+                span_id=span_id,
+                detail=f"end time {end} precedes start time {start}; clamped to start",
             )
-        end = start
-    return start, end
+        )
+    return start
+
+
+def _build_spans(
+    records: Iterable[_Record],
+    warnings: "Optional[list[IngestWarning]]",
+    strings: dict,
+    decode_attributes: Optional[Callable[[object, str], dict]] = None,
+) -> List[ObservedSpan]:
+    """The one normaliser: turn a parser's records into spans, one at a time,
+    so a parser's own errors and the spans' errors keep their file order.
+
+    ``strings`` is the load's dict of shared strings: every span of a load
+    with an equal trace id, name or service name holds the same string
+    object. An end time before the start is clamped to it, with a
+    warning. The parent id is normalized, and with ``decode_attributes`` the
+    raw attributes decoded, inside the span's error context: a ``ValueError``
+    of either or of the span itself becomes ``MalformedDocumentError("span
+    S: ...")``."""
+    share = strings.setdefault
+    spans: List[ObservedSpan] = []
+    append = spans.append
+    for trace_id, span_id, name, service_name, start, end, parent_id, attributes, links in records:
+        if type(trace_id) is str:
+            trace_id = share(trace_id, trace_id)
+        if type(name) is str:
+            name = share(name, name)
+        if type(service_name) is str:
+            service_name = share(service_name, service_name)
+        if end < start:
+            end = _clamped_end(start, end, trace_id, span_id, warnings)
+        try:
+            if parent_id is not None:
+                parent_id = _normalize_parent_id(parent_id)
+            if decode_attributes is not None:
+                attributes = {} if attributes is None else decode_attributes(attributes, f"span {span_id}")
+            append(ObservedSpan(trace_id, span_id, name, service_name, start, end, parent_id, attributes, links))
+        except ValueError as exc:
+            raise MalformedDocumentError(f"span {span_id}: {exc}") from exc
+    return spans
 
 
 def parse_zipkin_v2(
@@ -154,65 +204,53 @@ def parse_zipkin_v2(
     (Zipkin permits 64-bit trace ids). Tags become string-typed attributes,
     matching Zipkin's string-only tag model.
     """
-    return _zipkin_spans(_load_json(document), warnings)
+    return _build_spans(_zipkin_records(_load_json(document), None), warnings, {})
 
 
-def _zipkin_spans(
-    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
-) -> List[ObservedSpan]:
+def _zipkin_records(data: object, share: _Share) -> Iterator[_Record]:
     if not isinstance(data, list):
         raise MalformedDocumentError("a Zipkin v2 export must be a JSON array of spans")
-
-    spans: List[ObservedSpan] = []
     for index, raw in enumerate(data):
         if not isinstance(raw, dict):
             raise MalformedDocumentError(f"span #{index} is not an object")
-        raw_trace_id = raw.get("traceId")
+        get = raw.get
+        raw_trace_id = get("traceId")
         if share is not None and _partition_of(raw_trace_id, share[1]) != share[0]:
             continue
-        raw_span_id = raw.get("id")
+        raw_span_id = get("id")
         if not raw_trace_id or not raw_span_id:
             raise MissingFieldError(f"span #{index} lacks id or traceId")
         if not isinstance(raw_trace_id, str) or not isinstance(raw_span_id, str):
             raise MalformedDocumentError(f"span #{index}: id and traceId must be strings")
-        trace_id = _pad_trace_id(raw_trace_id)
+        trace_id = raw_trace_id if len(raw_trace_id) >= TRACE_ID_LENGTH else _pad_trace_id(raw_trace_id)
 
-        endpoint = raw.get("localEndpoint")
+        endpoint = get("localEndpoint")
         service_name = endpoint.get("serviceName") if isinstance(endpoint, dict) else None
         if not service_name:
             raise MissingFieldError(f"span {raw_span_id} lacks localEndpoint.serviceName")
 
-        timestamp_micros = raw.get("timestamp", 0)
-        duration_micros = raw.get("duration", 0)
+        timestamp_micros = get("timestamp", 0)
+        duration_micros = get("duration", 0)
         if isinstance(timestamp_micros, bool) or not isinstance(timestamp_micros, int):
             raise MalformedDocumentError(f"span {raw_span_id}: timestamp must be an integer")
         if isinstance(duration_micros, bool) or not isinstance(duration_micros, int):
             raise MalformedDocumentError(f"span {raw_span_id}: duration must be an integer")
-        start = timestamp_micros * 1000
-        end = (timestamp_micros + duration_micros) * 1000
-        start, end = _clamp_times(start, end, trace_id, raw_span_id, warnings)
 
-        tags = raw.get("tags", {})
+        tags = get("tags", {})
         if not isinstance(tags, dict):
             raise MalformedDocumentError(f"span {raw_span_id}: tags must be an object")
         attributes = {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
-
-        try:
-            spans.append(
-                ObservedSpan(
-                    trace_id=trace_id,
-                    span_id=raw_span_id,
-                    parent_span_id=_normalize_parent_id(raw.get("parentId")),
-                    name=raw.get("name", ""),
-                    service_name=service_name,
-                    start_time_nanos=start,
-                    end_time_nanos=end,
-                    attributes=attributes,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedDocumentError(f"span {raw_span_id}: {exc}") from exc
-    return spans
+        yield (
+            trace_id,
+            raw_span_id,
+            get("name", ""),
+            service_name,
+            timestamp_micros * 1000,
+            (timestamp_micros + duration_micros) * 1000,
+            get("parentId"),
+            attributes,
+            (),
+        )
 
 
 def _attr_value_from_json(value: object) -> Optional[AttrValue]:
@@ -280,6 +318,15 @@ def _time_from_json(raw: object, field_name: str, span_id: str) -> int:
     raise MalformedDocumentError(f"span {span_id}: {field_name} must be an integer or string")
 
 
+def _links_from_json(links: object, span_id: object) -> Tuple[Tuple[object, object], ...]:
+    if not isinstance(links, list):
+        raise MalformedDocumentError(f"span {span_id}: links must be a list")
+    for link in links:
+        if not isinstance(link, dict) or "traceId" not in link or "spanId" not in link:
+            raise MalformedDocumentError(f"span {span_id}: links must carry traceId and spanId")
+    return tuple((link["traceId"], link["spanId"]) for link in links)
+
+
 def parse_otel_json(
     document: "bytes | str",
     warnings: "Optional[list[IngestWarning]]" = None,
@@ -290,16 +337,15 @@ def parse_otel_json(
     attribute; every span under it inherits that service name. Typed
     attribute values are preserved.
     """
-    return _otel_spans(_load_json(document), warnings)
+    return _build_spans(_otel_records(_load_json(document), None), warnings, {}, _attrs_from_json)
 
 
-def _otel_spans(
-    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
-) -> List[ObservedSpan]:
+def _otel_records(data: object, share: _Share) -> Iterator[_Record]:
+    """The spans of an OTel-layout document as records whose attributes are
+    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``."""
     if not isinstance(data, dict) or not isinstance(data.get("resourceSpans"), list):
         raise MalformedDocumentError("expected a JSON object with a resourceSpans array")
 
-    spans: List[ObservedSpan] = []
     for entry_index, entry in enumerate(data["resourceSpans"]):
         if not isinstance(entry, dict):
             raise MalformedDocumentError(f"resourceSpans[{entry_index}] is not an object")
@@ -322,40 +368,26 @@ def _otel_spans(
             for raw in scope_entry.get("spans", []):
                 if not isinstance(raw, dict):
                     raise MalformedDocumentError("span entries must be objects")
-                trace_id = raw.get("traceId")
+                get = raw.get
+                trace_id = get("traceId")
                 if share is not None and _partition_of(trace_id, share[1]) != share[0]:
                     continue
-                span_id = raw.get("spanId")
+                span_id = get("spanId")
                 if not trace_id or not span_id:
                     raise MissingFieldError("a span lacks spanId or traceId")
-                start = _time_from_json(raw.get("startTimeUnixNano"), "startTimeUnixNano", span_id)
-                end = _time_from_json(raw.get("endTimeUnixNano"), "endTimeUnixNano", span_id)
-                start, end = _clamp_times(start, end, trace_id, span_id, warnings)
-                links_raw = raw.get("links", [])
-                if not isinstance(links_raw, list):
-                    raise MalformedDocumentError(f"span {span_id}: links must be a list")
-                links = []
-                for link in links_raw:
-                    if not isinstance(link, dict) or "traceId" not in link or "spanId" not in link:
-                        raise MalformedDocumentError(f"span {span_id}: links must carry traceId and spanId")
-                    links.append((link["traceId"], link["spanId"]))
-                try:
-                    spans.append(
-                        ObservedSpan(
-                            trace_id=trace_id,
-                            span_id=span_id,
-                            parent_span_id=_normalize_parent_id(raw.get("parentSpanId")),
-                            name=raw.get("name", ""),
-                            service_name=service_name,
-                            start_time_nanos=start,
-                            end_time_nanos=end,
-                            attributes=_attrs_from_json(raw.get("attributes"), f"span {span_id}"),
-                            links=tuple(links),
-                        )
-                    )
-                except ValueError as exc:
-                    raise MalformedDocumentError(f"span {span_id}: {exc}") from exc
-    return spans
+                start = _time_from_json(get("startTimeUnixNano"), "startTimeUnixNano", span_id)
+                end = _time_from_json(get("endTimeUnixNano"), "endTimeUnixNano", span_id)
+                yield (
+                    trace_id,
+                    span_id,
+                    get("name", ""),
+                    service_name,
+                    start,
+                    end,
+                    get("parentSpanId"),
+                    get("attributes"),
+                    _links_from_json(raw["links"], span_id) if "links" in raw else (),
+                )
 
 
 def parse_trace_document(
@@ -369,12 +401,19 @@ def parse_trace_document(
 
 
 def _document_spans(
-    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
+    data: object,
+    warnings: "Optional[list[IngestWarning]]",
+    share: _Share = None,
+    strings: Optional[dict] = None,
 ) -> List[ObservedSpan]:
+    """The spans of one decoded document, of the partition ``share`` names;
+    ``strings`` is the load's dict of shared strings (a new one when None)."""
+    if strings is None:
+        strings = {}
     if isinstance(data, list):
-        return _zipkin_spans(data, warnings, share)
+        return _build_spans(_zipkin_records(data, share), warnings, strings)
     if isinstance(data, dict) and "resourceSpans" in data:
-        return _otel_spans(data, warnings, share)
+        return _build_spans(_otel_records(data, share), warnings, strings, _attrs_from_json)
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
     )
@@ -497,9 +536,10 @@ def load_corpus_dir(
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
     warnings: List[IngestWarning] = []
     spans: List[ObservedSpan] = []
+    strings: dict = {}
     for path in sorted(directory.glob("*.json")):
         try:
-            spans.extend(_document_spans(_load_json(path.read_bytes()), warnings, share))
+            spans.extend(_document_spans(_load_json(path.read_bytes()), warnings, share, strings))
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{path.name}: {exc}") from exc
     traces, assembly_warnings = assemble_traces(spans)

@@ -10,7 +10,14 @@ failing on the first one.
 
 The observed types are slotted dataclasses: an ``ObservedSpan`` or
 ``ObservedTrace`` has no ``__dict__``. On 64-bit CPython 3.11 a span object
-takes 104 bytes instead of 152 (its field values aside).
+takes 104 bytes instead of 152 (its field values aside). ``ObservedSpan``
+writes its own ``__init__``, with the generated one's signature and
+defaults: it stores each field through its slot descriptor instead of
+``object.__setattr__`` and then calls ``__post_init__``, the one validation
+hook.
+
+``DesignTrace.match_plan`` keeps the checker's compiled match plan of the
+trace, built on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Tuple, Union
+
+if TYPE_CHECKING:
+    from .checker import MatchPlan
 
 AttrValue = Union[str, int, float, bool]
 
@@ -127,7 +137,12 @@ def attr_values_equal(a: AttrValue, b: AttrValue) -> bool:
     return a == b
 
 
-@dataclass(frozen=True, slots=True)
+# ``ObservedSpan.__init__``'s stand-in for the ``attributes`` default: a new
+# dict per span, as the dataclass ``default_factory`` gives.
+_NO_ATTRIBUTES: "Mapping[str, AttrValue]" = {}
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ObservedSpan:
     """One recorded operation, as exported by a running system."""
 
@@ -140,6 +155,32 @@ class ObservedSpan:
     parent_span_id: Optional[SpanId] = None
     attributes: Mapping[str, AttrValue] = field(default_factory=dict)
     links: Tuple[Tuple[TraceId, SpanId], ...] = ()
+
+    def __init__(
+        self,
+        trace_id: TraceId,
+        span_id: SpanId,
+        name: str,
+        service_name: str,
+        start_time_nanos: int,
+        end_time_nanos: int,
+        parent_span_id: Optional[SpanId] = None,
+        attributes: Mapping[str, AttrValue] = _NO_ATTRIBUTES,
+        links: Tuple[Tuple[TraceId, SpanId], ...] = (),
+    ) -> None:
+        # The generated __init__ of a frozen dataclass stores each field with
+        # object.__setattr__; the slot descriptors' own __set__ does the same
+        # store at a third of the cost.
+        _set_trace_id(self, trace_id)
+        _set_span_id(self, span_id)
+        _set_name(self, name)
+        _set_service_name(self, service_name)
+        _set_start_time_nanos(self, start_time_nanos)
+        _set_end_time_nanos(self, end_time_nanos)
+        _set_parent_span_id(self, parent_span_id)
+        _set_attributes(self, {} if attributes is _NO_ATTRIBUTES else attributes)
+        _set_links(self, links)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Each id test is the validator's own, inlined; the validator runs
@@ -172,14 +213,17 @@ class ObservedSpan:
             raise ValueError(f"span name must be a string, got {type(self.name).__name__}")
         if not self.service_name or not isinstance(self.service_name, str):
             raise ValueError("service_name must be a non-empty string")
+        # Two exact ints in order and in range pass at once; anything else
+        # takes the separate tests, which raise the message that fits.
         start = self.start_time_nanos
-        if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= _UINT64_MAX:
-            raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {start!r}")
         end = self.end_time_nanos
-        if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end <= _UINT64_MAX:
-            raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {end!r}")
-        if end < start:
-            raise ValueError(f"span {span_id}: end time {end} precedes start time {start}")
+        if type(start) is not int or type(end) is not int or not 0 <= start <= end <= _UINT64_MAX:
+            if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= _UINT64_MAX:
+                raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {start!r}")
+            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end <= _UINT64_MAX:
+                raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {end!r}")
+            if end < start:
+                raise ValueError(f"span {span_id}: end time {end} precedes start time {start}")
         for key, value in self.attributes.items():
             if not isinstance(key, str):
                 raise ValueError(f"attribute key must be a string, got {type(key).__name__}")
@@ -204,6 +248,19 @@ class ObservedSpan:
         if key == SERVICE_NAME_KEY:
             return self.service_name
         return self.attributes.get(key)
+
+
+# Bound once the decorator has built the slotted class: the stores that
+# ObservedSpan.__init__ makes.
+_set_trace_id = ObservedSpan.trace_id.__set__
+_set_span_id = ObservedSpan.span_id.__set__
+_set_name = ObservedSpan.name.__set__
+_set_service_name = ObservedSpan.service_name.__set__
+_set_start_time_nanos = ObservedSpan.start_time_nanos.__set__
+_set_end_time_nanos = ObservedSpan.end_time_nanos.__set__
+_set_parent_span_id = ObservedSpan.parent_span_id.__set__
+_set_attributes = ObservedSpan.attributes.__set__
+_set_links = ObservedSpan.links.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,6 +383,15 @@ class DesignTrace:
     def spans_in_order(self) -> "list[DesignSpan]":
         """The spans ordered by design span id, sorted once per trace."""
         return list(self._spans_by_id)
+
+    @functools.cached_property
+    def match_plan(self) -> "MatchPlan":
+        """The trace's :func:`confcheck.checker.compile_match_plan`, built on
+        first use and kept. Raises ``ValueError`` on unknown or cyclic design
+        parents, on every use, since a failed build is not kept."""
+        from .checker import compile_match_plan
+
+        return compile_match_plan(self)
 
 
 class ViolationKind(Enum):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
+from importlib import resources
 
 import pytest
 
 import genutil
-from confcheck import ingest
+from confcheck import checker, ingest
 from confcheck.checker import (
     ConformanceReport,
     attrs_match,
@@ -20,7 +22,8 @@ from confcheck.checker import (
     duration_ok,
     match_witnesses,
 )
-from confcheck.design import DesignTraceSet
+from confcheck.design import DesignTraceSet, load_design_set
+from confcheck.ingest import serialize_otel_json
 from confcheck.model import (
     DesignSpan,
     DesignTrace,
@@ -541,6 +544,81 @@ class TestCandidateIndex:
                 assert_index_equals_scan(design_trace, trace)
 
 
+class TestMatchPlan:
+    """Each design trace is compiled once into a parents-first plan."""
+
+    def test_plan_is_compiled_once_per_design_trace(self, monkeypatch):
+        design_set = load_design_set(resources.files("confcheck").joinpath("fixtures/table2.design.json").read_bytes())
+        compiled = []
+        real_compile = checker.compile_match_plan
+
+        def counting_compile(design_trace):
+            compiled.append(design_trace.design_trace_id)
+            return real_compile(design_trace)
+
+        monkeypatch.setattr(checker, "compile_match_plan", counting_compile)
+        trace = gateway_trace(gw_query=True)
+        verdicts = {check_trace(design_set, trace) for _ in range(100)}
+        assert len(verdicts) == 1
+        assert sorted(compiled) == ["gateway-db-access", "required-flow"]
+
+    def test_steps_run_parents_first_and_report_in_id_order(self):
+        spans = {
+            "a": DesignSpan(
+                design_span_id="a", name="child", match_attributes={"service.name": "s"}, parent_design_span_id="z"
+            ),
+            "z": DesignSpan(design_span_id="z", name="root", match_attributes={"service.name": "s", "k": 1}),
+            "m": DesignSpan(design_span_id="m", name="free", match_attributes={}, max_duration_micros=5),
+        }
+        plan = DesignTrace(design_trace_id="t", spans=spans).match_plan
+        assert [step.span.design_span_id for step in plan.steps] == ["m", "z", "a"]
+        assert [plan.steps[position].span.design_span_id for position in plan.by_id] == ["a", "m", "z"]
+        assert [(step.bucket, step.attributes, step.parent) for step in plan.steps] == [
+            (None, (), -1),
+            (("root", "s"), (("k", 1),), -1),
+            (("child", "s"), (), 1),
+        ]
+        assert plan.steps[0].max_duration_micros == 5
+
+    def test_str_subclass_services_match_type_strictly(self):
+        class Service(str):
+            pass
+
+        spans = {
+            span_id: DesignSpan(design_span_id=span_id, name="op", match_attributes={"service.name": service})
+            for span_id, service in (("exact", "svc"), ("subclass", Service("svc")))
+        }
+        design_trace = DesignTrace(design_trace_id="typed", spans=spans)
+        for services in (("svc", Service("svc")), (Service("svc"), "svc")):
+            trace = ObservedTrace.from_spans(
+                TRACE_ID, [observed(ROOT, "op", services[0]), observed(NOISE, "op", services[1])]
+            )
+            assert_index_equals_scan(design_trace, trace)
+            witnesses = match_witnesses(design_trace, trace)
+            assert sorted(witnesses.values()) == sorted([ROOT, NOISE])
+
+    @pytest.mark.parametrize(
+        "parents",
+        [{"A": "missing"}, {"A": "B", "B": "A"}, {"A": None, "B": "C", "C": "B"}],
+        ids=["unknown", "cycle", "cycle-beside-a-root"],
+    )
+    def test_unknown_or_cyclic_parents_raise_on_every_call(self, parents):
+        spans = {
+            span_id: DesignSpan(
+                design_span_id=span_id,
+                name="aspnet_core.request",
+                match_attributes={"service.name": "gateway"},
+                parent_design_span_id=parent,
+            )
+            for span_id, parent in parents.items()
+        }
+        design_trace = DesignTrace(design_trace_id="broken", spans=spans)
+        for check in (check_required, match_witnesses, check_required):
+            with pytest.raises(ValueError) as excinfo:
+                check(design_trace, gateway_trace())
+            assert str(excinfo.value) == "design trace broken: unknown or cyclic design parents"
+
+
 class TestCollectorState:
     """check_partitions runs its loads and checks with the cyclic collector
     off, and leaves the caller's collector state as it found it."""
@@ -575,6 +653,36 @@ class TestCollectorState:
         with pytest.raises(ingest.MalformedDocumentError):
             check_partitions(design_set, load, partitions)
         assert gc.isenabled() is collector
+
+
+def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path, monkeypatch):
+    # Re-enabling the collector while a partition's spans are alive would
+    # start a pass over all of them at the next allocation.
+    (tmp_path / "a.json").write_text(
+        serialize_otel_json([with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(20)])
+    )
+
+    def live_spans():
+        return sum(1 for obj in gc.get_objects() if type(obj) is ObservedSpan)
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    before = live_spans()
+    alive_at_enable = []
+    real_enable = gc.enable
+
+    def counting_enable():
+        alive_at_enable.append(live_spans() - before)
+        real_enable()
+
+    monkeypatch.setattr(gc, "enable", counting_enable)
+    try:
+        report, _, _ = check_partitions(design_set, functools.partial(ingest.load_corpus_dir, tmp_path), 1)
+    finally:
+        monkeypatch.undo()
+        (gc.enable if was_enabled else gc.disable)()
+    assert report.total_traces == 20
+    assert alive_at_enable == [0]
 
 
 class TestCheckCorpus:

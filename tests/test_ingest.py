@@ -423,3 +423,133 @@ class TestCorpusDirectory:
     def test_partition_out_of_range_rejected(self, tmp_path, partition, partitions):
         with pytest.raises(ValueError, match="outside"):
             load_corpus_dir(tmp_path, partition, partitions)
+
+
+class TestFastPathsKeepErrorsAndValues:
+    """The normaliser's fast paths hand whatever they do not accept to the
+    slow path, so every message and every accepted value is unchanged."""
+
+    def test_timestamp_too_long_for_int_is_a_malformed_document(self):
+        digits = "1" * 5000
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(startTimeUnixNano=digits)]))
+        assert str(excinfo.value) == f"span 0000000000000001: startTimeUnixNano '{digits}' is not an integer"
+
+    @pytest.mark.parametrize("raw, value", [(" 12", 12), ("1_000", 1000), (12, 12), (None, 0)])
+    def test_timestamps_int_accepts_keep_their_values(self, raw, value):
+        [span] = parse_otel_json(otel_document([otel_span(startTimeUnixNano=raw, endTimeUnixNano="2000000")]))
+        assert span.start_time_nanos == value
+
+    @pytest.mark.parametrize("raw", ["²", "1.5", ""])
+    def test_timestamps_int_rejects_keep_their_message(self, raw):
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(endTimeUnixNano=raw)]))
+        assert str(excinfo.value) == f"span 0000000000000001: endTimeUnixNano {raw!r} is not an integer"
+
+    def test_zipkin_null_tags_rejected_and_missing_tags_empty(self):
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_zipkin_v2(json.dumps([zipkin_span(tags=None)]))
+        assert str(excinfo.value) == "span 0000000000000001: tags must be an object"
+        [span] = parse_zipkin_v2(json.dumps([zipkin_span()]))
+        assert span.attributes == {}
+        [span] = parse_zipkin_v2(json.dumps([zipkin_span(tags={"code": 200})]))
+        assert span.attributes == {"code": "200"}
+
+    def test_null_links_rejected(self):
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(links=None)]))
+        assert str(excinfo.value) == "span 0000000000000001: links must be a list"
+
+    def test_attribute_errors_keep_their_span_context(self):
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(attributes={})]))
+        assert str(excinfo.value) == "span 0000000000000001: span 0000000000000001: attributes must be a list"
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(parentSpanId=7, attributes={})]))
+        assert str(excinfo.value) == "span 0000000000000001: parent span id must be a string, got int"
+
+    @pytest.mark.parametrize("trace_id", [5, ["x"], {"a": 1}])
+    def test_non_string_trace_id(self, trace_id):
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document([otel_span(traceId=trace_id)]))
+        assert str(excinfo.value) == f"span 0000000000000001: trace id must be 32 lowercase hex chars, got {trace_id!r}"
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_zipkin_v2(json.dumps([zipkin_span(traceId=trace_id)]))
+        assert str(excinfo.value) == "span #0: id and traceId must be strings"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("A" * 32, f"trace id must be 32 lowercase hex chars, got {'A' * 32!r}"),
+            ("0" * 32, "trace id must not be all zeros"),
+        ],
+    )
+    def test_bad_trace_id_after_an_accepted_one(self, bad, message):
+        spans = [otel_span(), otel_span(spanId="0000000000000002"), otel_span(traceId=bad, spanId="0000000000000003")]
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_otel_json(otel_document(spans))
+        assert str(excinfo.value) == f"span 0000000000000003: {message}"
+
+    def test_str_subclass_trace_id_is_tested(self):
+        class Hex(str):
+            pass
+
+        assert ObservedSpan(Hex(TRACE_ID), "0000000000000002", "op", "svc", 0, 0).trace_id == TRACE_ID
+        with pytest.raises(ValueError) as excinfo:
+            ObservedSpan(Hex("A" * 32), "0000000000000003", "op", "svc", 0, 0)
+        assert str(excinfo.value) == f"trace id must be 32 lowercase hex chars, got {'A' * 32!r}"
+
+    def test_short_zipkin_id_meets_its_padded_otel_form(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps([zipkin_span(traceId="00000000000000a1")]))
+        (tmp_path / "b.json").write_text(
+            otel_document(
+                [otel_span(traceId="0" * 30 + "a1", spanId="0000000000000002", parentSpanId="0000000000000001")]
+            )
+        )
+        [trace], warnings = load_corpus_dir(tmp_path)
+        assert trace.trace_id == "0" * 30 + "a1"
+        assert sorted(trace.spans) == ["0000000000000001", "0000000000000002"]
+        assert warnings == []
+
+
+class TestSharedStrings:
+    """One load holds one string object per distinct trace id, span name and
+    service name."""
+
+    def test_one_trace_id_and_name_object_per_load(self, tmp_path):
+        short_id = "00000000000000a1"
+        padded_id = short_id.rjust(32, "0")
+        (tmp_path / "a.json").write_text(
+            json.dumps(
+                [
+                    zipkin_span(traceId=short_id, id="0000000000000001", name="op"),
+                    zipkin_span(traceId=short_id, id="0000000000000002", parentId="0000000000000001", name="op"),
+                ]
+            )
+        )
+        (tmp_path / "b.json").write_text(
+            otel_document(
+                [
+                    otel_span(traceId=padded_id, spanId="0000000000000003", parentSpanId="0000000000000001", name="op"),
+                    otel_span(traceId=TRACE_ID, spanId="0000000000000004", name="op"),
+                ],
+                service="gateway",
+            )
+        )
+        traces, _ = load_corpus_dir(tmp_path)
+        spans = [span for trace in traces for span in trace.spans.values()]
+        assert len(spans) == 4
+        padded = [span for span in spans if span.trace_id == padded_id]
+        assert len(padded) == 3
+        assert len({id(span.trace_id) for span in padded}) == 1
+        assert padded[0].trace_id is next(trace.trace_id for trace in traces if trace.trace_id == padded_id)
+        assert len({id(span.name) for span in spans}) == 1
+        assert len({id(span.service_name) for span in spans}) == 1
+
+    def test_strings_are_shared_within_a_load_not_across_loads(self):
+        document = json.dumps([zipkin_span(), zipkin_span(id="0000000000000002")])
+        first, second = parse_zipkin_v2(document)
+        assert first.trace_id is second.trace_id
+        assert first.name is second.name
+        [other] = parse_zipkin_v2(json.dumps([zipkin_span()]))
+        assert other.trace_id is not first.trace_id

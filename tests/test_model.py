@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -206,6 +207,33 @@ class TestSlottedSpan:
         with pytest.raises(ValueError) as excinfo:
             ObservedSpan(**defaults)
         assert str(excinfo.value) == message
+
+
+class TestSpanConstructor:
+    """``ObservedSpan.__init__`` is written out, not generated: it keeps the
+    dataclass signature and defaults and validates through __post_init__."""
+
+    def test_signature_and_defaults_match_the_fields(self):
+        parameters = list(inspect.signature(ObservedSpan).parameters.values())
+        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(ObservedSpan)]
+        defaults = {p.name: p.default for p in parameters if p.default is not inspect.Parameter.empty}
+        assert defaults == {"parent_span_id": None, "attributes": {}, "links": ()}
+
+    def test_each_span_gets_its_own_attribute_dict(self):
+        first, second = make_span(), make_span("00000000000000b2")
+        assert first.attributes == {} and first.attributes is not second.attributes
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = make_span(parent="00000000000000b2", attributes={"k": 1}, links=((TRACE_ID, "00000000000000ff"),))
+        by_position = ObservedSpan(*(getattr(by_keyword, f.name) for f in dataclasses.fields(ObservedSpan)))
+        assert by_position == by_keyword
+        assert repr(by_position) == repr(by_keyword)
+
+    def test_replace_validates_again(self):
+        span = make_span()
+        assert dataclasses.replace(span, name="other").name == "other"
+        with pytest.raises(ValueError, match="span id must not be all zeros"):
+            dataclasses.replace(span, span_id="0" * 16)
 
 
 class TestObservedTrace:

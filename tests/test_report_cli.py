@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -513,6 +515,14 @@ class TestPartitionedCheck:
         # The same check in process does build them.
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]) == 1
         assert len(built) == 12
+
+
+def test_serial_runs_do_not_import_the_process_pool():
+    # Only --workers > 1 uses the pool; importing it costs every run.
+    code = "import sys, confcheck.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 class TestValidateDesignCommand:
