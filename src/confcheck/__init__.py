@@ -52,7 +52,7 @@ from .model import (
     ViolationKind,
     attr_values_equal,
 )
-from .simulator import SimConfig, generate_corpus, generate_trace, write_corpus
+from .simulator import SimConfig, generate_corpus, generate_trace, iter_corpus, write_corpus
 
 __version__ = "0.1.0"
 
@@ -87,6 +87,7 @@ __all__ = [
     "generate_corpus",
     "generate_trace",
     "import_design_from_observed",
+    "iter_corpus",
     "load_bundled_design_set",
     "load_corpus_dir",
     "load_design_set",

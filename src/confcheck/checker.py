@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .design import DesignTraceSet
+from .gcpause import collector_paused
 from .model import (
     AttrValue,
     DesignSpan,
@@ -445,15 +446,11 @@ def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: i
     traces, and return the partial report, the non-conformant verdicts and
     the number of ingest warnings.
 
-    The cyclic collector is off meanwhile: loading and checking allocate
-    millions of objects and build no reference cycles, so its passes would
-    find nothing. The caller's collector state is restored on return, once
-    the partial result is built and the partition's traces are dropped: the
-    first allocation after the collector is back on would otherwise start
-    a pass over every object allocated while it was off."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    The cyclic collector is paused meanwhile: loading and checking allocate
+    millions of objects and build no reference cycles. The caller's state
+    comes back once the partial result is built and the partition's traces
+    are dropped."""
+    with collector_paused():
         traces, warnings = load(index)
         verdicts = [check_trace(design_set, trace) for trace in traces]
         del traces
@@ -462,9 +459,6 @@ def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: i
             [verdict for verdict in verdicts if not verdict.conformant],
             len(warnings),
         )
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # Installed in each pool worker by the initializer: under fork the loader,

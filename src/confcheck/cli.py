@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import checker, design, ingest, report, simulator
+from .gcpause import collector_paused
 
 EXIT_CONFORMANT = 0
 EXIT_NONCONFORMANT = 1
@@ -123,11 +124,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        traces = simulator.generate_corpus(config)
-        file_count = simulator.write_corpus(traces, args.out_dir, args.traces_per_file)
+        # write_corpus checks --traces-per-file and makes the directory
+        # before it draws a trace, and writes each file as it fills, so the
+        # run holds one file's traces. It builds no reference cycles.
+        with collector_paused():
+            file_count = simulator.write_corpus(
+                simulator.iter_corpus(config), args.out_dir, args.traces_per_file
+            )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    print(f"wrote {len(traces)} traces to {file_count} file(s) in {args.out_dir}")
+    print(f"wrote {config.trace_count} traces to {file_count} file(s) in {args.out_dir}")
     return EXIT_CONFORMANT
 
 

@@ -129,7 +129,9 @@ def _partition_of(raw_trace_id: object, partitions: int) -> int:
 def _load_json(document: "bytes | str") -> object:
     try:
         return json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and the plain ValueError of an
+        # integer longer than the interpreter's digit limit.
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedDocumentError(f"JSON nested too deeply: {exc}") from exc
@@ -282,7 +284,10 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
         raw = value["doubleValue"]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise MalformedDocumentError("doubleValue must hold a number")
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError as exc:
+            raise MalformedDocumentError("doubleValue is outside the float range") from exc
     return None
 
 
@@ -365,7 +370,10 @@ def _otel_records(data: object, share: _Share) -> Iterator[_Record]:
         for scope_entry in scope_spans:
             if not isinstance(scope_entry, dict):
                 raise MalformedDocumentError(f"resourceSpans[{entry_index}]: scopeSpans entries must be objects")
-            for raw in scope_entry.get("spans", []):
+            raw_spans = scope_entry.get("spans", [])
+            if not isinstance(raw_spans, list):
+                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: spans must be a list")
+            for raw in raw_spans:
                 if not isinstance(raw, dict):
                     raise MalformedDocumentError("span entries must be objects")
                 get = raw.get

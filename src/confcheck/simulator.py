@@ -19,15 +19,16 @@ receive the other deviations.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .ingest import serialize_otel_json
 from .model import ObservedSpan, ObservedTrace
 
-__all__ = ["SimConfig", "generate_trace", "generate_corpus", "write_corpus"]
+__all__ = ["SimConfig", "generate_trace", "iter_corpus", "generate_corpus", "write_corpus"]
 
 GATEWAY = "gateway"
 MICROSERVICE = "microservice"
@@ -102,7 +103,7 @@ def _substream(seed: int, index: int, purpose: str) -> random.Random:
 
 def _hex_id(material: str, n_bytes: int) -> str:
     digest = hashlib.blake2b(material.encode(), digest_size=n_bytes).hexdigest()
-    if set(digest) == {"0"}:
+    if not digest.strip("0"):
         digest = digest[:-1] + "1"
     return digest
 
@@ -140,19 +141,18 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
         duration_micros: int,
         attributes: "dict | None" = None,
     ) -> ObservedSpan:
+        # Positional, in ObservedSpan's field order: binding by keyword
+        # costs more per span.
         return ObservedSpan(
-            trace_id=trace_id,
-            span_id=_span_id_for(config.seed, index, ordinal),
-            parent_span_id=parent_span_id,
-            name=name,
-            service_name=service,
-            start_time_nanos=start_nanos,
-            end_time_nanos=start_nanos + duration_micros * 1000,
-            attributes=attributes or {},
+            trace_id,
+            _span_id_for(config.seed, index, ordinal),
+            name,
+            service,
+            start_nanos,
+            start_nanos + duration_micros * 1000,
+            parent_span_id,
+            attributes or {},
         )
-
-    def ordinal_id(ordinal: int) -> str:
-        return _span_id_for(config.seed, index, ordinal)
 
     # The shape stream is consumed identically whether or not deviations
     # fire, so the trace layout depends only on (seed, index).
@@ -172,40 +172,41 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
     client_duration = max(1, (root_duration * 3) // 4)
     ms_duration = max(1, (client_duration * 4) // 5)
 
-    spans = [
-        span(
-            _ORD_ROOT,
-            REQUEST_SPAN_NAME,
-            GATEWAY,
-            None,
-            root_start,
-            root_duration,
-            {"http.method": http_method, "http.status_code": 200},
-        ),
-        span(
-            _ORD_CLIENT,
-            CLIENT_SPAN_NAME,
-            GATEWAY,
-            ordinal_id(_ORD_ROOT),
-            root_start + client_offset * 1000,
-            client_duration,
-        ),
-        span(
-            _ORD_MS_REQUEST,
-            REQUEST_SPAN_NAME,
-            MICROSERVICE,
-            ordinal_id(_ORD_CLIENT),
-            root_start + (client_offset + ms_offset) * 1000,
-            ms_duration,
-        ),
-    ]
+    # Each child takes its parent's id from the parent span, so every span
+    # id is hashed once.
+    root = span(
+        _ORD_ROOT,
+        REQUEST_SPAN_NAME,
+        GATEWAY,
+        None,
+        root_start,
+        root_duration,
+        {"http.method": http_method, "http.status_code": 200},
+    )
+    client = span(
+        _ORD_CLIENT,
+        CLIENT_SPAN_NAME,
+        GATEWAY,
+        root.span_id,
+        root_start + client_offset * 1000,
+        client_duration,
+    )
+    ms_request = span(
+        _ORD_MS_REQUEST,
+        REQUEST_SPAN_NAME,
+        MICROSERVICE,
+        client.span_id,
+        root_start + (client_offset + ms_offset) * 1000,
+        ms_duration,
+    )
+    spans = [root, client, ms_request]
     if not omit:
         spans.append(
             span(
                 _ORD_MS_QUERY,
                 QUERY_SPAN_NAME,
                 MICROSERVICE,
-                ordinal_id(_ORD_MS_REQUEST),
+                ms_request.span_id,
                 root_start + (client_offset + ms_offset + query_offset) * 1000,
                 query_duration,
                 {"db.system": "mssql"},
@@ -218,7 +219,7 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
                 _ORD_DIRECT_QUERY,
                 QUERY_SPAN_NAME,
                 GATEWAY,
-                ordinal_id(_ORD_ROOT),
+                root.span_id,
                 root_start + direct_stream.randint(200, 2_000) * 1000,
                 direct_stream.randint(1_000, 20_000),
                 {"db.system": "mssql"},
@@ -244,27 +245,40 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
     return ObservedTrace.from_spans(trace_id, spans)
 
 
+def iter_corpus(config: SimConfig) -> Iterator[ObservedTrace]:
+    """Generate the corpus for a config lazily, one trace at a time in index
+    order, so a consumer holds only the traces it keeps."""
+    for index in range(config.trace_count):
+        yield generate_trace(config, index)
+
+
 def generate_corpus(config: SimConfig) -> List[ObservedTrace]:
     """Generate the full corpus for a config. Deterministic: identical
     configs yield identical traces, independent of scheduling."""
-    return [generate_trace(config, index) for index in range(config.trace_count)]
+    return list(iter_corpus(config))
 
 
 def write_corpus(
-    traces: List[ObservedTrace],
+    traces: Iterable[ObservedTrace],
     directory: "Path | str",
     traces_per_file: int,
 ) -> int:
     """Write traces to ``corpus-%06d.json`` files in the canonical OTel-style
-    layout, ``traces_per_file`` per file. Returns the file count."""
+    layout, ``traces_per_file`` per file. Returns the file count.
+
+    Each file is written as soon as its batch is full, so fed a lazy
+    iterable (``iter_corpus``) this holds one file's traces at a time. The
+    count and the directory are checked before the first trace is drawn."""
     if traces_per_file < 1:
         raise ValueError(f"traces_per_file must be a positive integer, got {traces_per_file}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    traces = iter(traces)
     file_count = 0
-    for start in range(0, len(traces), traces_per_file):
-        batch = traces[start : start + traces_per_file]
+    while batch := list(itertools.islice(traces, traces_per_file)):
         path = directory / f"corpus-{file_count:06d}.json"
         path.write_text(serialize_otel_json(batch), encoding="utf-8")
         file_count += 1
+        # Dropped before the next batch is drawn, not when it is bound.
+        del batch
     return file_count

@@ -229,6 +229,18 @@ class TestOtelParsing:
         with pytest.raises(MalformedDocumentError):
             parse_otel_json(b'{"spans": []}')
 
+    @pytest.mark.parametrize(
+        "spans", [None, 7, "spans", {"spanId": "0000000000000001"}], ids=["null", "number", "string", "object"]
+    )
+    def test_non_list_spans_rejected(self, spans):
+        with pytest.raises(MalformedDocumentError, match=r"resourceSpans\[0\]: spans must be a list"):
+            parse_otel_json(otel_document(spans))
+
+    def test_double_beyond_float_range_is_malformed(self):
+        span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": 10**400}}])
+        with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
+            parse_otel_json(otel_document([span]))
+
 
 class TestAutoDetection:
     def test_array_is_zipkin(self):
@@ -383,6 +395,15 @@ class TestCorpusDirectory:
     def test_malformed_file_names_the_file(self, tmp_path):
         (tmp_path / "bad.json").write_text("{broken")
         with pytest.raises(MalformedDocumentError, match="bad.json"):
+            load_corpus_dir(tmp_path)
+
+    def test_integer_beyond_digit_limit_names_the_file(self, tmp_path):
+        # json.loads raises a plain ValueError for an integer of more than
+        # 4,300 digits; it is a malformed file like any other.
+        (tmp_path / "big.json").write_text(otel_document([otel_span(startTimeUnixNano="DIGITS")]).replace(
+            '"DIGITS"', "1" + "0" * 5000
+        ))
+        with pytest.raises(MalformedDocumentError, match="^big.json: invalid JSON: Exceeds the limit"):
             load_corpus_dir(tmp_path)
 
     @pytest.mark.parametrize("partitions", [2, 3, 5])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -232,6 +233,53 @@ class TestSimulateCommand:
         code = main(["check", BUNDLED_DESIGN, str(out_dir), "--workers", "1"])
         assert code == 0
 
+    @pytest.fixture()
+    def generated(self, monkeypatch):
+        """The index of each generate_trace call, in call order."""
+        calls = []
+        real_generate_trace = simulator.generate_trace
+
+        def counting_generate_trace(config, index):
+            calls.append(index)
+            return real_generate_trace(config, index)
+
+        monkeypatch.setattr(simulator, "generate_trace", counting_generate_trace)
+        return calls
+
+    def test_each_trace_generated_once_in_order(self, tmp_path, generated, capsys):
+        assert main(["simulate", str(tmp_path / "sim"), "--count", "7", "--traces-per-file", "3"]) == 0
+        assert generated == list(range(7))
+        assert capsys.readouterr().out.startswith("wrote 7 traces to 3 file(s)")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("per_file, expected_code", [("5", 0), ("0", 2)], ids=["ok", "error"])
+    def test_collector_state_restored(self, tmp_path, enabled, per_file, expected_code, capsys):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(["simulate", str(tmp_path / "sim"), "--count", "5", "--traces-per-file", per_file])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == expected_code
+
+    @pytest.mark.parametrize("case", ["zero-traces-per-file", "out-dir-is-a-file", "out-dir-under-a-file"])
+    def test_bad_output_fails_before_generating(self, case, tmp_path, generated, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir, per_file = {
+            "zero-traces-per-file": (tmp_path / "sim", "0"),
+            "out-dir-is-a-file": (blocker, "10"),
+            "out-dir-under-a-file": (blocker / "sim", "10"),
+        }[case]
+        code = main(["simulate", str(out_dir), "--count", "20000", "--traces-per-file", per_file])
+        out, err = capsys.readouterr()
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: ") and "Traceback" not in err
+        if case == "zero-traces-per-file":
+            assert "traces_per_file must be a positive integer, got 0" in err
+            assert not out_dir.exists()
+
 
 class TestGraphCommand:
     def test_graph_writes_dot(self, fixture_corpus_dir, tmp_path):
@@ -457,6 +505,40 @@ def _errors_in_two_partitions_corpus(corpus):
     )
 
 
+def _scope_spans_corpus(corpus, spans):
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    resource = {"attributes": [{"key": "service.name", "value": {"stringValue": "gateway"}}]}
+    document = {"resourceSpans": [{"resource": resource, "scopeSpans": [{"spans": spans}]}]}
+    (corpus / "n.json").write_text(json.dumps(document))
+
+
+def _null_spans_corpus(corpus):
+    _scope_spans_corpus(corpus, None)
+
+
+def _non_list_spans_corpus(corpus):
+    _scope_spans_corpus(corpus, 7)
+
+
+def _attribute_corpus(corpus, name, value_json):
+    """The conformant fixture, and file ``name`` with one span whose
+    attribute value object is the JSON text ``value_json``."""
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    _otel_file(corpus / name, [{**_raw_span(CONFORMANT_ID, "00000000000000e1"), "attributes": "ATTRIBUTES"}])
+    text = (corpus / name).read_text()
+    (corpus / name).write_text(text.replace('"ATTRIBUTES"', '[{"key": "x", "value": ' + value_json + "}]"))
+
+
+def _huge_double_corpus(corpus):
+    # A JSON integer too large for a float, as a doubleValue.
+    _attribute_corpus(corpus, "d.json", '{"doubleValue": 1' + "0" * 400 + "}")
+
+
+def _huge_integer_corpus(corpus):
+    # A JSON integer longer than the interpreter's 4,300-digit conversion limit.
+    _attribute_corpus(corpus, "i.json", '{"intValue": 1' + "0" * 5000 + "}")
+
+
 class TestPartitionedCheck:
     """``check --workers K`` gives one worker per trace-id partition; its
     output and exit code must not depend on K."""
@@ -470,6 +552,12 @@ class TestPartitionedCheck:
         ),
         "parent-cycle": (_parent_cycle_corpus, 2, "error: trace "),
         "errors-in-two-partitions": (_errors_in_two_partitions_corpus, 2, "error: a.json: span 00000000000000a1"),
+        "null-spans": (_null_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
+        "non-list-spans": (_non_list_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
+        "double-beyond-float-range": (
+            _huge_double_corpus, 2, "error: d.json: span 00000000000000e1: doubleValue is outside the float range"
+        ),
+        "integer-beyond-digit-limit": (_huge_integer_corpus, 2, "error: i.json: invalid JSON: Exceeds the limit"),
     }
 
     @pytest.mark.parametrize("name", list(CORPORA))

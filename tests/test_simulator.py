@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import math
 
 import pytest
 
 from confcheck.checker import check_corpus, check_trace
+from confcheck.cli import main
 from confcheck.ingest import load_corpus_dir, serialize_otel_json
-from confcheck.model import ViolationKind
+from confcheck.model import ObservedTrace, ViolationKind
 from confcheck.simulator import (
     GATEWAY,
     MICROSERVICE,
@@ -17,8 +20,21 @@ from confcheck.simulator import (
     deviation_flags,
     generate_corpus,
     generate_trace,
+    iter_corpus,
     write_corpus,
 )
+
+# The sha256 of each file `confcheck simulate` writes for GOLDEN_ARGS, recorded
+# when the corpus was built in memory before the first file was written.
+GOLDEN_ARGS = [
+    "--count", "250", "--seed", "7", "--p-omit", "0.07", "--p-slow", "0.06", "--p-direct", "0.075",
+    "--traces-per-file", "100",
+]
+GOLDEN_SHA256 = {
+    "corpus-000000.json": "fa57c1672bdb85f4094b30b0c951bb5cb13344866969983879f04e770d0fba54",
+    "corpus-000001.json": "0142e2b671862be7bbd4198ab0725bb97a3560297410e80360609c04d5458e08",
+    "corpus-000002.json": "d1bb15c0782432096df42057a4c84dd32bdce9e6e5fb70959f6edcd08ac525d6",
+}
 
 
 class TestConfigValidation:
@@ -181,3 +197,53 @@ class TestWriteCorpus:
     def test_traces_per_file_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             write_corpus([], tmp_path, traces_per_file=0)
+
+    def test_simulate_output_matches_golden_digests(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path), *GOLDEN_ARGS]) == 0
+        assert capsys.readouterr().out == f"wrote 250 traces to 3 file(s) in {tmp_path}\n"
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("count", [23, 25])
+    def test_stream_writes_the_list_bytes_one_file_ahead(self, tmp_path, count):
+        config = SimConfig(seed=4, trace_count=count, p_omit=0.3, p_slow=0.3, p_direct=0.3)
+        per_file = 5
+        listed, streamed = tmp_path / "list", tmp_path / "stream"
+        assert write_corpus(generate_corpus(config), listed, per_file) == 5
+        pulled, freed = [], []
+
+        class Tracked(ObservedTrace):
+            __slots__ = ()
+
+            def __del__(self):
+                freed.append(self.trace_id)
+
+        def traces():
+            # Every trace drawn lies in a file already written or in the one
+            # being filled, and the traces of the written files are freed.
+            for trace in iter_corpus(config):
+                written = len(list(streamed.glob("*.json"))) * per_file
+                assert written <= len(pulled) < written + per_file
+                assert sorted(freed) == sorted(pulled[:written])
+                pulled.append(trace.trace_id)
+                yield Tracked(trace.trace_id, trace.spans)
+
+        assert write_corpus(traces(), streamed, per_file) == 5
+        assert len(pulled) == count
+        assert sorted(path.name for path in streamed.iterdir()) == sorted(path.name for path in listed.iterdir())
+        for path in listed.iterdir():
+            assert (streamed / path.name).read_bytes() == path.read_bytes()
+
+    def test_streamed_run_leaves_no_unreachable_objects(self, tmp_path):
+        # `simulate` pauses the cyclic collector for this run, which holds
+        # only while the run builds no reference cycles.
+        config = SimConfig(seed=3, trace_count=300, p_omit=0.3, p_slow=0.3, p_direct=0.3)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert write_corpus(iter_corpus(config), tmp_path, 100) == 3
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
