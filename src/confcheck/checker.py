@@ -10,12 +10,10 @@ Each design trace is compiled once, by :func:`compile_match_plan`, into a
 match plan that ``DesignTrace.match_plan`` keeps: its design spans as steps
 in parents-first order, each holding its candidate bucket key, its other
 match attributes as a tuple, its parent's step index, its non-immediate flag
-and its duration bound. ``check_required``, ``check_disallowed``, ``match_witnesses`` and so
-``check_trace`` all run the plan, keeping matches in a list indexed by
-step. A child step's candidates are tested against its parent step's
-finished match set, and ancestor walks cache their answer for every span
-they pass, so each design span costs one pass over its candidates whatever
-the trace's depth.
+and its duration bound. A child step's candidates are tested against its
+parent step's finished match set, and ancestor walks cache their answer for
+every span they pass, so each design span costs one pass over its candidates
+whatever the trace's depth.
 
 Candidates come from a per-trace index that buckets the observed spans by
 ``(name, service name)``, built once per trace and shared by every required
@@ -26,13 +24,14 @@ sides: only an exact ``str`` gets one. A design span without such a
 ``service.name`` (possible only in an unvalidated ``DesignTrace``) takes
 every span of its name and tests every match attribute.
 
-Duration bounds apply to the design span being witnessed, not to ancestor
-hops while validating its chain; a slow root therefore produces exactly one
-duration violation instead of cascading structural failures down the tree.
-
-Required design traces report one violation per unsatisfied span. A
-disallowed design trace fires as a joint pattern: only when every one of
-its spans is witnessed does it emit violations, one per span.
+:func:`evaluate` is the one witness and duration rule: one plan run gives each
+design span its witness, or else its fastest over-budget match. Bounds apply
+to the design span being witnessed, not to ancestor hops while validating its
+chain, so a slow root is exactly one duration violation instead of a cascade
+of structural failures down the tree. ``check_required`` reports one
+violation per unwitnessed span; ``check_disallowed`` fires as a joint
+pattern, only when every span is witnessed; ``match_witnesses``,
+``check_trace`` and the DOT renderer read the same outcomes.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ __all__ = [
     "check_corpus",
     "check_partitions",
     "compile_match_plan",
+    "evaluate",
     "match_witnesses",
     "WorkerExitedError",
 ]
@@ -91,10 +91,7 @@ def _attributes_match(attributes: Iterable[Tuple[str, AttrValue]], observed: Obs
 def duration_ok(design: DesignSpan, observed: ObservedSpan) -> bool:
     """True when the pattern has no duration bound or the observed duration
     is within it. The bound is inclusive."""
-    return _within_bound(design.max_duration_micros, observed)
-
-
-def _within_bound(bound: Optional[int], observed: ObservedSpan) -> bool:
+    bound = design.max_duration_micros
     return bound is None or observed.duration_micros <= bound
 
 
@@ -240,55 +237,83 @@ def _plan_matches(
     return matches
 
 
+Outcome = Tuple[DesignSpan, Optional[ObservedSpan], Optional[ObservedSpan]]
+
+
+def evaluate(
+    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
+) -> List[Outcome]:
+    """The one witness and duration rule: run ``design_trace``'s match plan
+    once over ``trace`` and return ``(design span, witness, slow)`` per
+    design span, in design span id order. The witness is the smallest-id
+    structural match within the duration bound, or None. Without a witness,
+    slow is the fastest over-budget match (ties to the smaller span id), or
+    None when nothing matched structurally. ``index`` is the trace's
+    candidate index, built here when not given."""
+    plan = design_trace.match_plan
+    matches = _plan_matches(plan, trace, index)
+    outcomes: List[Outcome] = []
+    for position in plan.by_id:
+        step = plan.steps[position]
+        candidates = matches[position]
+        bound = step.max_duration_micros
+        witness = slow = None
+        if bound is None:
+            witness = candidates[0] if candidates else None
+        else:
+            # Candidates are in span-id order, so the first in bound is the
+            # witness and the first of the fastest wins a tie.
+            fastest = 0
+            for span in candidates:
+                duration = span.duration_micros
+                if duration <= bound:
+                    witness, slow = span, None
+                    break
+                if slow is None or duration < fastest:
+                    slow, fastest = span, duration
+        outcomes.append((step.span, witness, slow))
+    return outcomes
+
+
+def _required_violations(design_trace: DesignTrace, outcomes: List[Outcome]) -> List[Violation]:
+    return [
+        Violation(
+            kind=ViolationKind.MISSING_REQUIRED if slow is None else ViolationKind.DURATION_EXCEEDED,
+            design_trace_id=design_trace.design_trace_id,
+            design_span_id=span.design_span_id,
+            observed_span_id=None if slow is None else slow.span_id,
+        )
+        for span, witness, slow in outcomes
+        if witness is None
+    ]
+
+
+def _disallowed_violations(design_trace: DesignTrace, outcomes: List[Outcome]) -> List[Violation]:
+    for _, witness, _ in outcomes:
+        if witness is None:
+            return []
+    return [
+        Violation(
+            kind=ViolationKind.DISALLOWED_PRESENT,
+            design_trace_id=design_trace.design_trace_id,
+            design_span_id=span.design_span_id,
+            observed_span_id=witness.span_id,
+        )
+        for span, witness, _ in outcomes
+    ]
+
+
 def check_required(
     design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
 ) -> List[Violation]:
     """Evaluate one required design trace.
 
-    Per design span: a strict witness means no violation; a span matched
+    Per design span: a witness means no violation; a span matched
     structurally but over its duration budget is a DurationExceeded
     violation carrying the fastest such candidate (ties broken by span id);
-    no structural witness at all is a MissingRequired violation. ``index``
-    is the trace's candidate index, built here when not given.
+    no structural match at all is a MissingRequired violation.
     """
-    plan = design_trace.match_plan
-    matches = _plan_matches(plan, trace, index)
-    violations: List[Violation] = []
-    for position in plan.by_id:
-        candidates = matches[position]
-        step = plan.steps[position]
-        if not candidates:
-            violations.append(
-                Violation(
-                    kind=ViolationKind.MISSING_REQUIRED,
-                    design_trace_id=design_trace.design_trace_id,
-                    design_span_id=step.span.design_span_id,
-                )
-            )
-            continue
-        bound = step.max_duration_micros
-        if bound is None:
-            continue
-        # Candidates are in span-id order, so the first of the fastest wins
-        # a tie.
-        witness = None
-        fastest = 0
-        for span in candidates:
-            if _within_bound(bound, span):
-                break
-            duration = span.duration_micros
-            if witness is None or duration < fastest:
-                witness, fastest = span, duration
-        else:
-            violations.append(
-                Violation(
-                    kind=ViolationKind.DURATION_EXCEEDED,
-                    design_trace_id=design_trace.design_trace_id,
-                    design_span_id=step.span.design_span_id,
-                    observed_span_id=witness.span_id,
-                )
-            )
-    return violations
+    return _required_violations(design_trace, evaluate(design_trace, trace, index))
 
 
 def check_disallowed(
@@ -297,22 +322,11 @@ def check_disallowed(
     """Evaluate one disallowed design trace as a joint pattern.
 
     Only when every design span in the trace is witnessed does the pattern
-    fire, emitting one DisallowedPresent violation per design span with the
-    first witness by span id. A partial match emits nothing: the root of a
-    disallowed pattern typically also matches legitimate behavior.
+    fire, emitting one DisallowedPresent violation per design span with its
+    witness. A partial match emits nothing: the root of a disallowed pattern
+    typically also matches legitimate behavior.
     """
-    witnesses = match_witnesses(design_trace, trace, index)
-    if None in witnesses.values():
-        return []
-    return [
-        Violation(
-            kind=ViolationKind.DISALLOWED_PRESENT,
-            design_trace_id=design_trace.design_trace_id,
-            design_span_id=design_span_id,
-            observed_span_id=witness,
-        )
-        for design_span_id, witness in witnesses.items()
-    ]
+    return _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
 
 
 def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdict:
@@ -322,9 +336,9 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
     index = _candidate_index(trace)
     violations: List[Violation] = []
     for design_trace in design_set.required_traces:
-        violations.extend(check_required(design_trace, trace, index))
+        violations += _required_violations(design_trace, evaluate(design_trace, trace, index))
     for design_trace in design_set.disallowed_traces:
-        violations.extend(check_disallowed(design_trace, trace, index))
+        violations += _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
     violations.sort(key=lambda v: (v.design_trace_id, v.design_span_id))
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
 
@@ -332,22 +346,12 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
 def match_witnesses(
     design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
 ) -> Dict[str, Optional[SpanId]]:
-    """Strict witness per design span (smallest span id), or None when the
-    span is unwitnessed, keyed in design span id order. Used by
-    check_disallowed, for rendering and for omission experiments.
-
-    Runs the same compiled plan as check_required, so the cost is linear in
-    design spans times observed spans."""
-    plan = design_trace.match_plan
-    matches = _plan_matches(plan, trace, index)
-    witnesses: Dict[str, Optional[SpanId]] = {}
-    for position in plan.by_id:
-        step = plan.steps[position]
-        bound = step.max_duration_micros
-        witnesses[step.span.design_span_id] = next(
-            (span.span_id for span in matches[position] if _within_bound(bound, span)), None
-        )
-    return witnesses
+    """The witness per design span (smallest span id within the duration
+    bound), or None when the span is unwitnessed, in design span id order."""
+    return {
+        span.design_span_id: None if witness is None else witness.span_id
+        for span, witness, _ in evaluate(design_trace, trace, index)
+    }
 
 
 def _kind_counts(counts: Optional[Mapping[ViolationKind, int]] = None) -> Dict[ViolationKind, int]:

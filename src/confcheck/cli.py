@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from . import checker, design, ingest, report, simulator
 from .gcpause import collector_paused
+from .model import ObservedTrace
 
 EXIT_CONFORMANT = 0
 EXIT_NONCONFORMANT = 1
@@ -65,10 +66,14 @@ def _warn_ingest(count: int) -> None:
         print(f"warning: {count} ingest warning(s)", file=sys.stderr)
 
 
-def _load_corpus(path: str):
-    traces, warnings = ingest.load_corpus_dir(path)
+def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
+    """The trace ``trace_id`` of the corpus in ``directory``; ValueError if absent."""
+    traces, warnings = ingest.load_corpus_dir(directory)
     _warn_ingest(len(warnings))
-    return traces
+    for trace in traces:
+        if trace.trace_id == trace_id:
+            return trace
+    raise ValueError(f"trace id {trace_id} not found in {directory}")
 
 
 def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
@@ -140,23 +145,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     try:
         design_set = _load_design(args.design)
-        traces = _load_corpus(args.traces)
+        trace = _load_trace(args.traces, args.trace_id)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    trace = next((t for t in traces if t.trace_id == args.trace_id), None)
-    if trace is None:
-        return _fail(f"trace id {args.trace_id} not found in {args.traces}")
     return _write_output(report.render_trace_dot(design_set, trace), args.out)
 
 
 def cmd_import_design(args: argparse.Namespace) -> int:
     try:
-        traces = _load_corpus(args.traces)
+        trace = _load_trace(args.traces, args.trace_id)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    trace = next((t for t in traces if t.trace_id == args.trace_id), None)
-    if trace is None:
-        return _fail(f"trace id {args.trace_id} not found in {args.traces}")
     keep = set(args.keep) if args.keep else set(trace.spans)
     try:
         imported = design.import_design_from_observed(trace, keep)

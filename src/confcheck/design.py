@@ -18,6 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .ingest import _load_json
 from .model import (
     DesignSpan,
     DesignTrace,
@@ -296,12 +297,7 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
     in one pass: first those found while reading spans (bad durations,
     duplicate span ids), then those :meth:`DesignTraceSet.of` finds.
     """
-    try:
-        data = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedDesignError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedDesignError(f"JSON nested too deeply: {exc}") from exc
+    data = _load_json(document, MalformedDesignError)
     if not isinstance(data, dict) or not isinstance(data.get("designTraces"), list):
         raise MalformedDesignError("expected a JSON object with a designTraces array")
 

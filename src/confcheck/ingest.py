@@ -78,7 +78,6 @@ class MissingServiceNameError(MalformedDocumentError):
 
 class IngestWarningKind(Enum):
     DANGLING_PARENT = "danglingParent"
-    DUPLICATE_SPAN_ID = "duplicateSpanId"
     CLAMPED_TIMESTAMP = "clampedTimestamp"
 
 
@@ -126,15 +125,16 @@ def _partition_of(raw_trace_id: object, partitions: int) -> int:
     return zlib.crc32(_pad_trace_id(raw_trace_id).encode("utf-8", "surrogatepass")) % partitions
 
 
-def _load_json(document: "bytes | str") -> object:
+def _load_json(document: "bytes | str", error: "type[ValueError]" = MalformedDocumentError) -> object:
+    """Decode a trace or design document, raising each decode failure as ``error``."""
     try:
         return json.loads(document)
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError, and the plain ValueError of an
         # integer longer than the interpreter's digit limit.
-        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise MalformedDocumentError(f"JSON nested too deeply: {exc}") from exc
+        raise error(f"JSON nested too deeply: {exc}") from exc
 
 
 def _clamped_end(

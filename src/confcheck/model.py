@@ -370,19 +370,16 @@ class DesignTrace:
                 raise ValueError(
                     f"design span map key {span_id} does not match span id {span.design_span_id}"
                 )
+        object.__setattr__(self, "_spans_in_order", tuple(self.spans[span_id] for span_id in sorted(self.spans)))
 
     @property
     def is_disallowed(self) -> bool:
         """The shared disallowed flag; meaningful only for validated traces."""
         return any(span.is_disallowed for span in self.spans.values())
 
-    @functools.cached_property
-    def _spans_by_id(self) -> "Tuple[DesignSpan, ...]":
-        return tuple(self.spans[span_id] for span_id in sorted(self.spans))
-
-    def spans_in_order(self) -> "list[DesignSpan]":
-        """The spans ordered by design span id, sorted once per trace."""
-        return list(self._spans_by_id)
+    def spans_in_order(self) -> "Tuple[DesignSpan, ...]":
+        """The spans ordered by design span id, sorted once at construction."""
+        return self._spans_in_order
 
     @functools.cached_property
     def match_plan(self) -> "MatchPlan":

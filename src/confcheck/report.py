@@ -7,11 +7,11 @@ can never disagree.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable
 
-from .checker import ConformanceReport, check_trace, match_witnesses
+from .checker import ConformanceReport, _candidate_index, _disallowed_violations, evaluate
 from .design import DesignTraceSet
-from .model import ObservedTrace, SpanId, TraceVerdict, Violation, ViolationKind
+from .model import ObservedTrace, TraceVerdict, ViolationKind
 
 __all__ = ["report_to_json_dict", "render_text_report", "render_trace_dot"]
 
@@ -82,28 +82,29 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
     witnesses of required design spans are outlined green; spans witnessing
     a duration breach are outlined red; spans witnessing a disallowed
     pattern are filled red. Missing required design spans appear as dashed
-    ghost nodes carrying the design description. Nodes are emitted in span
-    id order, so identical inputs produce identical bytes.
+    ghost nodes carrying the design description. Every style and ghost
+    comes from one :func:`~confcheck.checker.evaluate` per design trace over
+    one candidate index. Nodes are emitted in span id order, so identical
+    inputs produce identical bytes.
     """
-    verdict = check_trace(design_set, trace)
-
-    duration_witnesses = set()
-    disallowed_witnesses = set()
-    missing: List[Violation] = []
-    for violation in verdict.violations:
-        if violation.kind is ViolationKind.DURATION_EXCEEDED:
-            duration_witnesses.add(violation.observed_span_id)
-        elif violation.kind is ViolationKind.DISALLOWED_PRESENT:
-            disallowed_witnesses.add(violation.observed_span_id)
-        else:
-            missing.append(violation)
-
-    matched: "set[Optional[SpanId]]" = set()
-    witnesses_by_design: Dict[Tuple[str, str], Optional[SpanId]] = {}
-    for design_trace in design_set.required_traces:
-        for design_span_id, witness in match_witnesses(design_trace, trace).items():
-            witnesses_by_design[(design_trace.design_trace_id, design_span_id)] = witness
-            matched.add(witness)
+    index = _candidate_index(trace)
+    witnesses, duration_witnesses, disallowed_witnesses = set(), set(), set()
+    ghosts = []
+    # Ghosts in (design trace id, design span id) order, as violations are.
+    for design_trace in sorted(design_set.required_traces, key=lambda t: t.design_trace_id):
+        outcomes = evaluate(design_trace, trace, index)
+        witness_of = {span.design_span_id: witness for span, witness, _ in outcomes}
+        for span, witness, slow in outcomes:
+            if witness is not None:
+                witnesses.add(witness.span_id)
+            elif slow is not None:
+                duration_witnesses.add(slow.span_id)
+            else:
+                anchor = witness_of.get(span.parent_design_span_id)
+                ghosts.append((design_trace.design_trace_id, span, anchor))
+    for design_trace in design_set.disallowed_traces:
+        fired = _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
+        disallowed_witnesses.update(violation.observed_span_id for violation in fired)
 
     lines = [
         f'digraph "trace_{trace.trace_id}" {{',
@@ -120,26 +121,21 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
             style = ', style=filled, fillcolor=red'
         elif span_id in duration_witnesses:
             style = ", color=red"
-        elif span_id in matched:
+        elif span_id in witnesses:
             style = ", color=green"
         else:
             style = ""
         lines.append(f'  "{span_id}" [label="{label}"{style}];')
 
-    designs_by_id = {t.design_trace_id: t for t in design_set.design_traces}
-    for violation in sorted(missing, key=lambda v: (v.design_trace_id, v.design_span_id)):
-        design_span = designs_by_id[violation.design_trace_id].spans[violation.design_span_id]
-        ghost_id = f"missing_{violation.design_trace_id}_{violation.design_span_id}"
+    for design_trace_id, design_span, anchor in ghosts:
+        ghost_id = f"missing_{design_trace_id}_{design_span.design_span_id}"
         label_parts = [f"missing: {design_span.name}"]
         if design_span.description:
             label_parts.append(design_span.description)
         label = "\\n".join(_dot_escape(part) for part in label_parts)
         lines.append(f'  "{ghost_id}" [label="{label}", style=dashed, color=red];')
-        parent_id = design_span.parent_design_span_id
-        if parent_id is not None:
-            anchor = witnesses_by_design.get((violation.design_trace_id, parent_id))
-            if anchor is not None:
-                lines.append(f'  "{anchor}" -> "{ghost_id}" [style=dashed];')
+        if anchor is not None:
+            lines.append(f'  "{anchor.span_id}" -> "{ghost_id}" [style=dashed];')
 
     for span_id in sorted(trace.spans):
         span = trace.spans[span_id]

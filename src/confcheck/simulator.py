@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple
@@ -268,7 +269,9 @@ def write_corpus(
 
     Each file is written as soon as its batch is full, so fed a lazy
     iterable (``iter_corpus``) this holds one file's traces at a time. The
-    count and the directory are checked before the first trace is drawn."""
+    count and the directory are checked before the first trace is drawn.
+    Then each ``corpus-<digits>.json`` numbered at or above the file count,
+    left by an earlier run, is deleted; no other file is touched."""
     if traces_per_file < 1:
         raise ValueError(f"traces_per_file must be a positive integer, got {traces_per_file}")
     directory = Path(directory)
@@ -281,4 +284,7 @@ def write_corpus(
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
         del batch
+    for path in directory.glob("corpus-*.json"):
+        if re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
+            path.unlink()
     return file_count

@@ -20,6 +20,7 @@ from confcheck.checker import (
     check_required,
     check_trace,
     duration_ok,
+    evaluate,
     match_witnesses,
 )
 from confcheck.design import DesignTraceSet, load_design_set
@@ -409,6 +410,48 @@ class TestCheckTrace:
         assert witnesses_slow["A"] is None
 
 
+class TestEvaluate:
+    """One outcome per design span, in design span id order: (design span,
+    witness, slow)."""
+
+    def outcomes(self, design_set, trace):
+        return [
+            (span.design_span_id, witness and witness.span_id, slow and slow.span_id)
+            for span, witness, slow in evaluate(design_set.required_traces[0], trace)
+        ]
+
+    def test_conformant_trace_has_a_witness_per_span(self, design_set):
+        assert self.outcomes(design_set, gateway_trace()) == [
+            ("A", ROOT, None),
+            ("B", MS_REQUEST, None),
+            ("C", MS_QUERY, None),
+        ]
+
+    def test_slow_root_has_no_witness_and_does_not_veto_its_chain(self, design_set):
+        assert self.outcomes(design_set, gateway_trace(root_duration_micros=600_000)) == [
+            ("A", None, ROOT),
+            ("B", MS_REQUEST, None),
+            ("C", MS_QUERY, None),
+        ]
+
+    def test_missing_span_has_neither(self, design_set):
+        assert self.outcomes(design_set, gateway_trace(ms_query=False))[2] == ("C", None, None)
+
+    def test_a_witness_clears_slow_matches_before_it(self):
+        pattern = DesignTrace(
+            design_trace_id="t",
+            spans={
+                "X": DesignSpan(
+                    design_span_id="X", name="op", match_attributes={"service.name": "svc"}, max_duration_micros=100
+                )
+            },
+        )
+        slow = observed(ROOT, "op", "svc", duration_micros=500)
+        fast = observed(NOISE, "op", "svc", duration_micros=50)
+        [(span, witness, over)] = evaluate(pattern, ObservedTrace.from_spans(TRACE_ID, [slow, fast]))
+        assert (span.design_span_id, witness, over) == ("X", fast, None)
+
+
 def scan_matches(design_trace, trace):
     """Structural matches per design span by an exhaustive ``attrs_match``
     scan of every observed span, with full ancestor walks."""
@@ -453,7 +496,24 @@ def scan_required(design_trace, trace):
     return violations
 
 
+def scan_outcomes(design_trace, trace):
+    """``evaluate``'s outcomes from the exhaustive scan: the first match in
+    bound, else the fastest match by (duration, span id)."""
+    matches = scan_matches(design_trace, trace)
+    outcomes = []
+    for span_id in sorted(design_trace.spans):
+        design_span = design_trace.spans[span_id]
+        in_bound = [s for s in matches[span_id] if duration_ok(design_span, s)]
+        slow = sorted(matches[span_id], key=lambda s: (s.duration_micros, s.span_id))
+        if in_bound:
+            outcomes.append((design_span, in_bound[0], None))
+        else:
+            outcomes.append((design_span, None, slow[0] if slow else None))
+    return outcomes
+
+
 def assert_index_equals_scan(design_trace, trace):
+    assert evaluate(design_trace, trace) == scan_outcomes(design_trace, trace)
     assert match_witnesses(design_trace, trace) == scan_witnesses(design_trace, trace)
     assert check_required(design_trace, trace) == scan_required(design_trace, trace)
 

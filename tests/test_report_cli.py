@@ -12,7 +12,8 @@ from importlib import resources
 
 import pytest
 
-from confcheck import ingest, simulator
+from confcheck import checker, ingest, simulator
+from confcheck import report as report_module
 from confcheck.checker import check_corpus
 from confcheck.cli import main
 from confcheck.design import load_design_set
@@ -25,6 +26,109 @@ BUNDLED_DESIGN = str(resources.files("confcheck").joinpath("fixtures/table2.desi
 
 CONFORMANT_ID = "3fa2b9c01d4e8b76a5091f2edc43ab10"
 NONCONFORMANT_ID = "4fb3cad12e5f9c87b61a2f3fedc54bc2"
+
+
+STYLE_TRACE_ID = "0" * 31 + "7"
+
+
+def style_design_set():
+    """Required, duration-bounded and disallowed design traces that together
+    give one trace every DOT style; the required traces are listed out of id
+    order."""
+
+    def span(span_id, name, service, parent=None, description=None, max_duration=None, disallowed=False):
+        return {
+            "spanId": span_id,
+            "name": name,
+            "parentSpanId": parent,
+            "match": {"service.name": service},
+            "design": {
+                "description": description,
+                "maxDuration": max_duration,
+                "allowNonImmediateParent": True,
+                "isDisallowed": disallowed,
+            },
+        }
+
+    document = {
+        "designTraces": [
+            {
+                "id": "zeta-flow",
+                "spans": [
+                    span("A", "root", "gateway"),
+                    span("B", "mid", "backend", "A", 'calls "mid"'),
+                    span("C", "leaf", "backend", "B", "leaf work"),
+                ],
+            },
+            {
+                "id": "alpha-budget",
+                "spans": [span("S", "slow", "gateway", max_duration=100), span("T", "absent", "gateway")],
+            },
+            {
+                "id": "forbidden",
+                "spans": [
+                    span("D", "call", "gateway", disallowed=True),
+                    span("E", "bad", "gateway", "D", disallowed=True),
+                ],
+            },
+        ]
+    }
+    return load_design_set(json.dumps(document))
+
+
+def style_trace():
+    """A green root, a disallowed call chain, two over-budget ``slow`` spans
+    (the faster is the duration witness), an unstyled span and one with a
+    dangling parent."""
+
+    def span(number, name, service, parent=None, duration_micros=1000):
+        return ObservedSpan(
+            trace_id=STYLE_TRACE_ID,
+            span_id=f"{number:016x}",
+            parent_span_id=None if parent is None else f"{parent:016x}",
+            name=name,
+            service_name=service,
+            start_time_nanos=0,
+            end_time_nanos=duration_micros * 1000,
+        )
+
+    return ObservedTrace.from_spans(
+        STYLE_TRACE_ID,
+        [
+            span(1, "root", "gateway"),
+            span(2, "call", "gateway", 1),
+            span(3, "bad", "gateway", 2),
+            span(4, "slow", "gateway", 1, duration_micros=500),
+            span(5, "cache.get", "cache", 1),
+            span(6, "slow", "gateway", 1, duration_micros=300),
+            span(7, "orphan", "gateway", 0xFF),
+        ],
+    )
+
+
+# Recorded from the renderer that called check_trace and match_witnesses.
+STYLE_TRACE_DOT = """\
+digraph "trace_00000000000000000000000000000007" {
+  rankdir=TB;
+  node [shape=box, fontname="Helvetica"];
+  "0000000000000001" [label="root\\ngateway\\n1000 us", color=green];
+  "0000000000000002" [label="call\\ngateway\\n1000 us", style=filled, fillcolor=red];
+  "0000000000000003" [label="bad\\ngateway\\n1000 us", style=filled, fillcolor=red];
+  "0000000000000004" [label="slow\\ngateway\\n500 us"];
+  "0000000000000005" [label="cache.get\\ncache\\n1000 us"];
+  "0000000000000006" [label="slow\\ngateway\\n300 us", color=red];
+  "0000000000000007" [label="orphan\\ngateway\\n1000 us"];
+  "missing_alpha-budget_T" [label="missing: absent", style=dashed, color=red];
+  "missing_zeta-flow_B" [label="missing: mid\\ncalls \\"mid\\"", style=dashed, color=red];
+  "0000000000000001" -> "missing_zeta-flow_B" [style=dashed];
+  "missing_zeta-flow_C" [label="missing: leaf\\nleaf work", style=dashed, color=red];
+  "0000000000000001" -> "0000000000000002";
+  "0000000000000002" -> "0000000000000003";
+  "0000000000000001" -> "0000000000000004";
+  "0000000000000001" -> "0000000000000005";
+  "0000000000000001" -> "0000000000000006";
+}
+"""
 
 
 @pytest.fixture()
@@ -134,6 +238,33 @@ class TestDotRendering:
             design_set, nonconformant_trace
         )
 
+    def test_every_style_golden_bytes(self):
+        # Green witness, red-outline duration witness, red-fill disallowed
+        # witnesses, a ghost anchored at its parent's witness, a ghost whose
+        # parent is itself missing, and a ghost of a root design span.
+        assert render_trace_dot(style_design_set(), style_trace()) == STYLE_TRACE_DOT
+
+    def test_one_index_and_one_plan_run_per_design_trace(self, monkeypatch):
+        design_set = style_design_set()
+        trace = style_trace()
+        indexed, planned = [], []
+        real_index, real_plan = checker._candidate_index, checker._plan_matches
+
+        def counting_index(observed_trace):
+            indexed.append(observed_trace.trace_id)
+            return real_index(observed_trace)
+
+        def counting_plan(plan, observed_trace, index):
+            planned.append(plan.steps[0].span.design_span_id)
+            return real_plan(plan, observed_trace, index)
+
+        monkeypatch.setattr(checker, "_candidate_index", counting_index)
+        monkeypatch.setattr(report_module, "_candidate_index", counting_index)
+        monkeypatch.setattr(checker, "_plan_matches", counting_plan)
+        render_trace_dot(design_set, trace)
+        assert indexed == [STYLE_TRACE_ID]
+        assert sorted(planned) == ["A", "D", "S"]
+
 
 class TestCheckCommand:
     def test_conformant_corpus_exits_zero(self, conformant_corpus_dir, capsys):
@@ -232,6 +363,25 @@ class TestSimulateCommand:
         assert main(["simulate", str(out_dir), "--count", "50", "--seed", "5"]) == 0
         code = main(["check", BUNDLED_DESIGN, str(out_dir), "--workers", "1"])
         assert code == 0
+
+    def test_smaller_run_deletes_the_earlier_runs_extra_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", str(out_dir), "--count", "50", "--traces-per-file", "10", "--seed", "1"]) == 0
+        assert main(["simulate", str(out_dir), "--count", "20", "--traces-per-file", "10", "--seed", "2"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["corpus-000000.json", "corpus-000001.json"]
+        capsys.readouterr()
+        main(["check", BUNDLED_DESIGN, str(out_dir), "--workers", "1", "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["totalTraces"] == 20
+
+    def test_other_files_survive_a_rerun(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        kept = ["corpus-latest.json", "corpus-000009.json.bak", "notes.txt", "corpus-000000.txt"]
+        for name in kept:
+            (out_dir / name).write_text("keep")
+        assert main(["simulate", str(out_dir), "--count", "5", "--traces-per-file", "10"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(kept + ["corpus-000000.json"])
+        assert all((out_dir / name).read_text() == "keep" for name in kept)
 
     @pytest.fixture()
     def generated(self, monkeypatch):
@@ -644,6 +794,34 @@ class TestValidateDesignCommand:
         )
         assert main(["validate-design", str(bad)]) == 2
         assert "unknownParent" in capsys.readouterr().err
+
+
+class TestOversizedIntegerDesign:
+    """A design file whose JSON holds an integer past the interpreter's digit
+    limit is invalid JSON, as it is in a trace file."""
+
+    @pytest.fixture()
+    def design_path(self, tmp_path):
+        path = tmp_path / "huge.design.json"
+        path.write_text(
+            '{"designTraces": [{"id": "t", "spans": [{"spanId": "A", "name": "op", '
+            '"match": {"service.name": "svc", "n": ' + "1" * 5001 + "}}]}]}"
+        )
+        return path
+
+    def test_validate_design(self, design_path, capsys):
+        assert main(["validate-design", str(design_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
+    def test_check(self, design_path, fixture_corpus_dir, capsys):
+        assert main(["check", str(design_path), str(fixture_corpus_dir), "--workers", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
 
 
 class TestUsage:
