@@ -33,9 +33,7 @@ from .ingest import (
     IngestWarningKind,
     assemble_traces,
     load_corpus_dir,
-    parse_otel_json,
     parse_trace_document,
-    parse_zipkin_v2,
     serialize_otel_json,
 )
 from .model import (
@@ -92,9 +90,7 @@ __all__ = [
     "load_corpus_dir",
     "load_design_set",
     "match_witnesses",
-    "parse_otel_json",
     "parse_trace_document",
-    "parse_zipkin_v2",
     "serialize_design_set",
     "serialize_otel_json",
     "validate_design_trace",

@@ -303,9 +303,7 @@ def _disallowed_violations(design_trace: DesignTrace, outcomes: List[Outcome]) -
     ]
 
 
-def check_required(
-    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
-) -> List[Violation]:
+def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
     """Evaluate one required design trace.
 
     Per design span: a witness means no violation; a span matched
@@ -313,12 +311,10 @@ def check_required(
     violation carrying the fastest such candidate (ties broken by span id);
     no structural match at all is a MissingRequired violation.
     """
-    return _required_violations(design_trace, evaluate(design_trace, trace, index))
+    return _required_violations(design_trace, evaluate(design_trace, trace))
 
 
-def check_disallowed(
-    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
-) -> List[Violation]:
+def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
     """Evaluate one disallowed design trace as a joint pattern.
 
     Only when every design span in the trace is witnessed does the pattern
@@ -326,7 +322,7 @@ def check_disallowed(
     witness. A partial match emits nothing: the root of a disallowed pattern
     typically also matches legitimate behavior.
     """
-    return _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
+    return _disallowed_violations(design_trace, evaluate(design_trace, trace))
 
 
 def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdict:
@@ -343,14 +339,12 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
 
 
-def match_witnesses(
-    design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
-) -> Dict[str, Optional[SpanId]]:
+def match_witnesses(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, Optional[SpanId]]:
     """The witness per design span (smallest span id within the duration
     bound), or None when the span is unwitnessed, in design span id order."""
     return {
         span.design_span_id: None if witness is None else witness.span_id
-        for span, witness, _ in evaluate(design_trace, trace, index)
+        for span, witness, _ in evaluate(design_trace, trace)
     }
 
 

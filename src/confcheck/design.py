@@ -25,7 +25,7 @@ from .model import (
     ObservedTrace,
     SERVICE_NAME_KEY,
     SpanId,
-    ensure_attr_value,
+    echo,
     parent_cycles,
 )
 
@@ -145,15 +145,15 @@ def parse_duration_micros(value: object) -> int:
     elif isinstance(value, str):
         match = _DURATION_RE.fullmatch(value.strip())
         if match is None:
-            raise ValueError(f"cannot parse duration {value!r}; use an integer or a us/ms/s suffix")
+            raise ValueError(f"cannot parse duration {echo(value)}; use an integer or a us/ms/s suffix")
         micros = float(match.group(1)) * _DURATION_FACTORS[match.group(2)]
     else:
         raise ValueError(f"cannot parse duration of type {type(value).__name__}")
     if micros <= 0:
-        raise ValueError(f"duration must be positive, got {value!r}")
+        raise ValueError(f"duration must be positive, got {echo(value)}")
     rounded = round(micros)
     if abs(micros - rounded) > 1e-6:
-        raise ValueError(f"duration {value!r} is below microsecond resolution")
+        raise ValueError(f"duration {echo(value)} is below microsecond resolution")
     return int(rounded)
 
 
@@ -197,7 +197,7 @@ def validate_design_trace(trace: DesignTrace) -> List[ValidationError]:
         if parent_id is not None and parent_id not in trace.spans:
             err(
                 ValidationErrorKind.UNKNOWN_PARENT,
-                f"parent {parent_id!r} names no span in this design trace",
+                f"parent {echo(parent_id)} names no span in this design trace",
                 span.design_span_id,
             )
 
@@ -222,44 +222,17 @@ def _span_from_json(
     index: int,
     errors: List[ValidationError],
 ) -> DesignSpan:
+    """Read one span object. ``DesignSpan`` checks each field's type; its
+    ``ValueError`` becomes ``MalformedDesignError("design trace T: span S:
+    ...")``, with S the span id, or ``#index`` when the id is unusable. A bad
+    ``maxDuration`` is collected in ``errors`` and leaves no bound."""
     if not isinstance(raw, dict):
         raise MalformedDesignError(f"design trace {trace_id}: span #{index} is not an object")
     span_id = raw.get("spanId")
-    if not span_id or not isinstance(span_id, str):
-        raise MalformedDesignError(f"design trace {trace_id}: span #{index} lacks a spanId string")
-    name = raw.get("name")
-    if not isinstance(name, str):
-        raise MalformedDesignError(f"design trace {trace_id}: span {span_id} lacks a name string")
-
-    match = raw.get("match", {})
-    if not isinstance(match, dict):
-        raise MalformedDesignError(f"design trace {trace_id}: span {span_id}: match must be an object")
-    for key, value in match.items():
-        try:
-            ensure_attr_value(key, value)
-        except ValueError as exc:
-            raise MalformedDesignError(f"design trace {trace_id}: span {span_id}: {exc}") from exc
-
-    parent = raw.get("parentSpanId")
-    if parent is not None and not isinstance(parent, str):
-        raise MalformedDesignError(
-            f"design trace {trace_id}: span {span_id}: parentSpanId must be a string or null"
-        )
-
+    label = echo(span_id, str) if span_id and isinstance(span_id, str) else f"#{index}"
     design_block = raw.get("design", {})
     if not isinstance(design_block, dict):
-        raise MalformedDesignError(f"design trace {trace_id}: span {span_id}: design must be an object")
-    description = design_block.get("description")
-    if description is not None and not isinstance(description, str):
-        raise MalformedDesignError(
-            f"design trace {trace_id}: span {span_id}: description must be a string or null"
-        )
-    allow = design_block.get("allowNonImmediateParent", False)
-    disallowed = design_block.get("isDisallowed", False)
-    if not isinstance(allow, bool) or not isinstance(disallowed, bool):
-        raise MalformedDesignError(
-            f"design trace {trace_id}: span {span_id}: flag properties must be booleans"
-        )
+        raise MalformedDesignError(f"design trace {trace_id}: span {label}: design must be an object")
 
     max_duration = None
     raw_duration = design_block.get("maxDuration")
@@ -276,16 +249,19 @@ def _span_from_json(
                 )
             )
 
-    return DesignSpan(
-        design_span_id=span_id,
-        name=name,
-        match_attributes=dict(match),
-        parent_design_span_id=parent,
-        description=description,
-        max_duration_micros=max_duration,
-        allow_non_immediate_parent=allow,
-        is_disallowed=disallowed,
-    )
+    try:
+        return DesignSpan(
+            design_span_id=span_id,
+            name=raw.get("name"),
+            match_attributes=raw.get("match", {}),
+            parent_design_span_id=raw.get("parentSpanId"),
+            description=design_block.get("description"),
+            max_duration_micros=max_duration,
+            allow_non_immediate_parent=design_block.get("allowNonImmediateParent", False),
+            is_disallowed=design_block.get("isDisallowed", False),
+        )
+    except ValueError as exc:
+        raise MalformedDesignError(f"design trace {trace_id}: span {label}: {exc}") from exc
 
 
 def load_design_set(document: "bytes | str") -> DesignTraceSet:
@@ -321,7 +297,7 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
                     ValidationError(
                         design_trace_id=trace_id,
                         kind=ValidationErrorKind.DUPLICATE_SPAN_ID,
-                        detail=f"span id {span.design_span_id!r} appears more than once",
+                        detail=f"span id {echo(span.design_span_id)} appears more than once",
                         design_span_id=span.design_span_id,
                     )
                 )

@@ -3,21 +3,27 @@
 Two file formats are understood: Zipkin v2 JSON (a top-level array of span
 objects) and an OpenTelemetry-style resource-grouped layout (a top-level
 object with a ``resourceSpans`` array). The latter is also the canonical
-storage format this package writes, so ``parse_otel_json`` and
+storage format this package writes, so ``parse_trace_document`` and
 ``serialize_otel_json`` round-trip exactly.
 
-A document's JSON is decoded once: ``parse_trace_document`` detects the
-format from the decoded value and hands that value to the format's parser.
-``parse_zipkin_v2`` and ``parse_otel_json`` decode and then do the same.
-Each format parser only reads its layout: it yields one plain record of
-span fields per span, and one normaliser, ``_build_spans``, turns records
-into :class:`~confcheck.model.ObservedSpan`, span by span, so errors keep
-their file order. It clamps end times, normalizes parent ids and wraps
-every span-level ``ValueError`` as ``MalformedDocumentError("span S: ...")``
-in that one place. Within one load it shares one string object per distinct
-trace id (after Zipkin padding), span name and service name, which saves
-memory.
+``parse_trace_document`` is the one entry for a document; ``load_corpus_dir``
+reads a directory of them through the same path. A document's JSON is
+decoded once, and ``_document_spans`` alone decides its layout from the
+decoded value. Each format reader, ``_zipkin_records`` or ``_otel_records``,
+only reads its layout: it yields one plain record of span fields per span,
+and one normaliser, ``_build_spans``, turns records into
+:class:`~confcheck.model.ObservedSpan`, span by span, so errors keep their
+file order. It clamps end times, normalizes parent ids and decodes span
+attributes. Within one load it shares one string object per distinct trace
+id (after Zipkin padding), span name and service name, which saves memory.
 ``assemble_traces`` groups normalized spans into per-trace DAGs.
+
+Each error context is added once, where it is known: ``load_corpus_dir``
+prefixes the file name, ``_otel_records`` prefixes ``resourceSpans[i]:`` to a
+resource entry's errors (its attributes' among them), and ``_build_spans``
+prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
+the fields it reads (times, links, Zipkin tags). The attribute decoders add no
+context. A message shows an input value through :func:`~confcheck.model.echo`.
 
 ``load_corpus_dir`` can load one of K partitions of a corpus: it still
 decodes every file, but normalizes and assembles only the spans whose trace
@@ -44,6 +50,7 @@ from .model import (
     SpanId,
     TRACE_ID_LENGTH,
     TraceId,
+    echo,
 )
 
 __all__ = [
@@ -54,8 +61,6 @@ __all__ = [
     "MissingServiceNameError",
     "DuplicateSpanIdError",
     "CyclicParentChainError",
-    "parse_zipkin_v2",
-    "parse_otel_json",
     "parse_trace_document",
     "assemble_traces",
     "serialize_otel_json",
@@ -156,14 +161,19 @@ def _clamped_end(
     return start
 
 
+def _span_label(span_id: object) -> str:
+    """The ``span S`` that prefixes a span's errors."""
+    return f"span {echo(span_id, str)}"
+
+
 def _build_spans(
     records: Iterable[_Record],
     warnings: "Optional[list[IngestWarning]]",
     strings: dict,
-    decode_attributes: Optional[Callable[[object, str], dict]] = None,
+    decode_attributes: Optional[Callable[[object], dict]] = None,
 ) -> List[ObservedSpan]:
-    """The one normaliser: turn a parser's records into spans, one at a time,
-    so a parser's own errors and the spans' errors keep their file order.
+    """The one normaliser: turn a reader's records into spans, one at a time,
+    so a reader's own errors and the spans' errors keep their file order.
 
     ``strings`` is the load's dict of shared strings: every span of a load
     with an equal trace id, name or service name holds the same string
@@ -171,7 +181,7 @@ def _build_spans(
     warning. The parent id is normalized, and with ``decode_attributes`` the
     raw attributes decoded, inside the span's error context: a ``ValueError``
     of either or of the span itself becomes ``MalformedDocumentError("span
-    S: ...")``."""
+    S: ...")``, the one place that prefixes it."""
     share = strings.setdefault
     spans: List[ObservedSpan] = []
     append = spans.append
@@ -188,30 +198,21 @@ def _build_spans(
             if parent_id is not None:
                 parent_id = _normalize_parent_id(parent_id)
             if decode_attributes is not None:
-                attributes = {} if attributes is None else decode_attributes(attributes, f"span {span_id}")
+                attributes = {} if attributes is None else decode_attributes(attributes)
             append(ObservedSpan(trace_id, span_id, name, service_name, start, end, parent_id, attributes, links))
         except ValueError as exc:
-            raise MalformedDocumentError(f"span {span_id}: {exc}") from exc
+            raise MalformedDocumentError(f"{_span_label(span_id)}: {exc}") from exc
     return spans
 
 
-def parse_zipkin_v2(
-    document: "bytes | str",
-    warnings: "Optional[list[IngestWarning]]" = None,
-) -> List[ObservedSpan]:
-    """Parse a Zipkin v2 JSON array into observed spans.
+def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
+    """The spans of a Zipkin v2 array as records.
 
     Zipkin timestamps and durations are in microseconds and are converted to
     nanoseconds. Trace ids shorter than 32 chars are left-padded with zeros
     (Zipkin permits 64-bit trace ids). Tags become string-typed attributes,
     matching Zipkin's string-only tag model.
     """
-    return _build_spans(_zipkin_records(_load_json(document), None), warnings, {})
-
-
-def _zipkin_records(data: object, share: _Share) -> Iterator[_Record]:
-    if not isinstance(data, list):
-        raise MalformedDocumentError("a Zipkin v2 export must be a JSON array of spans")
     for index, raw in enumerate(data):
         if not isinstance(raw, dict):
             raise MalformedDocumentError(f"span #{index} is not an object")
@@ -229,18 +230,18 @@ def _zipkin_records(data: object, share: _Share) -> Iterator[_Record]:
         endpoint = get("localEndpoint")
         service_name = endpoint.get("serviceName") if isinstance(endpoint, dict) else None
         if not service_name:
-            raise MissingFieldError(f"span {raw_span_id} lacks localEndpoint.serviceName")
+            raise MissingFieldError(f"{_span_label(raw_span_id)} lacks localEndpoint.serviceName")
 
         timestamp_micros = get("timestamp", 0)
         duration_micros = get("duration", 0)
         if isinstance(timestamp_micros, bool) or not isinstance(timestamp_micros, int):
-            raise MalformedDocumentError(f"span {raw_span_id}: timestamp must be an integer")
+            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: timestamp must be an integer")
         if isinstance(duration_micros, bool) or not isinstance(duration_micros, int):
-            raise MalformedDocumentError(f"span {raw_span_id}: duration must be an integer")
+            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: duration must be an integer")
 
         tags = get("tags", {})
         if not isinstance(tags, dict):
-            raise MalformedDocumentError(f"span {raw_span_id}: tags must be an object")
+            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: tags must be an object")
         attributes = {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
         yield (
             trace_id,
@@ -279,7 +280,7 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
         try:
             return int(raw)
         except ValueError as exc:
-            raise MalformedDocumentError(f"intValue {raw!r} is not an integer") from exc
+            raise MalformedDocumentError(f"intValue {echo(raw)} is not an integer") from exc
     if "doubleValue" in value:
         raw = value["doubleValue"]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -291,73 +292,66 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
     return None
 
 
-def _attrs_from_json(raw_attrs: object, context: str) -> dict:
+def _attrs_from_json(raw_attrs: object) -> dict:
+    """Decode an OTel-style attribute list; None is no attributes."""
     if raw_attrs is None:
         return {}
     if not isinstance(raw_attrs, list):
-        raise MalformedDocumentError(f"{context}: attributes must be a list")
+        raise MalformedDocumentError("attributes must be a list")
     attributes = {}
     for entry in raw_attrs:
         if not isinstance(entry, dict) or "key" not in entry:
-            raise MalformedDocumentError(f"{context}: attribute entries must be objects with a key")
+            raise MalformedDocumentError("attribute entries must be objects with a key")
         if not isinstance(entry["key"], str):
-            raise MalformedDocumentError(
-                f"{context}: attribute key must be a string, got {type(entry['key']).__name__}"
-            )
+            raise MalformedDocumentError(f"attribute key must be a string, got {type(entry['key']).__name__}")
         value = _attr_value_from_json(entry.get("value", {}))
         if value is not None:
             attributes[entry["key"]] = value
     return attributes
 
 
-def _time_from_json(raw: object, field_name: str, span_id: str) -> int:
+def _time_from_json(raw: object, field_name: str, span_id: object) -> int:
     if raw is None:
         return 0
     if isinstance(raw, bool):
-        raise MalformedDocumentError(f"span {span_id}: {field_name} must be an integer")
+        raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer")
     if isinstance(raw, (str, int)):
         try:
             return int(raw)
         except ValueError as exc:
-            raise MalformedDocumentError(f"span {span_id}: {field_name} {raw!r} is not an integer") from exc
-    raise MalformedDocumentError(f"span {span_id}: {field_name} must be an integer or string")
+            raise MalformedDocumentError(
+                f"{_span_label(span_id)}: {field_name} {echo(raw)} is not an integer"
+            ) from exc
+    raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer or string")
 
 
 def _links_from_json(links: object, span_id: object) -> Tuple[Tuple[object, object], ...]:
     if not isinstance(links, list):
-        raise MalformedDocumentError(f"span {span_id}: links must be a list")
+        raise MalformedDocumentError(f"{_span_label(span_id)}: links must be a list")
     for link in links:
         if not isinstance(link, dict) or "traceId" not in link or "spanId" not in link:
-            raise MalformedDocumentError(f"span {span_id}: links must carry traceId and spanId")
+            raise MalformedDocumentError(f"{_span_label(span_id)}: links must carry traceId and spanId")
     return tuple((link["traceId"], link["spanId"]) for link in links)
 
 
-def parse_otel_json(
-    document: "bytes | str",
-    warnings: "Optional[list[IngestWarning]]" = None,
-) -> List[ObservedSpan]:
-    """Parse the resource-grouped OTel-style JSON layout into observed spans.
+def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
+    """The spans of an OTel-layout document as records whose attributes are
+    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``.
 
     Each ``resourceSpans`` entry must carry a ``service.name`` resource
     attribute; every span under it inherits that service name. Typed
     attribute values are preserved.
     """
-    return _build_spans(_otel_records(_load_json(document), None), warnings, {}, _attrs_from_json)
-
-
-def _otel_records(data: object, share: _Share) -> Iterator[_Record]:
-    """The spans of an OTel-layout document as records whose attributes are
-    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``."""
-    if not isinstance(data, dict) or not isinstance(data.get("resourceSpans"), list):
-        raise MalformedDocumentError("expected a JSON object with a resourceSpans array")
-
     for entry_index, entry in enumerate(data["resourceSpans"]):
         if not isinstance(entry, dict):
             raise MalformedDocumentError(f"resourceSpans[{entry_index}] is not an object")
         resource = entry.get("resource", {})
         if not isinstance(resource, dict):
             raise MalformedDocumentError(f"resourceSpans[{entry_index}]: resource must be an object")
-        resource_attrs = _attrs_from_json(resource.get("attributes"), f"resourceSpans[{entry_index}]")
+        try:
+            resource_attrs = _attrs_from_json(resource.get("attributes"))
+        except MalformedDocumentError as exc:
+            raise MalformedDocumentError(f"resourceSpans[{entry_index}]: {exc}") from exc
         service_name = resource_attrs.get(SERVICE_NAME_KEY)
         if not isinstance(service_name, str) or not service_name:
             raise MissingServiceNameError(
@@ -403,8 +397,8 @@ def parse_trace_document(
     warnings: "Optional[list[IngestWarning]]" = None,
 ) -> List[ObservedSpan]:
     """Parse a trace export of either supported format, auto-detected by the
-    top-level JSON shape: an array is Zipkin v2, an object with
-    ``resourceSpans`` is the OTel-style layout."""
+    top-level JSON shape: an array is Zipkin v2, an object with a
+    ``resourceSpans`` array is the OTel-style layout."""
     return _document_spans(_load_json(document), warnings)
 
 
@@ -415,12 +409,13 @@ def _document_spans(
     strings: Optional[dict] = None,
 ) -> List[ObservedSpan]:
     """The spans of one decoded document, of the partition ``share`` names;
-    ``strings`` is the load's dict of shared strings (a new one when None)."""
+    ``strings`` is the load's dict of shared strings (a new one when None).
+    The one layout check: the readers take the layout as given."""
     if strings is None:
         strings = {}
     if isinstance(data, list):
         return _build_spans(_zipkin_records(data, share), warnings, strings)
-    if isinstance(data, dict) and "resourceSpans" in data:
+    if isinstance(data, dict) and isinstance(data.get("resourceSpans"), list):
         return _build_spans(_otel_records(data, share), warnings, strings, _attrs_from_json)
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"

@@ -3,9 +3,13 @@ violations, and per-trace verdicts.
 
 Every type here is immutable after construction and safe to share across
 worker processes. Observed-side types enforce their invariants at
-construction time; design-side types are plain containers whose invariants
-are enforced by :func:`confcheck.design.validate_design_trace`, so that a
-design file with several problems can be reported in full rather than
+construction time. On the design side, ``DesignSpan`` owns the type of each
+of its fields and raises ``ValueError`` on the first wrong one;
+:func:`confcheck.design.validate_design_trace` owns the rules that span
+several fields or spans (parents that resolve, no parent cycles, one
+disallowed flag per trace) and the value rules a design file may break
+more than once (service.name present, durations positive), so that a
+design file with several such problems is reported in full rather than
 failing on the first one.
 
 The observed types are slotted dataclasses: an ``ObservedSpan`` or
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Mapping, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     from .checker import MatchPlan
@@ -48,6 +52,16 @@ _ZERO_TRACE_ID = "0" * TRACE_ID_LENGTH
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _UINT64_MAX = 2**64 - 1
+
+
+def echo(value: object, form: "Callable[[object], str]" = repr) -> str:
+    """An input value as an error message shows it: ``form(value)`` (its repr
+    by default) when that is at most 80 characters long, else its first 60
+    characters, ``...`` and its length."""
+    text = form(value)
+    if len(text) <= 80:
+        return text
+    return f"{text[:60]}... ({len(text)} chars)"
 
 
 class CyclicParentChainError(ValueError):
@@ -89,7 +103,7 @@ def validate_span_id(value: str) -> str:
     Span ids are 16 lowercase hex characters (8 bytes) and never all-zero.
     """
     if not isinstance(value, str) or len(value) != SPAN_ID_LENGTH or value.strip(_LOWER_HEX):
-        raise ValueError(f"span id must be {SPAN_ID_LENGTH} lowercase hex chars, got {value!r}")
+        raise ValueError(f"span id must be {SPAN_ID_LENGTH} lowercase hex chars, got {echo(value)}")
     if value == _ZERO_SPAN_ID:
         raise ValueError("span id must not be all zeros")
     return value
@@ -101,7 +115,7 @@ def validate_trace_id(value: str) -> str:
     Trace ids are 32 lowercase hex characters (16 bytes) and never all-zero.
     """
     if not isinstance(value, str) or len(value) != TRACE_ID_LENGTH or value.strip(_LOWER_HEX):
-        raise ValueError(f"trace id must be {TRACE_ID_LENGTH} lowercase hex chars, got {value!r}")
+        raise ValueError(f"trace id must be {TRACE_ID_LENGTH} lowercase hex chars, got {echo(value)}")
     if value == _ZERO_TRACE_ID:
         raise ValueError("trace id must not be all zeros")
     return value
@@ -118,9 +132,9 @@ def ensure_attr_value(key: str, value: object) -> AttrValue:
         return value
     if isinstance(value, int):
         if not _INT64_MIN <= value <= _INT64_MAX:
-            raise ValueError(f"attribute {key!r}: integer {value} outside 64-bit signed range")
+            raise ValueError(f"attribute {echo(key)}: integer {echo(value)} outside 64-bit signed range")
         return value
-    raise ValueError(f"attribute {key!r}: unsupported value type {type(value).__name__}")
+    raise ValueError(f"attribute {echo(key)}: unsupported value type {type(value).__name__}")
 
 
 def attr_values_equal(a: AttrValue, b: AttrValue) -> bool:
@@ -219,9 +233,9 @@ class ObservedSpan:
         end = self.end_time_nanos
         if type(start) is not int or type(end) is not int or not 0 <= start <= end <= _UINT64_MAX:
             if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= _UINT64_MAX:
-                raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {start!r}")
+                raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {echo(start)}")
             if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end <= _UINT64_MAX:
-                raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {end!r}")
+                raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {echo(end)}")
             if end < start:
                 raise ValueError(f"span {span_id}: end time {end} precedes start time {start}")
         for key, value in self.attributes.items():
@@ -326,8 +340,10 @@ class ObservedTrace:
 class DesignSpan:
     """A designer-authored span pattern.
 
-    ``match_attributes`` must contain "service.name" and ``max_duration_micros``
-    must be positive for the pattern to be usable; both are reported by
+    Construction checks the type of every field and raises ``ValueError`` on
+    the first wrong one. ``match_attributes`` must also contain
+    "service.name" and ``max_duration_micros`` be positive for the pattern to
+    be usable; both are reported by
     :func:`confcheck.design.validate_design_trace` rather than raised here.
     """
 
@@ -345,8 +361,16 @@ class DesignSpan:
             raise ValueError("design_span_id must be a non-empty string")
         if not isinstance(self.name, str):
             raise ValueError("design span name must be a string")
+        if not isinstance(self.match_attributes, Mapping):
+            raise ValueError("match_attributes must be a mapping")
         for key, value in self.match_attributes.items():
             ensure_attr_value(key, value)
+        if self.parent_design_span_id is not None and not isinstance(self.parent_design_span_id, str):
+            raise ValueError("parent_design_span_id must be a string or None")
+        if self.description is not None and not isinstance(self.description, str):
+            raise ValueError("description must be a string or None")
+        if not isinstance(self.allow_non_immediate_parent, bool) or not isinstance(self.is_disallowed, bool):
+            raise ValueError("allow_non_immediate_parent and is_disallowed must be booleans")
         if self.max_duration_micros is not None and (
             isinstance(self.max_duration_micros, bool) or not isinstance(self.max_duration_micros, int)
         ):

@@ -93,14 +93,16 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
     # Ghosts in (design trace id, design span id) order, as violations are.
     for design_trace in sorted(design_set.required_traces, key=lambda t: t.design_trace_id):
         outcomes = evaluate(design_trace, trace, index)
-        witness_of = {span.design_span_id: witness for span, witness, _ in outcomes}
+        # A ghost hangs off its design parent's witness, or else off the
+        # parent's over-budget match.
+        anchor_of = {span.design_span_id: witness or slow for span, witness, slow in outcomes}
         for span, witness, slow in outcomes:
             if witness is not None:
                 witnesses.add(witness.span_id)
             elif slow is not None:
                 duration_witnesses.add(slow.span_id)
             else:
-                anchor = witness_of.get(span.parent_design_span_id)
+                anchor = anchor_of.get(span.parent_design_span_id)
                 ghosts.append((design_trace.design_trace_id, span, anchor))
     for design_trace in design_set.disallowed_traces:
         fired = _disallowed_violations(design_trace, evaluate(design_trace, trace, index))

@@ -46,6 +46,12 @@ NOISE_SERVICES = (GATEWAY, MICROSERVICE, "testapp")
 # Root duration budget of the bundled design set's required flow.
 ROOT_BUDGET_MICROS = 500_000
 
+# Inclusive (min, max) draw ranges: the root duration of a trace within its
+# budget and of a slowed one (all above the budget), and the noise span count.
+BASE_LATENCY_MICROS = (50_000, 400_000)
+SLOW_LATENCY_MICROS = (500_001, 900_000)
+NOISE_SPANS_PER_TRACE = (2, 5)
+
 _BASE_EPOCH_NANOS = 1_600_000_000 * 10**9
 
 # Fixed span ordinals, so ids are stable regardless of which deviations fire.
@@ -66,9 +72,6 @@ class SimConfig:
     p_omit: float = 0.0
     p_slow: float = 0.0
     p_direct: float = 0.0
-    base_latency_micros: Tuple[int, int] = (50_000, 400_000)
-    slow_latency_micros: Tuple[int, int] = (500_001, 900_000)
-    noise_spans_per_trace: Tuple[int, int] = (2, 5)
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -78,17 +81,6 @@ class SimConfig:
         for label, p in (("p_omit", self.p_omit), ("p_slow", self.p_slow), ("p_direct", self.p_direct)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label} must be a probability in [0, 1], got {p!r}")
-        for label, (low, high) in (
-            ("base_latency_micros", self.base_latency_micros),
-            ("slow_latency_micros", self.slow_latency_micros),
-            ("noise_spans_per_trace", self.noise_spans_per_trace),
-        ):
-            if low < 0 or low > high:
-                raise ValueError(f"{label} must satisfy 0 <= min <= max, got {(low, high)!r}")
-        if self.slow_latency_micros[0] <= ROOT_BUDGET_MICROS:
-            raise ValueError(
-                f"slow_latency_micros must lie entirely above the {ROOT_BUDGET_MICROS} us root budget"
-            )
 
 
 def _substream(seed: int, index: int, purpose: str) -> random.Random:
@@ -157,7 +149,7 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
 
     # The shape stream is consumed identically whether or not deviations
     # fire, so the trace layout depends only on (seed, index).
-    base_duration = shape.randint(*config.base_latency_micros)
+    base_duration = shape.randint(*BASE_LATENCY_MICROS)
     client_offset = shape.randint(500, 2_000)
     ms_offset = shape.randint(500, 2_000)
     query_offset = shape.randint(200, 1_000)
@@ -166,9 +158,7 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
 
     root_duration = base_duration
     if slow:
-        root_duration = _substream(config.seed, index, "slow-latency").randint(
-            *config.slow_latency_micros
-        )
+        root_duration = _substream(config.seed, index, "slow-latency").randint(*SLOW_LATENCY_MICROS)
 
     client_duration = max(1, (root_duration * 3) // 4)
     ms_duration = max(1, (client_duration * 4) // 5)
@@ -229,7 +219,7 @@ def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
 
     # Noise spans are leaves under random parents; they never re-parent the
     # core chain, so they cannot alter conformance.
-    noise_count = shape.randint(*config.noise_spans_per_trace)
+    noise_count = shape.randint(*NOISE_SPANS_PER_TRACE)
     for noise_index in range(noise_count):
         parent = shape.choice(spans)
         spans.append(

@@ -10,7 +10,7 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 
 def load_single_trace(path: Path) -> cc.ObservedTrace:
-    spans = cc.parse_otel_json(path.read_bytes())
+    spans = cc.parse_trace_document(path.read_bytes())
     traces, warnings = cc.assemble_traces(spans)
     assert len(traces) == 1 and not warnings
     return traces[0]

@@ -218,6 +218,57 @@ class TestLoading:
             load_design_set(document)
 
 
+# One wrong field per case: (JSON span key, or "design.<key>" for the design
+# block; its JSON value; the DesignSpan keyword; its Python value).
+FIELD_TYPE_CASES = [
+    ("spanId", 5, "design_span_id", 5),
+    ("spanId", "", "design_span_id", ""),
+    ("name", 7, "name", 7),
+    ("match", ["service.name", "svc"], "match_attributes", [("service.name", "svc")]),
+    ("match", {"service.name": ["svc"]}, "match_attributes", {"service.name": ["svc"]}),
+    ("parentSpanId", 5, "parent_design_span_id", 5),
+    ("design.description", 5, "description", 5),
+    ("design.allowNonImmediateParent", "yes", "allow_non_immediate_parent", "yes"),
+    ("design.isDisallowed", 1, "is_disallowed", 1),
+]
+
+
+class TestDesignSpanFieldTypes:
+    """``DesignSpan`` owns every field's type: built in code it raises
+    ``ValueError``; loaded from JSON the same rule raises
+    ``MalformedDesignError`` with the trace and span as context."""
+
+    @pytest.mark.parametrize("json_key, json_value, field, value", FIELD_TYPE_CASES)
+    def test_loading_wraps_the_span_error(self, json_key, json_value, field, value):
+        raw = design_span_json("A")
+        if json_key.startswith("design."):
+            raw["design"][json_key[len("design."):]] = json_value
+        else:
+            raw[json_key] = json_value
+        label = "A" if json_key != "spanId" else "#0"
+        with pytest.raises(MalformedDesignError) as excinfo:
+            load_design_set(design_file([raw]))
+        assert str(excinfo.value).startswith(f"design trace t1: span {label}: ")
+
+    @pytest.mark.parametrize("json_key, json_value, field, value", FIELD_TYPE_CASES)
+    def test_direct_construction_raises(self, json_key, json_value, field, value):
+        fields = {"design_span_id": "A", "name": "op", "match_attributes": {"service.name": "svc"}}
+        with pytest.raises(ValueError):
+            DesignSpan(**{**fields, field: value})
+
+    @pytest.mark.parametrize("value", ["5ms", 1.5, True])
+    def test_max_duration_must_be_an_int(self, value):
+        with pytest.raises(ValueError):
+            DesignSpan(design_span_id="A", name="op", match_attributes={}, max_duration_micros=value)
+
+    def test_second_span_is_labelled_by_position(self):
+        raw = design_span_json("B")
+        del raw["spanId"]
+        with pytest.raises(MalformedDesignError) as excinfo:
+            load_design_set(design_file([design_span_json("A"), raw]))
+        assert str(excinfo.value).startswith("design trace t1: span #1: ")
+
+
 class TestValidateDesignTrace:
     def test_valid_trace_returns_no_errors(self, design_set):
         for trace in design_set.design_traces:

@@ -16,9 +16,7 @@ from confcheck.ingest import (
     MissingServiceNameError,
     assemble_traces,
     load_corpus_dir,
-    parse_otel_json,
     parse_trace_document,
-    parse_zipkin_v2,
     serialize_otel_json,
 )
 from confcheck.model import ObservedSpan, ObservedTrace
@@ -55,7 +53,7 @@ def zipkin_span(**overrides):
 
 class TestZipkinParsing:
     def test_field_mapping(self):
-        spans = parse_zipkin_v2(json.dumps([zipkin_span()]))
+        spans = parse_trace_document(json.dumps([zipkin_span()]))
         assert len(spans) == 1
         span = spans[0]
         assert span.trace_id == TRACE_ID
@@ -67,46 +65,46 @@ class TestZipkinParsing:
         assert span.parent_span_id is None
 
     def test_empty_export(self):
-        assert parse_zipkin_v2(b"[]") == []
+        assert parse_trace_document(b"[]") == []
 
     def test_short_trace_id_left_padded(self):
-        spans = parse_zipkin_v2(json.dumps([zipkin_span(traceId="00000000000000a1")]))
+        spans = parse_trace_document(json.dumps([zipkin_span(traceId="00000000000000a1")]))
         assert spans[0].trace_id == "0000000000000000" + "00000000000000a1"
 
     def test_tags_become_string_attributes(self):
-        spans = parse_zipkin_v2(
+        spans = parse_trace_document(
             json.dumps([zipkin_span(tags={"http.status_code": "500", "retries": 3})])
         )
         assert spans[0].attributes == {"http.status_code": "500", "retries": "3"}
 
     def test_parent_id_mapped(self):
-        spans = parse_zipkin_v2(
+        spans = parse_trace_document(
             json.dumps([zipkin_span(id="0000000000000002", parentId="0000000000000001")])
         )
         assert spans[0].parent_span_id == "0000000000000001"
 
     @pytest.mark.parametrize("parent", ["", "0000000000000000"])
     def test_empty_and_zero_parents_normalize_to_root(self, parent):
-        spans = parse_zipkin_v2(json.dumps([zipkin_span(parentId=parent)]))
+        spans = parse_trace_document(json.dumps([zipkin_span(parentId=parent)]))
         assert spans[0].parent_span_id is None
 
     def test_missing_id_rejected(self):
         raw = zipkin_span()
         del raw["id"]
         with pytest.raises(MissingFieldError):
-            parse_zipkin_v2(json.dumps([raw]))
+            parse_trace_document(json.dumps([raw]))
 
     def test_missing_service_rejected(self):
         with pytest.raises(MissingFieldError):
-            parse_zipkin_v2(json.dumps([zipkin_span(localEndpoint={})]))
+            parse_trace_document(json.dumps([zipkin_span(localEndpoint={})]))
 
     def test_non_array_rejected(self):
         with pytest.raises(MalformedDocumentError):
-            parse_zipkin_v2(b'{"traceId": "x"}')
+            parse_trace_document(b'{"traceId": "x"}')
 
     def test_invalid_json_rejected(self):
         with pytest.raises(MalformedDocumentError):
-            parse_zipkin_v2(b"{nope")
+            parse_trace_document(b"{nope")
 
     def test_too_deeply_nested_json_is_malformed(self):
         depth = 200_000
@@ -115,7 +113,7 @@ class TestZipkinParsing:
 
     def test_negative_duration_clamped_with_warning(self):
         warnings = []
-        spans = parse_zipkin_v2(json.dumps([zipkin_span(duration=-5)]), warnings)
+        spans = parse_trace_document(json.dumps([zipkin_span(duration=-5)]), warnings)
         assert spans[0].start_time_nanos == spans[0].end_time_nanos == 1_000_000
         assert [w.kind for w in warnings] == [IngestWarningKind.CLAMPED_TIMESTAMP]
 
@@ -151,7 +149,7 @@ def otel_span(**overrides):
 
 class TestOtelParsing:
     def test_service_name_from_resource(self):
-        spans = parse_otel_json(otel_document([otel_span()]))
+        spans = parse_trace_document(otel_document([otel_span()]))
         assert len(spans) == 1
         assert spans[0].service_name == "microservice"
         assert spans[0].name == "sql_server.query"
@@ -159,11 +157,11 @@ class TestOtelParsing:
         assert spans[0].end_time_nanos == 2_000_000
 
     def test_empty_parent_span_id_normalizes_to_root(self):
-        spans = parse_otel_json(otel_document([otel_span(parentSpanId="")]))
+        spans = parse_trace_document(otel_document([otel_span(parentSpanId="")]))
         assert spans[0].parent_span_id is None
 
     def test_typed_attribute_values_preserved(self):
-        spans = parse_otel_json(
+        spans = parse_trace_document(
             otel_document(
                 [
                     otel_span(
@@ -184,7 +182,7 @@ class TestOtelParsing:
         assert type(attrs["fraction"]) is float
 
     def test_unsupported_attribute_kinds_skipped(self):
-        spans = parse_otel_json(
+        spans = parse_trace_document(
             otel_document(
                 [otel_span(attributes=[{"key": "arr", "value": {"arrayValue": {"values": []}}}])]
             )
@@ -196,23 +194,23 @@ class TestOtelParsing:
             {"resourceSpans": [{"resource": {"attributes": []}, "scopeSpans": []}]}
         )
         with pytest.raises(MissingServiceNameError):
-            parse_otel_json(document)
+            parse_trace_document(document)
 
     def test_missing_span_id_rejected(self):
         raw = otel_span()
         del raw["spanId"]
         with pytest.raises(MissingFieldError):
-            parse_otel_json(otel_document([raw]))
+            parse_trace_document(otel_document([raw]))
 
     def test_integer_timestamps_accepted(self):
-        spans = parse_otel_json(
+        spans = parse_trace_document(
             otel_document([otel_span(startTimeUnixNano=1000000, endTimeUnixNano=2000000)])
         )
         assert spans[0].start_time_nanos == 1_000_000
 
     def test_links_parsed(self):
         other_trace = "000000000000000000000000000000ff"
-        spans = parse_otel_json(
+        spans = parse_trace_document(
             otel_document(
                 [otel_span(links=[{"traceId": other_trace, "spanId": "00000000000000ff"}])]
             )
@@ -223,23 +221,38 @@ class TestOtelParsing:
     def test_non_string_attribute_key_rejected(self, key):
         span = otel_span(attributes=[{"key": key, "value": {"stringValue": "x"}}])
         with pytest.raises(MalformedDocumentError, match="attribute key must be a string"):
-            parse_otel_json(otel_document([span]))
+            parse_trace_document(otel_document([span]))
 
     def test_missing_resource_spans_rejected(self):
         with pytest.raises(MalformedDocumentError):
-            parse_otel_json(b'{"spans": []}')
+            parse_trace_document(b'{"spans": []}')
 
     @pytest.mark.parametrize(
         "spans", [None, 7, "spans", {"spanId": "0000000000000001"}], ids=["null", "number", "string", "object"]
     )
     def test_non_list_spans_rejected(self, spans):
         with pytest.raises(MalformedDocumentError, match=r"resourceSpans\[0\]: spans must be a list"):
-            parse_otel_json(otel_document(spans))
+            parse_trace_document(otel_document(spans))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"intValue": "x1"}, "intValue 'x1' is not an integer"),
+            ({"boolValue": "yes"}, "boolValue must hold a boolean"),
+            (5, "attribute value must be an object, got int"),
+        ],
+    )
+    def test_resource_attribute_errors_name_their_entry(self, value, message):
+        document = json.loads(otel_document([otel_span()]))
+        document["resourceSpans"][0]["resource"]["attributes"].append({"key": "bad", "value": value})
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_trace_document(json.dumps(document))
+        assert str(excinfo.value) == f"resourceSpans[0]: {message}"
 
     def test_double_beyond_float_range_is_malformed(self):
         span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": 10**400}}])
         with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
-            parse_otel_json(otel_document([span]))
+            parse_trace_document(otel_document([span]))
 
 
 class TestAutoDetection:
@@ -252,8 +265,10 @@ class TestAutoDetection:
         assert spans[0].service_name == "microservice"
 
     def test_unknown_shape_rejected(self):
-        with pytest.raises(MalformedDocumentError):
-            parse_trace_document(b'{"other": 1}')
+        for document in (b'{"other": 1}', b'{"resourceSpans": 5}', b'{"resourceSpans": {}}', b"7"):
+            with pytest.raises(MalformedDocumentError) as excinfo:
+                parse_trace_document(document)
+            assert str(excinfo.value).startswith("unrecognized trace document: ")
 
     @pytest.mark.parametrize(
         "document",
@@ -341,7 +356,7 @@ class TestSerialization:
         ]
         traces, _ = assemble_traces(spans)
         document = serialize_otel_json(traces)
-        reparsed, warnings = assemble_traces(parse_otel_json(document))
+        reparsed, warnings = assemble_traces(parse_trace_document(document))
         assert reparsed == traces
         assert warnings == []
         assert serialize_otel_json(reparsed) == document
@@ -358,7 +373,7 @@ class TestSerialization:
             links=((TRACE_ID, "00000000000000ff"),),
         )
         trace = ObservedTrace.from_spans(TRACE_ID, [span])
-        reparsed, _ = assemble_traces(parse_otel_json(serialize_otel_json([trace])))
+        reparsed, _ = assemble_traces(parse_trace_document(serialize_otel_json([trace])))
         round_tripped = reparsed[0].spans["0000000000000001"]
         assert round_tripped == span
         assert {k: type(v) for k, v in round_tripped.attributes.items()} == {
@@ -453,49 +468,51 @@ class TestFastPathsKeepErrorsAndValues:
     def test_timestamp_too_long_for_int_is_a_malformed_document(self):
         digits = "1" * 5000
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(startTimeUnixNano=digits)]))
-        assert str(excinfo.value) == f"span 0000000000000001: startTimeUnixNano '{digits}' is not an integer"
+            parse_trace_document(otel_document([otel_span(startTimeUnixNano=digits)]))
+        assert str(excinfo.value) == (
+            f"span 0000000000000001: startTimeUnixNano '{digits[:59]}... (5002 chars) is not an integer"
+        )
 
     @pytest.mark.parametrize("raw, value", [(" 12", 12), ("1_000", 1000), (12, 12), (None, 0)])
     def test_timestamps_int_accepts_keep_their_values(self, raw, value):
-        [span] = parse_otel_json(otel_document([otel_span(startTimeUnixNano=raw, endTimeUnixNano="2000000")]))
+        [span] = parse_trace_document(otel_document([otel_span(startTimeUnixNano=raw, endTimeUnixNano="2000000")]))
         assert span.start_time_nanos == value
 
     @pytest.mark.parametrize("raw", ["²", "1.5", ""])
     def test_timestamps_int_rejects_keep_their_message(self, raw):
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(endTimeUnixNano=raw)]))
+            parse_trace_document(otel_document([otel_span(endTimeUnixNano=raw)]))
         assert str(excinfo.value) == f"span 0000000000000001: endTimeUnixNano {raw!r} is not an integer"
 
     def test_zipkin_null_tags_rejected_and_missing_tags_empty(self):
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_zipkin_v2(json.dumps([zipkin_span(tags=None)]))
+            parse_trace_document(json.dumps([zipkin_span(tags=None)]))
         assert str(excinfo.value) == "span 0000000000000001: tags must be an object"
-        [span] = parse_zipkin_v2(json.dumps([zipkin_span()]))
+        [span] = parse_trace_document(json.dumps([zipkin_span()]))
         assert span.attributes == {}
-        [span] = parse_zipkin_v2(json.dumps([zipkin_span(tags={"code": 200})]))
+        [span] = parse_trace_document(json.dumps([zipkin_span(tags={"code": 200})]))
         assert span.attributes == {"code": "200"}
 
     def test_null_links_rejected(self):
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(links=None)]))
+            parse_trace_document(otel_document([otel_span(links=None)]))
         assert str(excinfo.value) == "span 0000000000000001: links must be a list"
 
     def test_attribute_errors_keep_their_span_context(self):
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(attributes={})]))
-        assert str(excinfo.value) == "span 0000000000000001: span 0000000000000001: attributes must be a list"
+            parse_trace_document(otel_document([otel_span(attributes={})]))
+        assert str(excinfo.value) == "span 0000000000000001: attributes must be a list"
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(parentSpanId=7, attributes={})]))
+            parse_trace_document(otel_document([otel_span(parentSpanId=7, attributes={})]))
         assert str(excinfo.value) == "span 0000000000000001: parent span id must be a string, got int"
 
     @pytest.mark.parametrize("trace_id", [5, ["x"], {"a": 1}])
     def test_non_string_trace_id(self, trace_id):
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document([otel_span(traceId=trace_id)]))
+            parse_trace_document(otel_document([otel_span(traceId=trace_id)]))
         assert str(excinfo.value) == f"span 0000000000000001: trace id must be 32 lowercase hex chars, got {trace_id!r}"
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_zipkin_v2(json.dumps([zipkin_span(traceId=trace_id)]))
+            parse_trace_document(json.dumps([zipkin_span(traceId=trace_id)]))
         assert str(excinfo.value) == "span #0: id and traceId must be strings"
 
     @pytest.mark.parametrize(
@@ -508,7 +525,7 @@ class TestFastPathsKeepErrorsAndValues:
     def test_bad_trace_id_after_an_accepted_one(self, bad, message):
         spans = [otel_span(), otel_span(spanId="0000000000000002"), otel_span(traceId=bad, spanId="0000000000000003")]
         with pytest.raises(MalformedDocumentError) as excinfo:
-            parse_otel_json(otel_document(spans))
+            parse_trace_document(otel_document(spans))
         assert str(excinfo.value) == f"span 0000000000000003: {message}"
 
     def test_str_subclass_trace_id_is_tested(self):
@@ -569,8 +586,8 @@ class TestSharedStrings:
 
     def test_strings_are_shared_within_a_load_not_across_loads(self):
         document = json.dumps([zipkin_span(), zipkin_span(id="0000000000000002")])
-        first, second = parse_zipkin_v2(document)
+        first, second = parse_trace_document(document)
         assert first.trace_id is second.trace_id
         assert first.name is second.name
-        [other] = parse_zipkin_v2(json.dumps([zipkin_span()]))
+        [other] = parse_trace_document(json.dumps([zipkin_span()]))
         assert other.trace_id is not first.trace_id

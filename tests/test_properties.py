@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from confcheck.checker import ConformanceReport, check_corpus, check_trace, match_witnesses
 from confcheck.design import load_design_set, serialize_design_set
-from confcheck.ingest import assemble_traces, parse_otel_json, serialize_otel_json
+from confcheck.ingest import assemble_traces, parse_trace_document, serialize_otel_json
 from confcheck.model import ObservedSpan, ObservedTrace, ViolationKind
 
 import genutil
@@ -78,7 +78,7 @@ def test_observed_round_trip(seed):
     rng = random.Random(seed)
     corpus = sorted(genutil.random_corpus(rng), key=lambda t: t.trace_id)
     document = serialize_otel_json(corpus)
-    reparsed, _ = assemble_traces(parse_otel_json(document))
+    reparsed, _ = assemble_traces(parse_trace_document(document))
     assert reparsed == corpus
     assert serialize_otel_json(reparsed) == document
 

@@ -233,6 +233,20 @@ class TestDotRendering:
         assert "style=dashed" in dot
         assert "DB operation" in dot
 
+    def test_ghost_anchors_at_its_parents_over_budget_match(self, design_set, nonconformant_trace):
+        # A 600 ms root and its client span, with no microservice request:
+        # the root matches design span A only over budget, and B's ghost
+        # hangs off it.
+        root, client = "a1b2c3d4e5f60718", "b2c3d4e5f6071829"
+        trace = ObservedTrace.from_spans(
+            nonconformant_trace.trace_id, [nonconformant_trace.spans[root], nonconformant_trace.spans[client]]
+        )
+        dot = render_trace_dot(design_set, trace)
+        assert f'"{root}" [label="aspnet_core.request\\ngateway\\n600000 us", color=red];' in dot
+        assert f'  "{root}" -> "missing_required-flow_B" [style=dashed];\n' in dot
+        # C's design parent is itself missing: its ghost has no edge.
+        assert '-> "missing_required-flow_C"' not in dot
+
     def test_dot_output_is_stable(self, design_set, nonconformant_trace):
         assert render_trace_dot(design_set, nonconformant_trace) == render_trace_dot(
             design_set, nonconformant_trace
@@ -684,6 +698,15 @@ def _huge_double_corpus(corpus):
     _attribute_corpus(corpus, "d.json", '{"doubleValue": 1' + "0" * 400 + "}")
 
 
+# An intValue string of 5,001 digits, which int() refuses: the error echoes
+# its first 60 characters and its length, not the whole value.
+HUGE_INT_STRING = "1" + "0" * 5000
+
+
+def _huge_integer_string_corpus(corpus):
+    _attribute_corpus(corpus, "i.json", json.dumps({"intValue": HUGE_INT_STRING}))
+
+
 def _huge_integer_corpus(corpus):
     # A JSON integer longer than the interpreter's 4,300-digit conversion limit.
     _attribute_corpus(corpus, "i.json", '{"intValue": 1' + "0" * 5000 + "}")
@@ -708,6 +731,11 @@ class TestPartitionedCheck:
             _huge_double_corpus, 2, "error: d.json: span 00000000000000e1: doubleValue is outside the float range"
         ),
         "integer-beyond-digit-limit": (_huge_integer_corpus, 2, "error: i.json: invalid JSON: Exceeds the limit"),
+        "integer-string-beyond-digit-limit": (
+            _huge_integer_string_corpus,
+            2,
+            f"error: i.json: span 00000000000000e1: intValue '{HUGE_INT_STRING[:59]}... (5003 chars) is not an integer\n",
+        ),
     }
 
     @pytest.mark.parametrize("name", list(CORPORA))

@@ -13,9 +13,13 @@ from confcheck.cli import main
 from confcheck.ingest import load_corpus_dir, serialize_otel_json
 from confcheck.model import ObservedTrace, ViolationKind
 from confcheck.simulator import (
+    BASE_LATENCY_MICROS,
     GATEWAY,
     MICROSERVICE,
+    NOISE_SPANS_PER_TRACE,
     QUERY_SPAN_NAME,
+    ROOT_BUDGET_MICROS,
+    SLOW_LATENCY_MICROS,
     SimConfig,
     deviation_flags,
     generate_corpus,
@@ -51,13 +55,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(seed=0, trace_count=count)
 
-    def test_slow_range_must_exceed_budget(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, trace_count=1, slow_latency_micros=(400_000, 900_000))
-
-    def test_ranges_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, trace_count=1, base_latency_micros=(400_000, 50_000))
+    def test_draw_ranges_are_ordered_and_slow_lies_above_budget(self):
+        for low, high in (BASE_LATENCY_MICROS, SLOW_LATENCY_MICROS, NOISE_SPANS_PER_TRACE):
+            assert 0 <= low <= high
+        assert BASE_LATENCY_MICROS[1] <= ROOT_BUDGET_MICROS < SLOW_LATENCY_MICROS[0]
 
     def test_seed_must_be_uint64(self):
         with pytest.raises(ValueError):
