@@ -10,28 +10,36 @@ Each design trace is compiled once, by :func:`compile_match_plan`, into a
 match plan that ``DesignTrace.match_plan`` keeps: its design spans as steps
 in parents-first order, each holding its candidate bucket key, its other
 match attributes as a tuple, its parent's step index, its non-immediate flag
-and its duration bound. A child step's candidates are tested against its
-parent step's finished match set, and ancestor walks cache their answer for
-every span they pass, so each design span costs one pass over its candidates
-whatever the trace's depth.
+and its duration bound.
 
-Candidates come from a per-trace index that buckets the observed spans by
-``(name, service name)``, built once per trace and shared by every required
-and disallowed design trace. A step tests its other match attributes only
-on the bucket of its own name and ``service.name``, since no other span can
-pass it. ``_bucket_service`` is the one rule for a bucket's service on both
-sides: only an exact ``str`` gets one. A design span without such a
-``service.name`` (possible only in an unvalidated ``DesignTrace``) takes
-every span of its name and tests every match attribute.
+The matcher runs over a whole :class:`~confcheck.model.Partition`, not a
+trace at a time: each plan step runs once over the partition's rows. Its
+candidates come from a :class:`CandidateIndex`, which buckets the rows by
+``(name, service name)``, each bucket in span-id order, built on first use
+and shared by every required and disallowed design trace. A step tests its
+other match attributes only on the bucket of its own name and
+``service.name``, since no other span can pass it. ``_bucket_service`` is the
+one rule for a bucket's service on both sides: only an exact ``str`` gets
+one. A design span without such a ``service.name`` (possible only in an
+unvalidated ``DesignTrace``) takes every span of its name and tests every
+match attribute. A child step keeps the candidates whose parent row, or with
+a non-immediate parent any ancestor row, is among its parent step's matches;
+ancestor walks cache their answer for every row they pass, so each design
+span costs one pass over its candidates whatever the traces' depth. Parent
+rows never leave their trace, so one step serves every trace at once.
 
-:func:`evaluate` is the one witness and duration rule: one plan run gives each
-design span its witness, or else its fastest over-budget match. Bounds apply
-to the design span being witnessed, not to ancestor hops while validating its
-chain, so a slow root is exactly one duration violation instead of a cascade
-of structural failures down the tree. ``check_required`` reports one
-violation per unwitnessed span; ``check_disallowed`` fires as a joint
-pattern, only when every span is witnessed; ``match_witnesses``,
-``check_trace`` and the DOT renderer read the same outcomes.
+Each trace's witness, slow match and violations are then read from the step
+results. :func:`evaluate` is the one witness and duration rule: a design
+span's witness in a trace is its smallest-id match there within the
+duration bound, and without one its fastest over-budget match. Bounds apply
+to the design span being witnessed, not to ancestor hops while validating
+its chain, so a slow root is exactly one duration violation instead of a
+cascade of structural failures down the tree. A required design trace
+reports one violation per unwitnessed span; a disallowed one fires as a
+joint pattern, only when every span is witnessed. The entry points that take
+one trace (``evaluate``, ``check_trace``, ``check_required``,
+``check_disallowed`` and ``match_witnesses``, and the DOT renderer) run the
+same code on a one-trace partition.
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from operator import eq, floordiv, le, not_, sub
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .design import DesignTraceSet
 from .gcpause import collector_paused
@@ -49,8 +59,10 @@ from .model import (
     DesignTrace,
     ObservedSpan,
     ObservedTrace,
+    Partition,
     SERVICE_NAME_KEY,
     SpanId,
+    TraceId,
     TraceVerdict,
     Violation,
     ViolationKind,
@@ -95,21 +107,21 @@ def duration_ok(design: DesignSpan, observed: ObservedSpan) -> bool:
     return bound is None or observed.duration_micros <= bound
 
 
-def _has_matched_ancestor(
-    trace: ObservedTrace, span: ObservedSpan, matched_ids: Set[SpanId], reaches: Dict[SpanId, bool]
-) -> bool:
-    """True when some strict ancestor of ``span`` is in ``matched_ids``.
+def _has_matched_ancestor(up: List[int], row: int, matched: "set[int]", reaches: Dict[int, bool]) -> bool:
+    """True when some strict ancestor of ``row`` is in ``matched``; ``up`` is
+    the partition's parent rows.
 
-    ``reaches`` records the answer for every unmatched span on the walked
-    chain, so over one design span each observed span is walked once."""
-    walked: List[SpanId] = []
-    current = trace.parent_of(span)
-    while current is not None and current.span_id not in matched_ids and current.span_id not in reaches:
-        walked.append(current.span_id)
-        current = trace.parent_of(current)
-    # A span where the walk stopped is either matched or already answered.
-    found = current is not None and reaches.get(current.span_id, True)
-    reaches.update(dict.fromkeys(walked, found))
+    ``reaches`` records the answer for every unmatched row on the walked
+    chain, so over one design span each row is walked once."""
+    walked: List[int] = []
+    current = up[row]
+    while current >= 0 and current not in matched and current not in reaches:
+        walked.append(current)
+        current = up[current]
+    # A row where the walk stopped is either matched or already answered.
+    found = current >= 0 and reaches.get(current, True)
+    if walked:
+        reaches.update(dict.fromkeys(walked, found))
     return found
 
 
@@ -183,58 +195,164 @@ def compile_match_plan(trace: DesignTrace) -> MatchPlan:
     return MatchPlan(steps=tuple(steps), by_id=tuple(position[span_id] for span_id in sorted(position)))
 
 
-# Observed spans by (name, bucket service), each bucket in span-id order.
-CandidateIndex = Dict[Tuple[str, Optional[str]], List[ObservedSpan]]
+class CandidateIndex:
+    """A partition's rows by ``(name, bucket service)``, each bucket in
+    span-id order, built per name on first use; and the partition's trace
+    ids."""
+
+    __slots__ = ("partition", "traces", "_by_name", "_buckets")
+
+    def __init__(self, partition: Partition) -> None:
+        self.partition = partition
+        self.traces = set(partition.trace_ids)
+        self._by_name: Dict[str, List[int]] = {}
+        self._buckets: Dict[Tuple[str, str], List[int]] = {}
+
+    def named(self, name: str) -> List[int]:
+        """The rows named ``name``, in span-id order: read, never change."""
+        rows = self._by_name.get(name)
+        if rows is None:
+            part = self.partition
+            rows = list(compress(range(len(part.names)), map(eq, part.names, repeat(name))))
+            rows.sort(key=part.span_ids.__getitem__)
+            self._by_name[name] = rows
+        return rows
+
+    def bucket(self, key: Tuple[str, str]) -> List[int]:
+        """The rows of bucket ``key``, in span-id order: read, never change."""
+        rows = self._buckets.get(key)
+        if rows is None:
+            name, service = key
+            services = self.partition.services
+            rows = self.named(name)
+            named_services = list(map(services.__getitem__, rows))
+            rows = list(compress(rows, map(eq, named_services, repeat(service))))
+            if not set(map(type, named_services)) <= {str}:
+                rows = [row for row in rows if _bucket_service(services[row]) is not None]
+            self._buckets[key] = rows
+        return rows
 
 
 def _candidate_index(trace: ObservedTrace) -> CandidateIndex:
-    index: CandidateIndex = {}
-    spans = trace.spans
-    for span_id in sorted(spans):
-        span = spans[span_id]
-        index.setdefault((span.name, _bucket_service(span.service_name)), []).append(span)
-    return index
+    """The candidate index of a one-trace partition of ``trace``."""
+    return CandidateIndex(Partition.from_traces([trace]))
 
 
-def _plan_matches(
-    plan: MatchPlan, trace: ObservedTrace, index: Optional[CandidateIndex]
-) -> List[Sequence[ObservedSpan]]:
-    """Every structural match per plan step, in span-id order.
+def _row_attributes_match(attributes: Iterable[Tuple[str, AttrValue]], part: Partition, row: int) -> bool:
+    for key, expected in attributes:
+        actual = part.services[row] if key == SERVICE_NAME_KEY else part.attributes[row].get(key)
+        if actual is None or not attr_values_equal(expected, actual):
+            return False
+    return True
 
-    Steps run parents first. A step's candidates are its bucket's spans (or,
-    without a bucket, every span of its name) that pass its other match
+
+def _plan_matches(plan: MatchPlan, index: CandidateIndex) -> List[List[int]]:
+    """Every structural match per plan step, as rows in span-id order, over
+    every trace of the index's partition.
+
+    Steps run parents first. A step's candidates are its bucket's rows (or,
+    without a bucket, every row of its name) that pass its other match
     attributes; a child step keeps those whose parent, or with
     ``non_immediate`` any ancestor, is among its parent step's matches.
     Durations are not consulted, so a slow ancestor never vetoes the chain
-    below it. A returned sequence may be the index's own bucket: read it,
-    never change it.
+    below it. A returned list may be the index's own bucket: read it, never
+    change it.
     """
-    if index is None:
-        index = _candidate_index(trace)
-    matches: List[Sequence[ObservedSpan]] = []
+    part = index.partition
+    up = part.parent_rows
+    matches: List[List[int]] = []
     for design, bucket, attributes, parent, non_immediate, _ in plan.steps:
-        if bucket is not None:
-            candidates: Sequence[ObservedSpan] = index.get(bucket, ())
-        else:
-            candidates = sorted(
-                (span for (name, _service), spans in index.items() if name == design.name for span in spans),
-                key=lambda span: span.span_id,
-            )
+        candidates = index.bucket(bucket) if bucket is not None else index.named(design.name)
         if attributes and candidates:
-            candidates = [span for span in candidates if _attributes_match(attributes, span)]
+            candidates = [row for row in candidates if _row_attributes_match(attributes, part, row)]
         if parent >= 0 and candidates:
-            parent_matches = matches[parent]
-            if not parent_matches:
-                candidates = ()
+            matched = set(matches[parent])
+            if not matched:
+                candidates = []
+            elif non_immediate:
+                reaches: Dict[int, bool] = {}
+                candidates = [row for row in candidates if _has_matched_ancestor(up, row, matched, reaches)]
             else:
-                matched_ids = {span.span_id for span in parent_matches}
-                if non_immediate:
-                    reaches: Dict[SpanId, bool] = {}
-                    candidates = [s for s in candidates if _has_matched_ancestor(trace, s, matched_ids, reaches)]
-                else:
-                    candidates = [s for s in candidates if s.parent_span_id in matched_ids]
+                candidates = list(compress(candidates, map(matched.__contains__, map(up.__getitem__, candidates))))
         matches.append(candidates)
     return matches
+
+
+# Per design span, in design span id order: the span, and its witness row and
+# its slow row (the fastest over-budget match of a trace with no witness),
+# each by trace id.
+StepOutcome = Tuple[DesignSpan, Dict[TraceId, int], Dict[TraceId, int]]
+
+
+def _first_by_trace(rows: List[int], trace_ids: List[TraceId]) -> Dict[TraceId, int]:
+    """The first of ``rows`` of each trace. Built backwards, so the first
+    row of a trace is the last one stored."""
+    backwards = rows[::-1]
+    return dict(zip(map(trace_ids.__getitem__, backwards), backwards))
+
+
+def _step_outcomes(plan: MatchPlan, index: CandidateIndex) -> List[StepOutcome]:
+    """The one witness and duration rule, over every trace of the index's
+    partition at once. Matches are in span-id order, so the first within the
+    bound is a trace's witness and the first of its fastest wins a tie."""
+    part = index.partition
+    trace_ids = part.trace_ids
+    matches = _plan_matches(plan, index)
+    outcomes: List[StepOutcome] = []
+    for position in plan.by_id:
+        step = plan.steps[position]
+        rows = matches[position]
+        bound = step.max_duration_micros
+        if bound is None:
+            outcomes.append((step.span, _first_by_trace(rows, trace_ids), {}))
+            continue
+        durations = list(
+            map(floordiv, map(sub, map(part.ends.__getitem__, rows), map(part.starts.__getitem__, rows)), repeat(1000))
+        )
+        within = list(map(le, durations, repeat(bound)))
+        witness = _first_by_trace(list(compress(rows, within)), trace_ids)
+        fastest: Dict[TraceId, Tuple[int, int]] = {}
+        for row, duration in compress(zip(rows, durations), map(not_, within)):
+            trace_id = trace_ids[row]
+            if trace_id not in witness and (trace_id not in fastest or duration < fastest[trace_id][1]):
+                fastest[trace_id] = (row, duration)
+        outcomes.append((step.span, witness, {trace_id: row for trace_id, (row, _) in fastest.items()}))
+    return outcomes
+
+
+def _violations(design_set: DesignTraceSet, index: CandidateIndex) -> Dict[TraceId, List[Violation]]:
+    """The violations of every non-conformant trace of the index's
+    partition, each trace's ordered by (design trace id, design span id)."""
+    span_ids = index.partition.span_ids
+    disallowed = design_set.disallowed_traces
+    found: Dict[TraceId, List[Violation]] = {}
+    for design_trace in sorted(design_set.design_traces, key=lambda t: t.design_trace_id):
+        design_trace_id = design_trace.design_trace_id
+        outcomes = _step_outcomes(design_trace.match_plan, index)
+        if design_trace in disallowed:
+            fired = index.traces
+            for _, witness, _ in outcomes:
+                fired = fired.intersection(witness)
+            for trace_id in fired:
+                found.setdefault(trace_id, []).extend(
+                    Violation(
+                        ViolationKind.DISALLOWED_PRESENT,
+                        design_trace_id,
+                        span.design_span_id,
+                        span_ids[witness[trace_id]],
+                    )
+                    for span, witness, _ in outcomes
+                )
+            continue
+        for span, witness, slow in outcomes:
+            for trace_id in index.traces.difference(witness):
+                row = slow.get(trace_id)
+                found.setdefault(trace_id, []).append(
+                    Violation(ViolationKind.MISSING_REQUIRED, design_trace_id, span.design_span_id)
+                    if row is None
+                    else Violation(ViolationKind.DURATION_EXCEEDED, design_trace_id, span.design_span_id, span_ids[row])
+                )
+    return found
 
 
 Outcome = Tuple[DesignSpan, Optional[ObservedSpan], Optional[ObservedSpan]]
@@ -248,30 +366,21 @@ def evaluate(
     design span, in design span id order. The witness is the smallest-id
     structural match within the duration bound, or None. Without a witness,
     slow is the fastest over-budget match (ties to the smaller span id), or
-    None when nothing matched structurally. ``index`` is the trace's
-    candidate index, built here when not given."""
-    plan = design_trace.match_plan
-    matches = _plan_matches(plan, trace, index)
+    None when nothing matched structurally. ``index`` is
+    ``_candidate_index(trace)``, built here when not given."""
+    if index is None:
+        index = _candidate_index(trace)
+    span = index.partition.span
     outcomes: List[Outcome] = []
-    for position in plan.by_id:
-        step = plan.steps[position]
-        candidates = matches[position]
-        bound = step.max_duration_micros
-        witness = slow = None
-        if bound is None:
-            witness = candidates[0] if candidates else None
-        else:
-            # Candidates are in span-id order, so the first in bound is the
-            # witness and the first of the fastest wins a tie.
-            fastest = 0
-            for span in candidates:
-                duration = span.duration_micros
-                if duration <= bound:
-                    witness, slow = span, None
-                    break
-                if slow is None or duration < fastest:
-                    slow, fastest = span, duration
-        outcomes.append((step.span, witness, slow))
+    for design_span, witness, slow in _step_outcomes(design_trace.match_plan, index):
+        witness_row, slow_row = witness.get(trace.trace_id), slow.get(trace.trace_id)
+        outcomes.append(
+            (
+                design_span,
+                None if witness_row is None else span(witness_row),
+                None if slow_row is None else span(slow_row),
+            )
+        )
     return outcomes
 
 
@@ -329,13 +438,7 @@ def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdic
     """Decide conformance of one observed trace against a validated design
     set. Pure function; violations are ordered by (design trace id, design
     span id) so two invocations agree bit for bit."""
-    index = _candidate_index(trace)
-    violations: List[Violation] = []
-    for design_trace in design_set.required_traces:
-        violations += _required_violations(design_trace, evaluate(design_trace, trace, index))
-    for design_trace in design_set.disallowed_traces:
-        violations += _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
-    violations.sort(key=lambda v: (v.design_trace_id, v.design_span_id))
+    violations = _violations(design_set, _candidate_index(trace)).get(trace.trace_id, ())
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
 
 
@@ -433,30 +536,36 @@ class WorkerExitedError(RuntimeError):
     returned its partition's result, so the check is incomplete."""
 
 
-# A partition loader maps a partition index to that partition's traces and
-# the ingest warnings raised while loading them.
-PartitionLoader = Callable[[int], Tuple[Sequence[ObservedTrace], Sequence[object]]]
+# A partition loader maps a partition index to that partition's traces, as a
+# Partition or a sequence of ObservedTrace with distinct ids, and the ingest
+# warnings raised while loading them.
+PartitionLoader = Callable[[int], Tuple[Union[Partition, Sequence[ObservedTrace]], Sequence[object]]]
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
 
 def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: int) -> PartialCheck:
-    """The one worker entry point: load partition ``index``, check each of its
-    traces, and return the partial report, the non-conformant verdicts and
-    the number of ingest warnings.
+    """The one worker entry point: load partition ``index``, check all of its
+    traces at once, and return the partial report, the non-conformant
+    verdicts ordered by trace id and the number of ingest warnings.
 
     The cyclic collector is paused meanwhile: loading and checking allocate
     millions of objects and build no reference cycles. The caller's state
-    comes back once the partial result is built and the partition's traces
-    are dropped."""
+    comes back once the partial result is built and the partition is
+    dropped."""
     with collector_paused():
-        traces, warnings = load(index)
-        verdicts = [check_trace(design_set, trace) for trace in traces]
-        del traces
-        return (
-            ConformanceReport.from_verdicts(verdicts),
-            [verdict for verdict in verdicts if not verdict.conformant],
-            len(warnings),
+        loaded, warnings = load(index)
+        partition = loaded if isinstance(loaded, Partition) else Partition.from_traces(loaded)
+        del loaded
+        candidates = CandidateIndex(partition)
+        del partition
+        found = _violations(design_set, candidates)
+        conformant = len(candidates.traces) - len(found)
+        del candidates
+        verdicts = [TraceVerdict(trace_id, tuple(found[trace_id])) for trace_id in sorted(found)]
+        report = ConformanceReport.from_verdicts(verdicts).merge(
+            ConformanceReport(total_traces=conformant, conformant_traces=conformant)
         )
+        return report, verdicts, len(warnings)
 
 
 # Installed in each pool worker by the initializer: under fork the loader,
@@ -525,7 +634,8 @@ def check_corpus(
     traces: Iterable[ObservedTrace],
     workers: int = 1,
 ) -> Tuple[ConformanceReport, List[TraceVerdict]]:
-    """Check an in-memory corpus of traces, optionally in parallel.
+    """Check an in-memory corpus of traces with distinct trace ids,
+    optionally in parallel.
 
     The traces, ordered by trace id, are cut into one contiguous partition
     per worker and checked by :func:`check_partitions`. Returns the report

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import checker, design, ingest, report, simulator
+from . import checker, design, ingest, report
 from .gcpause import collector_paused
 from .model import ObservedTrace
 
@@ -67,19 +67,20 @@ def _warn_ingest(count: int) -> None:
 
 
 def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
-    """The trace ``trace_id`` of the corpus in ``directory``; ValueError if absent."""
-    traces, warnings = ingest.load_corpus_dir(directory)
+    """The trace ``trace_id`` of the corpus in ``directory``, the only one
+    whose span objects are built; ValueError if absent."""
+    partition, warnings = ingest.load_partition(directory)
     _warn_ingest(len(warnings))
-    for trace in traces:
-        if trace.trace_id == trace_id:
-            return trace
-    raise ValueError(f"trace id {trace_id} not found in {directory}")
+    trace = partition.trace(trace_id)
+    if trace is None:
+        raise ValueError(f"trace id {trace_id} not found in {directory}")
+    return trace
 
 
 def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
     """Check the corpus in ``path`` with one worker per trace-id partition,
     each ingesting and checking its own share."""
-    load = functools.partial(ingest.load_corpus_dir, path, partitions=workers)
+    load = functools.partial(ingest.load_partition, path, partitions=workers)
     try:
         return checker.check_partitions(design_set, load, workers)
     except (OSError, ValueError):
@@ -87,7 +88,7 @@ def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int
             # A single load checks everything the partitions do, so it fails
             # too, and with the error a serial run reports (the first bad file
             # in name order, not the one a worker happened to reach).
-            ingest.load_corpus_dir(path)
+            ingest.load_partition(path)
         raise
 
 
@@ -118,6 +119,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulator  # only this command needs it
+
     try:
         config = simulator.SimConfig(
             seed=args.seed,

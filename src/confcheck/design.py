@@ -15,7 +15,6 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .ingest import _load_json
@@ -74,9 +73,9 @@ class ValidationError:
     design_span_id: Optional[str] = None
 
     def __str__(self) -> str:
-        location = self.design_trace_id
+        location = echo(self.design_trace_id, str)
         if self.design_span_id is not None:
-            location += f"/{self.design_span_id}"
+            location += f"/{echo(self.design_span_id, str)}"
         return f"{location}: {self.kind.value}: {self.detail}"
 
 
@@ -218,21 +217,23 @@ def validate_design_trace(trace: DesignTrace) -> List[ValidationError]:
 
 def _span_from_json(
     trace_id: str,
+    where: str,
     raw: object,
     index: int,
     errors: List[ValidationError],
 ) -> DesignSpan:
-    """Read one span object. ``DesignSpan`` checks each field's type; its
-    ``ValueError`` becomes ``MalformedDesignError("design trace T: span S:
-    ...")``, with S the span id, or ``#index`` when the id is unusable. A bad
+    """Read one span object of design trace ``trace_id``, which errors call
+    ``where``. ``DesignSpan`` checks each field's type; its ``ValueError``
+    becomes ``MalformedDesignError("design trace T: span S: ...")``, with S
+    the span id, or ``#index`` when the id is unusable. A bad
     ``maxDuration`` is collected in ``errors`` and leaves no bound."""
     if not isinstance(raw, dict):
-        raise MalformedDesignError(f"design trace {trace_id}: span #{index} is not an object")
+        raise MalformedDesignError(f"{where}: span #{index} is not an object")
     span_id = raw.get("spanId")
     label = echo(span_id, str) if span_id and isinstance(span_id, str) else f"#{index}"
     design_block = raw.get("design", {})
     if not isinstance(design_block, dict):
-        raise MalformedDesignError(f"design trace {trace_id}: span {label}: design must be an object")
+        raise MalformedDesignError(f"{where}: span {label}: design must be an object")
 
     max_duration = None
     raw_duration = design_block.get("maxDuration")
@@ -261,7 +262,7 @@ def _span_from_json(
             is_disallowed=design_block.get("isDisallowed", False),
         )
     except ValueError as exc:
-        raise MalformedDesignError(f"design trace {trace_id}: span {label}: {exc}") from exc
+        raise MalformedDesignError(f"{where}: span {label}: {exc}") from exc
 
 
 def load_design_set(document: "bytes | str") -> DesignTraceSet:
@@ -283,15 +284,19 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
         if not isinstance(raw_trace, dict):
             raise MalformedDesignError(f"designTraces[{trace_index}] is not an object")
         trace_id = raw_trace.get("id")
-        if not trace_id or not isinstance(trace_id, str):
-            raise MalformedDesignError(f"designTraces[{trace_index}] lacks an id string")
+        # DesignTrace checks the id; until then an unusable one is named by
+        # its position.
+        if trace_id and isinstance(trace_id, str):
+            where = f"design trace {echo(trace_id, str)}"
+        else:
+            where = f"designTraces[{trace_index}]"
         raw_spans = raw_trace.get("spans")
         if not isinstance(raw_spans, list):
-            raise MalformedDesignError(f"design trace {trace_id}: spans must be a list")
+            raise MalformedDesignError(f"{where}: spans must be a list")
 
         spans: dict = {}
         for index, raw_span in enumerate(raw_spans):
-            span = _span_from_json(trace_id, raw_span, index, errors)
+            span = _span_from_json(trace_id, where, raw_span, index, errors)
             if span.design_span_id in spans:
                 errors.append(
                     ValidationError(
@@ -303,7 +308,10 @@ def load_design_set(document: "bytes | str") -> DesignTraceSet:
                 )
                 continue
             spans[span.design_span_id] = span
-        traces.append(DesignTrace(design_trace_id=trace_id, spans=spans))
+        try:
+            traces.append(DesignTrace(design_trace_id=trace_id, spans=spans))
+        except ValueError as exc:
+            raise MalformedDesignError(f"designTraces[{trace_index}]: {exc}") from exc
 
     try:
         design_set = DesignTraceSet.of(traces)
@@ -378,5 +386,7 @@ def serialize_design_set(design_set: DesignTraceSet) -> str:
 
 def load_bundled_design_set() -> DesignTraceSet:
     """Load the gateway/microservice design set shipped with the package."""
+    from importlib import resources  # costly to import, and only needed here
+
     document = resources.files(__package__).joinpath(f"fixtures/{BUNDLED_DESIGN_FIXTURE}").read_bytes()
     return load_design_set(document)

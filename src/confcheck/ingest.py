@@ -6,29 +6,42 @@ object with a ``resourceSpans`` array). The latter is also the canonical
 storage format this package writes, so ``parse_trace_document`` and
 ``serialize_otel_json`` round-trip exactly.
 
-``parse_trace_document`` is the one entry for a document; ``load_corpus_dir``
-reads a directory of them through the same path. A document's JSON is
-decoded once, and ``_document_spans`` alone decides its layout from the
-decoded value. Each format reader, ``_zipkin_records`` or ``_otel_records``,
-only reads its layout: it yields one plain record of span fields per span,
-and one normaliser, ``_build_spans``, turns records into
-:class:`~confcheck.model.ObservedSpan`, span by span, so errors keep their
-file order. It clamps end times, normalizes parent ids and decodes span
-attributes. Within one load it shares one string object per distinct trace
-id (after Zipkin padding), span name and service name, which saves memory.
-``assemble_traces`` groups normalized spans into per-trace DAGs.
+``load_partition`` reads a directory of documents into a
+:class:`~confcheck.model.Partition`: spans as columns, one list per field,
+with no span object built. A document's JSON is decoded once, and
+``_layout`` alone decides its layout from the decoded value. Its column
+reader, ``_zipkin_columns`` or ``_otel_columns``, pulls each field of every
+span into a column with C-level calls such as ``map(dict.get, spans,
+repeat("traceId"))``; end times before their start are clamped, with a
+warning, and :func:`~confcheck.model.columns_valid` then checks every
+per-span rule a column at a time, each distinct trace id once. Within one
+load one string object is shared per distinct trace id (after Zipkin
+padding), span name and service name, which saves memory.
 
-Each error context is added once, where it is known: ``load_corpus_dir``
+Errors are named by the record path, not the column read. A document that
+breaks any column rule is read again by its record reader,
+``_zipkin_records`` or ``_otel_records``, and the one per-record
+normaliser, ``_build_spans``, which builds an
+:class:`~confcheck.model.ObservedSpan` per span in file order and so raises
+the first error of the file; valid input that the column read does not
+take gives the same spans that way. ``load_partition`` then assembles the
+columns, and the partition names a duplicate span id or a parent cycle
+through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
+trace. Span objects are built only when asked for: ``parse_trace_document``
+returns them, and ``load_corpus_dir`` and ``assemble_traces`` return
+:class:`~confcheck.model.ObservedTrace` objects.
+
+Each error context is added once, where it is known: ``load_partition``
 prefixes the file name, ``_otel_records`` prefixes ``resourceSpans[i]:`` to a
 resource entry's errors (its attributes' among them), and ``_build_spans``
 prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
 the fields it reads (times, links, Zipkin tags). The attribute decoders add no
 context. A message shows an input value through :func:`~confcheck.model.echo`.
 
-``load_corpus_dir`` can load one of K partitions of a corpus: it still
-decodes every file, but normalizes and assembles only the spans whose trace
-id hashes to that partition, so K processes can each ingest and check their
-own share of the traces without sending spans to one another.
+``load_partition`` can load one of K partitions of a corpus: it still
+decodes every file, but keeps only the spans whose trace id hashes to that
+partition, so K processes can each ingest and check their own share of the
+traces without sending spans to one another.
 """
 
 from __future__ import annotations
@@ -37,19 +50,25 @@ import json
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, is_not, lt, not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .model import (
+    _NO_ATTRIBUTES,
     AttrValue,
     CyclicParentChainError,
     DuplicateSpanIdError,
     ObservedSpan,
     ObservedTrace,
+    Partition,
     SERVICE_NAME_KEY,
+    SpanColumns,
     SpanId,
     TRACE_ID_LENGTH,
     TraceId,
+    columns_valid,
     echo,
 )
 
@@ -65,6 +84,7 @@ __all__ = [
     "assemble_traces",
     "serialize_otel_json",
     "load_corpus_dir",
+    "load_partition",
 ]
 
 
@@ -142,23 +162,13 @@ def _load_json(document: "bytes | str", error: "type[ValueError]" = MalformedDoc
         raise error(f"JSON nested too deeply: {exc}") from exc
 
 
-def _clamped_end(
-    start: int,
-    end: int,
-    trace_id: object,
-    span_id: object,
-    warnings: "Optional[list[IngestWarning]]",
-) -> int:
-    if warnings is not None:
-        warnings.append(
-            IngestWarning(
-                kind=IngestWarningKind.CLAMPED_TIMESTAMP,
-                trace_id=trace_id,
-                span_id=span_id,
-                detail=f"end time {end} precedes start time {start}; clamped to start",
-            )
-        )
-    return start
+def _clamp_warning(start: int, end: int, trace_id: object, span_id: object) -> IngestWarning:
+    return IngestWarning(
+        kind=IngestWarningKind.CLAMPED_TIMESTAMP,
+        trace_id=trace_id,
+        span_id=span_id,
+        detail=f"end time {end} precedes start time {start}; clamped to start",
+    )
 
 
 def _span_label(span_id: object) -> str:
@@ -193,7 +203,9 @@ def _build_spans(
         if type(service_name) is str:
             service_name = share(service_name, service_name)
         if end < start:
-            end = _clamped_end(start, end, trace_id, span_id, warnings)
+            if warnings is not None:
+                warnings.append(_clamp_warning(start, end, trace_id, span_id))
+            end = start
         try:
             if parent_id is not None:
                 parent_id = _normalize_parent_id(parent_id)
@@ -392,14 +404,241 @@ def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
                 )
 
 
-def parse_trace_document(
-    document: "bytes | str",
-    warnings: "Optional[list[IngestWarning]]" = None,
-) -> List[ObservedSpan]:
-    """Parse a trace export of either supported format, auto-detected by the
-    top-level JSON shape: an array is Zipkin v2, an object with a
-    ``resourceSpans`` array is the OTel-style layout."""
-    return _document_spans(_load_json(document), warnings)
+# The column reads. Each returns the columns its record reader and
+# ``_build_spans`` would give, before clamping, or None when a span breaks a
+# rule of the reader; ``_read_document`` clamps and checks the rest.
+
+_NONE_TYPE = type(None)
+
+
+def _of_types(values: list, types: "set[type]") -> bool:
+    return set(map(type, values)) <= types
+
+
+def _share_mask(raw_trace_ids: List[str], share: Tuple[int, int]) -> List[bool]:
+    """Which spans, by raw trace id, the partition ``share`` keeps; each
+    distinct id is hashed once."""
+    partition, partitions = share
+    kept = {raw: _partition_of(raw, partitions) == partition for raw in set(raw_trace_ids)}
+    return list(map(kept.__getitem__, raw_trace_ids))
+
+
+def _parent_column(raw: list) -> Optional[list]:
+    """Raw parent ids as ``_normalize_parent_id`` reads them, with ``""`` for
+    a root (an absent, null, empty or all-zero id); None when one is neither
+    a string nor null."""
+    if _of_types(raw, {str}) and set(map(len, raw)) <= {0, 16} and "0" * 16 not in raw:
+        return raw
+    if not _of_types(raw, {str, _NONE_TYPE}):
+        return None
+    return ["" if value is None or not value.strip("0") else value for value in raw]
+
+
+_MICROS = 1000  # nanoseconds
+
+
+def _zipkin_columns(data: list, share: _Share, strings: dict) -> Optional[SpanColumns]:
+    """``_zipkin_records`` a column at a time."""
+    if not _of_types(data, {dict}):
+        return None
+    get = dict.get
+    raw_trace_ids = list(map(get, data, repeat("traceId")))
+    if not _of_types(raw_trace_ids, {str}):
+        return None
+    if share is not None:
+        keep = _share_mask(raw_trace_ids, share)
+        data = list(compress(data, keep))
+        raw_trace_ids = list(compress(raw_trace_ids, keep))
+    endpoints = list(map(get, data, repeat("localEndpoint")))
+    names = list(map(get, data, repeat("name"), repeat("")))
+    timestamps = list(map(get, data, repeat("timestamp"), repeat(0)))
+    durations = list(map(get, data, repeat("duration"), repeat(0)))
+    tags = list(map(get, data, repeat("tags"), repeat(_NO_ATTRIBUTES)))
+    if not (
+        _of_types(endpoints, {dict})
+        and _of_types(names, {str})
+        and _of_types(timestamps, {int})
+        and _of_types(durations, {int})
+        and _of_types(tags, {dict})
+    ):
+        return None
+    services = list(map(get, endpoints, repeat("serviceName")))
+    parent_ids = _parent_column(list(map(get, data, repeat("parentId"), repeat(""))))
+    if parent_ids is None or not _of_types(services, {str}):
+        return None
+    if _of_types(list(chain.from_iterable(map(dict.values, tags))), {str}):
+        # Kept as decoded; an empty one is dropped, to hold less memory.
+        tags = [tag or _NO_ATTRIBUTES for tag in tags]
+    else:
+        tags = [{key: value if isinstance(value, str) else str(value) for key, value in tag.items()} for tag in tags]
+    share_string = strings.setdefault
+    trace_ids = list(map(str.rjust, raw_trace_ids, repeat(TRACE_ID_LENGTH), repeat("0")))
+    columns = SpanColumns()
+    columns.trace_ids = list(map(share_string, trace_ids, trace_ids))
+    columns.span_ids = list(map(get, data, repeat("id")))
+    columns.parent_ids = parent_ids
+    columns.names = list(map(share_string, names, names))
+    columns.services = list(map(share_string, services, services))
+    columns.starts = list(map(_MICROS.__mul__, timestamps))
+    columns.ends = list(map(_MICROS.__mul__, map(add, timestamps, durations)))
+    columns.attributes = tags
+    return columns
+
+
+def _otel_times(raw: list) -> Optional[List[int]]:
+    """``_time_from_json`` over a column: null is 0."""
+    types = set(map(type, raw))
+    if not types <= {str, int, _NONE_TYPE}:
+        return None
+    if _NONE_TYPE in types:
+        raw = [0 if value is None else value for value in raw]
+    try:
+        return list(map(int, raw))
+    except ValueError:
+        return None
+
+
+def _attr_values_from_json(values: list) -> Optional[list]:
+    """``_attr_value_from_json`` over a column, None for an error. String and
+    integer values, each an object of one key, are read a column at a
+    time."""
+    if _of_types(values, {dict}) and set(map(len, values)) <= {1}:
+        kinds = list(map(next, map(iter, values)))
+        decoded = list(map(dict.__getitem__, values, kinds))
+        integer = list(map(eq, kinds, repeat("intValue")))
+        if set(kinds) <= {"stringValue", "intValue"} and _of_types(list(compress(decoded, map(not_, integer))), {str}):
+            for row in compress(range(len(decoded)), integer):
+                raw = decoded[row]
+                if type(raw) is not str and type(raw) is not int:
+                    return None
+                try:
+                    decoded[row] = int(raw)
+                except ValueError:
+                    return None
+            return decoded
+    try:
+        return [_attr_value_from_json(value) for value in values]
+    except MalformedDocumentError:
+        return None
+
+
+def _otel_attributes(raw: list) -> Optional[list]:
+    """``_attrs_from_json`` over a column of raw attribute lists (None for
+    none), as one dict per span, ``_NO_ATTRIBUTES`` for none."""
+    column = [_NO_ATTRIBUTES] * len(raw)
+    rows = list(compress(range(len(raw)), map(is_not, raw, repeat(None))))
+    if not rows:
+        return column
+    lists = list(map(raw.__getitem__, rows))
+    if not _of_types(lists, {list}):
+        return None
+    entries = list(chain.from_iterable(lists))
+    if not _of_types(entries, {dict}):
+        return None
+    keys = list(map(dict.get, entries, repeat("key")))
+    if not _of_types(keys, {str}):
+        return None
+    values = _attr_values_from_json(list(map(dict.get, entries, repeat("value"), repeat({}))))
+    if values is None:
+        return None
+    pairs = zip(keys, values)
+    skip = None in values  # value kinds outside the four scalar types are ignored
+    for row, count in zip(rows, map(len, lists)):
+        entries = islice(pairs, count)
+        column[row] = {key: value for key, value in entries if value is not None} if skip else dict(entries)
+    return column
+
+
+def _otel_columns(data: dict, share: _Share, strings: dict) -> Optional[SpanColumns]:
+    """``_otel_records`` a column at a time."""
+    share_string = strings.setdefault
+    spans: list = []
+    services: list = []
+    for entry in data["resourceSpans"]:
+        if type(entry) is not dict:
+            return None
+        resource = entry.get("resource", {})
+        scope_spans = entry.get("scopeSpans", [])
+        if type(resource) is not dict or type(scope_spans) is not list:
+            return None
+        try:
+            service = _attrs_from_json(resource.get("attributes")).get(SERVICE_NAME_KEY)
+        except MalformedDocumentError:
+            return None
+        if type(service) is not str or not service:
+            return None
+        service = share_string(service, service)
+        for scope in scope_spans:
+            raw_spans = scope.get("spans", []) if type(scope) is dict else None
+            if type(raw_spans) is not list or not _of_types(raw_spans, {dict}):
+                return None
+            if share is not None:
+                raw_trace_ids = list(map(dict.get, raw_spans, repeat("traceId")))
+                if not _of_types(raw_trace_ids, {str}):
+                    return None
+                raw_spans = list(compress(raw_spans, _share_mask(raw_trace_ids, share)))
+            spans += raw_spans
+            services += repeat(service, len(raw_spans))
+    get = dict.get
+    trace_ids = list(map(get, spans, repeat("traceId")))
+    names = list(map(get, spans, repeat("name"), repeat("")))
+    if not (_of_types(trace_ids, {str}) and _of_types(names, {str})):
+        return None
+    starts = _otel_times(list(map(get, spans, repeat("startTimeUnixNano"))))
+    ends = _otel_times(list(map(get, spans, repeat("endTimeUnixNano"))))
+    parent_ids = _parent_column(list(map(get, spans, repeat("parentSpanId"), repeat(""))))
+    attributes = _otel_attributes(list(map(get, spans, repeat("attributes"))))
+    if starts is None or ends is None or parent_ids is None or attributes is None:
+        return None
+    columns = SpanColumns()
+    for row in compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))):
+        links = spans[row]["links"]
+        if type(links) is not list or not _of_types(links, {dict}):
+            return None
+        try:
+            links = tuple((link["traceId"], link["spanId"]) for link in links)
+        except KeyError:
+            return None
+        if links:
+            columns.links[row] = links
+    columns.trace_ids = list(map(share_string, trace_ids, trace_ids))
+    columns.span_ids = list(map(get, spans, repeat("spanId")))
+    columns.parent_ids = parent_ids
+    columns.names = list(map(share_string, names, names))
+    columns.services = services
+    columns.starts = starts
+    columns.ends = ends
+    columns.attributes = attributes
+    return columns
+
+
+def _clamp_and_check(columns: SpanColumns, warnings: "Optional[list[IngestWarning]]") -> bool:
+    """Clamp each end time before its start to the start, and check every
+    span of a column read: True, with a warning per clamp added to
+    ``warnings``, when every span passes."""
+    starts, ends = columns.starts, columns.ends
+    late = list(compress(range(len(starts)), map(lt, ends, starts)))
+    clamps = [_clamp_warning(starts[row], ends[row], columns.trace_ids[row], columns.span_ids[row]) for row in late]
+    for row in late:
+        ends[row] = starts[row]
+    if not columns_valid(columns):
+        return False
+    if warnings is not None:
+        warnings += clamps
+    return True
+
+
+def _layout(data: object) -> "tuple[Callable, Callable, Optional[Callable[[object], dict]]]":
+    """The one layout check: a decoded document's column reader, record
+    reader and raw-attribute decoder. A list is Zipkin v2; an object whose
+    ``resourceSpans`` is a list is the OTel-style layout."""
+    if isinstance(data, list):
+        return _zipkin_columns, _zipkin_records, None
+    if isinstance(data, dict) and isinstance(data.get("resourceSpans"), list):
+        return _otel_columns, _otel_records, _attrs_from_json
+    raise MalformedDocumentError(
+        "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
+    )
 
 
 def _document_spans(
@@ -408,18 +647,54 @@ def _document_spans(
     share: _Share = None,
     strings: Optional[dict] = None,
 ) -> List[ObservedSpan]:
-    """The spans of one decoded document, of the partition ``share`` names;
-    ``strings`` is the load's dict of shared strings (a new one when None).
-    The one layout check: the readers take the layout as given."""
-    if strings is None:
-        strings = {}
-    if isinstance(data, list):
-        return _build_spans(_zipkin_records(data, share), warnings, strings)
-    if isinstance(data, dict) and isinstance(data.get("resourceSpans"), list):
-        return _build_spans(_otel_records(data, share), warnings, strings, _attrs_from_json)
-    raise MalformedDocumentError(
-        "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
-    )
+    """The record path: the spans of one decoded document, of the partition
+    ``share`` names, built and checked one at a time, so the first error in
+    file order is the one raised. ``strings`` is the load's dict of shared
+    strings (a new one when None)."""
+    _, read_records, decode_attributes = _layout(data)
+    return _build_spans(read_records(data, share), warnings, {} if strings is None else strings, decode_attributes)
+
+
+def _read_document(
+    data: object,
+    warnings: "Optional[list[IngestWarning]]",
+    share: _Share,
+    strings: dict,
+    columns: SpanColumns,
+) -> None:
+    """Append the spans of one decoded document, of the partition ``share``
+    names, to ``columns``: by the column read when every span passes every
+    rule, else by the record path, which raises the document's first error
+    or, for valid input the column read does not take, gives its spans."""
+    read = _layout(data)[0](data, share, strings)
+    if read is not None and _clamp_and_check(read, warnings):
+        columns.extend(read)
+    else:
+        columns.extend_spans(_document_spans(data, warnings, share, strings))
+
+
+def parse_trace_document(
+    document: "bytes | str",
+    warnings: "Optional[list[IngestWarning]]" = None,
+) -> List[ObservedSpan]:
+    """Parse a trace export of either supported format, auto-detected by the
+    top-level JSON shape: an array is Zipkin v2, an object with a
+    ``resourceSpans`` array is the OTel-style layout."""
+    columns = SpanColumns()
+    _read_document(_load_json(document), warnings, None, {}, columns)
+    return list(map(columns.span, range(len(columns))))
+
+
+def _dangling_warnings(partition: Partition) -> List[IngestWarning]:
+    return [
+        IngestWarning(
+            kind=IngestWarningKind.DANGLING_PARENT,
+            trace_id=partition.trace_ids[row],
+            span_id=partition.span_ids[row],
+            detail=f"parent span {partition.parent_ids[row]} is not present in the trace",
+        )
+        for row in partition.dangling
+    ]
 
 
 def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
@@ -433,26 +708,11 @@ def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace],
     Raises DuplicateSpanIdError when two spans share (trace id, span id) and
     CyclicParentChainError when parent references loop.
     """
-    grouped: "dict[TraceId, list[ObservedSpan]]" = {}
-    for span in spans:
-        grouped.setdefault(span.trace_id, []).append(span)
-
-    traces = []
-    warnings: List[IngestWarning] = []
-    for trace_id in sorted(grouped):
-        trace = ObservedTrace.from_spans(trace_id, grouped[trace_id])
-        traces.append(trace)
-        for span_id in sorted(trace.dangling_parents):
-            parent_id = trace.spans[span_id].parent_span_id
-            warnings.append(
-                IngestWarning(
-                    kind=IngestWarningKind.DANGLING_PARENT,
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    detail=f"parent span {parent_id} is not present in the trace",
-                )
-            )
-    return traces, warnings
+    spans = list(spans)
+    columns = SpanColumns()
+    columns.extend_spans(spans)
+    partition = Partition(columns, spans)
+    return partition.traces(), _dangling_warnings(partition)
 
 
 def _attr_value_to_json(value: AttrValue) -> dict:
@@ -519,16 +779,17 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
     return json.dumps({"resourceSpans": resource_entries}, separators=(",", ":"))
 
 
-def load_corpus_dir(
+def load_partition(
     directory: "Path | str", partition: int = 0, partitions: int = 1
-) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
+) -> Tuple[Partition, List[IngestWarning]]:
     """Ingest every ``*.json`` file in a directory, auto-detecting formats,
-    and assemble the combined span set into traces.
+    into one assembled :class:`~confcheck.model.Partition`, building no span
+    object.
 
     With ``partitions`` > 1, only the traces whose id hashes to
-    ``partition`` are assembled, with only their warnings. Every file is
-    still decoded, so a document-level error is raised by every partition
-    and a span-level error by the partition that holds the span; the
+    ``partition`` are kept, with only their warnings. Every file is still
+    decoded, so a document-level error is raised by every partition and a
+    span-level error by the partition that holds the span; the
     ``partitions`` loads together check everything a single load checks.
     """
     if not 0 <= partition < partitions:
@@ -538,13 +799,24 @@ def load_corpus_dir(
     if not directory.is_dir():
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
     warnings: List[IngestWarning] = []
-    spans: List[ObservedSpan] = []
+    columns = SpanColumns()
     strings: dict = {}
     for path in sorted(directory.glob("*.json")):
         try:
-            spans.extend(_document_spans(_load_json(path.read_bytes()), warnings, share, strings))
+            _read_document(_load_json(path.read_bytes()), warnings, share, strings, columns)
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{path.name}: {exc}") from exc
-    traces, assembly_warnings = assemble_traces(spans)
-    warnings.extend(assembly_warnings)
-    return traces, warnings
+    del strings
+    assembled = Partition(columns)
+    warnings += _dangling_warnings(assembled)
+    return assembled, warnings
+
+
+def load_corpus_dir(
+    directory: "Path | str", partition: int = 0, partitions: int = 1
+) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
+    """:func:`load_partition` with the traces built: every trace of the
+    directory (or of partition ``partition`` of ``partitions``) ordered by
+    trace id, and the ingest warnings."""
+    loaded, warnings = load_partition(directory, partition, partitions)
+    return loaded.traces(), warnings

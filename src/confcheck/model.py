@@ -22,6 +22,18 @@ hook.
 
 ``DesignTrace.match_plan`` keeps the checker's compiled match plan of the
 trace, built on first use.
+
+``SpanColumns`` and ``Partition`` hold spans without a span object each: one
+list per field, one entry per span (a struct of arrays). Every per-span rule
+of ``ObservedSpan`` has a column form next to its scalar form
+(:func:`span_ids_valid` beside :func:`validate_span_id`, and so on), which
+checks a whole column in a few C-level passes; :func:`columns_valid` runs
+them all, checking each distinct trace id once. A ``Partition`` is
+assembled columns: each span's parent resolved to a row, dangling parents
+listed, and duplicate span ids and parent cycles rejected. Those errors are
+named by :meth:`ObservedTrace.from_spans` on the offending trace, so their
+messages are the span objects' own. Span and trace objects are built from a
+partition only when asked for.
 """
 
 from __future__ import annotations
@@ -29,7 +41,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator, List, Mapping, Optional, Tuple, Union
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, le, lt, ne
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from .checker import MatchPlan
@@ -45,6 +59,7 @@ SPAN_ID_LENGTH = 16
 TRACE_ID_LENGTH = 32
 
 _LOWER_HEX = "0123456789abcdef"
+_LOWER_HEX_BYTES = _LOWER_HEX.encode()
 
 _ZERO_SPAN_ID = "0" * SPAN_ID_LENGTH
 _ZERO_TRACE_ID = "0" * TRACE_ID_LENGTH
@@ -121,6 +136,66 @@ def validate_trace_id(value: str) -> str:
     return value
 
 
+def _all_lower_hex(text: str) -> bool:
+    """``not text.strip(_LOWER_HEX)`` as one byte-table pass: True when every
+    character of ``text`` is a lowercase hex digit."""
+    return text.isascii() and not text.encode().translate(None, _LOWER_HEX_BYTES)
+
+
+def _all_str(values: Sequence[object]) -> bool:
+    return set(map(type, values)) <= {str} or all(map(isinstance, values, repeat(str)))
+
+
+def _all_int(values: Sequence[object]) -> bool:
+    """Every value an ``int`` and none a ``bool``."""
+    types = set(map(type, values))
+    return types <= {int} or (bool not in types and all(map(isinstance, values, repeat(int))))
+
+
+def _hex_ids_valid(values: Sequence[object], lengths: "set[int]", zero: str) -> bool:
+    return (
+        _all_str(values)
+        and set(map(len, values)) <= lengths
+        and _all_lower_hex("".join(values))
+        and zero not in values
+    )
+
+
+def span_ids_valid(values: Sequence[object]) -> bool:
+    """The column form of :func:`validate_span_id`: True when every value
+    passes it."""
+    return _hex_ids_valid(values, {SPAN_ID_LENGTH}, _ZERO_SPAN_ID)
+
+
+def parent_ids_valid(values: Sequence[object]) -> bool:
+    """The column form of the parent id rule, with ``""`` for no parent: True
+    when every value is ``""`` or passes :func:`validate_span_id`."""
+    return _hex_ids_valid(values, {0, SPAN_ID_LENGTH}, _ZERO_SPAN_ID)
+
+
+def trace_ids_valid(values: Sequence[object]) -> bool:
+    """The column form of :func:`validate_trace_id`: True when every value
+    passes it."""
+    return _hex_ids_valid(values, {TRACE_ID_LENGTH}, _ZERO_TRACE_ID)
+
+
+def times_valid(starts: Sequence[object], ends: Sequence[object]) -> bool:
+    """The column form of ``ObservedSpan``'s time rule: True when every start
+    and end is an unsigned 64-bit nanosecond count and no end precedes its
+    start."""
+    if not starts:
+        return True
+    return (
+        _all_int(starts)
+        and _all_int(ends)
+        and min(starts) >= 0
+        and min(ends) >= 0
+        and max(starts) <= _UINT64_MAX
+        and max(ends) <= _UINT64_MAX
+        and not any(map(lt, ends, starts))
+    )
+
+
 def ensure_attr_value(key: str, value: object) -> AttrValue:
     """Validate a single attribute value and return it.
 
@@ -135,6 +210,23 @@ def ensure_attr_value(key: str, value: object) -> AttrValue:
             raise ValueError(f"attribute {echo(key)}: integer {echo(value)} outside 64-bit signed range")
         return value
     raise ValueError(f"attribute {echo(key)}: unsupported value type {type(value).__name__}")
+
+
+def attr_values_valid(values: Sequence[object]) -> bool:
+    """The column form of :func:`ensure_attr_value`: True when every value
+    passes it."""
+    types = set(map(type, values))
+    if types <= {str, bool, float}:
+        return True
+    if types <= {str, bool, float, int}:
+        integers = [value for value in values if type(value) is int]
+        return _INT64_MIN <= min(integers) and max(integers) <= _INT64_MAX
+    try:
+        for value in values:
+            ensure_attr_value("", value)
+    except ValueError:
+        return False
+    return True
 
 
 def attr_values_equal(a: AttrValue, b: AttrValue) -> bool:
@@ -334,6 +426,198 @@ class ObservedTrace:
         while current is not None:
             yield current
             current = self.parent_of(current)
+
+
+class SpanColumns:
+    """Spans as parallel lists, one entry per span (a row), in input order.
+
+    ``parent_ids`` holds ``""`` for a span without a parent, ``attributes``
+    one dict per span (the shared, never changed ``_NO_ATTRIBUTES`` for
+    none), and ``links`` the links of only the rows that have any."""
+
+    __slots__ = (
+        "trace_ids", "span_ids", "parent_ids", "names", "services", "starts", "ends", "attributes", "links",
+    )
+
+    def __init__(self) -> None:
+        self.trace_ids: List[TraceId] = []
+        self.span_ids: List[SpanId] = []
+        self.parent_ids: List[str] = []
+        self.names: List[str] = []
+        self.services: List[str] = []
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.attributes: List[Mapping[str, AttrValue]] = []
+        self.links: Dict[int, Tuple[Tuple[TraceId, SpanId], ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.span_ids)
+
+    def extend(self, other: "SpanColumns") -> None:
+        """Append the rows of ``other``."""
+        offset = len(self)
+        self.trace_ids += other.trace_ids
+        self.span_ids += other.span_ids
+        self.parent_ids += other.parent_ids
+        self.names += other.names
+        self.services += other.services
+        self.starts += other.starts
+        self.ends += other.ends
+        self.attributes += other.attributes
+        self.links.update((offset + row, links) for row, links in other.links.items())
+
+    def extend_spans(self, spans: Sequence[ObservedSpan]) -> None:
+        """Append one row per span object."""
+        offset = len(self)
+        self.trace_ids += map(attrgetter("trace_id"), spans)
+        self.span_ids += map(attrgetter("span_id"), spans)
+        self.parent_ids += [span.parent_span_id or "" for span in spans]
+        self.names += map(attrgetter("name"), spans)
+        self.services += map(attrgetter("service_name"), spans)
+        self.starts += map(attrgetter("start_time_nanos"), spans)
+        self.ends += map(attrgetter("end_time_nanos"), spans)
+        self.attributes += map(attrgetter("attributes"), spans)
+        self.links.update((offset + row, span.links) for row, span in enumerate(spans) if span.links)
+
+    def span(self, row: int) -> ObservedSpan:
+        """The span object of ``row``, built and validated here."""
+        return ObservedSpan(
+            self.trace_ids[row],
+            self.span_ids[row],
+            self.names[row],
+            self.services[row],
+            self.starts[row],
+            self.ends[row],
+            self.parent_ids[row] or None,
+            self.attributes[row],
+            self.links.get(row, ()),
+        )
+
+
+def columns_valid(columns: SpanColumns) -> bool:
+    """The column form of ``ObservedSpan``'s checks: True when every row of
+    ``columns``, whose attributes are dicts, would pass them. Each distinct
+    trace id is checked once."""
+    try:
+        trace_ids = list(set(columns.trace_ids))
+    except TypeError:  # an unhashable value is no trace id
+        return False
+    attributes = columns.attributes
+    links = list(chain.from_iterable(columns.links.values()))
+    return (
+        trace_ids_valid(trace_ids)
+        and span_ids_valid(columns.span_ids)
+        and parent_ids_valid(columns.parent_ids)
+        and _all_str(columns.names)
+        and _all_str(columns.services)
+        and "" not in columns.services
+        and times_valid(columns.starts, columns.ends)
+        and _all_str(list(chain.from_iterable(attributes)))
+        and attr_values_valid(list(chain.from_iterable(map(dict.values, attributes))))
+        and trace_ids_valid([link[0] for link in links])
+        and span_ids_valid([link[1] for link in links])
+    )
+
+
+def _rows_on_cycles(parent_rows: List[int]) -> List[int]:
+    """The rows whose chain of parent rows (-1 ends one) never ends, because
+    it runs into a cycle. Pointer doubling: each pass replaces every link by
+    the link of its target, so the links span 1, 2, 4, ... hops, and a chain
+    of any length ends within log2(rows) + 1 passes unless it is endless."""
+    up = parent_rows + [-1]  # up[-1] is this -1, so an ended chain stays ended
+    hops = 1
+    while up.count(-1) != len(up):
+        if hops >= len(up):
+            up.pop()
+            return list(compress(range(len(up)), map(lt, repeat(-1), up)))
+        up = list(map(up.__getitem__, up))
+        hops *= 2
+    return []
+
+
+class Partition(SpanColumns):
+    """Whole traces as columns, assembled.
+
+    ``parent_rows`` holds each row's parent row, or -1 for a root and for a
+    dangling parent (one that names no span of the trace); ``dangling`` the
+    rows with a dangling parent, in (trace id, span id) order. Construction
+    raises ``DuplicateSpanIdError`` or ``CyclicParentChainError`` for the
+    offending trace with the smallest trace id, with the message
+    :meth:`ObservedTrace.from_spans` gives for its spans in input order.
+
+    ``spans``, when given, are the span objects of the rows, returned by
+    :meth:`span` instead of new ones."""
+
+    __slots__ = ("parent_rows", "dangling", "spans")
+
+    def __init__(self, columns: SpanColumns, spans: Optional[Sequence[ObservedSpan]] = None) -> None:
+        for slot in SpanColumns.__slots__:
+            setattr(self, slot, getattr(columns, slot))
+        self.spans = spans
+        trace_ids, span_ids, parent_ids = self.trace_ids, self.span_ids, self.parent_ids
+        rows = len(span_ids)
+        broken = set()
+        position = dict(zip(span_ids, range(rows)))
+        if len(position) == rows:
+            # Each span id names one row, which may lie in another trace: for
+            # this one the parent is then dangling.
+            parent_rows = list(map(position.get, parent_ids, repeat(-1)))
+            found = list(compress(range(rows), map(le, repeat(0), parent_rows)))
+            parent_traces = map(trace_ids.__getitem__, map(parent_rows.__getitem__, found))
+            for row in compress(found, map(ne, parent_traces, map(trace_ids.__getitem__, found))):
+                parent_rows[row] = -1
+        else:
+            position = dict(zip(zip(trace_ids, span_ids), range(rows)))
+            parent_rows = list(map(position.get, zip(trace_ids, parent_ids), repeat(-1)))
+            if len(position) != rows:
+                keys = zip(trace_ids, span_ids)
+                broken.update(trace_ids[row] for row, key in enumerate(keys) if position[key] != row)
+        del position
+        self.parent_rows = parent_rows
+        broken.update(map(trace_ids.__getitem__, _rows_on_cycles(parent_rows)))
+        if broken:
+            self.trace(min(broken))  # raises the trace's own error
+        self.dangling: List[int] = []
+        if self.parent_rows.count(-1) != parent_ids.count(""):
+            roots = compress(range(rows), map(eq, self.parent_rows, repeat(-1)))
+            self.dangling = sorted(
+                (row for row in roots if parent_ids[row]), key=lambda row: (trace_ids[row], span_ids[row])
+            )
+
+    @classmethod
+    def from_traces(cls, traces: Iterable[ObservedTrace]) -> "Partition":
+        """The partition of ``traces``, whose ids must be distinct, holding
+        their span objects."""
+        traces = list(traces)
+        if len({trace.trace_id for trace in traces}) != len(traces):
+            raise ValueError("a trace id appears in more than one of the traces")
+        spans = [span for trace in traces for span in trace.spans.values()]
+        columns = SpanColumns()
+        columns.extend_spans(spans)
+        return cls(columns, spans)
+
+    def span(self, row: int) -> ObservedSpan:
+        if self.spans is not None:
+            return self.spans[row]
+        return SpanColumns.span(self, row)
+
+    def trace(self, trace_id: TraceId) -> Optional[ObservedTrace]:
+        """The trace ``trace_id``, its span objects in input order, or None
+        when the partition has no such trace."""
+        rows = list(compress(range(len(self)), map(eq, self.trace_ids, repeat(trace_id))))
+        if not rows:
+            return None
+        return ObservedTrace.from_spans(self.trace_ids[rows[0]], [self.span(row) for row in rows])
+
+    def traces(self) -> List[ObservedTrace]:
+        """Every trace, ordered by trace id, its span objects in input order."""
+        groups: Dict[TraceId, List[int]] = {}
+        for row, trace_id in enumerate(self.trace_ids):
+            groups.setdefault(trace_id, []).append(row)
+        return [
+            ObservedTrace.from_spans(trace_id, [self.span(row) for row in groups[trace_id]])
+            for trace_id in sorted(groups)
+        ]
 
 
 @dataclass(frozen=True)

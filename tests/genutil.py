@@ -1,6 +1,7 @@
 """Random instance builders shared by the oracle-equivalence and property
-tests. Everything is driven by an explicit random.Random so failures are
-reproducible from a single seed.
+tests, trace documents with a catalogue of faults to inject into them, and
+corpus layout copies. Everything is driven by an explicit random.Random so
+failures are reproducible from a single seed.
 
 The name/service/attribute pools deliberately overlap between observed and
 design generators so matches, near-misses, and type-strict mismatches all
@@ -9,10 +10,13 @@ occur with useful frequency.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 from typing import List, Optional
 
 from confcheck.design import DesignTraceSet
+from confcheck.ingest import serialize_otel_json
 from confcheck.model import DesignSpan, DesignTrace, ObservedSpan, ObservedTrace
 
 NAME_POOL = ("alpha.request", "beta.query", "gamma.task")
@@ -116,3 +120,166 @@ def random_design_set(rng: random.Random, max_traces: int = 3) -> DesignTraceSet
 
 def random_corpus(rng: random.Random, max_traces: int = 6) -> List[ObservedTrace]:
     return [random_observed_trace(rng) for _ in range(rng.randint(0, max_traces))]
+
+
+# ------------------------------------------------------------ trace documents
+
+
+def random_trace_document(rng: random.Random, zipkin: bool) -> object:
+    """A valid decoded trace document of 1-4 random traces, in the Zipkin v2
+    layout or the OTel one, with the quirks valid exports have: roots with
+    an empty or all-zero parent id, spans without a name, ends before their
+    start (clamped at ingest), links (OTel), 16-char trace ids and
+    non-string tags (Zipkin)."""
+    traces = [random_observed_trace(rng, max_spans=5) for _ in range(rng.randint(1, 4))]
+    document = json.loads(serialize_otel_json(traces))
+    entries = document["resourceSpans"]
+    for entry in entries:
+        for span in entry["scopeSpans"][0]["spans"]:
+            roll = rng.random()
+            if "parentSpanId" not in span and roll < 0.3:
+                span["parentSpanId"] = rng.choice(("", "0" * 16))
+            if rng.random() < 0.1:
+                del span["name"]
+            if rng.random() < 0.1:
+                span["startTimeUnixNano"], span["endTimeUnixNano"] = span["endTimeUnixNano"], span["startTimeUnixNano"]
+            if not zipkin and rng.random() < 0.1:
+                span["links"] = [{"traceId": random_trace_id(rng), "spanId": random_span_id(rng)}]
+            if not zipkin and rng.random() < 0.1:
+                # A value kind outside the four scalar ones, which ingest ignores.
+                span.setdefault("attributes", []).insert(0, {"key": "list", "value": {"arrayValue": {"values": []}}})
+            if rng.random() < 0.05:
+                del span["startTimeUnixNano"]
+    if not zipkin:
+        return document
+    short_ids = {trace.trace_id: f"{rng.randrange(1, 2**64):016x}" for trace in traces if rng.random() < 0.3}
+    spans = []
+    for entry in entries:
+        service = entry["resource"]["attributes"][0]["value"]["stringValue"]
+        for raw in entry["scopeSpans"][0]["spans"]:
+            start = int(raw.get("startTimeUnixNano", 0)) // 1000
+            span = {"traceId": short_ids.get(raw["traceId"], raw["traceId"]), "id": raw["spanId"]}
+            if "parentSpanId" in raw:
+                span["parentId"] = raw["parentSpanId"]
+            if "name" in raw:
+                span["name"] = raw["name"]
+            span.update(
+                timestamp=start,
+                duration=int(raw["endTimeUnixNano"]) // 1000 - start,
+                localEndpoint={"serviceName": service},
+            )
+            attributes = raw.get("attributes", [])
+            if attributes or rng.random() < 0.5:
+                span["tags"] = {a["key"]: next(iter(a["value"].values())) for a in attributes}
+            spans.append(span)
+    rng.shuffle(spans)
+    return spans
+
+
+def _span_lists(document: object) -> List[List[dict]]:
+    """The lists that hold the span objects of a decoded document."""
+    if isinstance(document, list):
+        return [document]
+    return [entry["scopeSpans"][0]["spans"] for entry in document["resourceSpans"]]
+
+
+# Faults, after the error cases of ``test_ingest.py``: each makes a document
+# invalid, at ingest or (the last two) at assembly.
+FAULTS = ("bad id", "non-string field", "bad time", "bad attribute", "duplicate span", "parent cycle")
+
+
+def inject_fault(rng: random.Random, document: object, fault: str) -> None:
+    """Make one ``fault`` in a document of ``random_trace_document``."""
+    holder = rng.choice([spans for spans in _span_lists(document) if spans])
+    span = rng.choice(holder)
+    zipkin = isinstance(document, list)
+    span_id_key, parent_key = ("id", "parentId") if zipkin else ("spanId", "parentSpanId")
+    if fault == "bad id":
+        key, value = rng.choice(
+            [
+                (span_id_key, "ABCDEF0123456789"),
+                (span_id_key, "abc"),
+                (span_id_key, "0" * 16),
+                ("traceId", "A" * 32),
+                ("traceId", "0" * 32),
+                (parent_key, 7),
+                (parent_key, "xyz"),
+            ]
+        )
+        span[key] = value
+    elif fault == "non-string field":
+        key = rng.choice(["name", span_id_key, "traceId"])
+        span[key] = rng.choice([5, ["x"], None] if key == "name" else [5, ["x"]])
+    elif fault == "bad time":
+        if zipkin:
+            span[rng.choice(["timestamp", "duration"])] = rng.choice(["soon", True, 1.5, 2**62])
+        else:
+            span[rng.choice(["startTimeUnixNano", "endTimeUnixNano"])] = rng.choice(["soon", True, "1.5", str(2**64)])
+    elif fault == "bad attribute":
+        if zipkin:
+            span["tags"] = rng.choice([None, ["x"], "x"])
+        else:
+            span["attributes"] = rng.choice(
+                [
+                    {},
+                    [{"key": "k", "value": {"intValue": "x1"}}],
+                    [{"key": 5, "value": {"stringValue": "x"}}],
+                    [{"key": "k", "value": 5}],
+                    [{"key": "k", "value": {"intValue": str(2**63)}}],
+                    [{"key": "k", "value": {"boolValue": "yes"}}],
+                ]
+            )
+    elif fault == "duplicate span":
+        holder.insert(rng.randrange(len(holder) + 1), dict(span))
+    elif fault == "parent cycle":
+        same_trace = [
+            other for spans in _span_lists(document) for other in spans
+            if other["traceId"] == span["traceId"] and other is not span
+        ]
+        if same_trace:
+            other = rng.choice(same_trace)
+            span[parent_key], other[parent_key] = other[span_id_key], span[span_id_key]
+        else:
+            span[parent_key] = span[span_id_key]
+    else:
+        raise ValueError(f"unknown fault {fault!r}")
+
+
+# ------------------------------------------------------------ corpus layouts
+
+
+def zipkin_copy(source: Path, target: Path) -> None:
+    """Rewrite each OTel-layout file of ``source`` as a Zipkin v2 array in
+    ``target``: microsecond times, string tags, one file per file."""
+    target.mkdir()
+    for path in sorted(source.glob("*.json")):
+        spans = []
+        for entry in json.loads(path.read_bytes())["resourceSpans"]:
+            service = entry["resource"]["attributes"][0]["value"]["stringValue"]
+            for raw in entry["scopeSpans"][0]["spans"]:
+                start = int(raw["startTimeUnixNano"]) // 1000
+                span = {"traceId": raw["traceId"], "id": raw["spanId"]}
+                if "parentSpanId" in raw:
+                    span["parentId"] = raw["parentSpanId"]
+                span.update(
+                    name=raw["name"],
+                    timestamp=start,
+                    duration=int(raw["endTimeUnixNano"]) // 1000 - start,
+                    localEndpoint={"serviceName": service},
+                    tags={a["key"]: str(next(iter(a["value"].values()))) for a in raw.get("attributes", [])},
+                )
+                spans.append(span)
+        (target / path.name).write_text(json.dumps(spans))
+
+
+def shuffled_copy(source: Path, target: Path, seed: int) -> None:
+    """Copy each file of ``source`` to ``target`` with its spans in a seeded
+    shuffle (within each resource entry, for the OTel layout), so the spans
+    of its traces interleave as collector batches do."""
+    rng = random.Random(seed)
+    target.mkdir()
+    for path in sorted(source.glob("*.json")):
+        document = json.loads(path.read_bytes())
+        for spans in _span_lists(document):
+            rng.shuffle(spans)
+        (target / path.name).write_text(json.dumps(document))

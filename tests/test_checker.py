@@ -30,6 +30,7 @@ from confcheck.model import (
     DesignTrace,
     ObservedSpan,
     ObservedTrace,
+    Partition,
     TraceVerdict,
     Violation,
     ViolationKind,
@@ -715,7 +716,8 @@ class TestCollectorState:
         assert gc.isenabled() is collector
 
 
-def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path, monkeypatch):
+@pytest.mark.parametrize("loader", ["load_corpus_dir", "load_partition"])
+def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path, monkeypatch, loader):
     # Re-enabling the collector while a partition's spans are alive would
     # start a pass over all of them at the next allocation.
     (tmp_path / "a.json").write_text(
@@ -723,7 +725,7 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
     )
 
     def live_spans():
-        return sum(1 for obj in gc.get_objects() if type(obj) is ObservedSpan)
+        return sum(1 for obj in gc.get_objects() if type(obj) in (ObservedSpan, Partition))
 
     was_enabled = gc.isenabled()
     gc.enable()
@@ -737,7 +739,7 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
 
     monkeypatch.setattr(gc, "enable", counting_enable)
     try:
-        report, _, _ = check_partitions(design_set, functools.partial(ingest.load_corpus_dir, tmp_path), 1)
+        report, _, _ = check_partitions(design_set, functools.partial(getattr(ingest, loader), tmp_path), 1)
     finally:
         monkeypatch.undo()
         (gc.enable if was_enabled else gc.disable)()

@@ -269,6 +269,29 @@ class TestDesignSpanFieldTypes:
         assert str(excinfo.value).startswith("design trace t1: span #1: ")
 
 
+class TestDesignTraceId:
+    """``DesignTrace`` owns the design trace id rule; loading wraps its error
+    with the trace's position."""
+
+    @pytest.mark.parametrize("trace_id", [None, "", 5, ["t1"]], ids=["missing", "empty", "number", "list"])
+    def test_loading_wraps_the_trace_error(self, trace_id):
+        trace = {"spans": [design_span_json("A")]}
+        if trace_id is not None:
+            trace["id"] = trace_id
+        with pytest.raises(MalformedDesignError) as excinfo:
+            load_design_set(json.dumps({"designTraces": [{"id": "t0", "spans": [design_span_json("A")]}, trace]}))
+        assert str(excinfo.value) == "designTraces[1]: design_trace_id must be a non-empty string"
+        with pytest.raises(ValueError, match="^design_trace_id must be a non-empty string$"):
+            DesignTrace(design_trace_id=trace_id, spans={})
+
+    def test_span_of_an_unnamed_design_trace_is_labelled_by_position(self):
+        raw = design_span_json("A")
+        raw["design"] = 5
+        with pytest.raises(MalformedDesignError) as excinfo:
+            load_design_set(json.dumps({"designTraces": [{"spans": [raw]}]}))
+        assert str(excinfo.value) == "designTraces[0]: span A: design must be an object"
+
+
 class TestValidateDesignTrace:
     def test_valid_trace_returns_no_errors(self, design_set):
         for trace in design_set.design_traces:

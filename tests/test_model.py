@@ -15,11 +15,20 @@ from confcheck.model import (
     DuplicateSpanIdError,
     ObservedSpan,
     ObservedTrace,
+    Partition,
+    SpanColumns,
     TraceVerdict,
     Violation,
     ViolationKind,
     attr_values_equal,
+    attr_values_valid,
+    columns_valid,
+    ensure_attr_value,
     parent_cycles,
+    parent_ids_valid,
+    span_ids_valid,
+    times_valid,
+    trace_ids_valid,
     validate_span_id,
     validate_trace_id,
 )
@@ -350,3 +359,143 @@ class TestViolationInvariants:
             kind=ViolationKind.MISSING_REQUIRED, design_trace_id="dt", design_span_id="A"
         )
         assert not TraceVerdict(trace_id=TRACE_ID, violations=(violation,)).conformant
+
+
+def _passes(rule, *args) -> bool:
+    try:
+        rule(*args)
+    except ValueError:
+        return False
+    return True
+
+
+ID_VALUES = [
+    "0123456789abcdef", "00000000000000ff", "0" * 16, "ABCDEF0123456789", "abc", "", "g" * 16, " " + "a" * 15,
+    "\u00e9" * 16, TRACE_ID, "0" * 32, "A" * 32, 5, None, True, b"0123456789abcdef",
+]
+TIME_VALUES = [0, 1, 1000, 2**64 - 1, 2**64, -1, True, 1.5, "3"]
+ATTR_VALUES = ["x", "", True, 1.5, float("nan"), 3, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, None, ["x"], b"x"]
+
+
+class TestColumnRulesAgreeWithScalarRules:
+    """Each column rule is True exactly when every value passes its scalar
+    rule."""
+
+    @given(st.lists(st.sampled_from(ID_VALUES), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_ids(self, values):
+        assert span_ids_valid(values) == all(_passes(validate_span_id, value) for value in values)
+        assert trace_ids_valid(values) == all(_passes(validate_trace_id, value) for value in values)
+        assert parent_ids_valid(values) == all(value == "" or _passes(validate_span_id, value) for value in values)
+
+    @given(st.lists(st.tuples(st.sampled_from(TIME_VALUES), st.sampled_from(TIME_VALUES)), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_times(self, pairs):
+        starts, ends = [start for start, _ in pairs], [end for _, end in pairs]
+        assert times_valid(starts, ends) == all(_passes(make_span, "00000000000000a1", None, *pair) for pair in pairs)
+
+    @given(st.lists(st.sampled_from(ATTR_VALUES), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_attribute_values(self, values):
+        assert attr_values_valid(values) == all(_passes(ensure_attr_value, "k", value) for value in values)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([TRACE_ID, "0" * 32, "A" * 32, 5, ["x"]]),
+                st.sampled_from(["00000000000000a1", "0" * 16, "xyz", 7]),
+                st.sampled_from(["", "00000000000000ff", "0" * 16, "xyz", 7]),
+                st.sampled_from(["op", "", 5]),
+                st.sampled_from(["svc", "", 5]),
+                st.sampled_from([(0, 10), (10, 0), (-1, 5), (True, 5)]),
+                st.sampled_from([{}, {"k": "v"}, {"k": 2**63}, {5: "v"}, {"k": None}]),
+                st.sampled_from([(), ((TRACE_ID, "00000000000000ff"),), (("A" * 32, "00000000000000ff"),)]),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_columns_valid_is_every_span_check(self, rows):
+        columns = SpanColumns()
+        for row, (trace_id, span_id, parent, name, service, (start, end), attributes, links) in enumerate(rows):
+            columns.trace_ids.append(trace_id)
+            columns.span_ids.append(span_id)
+            columns.parent_ids.append(parent)
+            columns.names.append(name)
+            columns.services.append(service)
+            columns.starts.append(start)
+            columns.ends.append(end)
+            columns.attributes.append(attributes)
+            if links:
+                columns.links[row] = links
+        built = all(
+            _passes(ObservedSpan, trace_id, span_id, name, service, start, end, parent or None, attributes, links)
+            for trace_id, span_id, parent, name, service, (start, end), attributes, links in rows
+        )
+        assert columns_valid(columns) == built
+
+
+class TestPartition:
+    def test_parents_resolve_within_their_trace(self):
+        other = "0" * 31 + "2"
+        spans = [
+            make_span("00000000000000a1"),
+            make_span("00000000000000a2", parent="00000000000000a1"),
+            # Its parent id names a span of another trace: dangling here.
+            make_span("00000000000000b1", parent="00000000000000a1", trace_id=other),
+        ]
+        columns = SpanColumns()
+        columns.extend_spans(spans)
+        partition = Partition(columns, spans)
+        assert partition.parent_rows == [-1, 0, -1]
+        assert partition.dangling == [2]
+
+    def test_span_ids_repeated_across_traces(self):
+        other = "0" * 31 + "2"
+        spans = [
+            make_span("00000000000000a1", trace_id=other),
+            make_span("00000000000000a2", parent="00000000000000a1", trace_id=other),
+            make_span("00000000000000a1"),
+            make_span("00000000000000a2", parent="00000000000000a1"),
+        ]
+        columns = SpanColumns()
+        columns.extend_spans(spans)
+        partition = Partition(columns, spans)
+        assert partition.parent_rows == [-1, 0, -1, 2]
+        assert partition.dangling == []
+        assert [trace.trace_id for trace in partition.traces()] == [TRACE_ID, other]
+
+    @pytest.mark.parametrize(
+        "spans, error, message",
+        [
+            (
+                [("00000000000000c1", "00000000000000c2"), ("00000000000000c2", "00000000000000c1")],
+                CyclicParentChainError,
+                f"trace {TRACE_ID}: parent chain cycle through 00000000000000c1 -> 00000000000000c2",
+            ),
+            (
+                [("00000000000000c1", "00000000000000c1")],
+                CyclicParentChainError,
+                f"trace {TRACE_ID}: parent chain cycle through 00000000000000c1",
+            ),
+            (
+                [("00000000000000c1", None), ("00000000000000c1", None)],
+                DuplicateSpanIdError,
+                f"trace {TRACE_ID}: duplicate span id 00000000000000c1",
+            ),
+        ],
+        ids=["cycle", "self-parent", "duplicate"],
+    )
+    def test_errors_are_named_by_the_trace(self, spans, error, message):
+        columns = SpanColumns()
+        columns.extend_spans([make_span(span_id, parent=parent) for span_id, parent in spans])
+        with pytest.raises(error) as excinfo:
+            Partition(columns)
+        assert str(excinfo.value) == message
+
+    def test_deep_chain_is_acyclic(self):
+        ids = [f"{index + 1:016x}" for index in range(3000)]
+        spans = [make_span(ids[0])] + [make_span(span_id, parent=parent) for parent, span_id in zip(ids, ids[1:])]
+        columns = SpanColumns()
+        columns.extend_spans(spans[::-1])
+        assert Partition(columns).parent_rows[-1] == -1

@@ -7,16 +7,18 @@ equivalence sweep and these properties.
 
 from __future__ import annotations
 
+import json
 import random
 from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confcheck import ingest
 from confcheck.checker import ConformanceReport, check_corpus, check_trace, match_witnesses
 from confcheck.design import load_design_set, serialize_design_set
-from confcheck.ingest import assemble_traces, parse_trace_document, serialize_otel_json
-from confcheck.model import ObservedSpan, ObservedTrace, ViolationKind
+from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trace_document, serialize_otel_json
+from confcheck.model import ObservedSpan, ObservedTrace, Partition, ViolationKind
 
 import genutil
 
@@ -176,3 +178,59 @@ def test_parallel_equals_sequential_with_real_processes(design_set):
     parallel_report, parallel_verdicts = check_corpus(design_set, corpus, workers=4)
     assert parallel_report == sequential_report
     assert parallel_verdicts == sequential_verdicts
+
+
+def _ingest_outcome(read):
+    """The spans and warnings ``read(warnings)`` gives, or its error text."""
+    warnings = []
+    try:
+        spans = read(warnings)
+    except MalformedDocumentError as exc:
+        return str(exc)
+    return spans, warnings
+
+
+def _assembly_by_span_objects(spans):
+    """Each trace built from its span objects in input order, traces in id
+    order: the traces and dangling (trace id, span id) pairs, or the first
+    trace's error."""
+    grouped = {}
+    for span in spans:
+        grouped.setdefault(span.trace_id, []).append(span)
+    try:
+        traces = [ObservedTrace.from_spans(trace_id, grouped[trace_id]) for trace_id in sorted(grouped)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return traces, [(trace.trace_id, span_id) for trace in traces for span_id in sorted(trace.dangling_parents)]
+
+
+@given(seeds, st.sampled_from((None,) + genutil.FAULTS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_column_and_record_paths_agree(seed, fault, zipkin):
+    """A clean or faulted document gives the same spans and warnings, or the
+    same first error, by the column read as by the per-record path; the
+    column read takes exactly the documents whose spans are valid; and the
+    partition assembles them as span objects do."""
+    rng = random.Random(seed)
+    document = genutil.random_trace_document(rng, zipkin)
+    if fault is not None:
+        genutil.inject_fault(rng, document, fault)
+    text = json.dumps(document)
+    record = _ingest_outcome(lambda warnings: ingest._document_spans(json.loads(text), warnings))
+    assert _ingest_outcome(lambda warnings: parse_trace_document(text, warnings)) == record
+
+    columns = ingest._layout(document)[0](json.loads(text), None, {})
+    on_column_path = columns is not None and ingest._clamp_and_check(columns, [])
+    assert on_column_path == (not isinstance(record, str))
+    if not on_column_path:
+        return
+    try:
+        partition = Partition(columns)
+    except ValueError as exc:
+        assembled = type(exc), str(exc)
+    else:
+        dangling = [(partition.trace_ids[row], partition.span_ids[row]) for row in partition.dangling]
+        assembled = partition.traces(), dangling
+    assert assembled == _assembly_by_span_objects(record[0])
+    if fault in ("duplicate span", "parent cycle"):
+        assert isinstance(assembled[0], type)

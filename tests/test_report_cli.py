@@ -20,6 +20,7 @@ from confcheck.design import load_design_set
 from confcheck.model import ObservedSpan, ObservedTrace
 from confcheck.report import render_text_report, render_trace_dot, report_to_json_dict
 
+import genutil
 from conftest import FIXTURES_DIR
 
 BUNDLED_DESIGN = str(resources.files("confcheck").joinpath("fixtures/table2.design.json"))
@@ -268,9 +269,9 @@ class TestDotRendering:
             indexed.append(observed_trace.trace_id)
             return real_index(observed_trace)
 
-        def counting_plan(plan, observed_trace, index):
+        def counting_plan(plan, index):
             planned.append(plan.steps[0].span.design_span_id)
-            return real_plan(plan, observed_trace, index)
+            return real_plan(plan, index)
 
         monkeypatch.setattr(checker, "_candidate_index", counting_index)
         monkeypatch.setattr(report_module, "_candidate_index", counting_index)
@@ -463,6 +464,14 @@ class TestGraphCommand:
         dot = out.read_text()
         assert "fillcolor=red" in dot
 
+    def test_builds_spans_of_the_named_trace_only(self, fixture_corpus_dir, nonconformant_trace, monkeypatch, capsys):
+        built = []
+        real_post_init = ObservedSpan.__post_init__
+        monkeypatch.setattr(ObservedSpan, "__post_init__", lambda span: built.append(span) or real_post_init(span))
+        assert main(["graph", BUNDLED_DESIGN, str(fixture_corpus_dir), "--trace-id", NONCONFORMANT_ID]) == 0
+        assert len(built) == len(nonconformant_trace.spans) == 6
+        assert {span.trace_id for span in built} == {NONCONFORMANT_ID}
+
     def test_unknown_trace_id_exits_two(self, fixture_corpus_dir, capsys):
         code = main(
             [
@@ -559,9 +568,9 @@ class TestMissingOutDirectory:
     )
     def test_fails_before_ingest(self, command, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
         loads = []
-        real_load = ingest.load_corpus_dir
+        real_load = ingest.load_partition
         monkeypatch.setattr(
-            ingest, "load_corpus_dir", lambda path, *share, **kw: loads.append(path) or real_load(path, *share, **kw)
+            ingest, "load_partition", lambda path, *share, **kw: loads.append(path) or real_load(path, *share, **kw)
         )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         out = tmp_path / "missing" / "result.out"
@@ -758,14 +767,14 @@ class TestPartitionedCheck:
     def test_dying_worker_is_an_error(self, fixture_corpus_dir, monkeypatch, capsys):
         # A worker killed mid-check (by the OOM killer, say) leaves the check
         # incomplete: exit 2 with an error line, not 1 with a traceback.
-        real_load = ingest.load_corpus_dir
+        real_load = ingest.load_partition
 
         def load(directory, partition=0, partitions=1):
             if partition == 1:
                 os._exit(9)
             return real_load(directory, partition, partitions)
 
-        monkeypatch.setattr(ingest, "load_corpus_dir", load)
+        monkeypatch.setattr(ingest, "load_partition", load)
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -773,14 +782,52 @@ class TestPartitionedCheck:
         assert "Traceback" not in err
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
-        built = []
+        built, checked = [], []
         real_post_init = ObservedSpan.__post_init__
         monkeypatch.setattr(ObservedSpan, "__post_init__", lambda span: built.append(span) or real_post_init(span))
+        real_violations = checker._violations
+        monkeypatch.setattr(
+            checker,
+            "_violations",
+            lambda design_set, index: checked.append(len(index.partition)) or real_violations(design_set, index),
+        )
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 1
         assert built == []
-        # The same check in process does build them.
+        assert checked == []
+        # The same check in process loads and checks the 12-span partition
+        # here, and builds no span either.
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]) == 1
-        assert len(built) == 12
+        assert checked == [12]
+        assert built == []
+
+
+class TestInterleavedLayout:
+    """Collector batches interleave the spans of many traces in a file. A
+    corpus with each file's spans in a seeded shuffle gives the same output
+    as the grouped corpus, in either layout and at any worker count."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("interleaved")
+        otel = root / "otel"
+        argv = ["simulate", str(otel), "--count", "240", "--seed", "7", "--traces-per-file", "80"]
+        assert main(argv + ["--p-omit", "0.07", "--p-slow", "0.06", "--p-direct", "0.075"]) == 0
+        genutil.zipkin_copy(otel, root / "zipkin")
+        genutil.shuffled_copy(otel, root / "otel-shuffled", seed=11)
+        genutil.shuffled_copy(root / "zipkin", root / "zipkin-shuffled", seed=12)
+        return root
+
+    @pytest.mark.parametrize("layout", ["otel", "zipkin"])
+    def test_same_report_as_grouped(self, corpora, layout, capsys):
+        capsys.readouterr()
+        runs = {}
+        for corpus in (layout, f"{layout}-shuffled"):
+            for workers in ("1", "2", "3"):
+                code = main(["check", BUNDLED_DESIGN, str(corpora / corpus), "--format", "json", "--workers", workers])
+                runs[corpus, workers] = (code, *capsys.readouterr())
+        first = runs[layout, "1"]
+        assert first[0] == 1 and json.loads(first[1])["totalTraces"] == 240
+        assert all(run == first for run in runs.values())
 
 
 def test_serial_runs_do_not_import_the_process_pool():
@@ -822,6 +869,32 @@ class TestValidateDesignCommand:
         )
         assert main(["validate-design", str(bad)]) == 2
         assert "unknownParent" in capsys.readouterr().err
+
+
+class TestLongDesignIds:
+    """Design trace and span ids in error locations are echoed, capped at 80
+    characters."""
+
+    LONG = "s" * 200
+    CAPPED = f"{'s' * 60}... (200 chars)"
+
+    def test_duplicate_span_id_line(self, tmp_path, capsys):
+        span = {"spanId": self.LONG, "name": "op", "match": {"service.name": "svc"}}
+        path = tmp_path / "long.design.json"
+        path.write_text(json.dumps({"designTraces": [{"id": "t", "spans": [span, span]}]}))
+        assert main(["validate-design", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: t/{self.CAPPED}: duplicateSpanId: span id '{'s' * 59}... (202 chars) appears more than once\n"
+        )
+        assert len(err.encode()) == 210
+
+    def test_design_trace_label(self, tmp_path, capsys):
+        span = {"spanId": "A", "name": "op", "match": {"service.name": "svc"}, "design": 5}
+        path = tmp_path / "long.design.json"
+        path.write_text(json.dumps({"designTraces": [{"id": self.LONG, "spans": [span]}]}))
+        assert main(["validate-design", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: design trace {self.CAPPED}: span A: design must be an object\n"
 
 
 class TestOversizedIntegerDesign:
