@@ -5,81 +5,94 @@ The library surface mirrors the pipeline: ingest exported trace files,
 load a design set, check each observed trace, aggregate a corpus report,
 and render results. A deterministic simulator generates gateway-style
 workloads for experiments and tests.
-
-Importing the package imports none of its modules: each name below is
-imported from its module on first use, so a command or script pays only
-for the modules it uses.
 """
 
-import importlib
+from .checker import (
+    ConformanceReport,
+    attrs_match,
+    check_corpus,
+    check_disallowed,
+    check_required,
+    check_trace,
+    duration_ok,
+    match_witnesses,
+)
+from .design import (
+    DesignTraceSet,
+    DesignValidationError,
+    ValidationError,
+    ValidationErrorKind,
+    import_design_from_observed,
+    load_bundled_design_set,
+    load_design_set,
+    serialize_design_set,
+    validate_design_trace,
+)
+from .ingest import (
+    IngestWarning,
+    IngestWarningKind,
+    assemble_traces,
+    load_corpus_dir,
+    parse_trace_document,
+    serialize_otel_json,
+)
+from .model import (
+    AttrValue,
+    CyclicParentChainError,
+    DesignSpan,
+    DesignTrace,
+    ObservedSpan,
+    ObservedTrace,
+    SpanId,
+    TraceId,
+    TraceVerdict,
+    Violation,
+    ViolationKind,
+    attr_values_equal,
+)
+from .simulator import SimConfig, generate_corpus, generate_trace, iter_corpus, write_corpus
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "checker": (
-        "ConformanceReport",
-        "attrs_match",
-        "check_corpus",
-        "check_disallowed",
-        "check_required",
-        "check_trace",
-        "duration_ok",
-        "match_witnesses",
-    ),
-    "design": (
-        "DesignTraceSet",
-        "DesignValidationError",
-        "ValidationError",
-        "ValidationErrorKind",
-        "import_design_from_observed",
-        "load_bundled_design_set",
-        "load_design_set",
-        "serialize_design_set",
-        "validate_design_trace",
-    ),
-    "ingest": (
-        "IngestWarning",
-        "IngestWarningKind",
-        "assemble_traces",
-        "load_corpus_dir",
-        "parse_trace_document",
-        "serialize_otel_json",
-    ),
-    "model": (
-        "AttrValue",
-        "CyclicParentChainError",
-        "DesignSpan",
-        "DesignTrace",
-        "ObservedSpan",
-        "ObservedTrace",
-        "SpanId",
-        "TraceId",
-        "TraceVerdict",
-        "Violation",
-        "ViolationKind",
-        "attr_values_equal",
-    ),
-    "simulator": (
-        "SimConfig",
-        "generate_corpus",
-        "generate_trace",
-        "iter_corpus",
-        "write_corpus",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
-
-
-def __getattr__(name: str) -> object:
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_MODULE_OF))
+__all__ = [
+    "AttrValue",
+    "ConformanceReport",
+    "CyclicParentChainError",
+    "DesignSpan",
+    "DesignTrace",
+    "DesignTraceSet",
+    "DesignValidationError",
+    "IngestWarning",
+    "IngestWarningKind",
+    "ObservedSpan",
+    "ObservedTrace",
+    "SimConfig",
+    "SpanId",
+    "TraceId",
+    "TraceVerdict",
+    "ValidationError",
+    "ValidationErrorKind",
+    "Violation",
+    "ViolationKind",
+    "assemble_traces",
+    "attr_values_equal",
+    "attrs_match",
+    "check_corpus",
+    "check_disallowed",
+    "check_required",
+    "check_trace",
+    "duration_ok",
+    "generate_corpus",
+    "generate_trace",
+    "import_design_from_observed",
+    "iter_corpus",
+    "load_bundled_design_set",
+    "load_corpus_dir",
+    "load_design_set",
+    "match_witnesses",
+    "parse_trace_document",
+    "serialize_design_set",
+    "serialize_otel_json",
+    "validate_design_trace",
+    "write_corpus",
+]

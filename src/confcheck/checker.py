@@ -36,10 +36,13 @@ to the design span being witnessed, not to ancestor hops while validating
 its chain, so a slow root is exactly one duration violation instead of a
 cascade of structural failures down the tree. A required design trace
 reports one violation per unwitnessed span; a disallowed one fires as a
-joint pattern, only when every span is witnessed. The entry points that take
-one trace (``evaluate``, ``check_trace``, ``check_required``,
+joint pattern, only when every span is witnessed. Those two rules are
+``_required_violations`` and ``_disallowed_violations``. The entry points
+that take one trace (``evaluate``, ``check_trace``, ``check_required``,
 ``check_disallowed`` and ``match_witnesses``, and the DOT renderer) run the
-same code on a one-trace partition.
+same code on a one-trace partition, which
+:meth:`~confcheck.model.Partition.from_traces` builds without checking the
+trace again.
 """
 
 from __future__ import annotations
@@ -197,14 +200,16 @@ def compile_match_plan(trace: DesignTrace) -> MatchPlan:
 
 class CandidateIndex:
     """A partition's rows by ``(name, bucket service)``, each bucket in
-    span-id order, built per name on first use; and the partition's trace
-    ids."""
+    span-id order, built on first use; and the partition's trace ids."""
 
-    __slots__ = ("partition", "traces", "_by_name", "_buckets")
+    __slots__ = ("partition", "traces", "_groups", "_by_name", "_buckets")
 
     def __init__(self, partition: Partition) -> None:
         self.partition = partition
         self.traces = set(partition.trace_ids)
+        # Every row by name, in row order, grouped in one pass on first use:
+        # the index then costs the same whatever the number of design names.
+        self._groups: Optional[Dict[str, List[int]]] = None
         self._by_name: Dict[str, List[int]] = {}
         self._buckets: Dict[Tuple[str, str], List[int]] = {}
 
@@ -212,9 +217,17 @@ class CandidateIndex:
         """The rows named ``name``, in span-id order: read, never change."""
         rows = self._by_name.get(name)
         if rows is None:
-            part = self.partition
-            rows = list(compress(range(len(part.names)), map(eq, part.names, repeat(name))))
-            rows.sort(key=part.span_ids.__getitem__)
+            groups = self._groups
+            if groups is None:
+                groups = self._groups = {}
+                for row, row_name in enumerate(self.partition.names):
+                    group = groups.get(row_name)
+                    if group is None:
+                        groups[row_name] = [row]
+                    else:
+                        group.append(row)
+            rows = groups.get(name, [])
+            rows.sort(key=self.partition.span_ids.__getitem__)
             self._by_name[name] = rows
         return rows
 
@@ -320,38 +333,54 @@ def _step_outcomes(plan: MatchPlan, index: CandidateIndex) -> List[StepOutcome]:
     return outcomes
 
 
-def _violations(design_set: DesignTraceSet, index: CandidateIndex) -> Dict[TraceId, List[Violation]]:
+# Violations by trace id, each trace's in the order they were added.
+Found = Dict[TraceId, List[Violation]]
+
+
+def _required_violations(design_trace: DesignTrace, index: CandidateIndex, found: Found) -> None:
+    """Add ``design_trace``'s violations, as a required pattern, to every
+    trace of the index's partition that has any: per unwitnessed design
+    span, a DurationExceeded violation carrying its slow match, or without
+    one a MissingRequired violation."""
+    span_ids = index.partition.span_ids
+    design_trace_id = design_trace.design_trace_id
+    for span, witness, slow in _step_outcomes(design_trace.match_plan, index):
+        for trace_id in index.traces.difference(witness):
+            row = slow.get(trace_id)
+            found.setdefault(trace_id, []).append(
+                Violation(ViolationKind.MISSING_REQUIRED, design_trace_id, span.design_span_id)
+                if row is None
+                else Violation(ViolationKind.DURATION_EXCEEDED, design_trace_id, span.design_span_id, span_ids[row])
+            )
+
+
+def _disallowed_violations(design_trace: DesignTrace, index: CandidateIndex, found: Found) -> None:
+    """Add ``design_trace``'s violations, as a disallowed joint pattern, to
+    every trace of the index's partition that witnesses all of its design
+    spans: one DisallowedPresent violation per design span, carrying its
+    witness."""
+    span_ids = index.partition.span_ids
+    design_trace_id = design_trace.design_trace_id
+    outcomes = _step_outcomes(design_trace.match_plan, index)
+    fired = index.traces
+    for _, witness, _ in outcomes:
+        fired = fired.intersection(witness)
+    for trace_id in fired:
+        found.setdefault(trace_id, []).extend(
+            Violation(
+                ViolationKind.DISALLOWED_PRESENT, design_trace_id, span.design_span_id, span_ids[witness[trace_id]]
+            )
+            for span, witness, _ in outcomes
+        )
+
+
+def _violations(design_set: DesignTraceSet, index: CandidateIndex) -> Found:
     """The violations of every non-conformant trace of the index's
     partition, each trace's ordered by (design trace id, design span id)."""
-    span_ids = index.partition.span_ids
-    disallowed = design_set.disallowed_traces
-    found: Dict[TraceId, List[Violation]] = {}
+    found: Found = {}
     for design_trace in sorted(design_set.design_traces, key=lambda t: t.design_trace_id):
-        design_trace_id = design_trace.design_trace_id
-        outcomes = _step_outcomes(design_trace.match_plan, index)
-        if design_trace in disallowed:
-            fired = index.traces
-            for _, witness, _ in outcomes:
-                fired = fired.intersection(witness)
-            for trace_id in fired:
-                found.setdefault(trace_id, []).extend(
-                    Violation(
-                        ViolationKind.DISALLOWED_PRESENT,
-                        design_trace_id,
-                        span.design_span_id,
-                        span_ids[witness[trace_id]],
-                    )
-                    for span, witness, _ in outcomes
-                )
-            continue
-        for span, witness, slow in outcomes:
-            for trace_id in index.traces.difference(witness):
-                row = slow.get(trace_id)
-                found.setdefault(trace_id, []).append(
-                    Violation(ViolationKind.MISSING_REQUIRED, design_trace_id, span.design_span_id)
-                    if row is None
-                    else Violation(ViolationKind.DURATION_EXCEEDED, design_trace_id, span.design_span_id, span_ids[row])
-                )
+        rule = _disallowed_violations if design_trace.is_disallowed else _required_violations
+        rule(design_trace, index, found)
     return found
 
 
@@ -384,34 +413,6 @@ def evaluate(
     return outcomes
 
 
-def _required_violations(design_trace: DesignTrace, outcomes: List[Outcome]) -> List[Violation]:
-    return [
-        Violation(
-            kind=ViolationKind.MISSING_REQUIRED if slow is None else ViolationKind.DURATION_EXCEEDED,
-            design_trace_id=design_trace.design_trace_id,
-            design_span_id=span.design_span_id,
-            observed_span_id=None if slow is None else slow.span_id,
-        )
-        for span, witness, slow in outcomes
-        if witness is None
-    ]
-
-
-def _disallowed_violations(design_trace: DesignTrace, outcomes: List[Outcome]) -> List[Violation]:
-    for _, witness, _ in outcomes:
-        if witness is None:
-            return []
-    return [
-        Violation(
-            kind=ViolationKind.DISALLOWED_PRESENT,
-            design_trace_id=design_trace.design_trace_id,
-            design_span_id=span.design_span_id,
-            observed_span_id=witness.span_id,
-        )
-        for span, witness, _ in outcomes
-    ]
-
-
 def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
     """Evaluate one required design trace.
 
@@ -420,7 +421,9 @@ def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Viol
     violation carrying the fastest such candidate (ties broken by span id);
     no structural match at all is a MissingRequired violation.
     """
-    return _required_violations(design_trace, evaluate(design_trace, trace))
+    found: Found = {}
+    _required_violations(design_trace, _candidate_index(trace), found)
+    return found.get(trace.trace_id, [])
 
 
 def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
@@ -431,7 +434,9 @@ def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Vi
     witness. A partial match emits nothing: the root of a disallowed pattern
     typically also matches legitimate behavior.
     """
-    return _disallowed_violations(design_trace, evaluate(design_trace, trace))
+    found: Found = {}
+    _disallowed_violations(design_trace, _candidate_index(trace), found)
+    return found.get(trace.trace_id, [])
 
 
 def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdict:
@@ -635,7 +640,7 @@ def check_corpus(
     workers: int = 1,
 ) -> Tuple[ConformanceReport, List[TraceVerdict]]:
     """Check an in-memory corpus of traces with distinct trace ids,
-    optionally in parallel.
+    optionally in parallel; ``ValueError`` when two traces share an id.
 
     The traces, ordered by trace id, are cut into one contiguous partition
     per worker and checked by :func:`check_partitions`. Returns the report
@@ -645,6 +650,10 @@ def check_corpus(
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     trace_list = sorted(traces, key=lambda t: t.trace_id)
+    trace_ids = [trace.trace_id for trace in trace_list]
+    if len(set(trace_ids)) != len(trace_ids):
+        raise ValueError("a trace id appears in more than one of the traces")
+    del trace_ids
     # A tiny corpus is not worth starting processes for.
     partitions = workers if len(trace_list) >= 2 * workers else 1
     cuts = [len(trace_list) * index // partitions for index in range(partitions + 1)]

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import checker, design, ingest, report
+from . import checker, design, ingest, report, simulator
 from .gcpause import collector_paused
 from .model import ObservedTrace
 
@@ -119,8 +119,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import simulator  # only this command needs it
-
     try:
         config = simulator.SimConfig(
             seed=args.seed,

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .ingest import _load_json
@@ -386,7 +387,5 @@ def serialize_design_set(design_set: DesignTraceSet) -> str:
 
 def load_bundled_design_set() -> DesignTraceSet:
     """Load the gateway/microservice design set shipped with the package."""
-    from importlib import resources  # costly to import, and only needed here
-
     document = resources.files(__package__).joinpath(f"fixtures/{BUNDLED_DESIGN_FIXTURE}").read_bytes()
     return load_design_set(document)

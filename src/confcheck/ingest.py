@@ -28,8 +28,9 @@ take gives the same spans that way. ``load_partition`` then assembles the
 columns, and the partition names a duplicate span id or a parent cycle
 through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
 trace. Span objects are built only when asked for: ``parse_trace_document``
-returns them, and ``load_corpus_dir`` and ``assemble_traces`` return
-:class:`~confcheck.model.ObservedTrace` objects.
+returns them, ``load_corpus_dir`` builds the partition's
+:class:`~confcheck.model.ObservedTrace` objects, and ``assemble_traces``
+groups span objects into traces, each of which checks its own spans.
 
 Each error context is added once, where it is known: ``load_partition``
 prefixes the file name, ``_otel_records`` prefixes ``resourceSpans[i]:`` to a
@@ -53,7 +54,7 @@ from enum import Enum
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -685,14 +686,18 @@ def parse_trace_document(
     return list(map(columns.span, range(len(columns))))
 
 
+def _dangling_warning(trace_id: TraceId, span_id: SpanId, parent_id: SpanId) -> IngestWarning:
+    return IngestWarning(
+        kind=IngestWarningKind.DANGLING_PARENT,
+        trace_id=trace_id,
+        span_id=span_id,
+        detail=f"parent span {parent_id} is not present in the trace",
+    )
+
+
 def _dangling_warnings(partition: Partition) -> List[IngestWarning]:
     return [
-        IngestWarning(
-            kind=IngestWarningKind.DANGLING_PARENT,
-            trace_id=partition.trace_ids[row],
-            span_id=partition.span_ids[row],
-            detail=f"parent span {partition.parent_ids[row]} is not present in the trace",
-        )
+        _dangling_warning(partition.trace_ids[row], partition.span_ids[row], partition.parent_ids[row])
         for row in partition.dangling
     ]
 
@@ -708,11 +713,16 @@ def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace],
     Raises DuplicateSpanIdError when two spans share (trace id, span id) and
     CyclicParentChainError when parent references loop.
     """
-    spans = list(spans)
-    columns = SpanColumns()
-    columns.extend_spans(spans)
-    partition = Partition(columns, spans)
-    return partition.traces(), _dangling_warnings(partition)
+    grouped: Dict[TraceId, List[ObservedSpan]] = {}
+    for span in spans:
+        grouped.setdefault(span.trace_id, []).append(span)
+    traces = [ObservedTrace.from_spans(trace_id, grouped[trace_id]) for trace_id in sorted(grouped)]
+    warnings = [
+        _dangling_warning(trace.trace_id, span_id, trace.spans[span_id].parent_span_id)
+        for trace in traces
+        for span_id in sorted(trace.dangling_parents)
+    ]
+    return traces, warnings
 
 
 def _attr_value_to_json(value: AttrValue) -> dict:

@@ -32,8 +32,10 @@ them all, checking each distinct trace id once. A ``Partition`` is
 assembled columns: each span's parent resolved to a row, dangling parents
 listed, and duplicate span ids and parent cycles rejected. Those errors are
 named by :meth:`ObservedTrace.from_spans` on the offending trace, so their
-messages are the span objects' own. Span and trace objects are built from a
-partition only when asked for.
+messages are the span objects' own. :meth:`Partition.from_traces` builds a
+partition of ``ObservedTrace`` objects, which have checked their spans
+already, so it only resolves each parent within its trace. Span and trace
+objects are built from a partition only when asked for.
 """
 
 from __future__ import annotations
@@ -367,6 +369,11 @@ _set_end_time_nanos = ObservedSpan.end_time_nanos.__set__
 _set_parent_span_id = ObservedSpan.parent_span_id.__set__
 _set_attributes = ObservedSpan.attributes.__set__
 _set_links = ObservedSpan.links.__set__
+_parent_span_id = attrgetter("parent_span_id")
+_span_fields = attrgetter(
+    "trace_id", "span_id", "parent_span_id", "name", "service_name", "start_time_nanos", "end_time_nanos",
+    "attributes", "links",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -468,16 +475,22 @@ class SpanColumns:
 
     def extend_spans(self, spans: Sequence[ObservedSpan]) -> None:
         """Append one row per span object."""
+        if not spans:
+            return
         offset = len(self)
-        self.trace_ids += map(attrgetter("trace_id"), spans)
-        self.span_ids += map(attrgetter("span_id"), spans)
-        self.parent_ids += [span.parent_span_id or "" for span in spans]
-        self.names += map(attrgetter("name"), spans)
-        self.services += map(attrgetter("service_name"), spans)
-        self.starts += map(attrgetter("start_time_nanos"), spans)
-        self.ends += map(attrgetter("end_time_nanos"), spans)
-        self.attributes += map(attrgetter("attributes"), spans)
-        self.links.update((offset + row, span.links) for row, span in enumerate(spans) if span.links)
+        # One tuple of fields per span, transposed into one tuple per field.
+        trace_ids, span_ids, parent_ids, names, services, starts, ends, attributes, links = zip(
+            *map(_span_fields, spans)
+        )
+        self.trace_ids += trace_ids
+        self.span_ids += span_ids
+        self.parent_ids += [parent_id or "" for parent_id in parent_ids]
+        self.names += names
+        self.services += services
+        self.starts += starts
+        self.ends += ends
+        self.attributes += attributes
+        self.links.update((offset + row, span_links) for row, span_links in enumerate(links) if span_links)
 
     def span(self, row: int) -> ObservedSpan:
         """The span object of ``row``, built and validated here."""
@@ -541,19 +554,38 @@ class Partition(SpanColumns):
     ``parent_rows`` holds each row's parent row, or -1 for a root and for a
     dangling parent (one that names no span of the trace); ``dangling`` the
     rows with a dangling parent, in (trace id, span id) order. Construction
-    raises ``DuplicateSpanIdError`` or ``CyclicParentChainError`` for the
-    offending trace with the smallest trace id, with the message
-    :meth:`ObservedTrace.from_spans` gives for its spans in input order.
+    from columns raises ``DuplicateSpanIdError`` or
+    ``CyclicParentChainError`` for the offending trace with the smallest
+    trace id, with the message :meth:`ObservedTrace.from_spans` gives for
+    its spans in input order.
 
     ``spans``, when given, are the span objects of the rows, returned by
-    :meth:`span` instead of new ones."""
+    :meth:`span` instead of new ones; ``parent_rows``, when given, are
+    taken as they are, and the rows are not checked again."""
 
     __slots__ = ("parent_rows", "dangling", "spans")
 
-    def __init__(self, columns: SpanColumns, spans: Optional[Sequence[ObservedSpan]] = None) -> None:
+    def __init__(
+        self,
+        columns: SpanColumns,
+        spans: Optional[Sequence[ObservedSpan]] = None,
+        parent_rows: Optional[List[int]] = None,
+    ) -> None:
         for slot in SpanColumns.__slots__:
             setattr(self, slot, getattr(columns, slot))
         self.spans = spans
+        trace_ids, span_ids, parent_ids = self.trace_ids, self.span_ids, self.parent_ids
+        self.parent_rows = self._checked_parent_rows() if parent_rows is None else parent_rows
+        self.dangling: List[int] = []
+        if self.parent_rows.count(-1) != parent_ids.count(""):
+            roots = compress(range(len(self)), map(eq, self.parent_rows, repeat(-1)))
+            self.dangling = sorted(
+                (row for row in roots if parent_ids[row]), key=lambda row: (trace_ids[row], span_ids[row])
+            )
+
+    def _checked_parent_rows(self) -> List[int]:
+        """Each row's parent row, once the rows are checked: raises the
+        offending trace's own error on a duplicate span id or a cycle."""
         trace_ids, span_ids, parent_ids = self.trace_ids, self.span_ids, self.parent_ids
         rows = len(span_ids)
         broken = set()
@@ -573,28 +605,27 @@ class Partition(SpanColumns):
                 keys = zip(trace_ids, span_ids)
                 broken.update(trace_ids[row] for row, key in enumerate(keys) if position[key] != row)
         del position
-        self.parent_rows = parent_rows
         broken.update(map(trace_ids.__getitem__, _rows_on_cycles(parent_rows)))
         if broken:
             self.trace(min(broken))  # raises the trace's own error
-        self.dangling: List[int] = []
-        if self.parent_rows.count(-1) != parent_ids.count(""):
-            roots = compress(range(rows), map(eq, self.parent_rows, repeat(-1)))
-            self.dangling = sorted(
-                (row for row in roots if parent_ids[row]), key=lambda row: (trace_ids[row], span_ids[row])
-            )
+        return parent_rows
 
     @classmethod
     def from_traces(cls, traces: Iterable[ObservedTrace]) -> "Partition":
         """The partition of ``traces``, whose ids must be distinct, holding
-        their span objects."""
-        traces = list(traces)
-        if len({trace.trace_id for trace in traces}) != len(traces):
-            raise ValueError("a trace id appears in more than one of the traces")
-        spans = [span for trace in traces for span in trace.spans.values()]
+        their span objects. A trace has already checked its spans, so each
+        span's parent is resolved within its trace and nothing is checked
+        again."""
+        spans: List[ObservedSpan] = []
+        parent_rows: List[int] = []
+        for trace in traces:
+            members = trace.spans
+            position = dict(zip(members, range(len(spans), len(spans) + len(members))))
+            spans += members.values()
+            parent_rows += map(position.get, map(_parent_span_id, members.values()), repeat(-1))
         columns = SpanColumns()
         columns.extend_spans(spans)
-        return cls(columns, spans)
+        return cls(columns, spans, parent_rows)
 
     def span(self, row: int) -> ObservedSpan:
         if self.spans is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .checker import ConformanceReport, _candidate_index, _disallowed_violations, evaluate
+from .checker import ConformanceReport, Found, _candidate_index, _disallowed_violations, evaluate
 from .design import DesignTraceSet
 from .model import ObservedTrace, TraceVerdict, ViolationKind
 
@@ -83,12 +83,13 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
     a duration breach are outlined red; spans witnessing a disallowed
     pattern are filled red. Missing required design spans appear as dashed
     ghost nodes carrying the design description. Every style and ghost
-    comes from one :func:`~confcheck.checker.evaluate` per design trace over
-    one candidate index. Nodes are emitted in span id order, so identical
-    inputs produce identical bytes.
+    comes from one run of each design trace's match plan over one candidate
+    index: :func:`~confcheck.checker.evaluate` for a required design trace,
+    and the checker's own disallowed rule for a disallowed one. Nodes are
+    emitted in span id order, so identical inputs produce identical bytes.
     """
     index = _candidate_index(trace)
-    witnesses, duration_witnesses, disallowed_witnesses = set(), set(), set()
+    witnesses, duration_witnesses = set(), set()
     ghosts = []
     # Ghosts in (design trace id, design span id) order, as violations are.
     for design_trace in sorted(design_set.required_traces, key=lambda t: t.design_trace_id):
@@ -104,9 +105,10 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
             else:
                 anchor = anchor_of.get(span.parent_design_span_id)
                 ghosts.append((design_trace.design_trace_id, span, anchor))
+    fired: Found = {}
     for design_trace in design_set.disallowed_traces:
-        fired = _disallowed_violations(design_trace, evaluate(design_trace, trace, index))
-        disallowed_witnesses.update(violation.observed_span_id for violation in fired)
+        _disallowed_violations(design_trace, index, fired)
+    disallowed_witnesses = {violation.observed_span_id for violation in fired.get(trace.trace_id, ())}
 
     lines = [
         f'digraph "trace_{trace.trace_id}" {{',

@@ -771,6 +771,14 @@ class TestCheckCorpus:
         with pytest.raises(ValueError):
             check_corpus(design_set, [], workers=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_trace_id_raises_at_any_worker_count(self, design_set, workers):
+        # Sorted, two workers would cut the ids a, b, b, c between the b's.
+        ids = [f"{index:032x}" for index in (1, 2, 2, 3)]
+        traces = [with_trace_id(gateway_trace(), trace_id) for trace_id in ids]
+        with pytest.raises(ValueError, match="a trace id appears in more than one of the traces"):
+            check_corpus(design_set, traces, workers=workers)
+
     def test_report_counts_by_kind_and_span(self, design_set):
         traces = [
             gateway_trace(),

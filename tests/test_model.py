@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genutil
 from confcheck.model import (
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -449,6 +451,24 @@ class TestPartition:
         partition = Partition(columns, spans)
         assert partition.parent_rows == [-1, 0, -1]
         assert partition.dangling == [2]
+        traces = [ObservedTrace.from_spans(TRACE_ID, spans[:2]), ObservedTrace.from_spans(other, spans[2:])]
+        trusted = Partition.from_traces(traces)
+        assert trusted.parent_rows == [-1, 0, -1]
+        assert trusted.dangling == [2]
+
+    def test_from_traces_resolves_as_the_checked_assembly(self):
+        # from_traces takes each trace's own checks as done; resolving the
+        # same rows with every check must give the same parents.
+        rng = random.Random(20261019)
+        for _ in range(200):
+            traces = genutil.random_corpus(rng)
+            trusted = Partition.from_traces(traces)
+            columns = SpanColumns()
+            columns.extend_spans([span for trace in traces for span in trace.spans.values()])
+            checked = Partition(columns)
+            assert trusted.parent_rows == checked.parent_rows
+            assert trusted.dangling == checked.dangling
+            assert [trusted.span(row) for row in range(len(trusted))] == list(map(checked.span, range(len(checked))))
 
     def test_span_ids_repeated_across_traces(self):
         other = "0" * 31 + "2"
