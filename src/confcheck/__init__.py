@@ -7,16 +7,7 @@ and render results. A deterministic simulator generates gateway-style
 workloads for experiments and tests.
 """
 
-from .checker import (
-    ConformanceReport,
-    attrs_match,
-    check_corpus,
-    check_disallowed,
-    check_required,
-    check_trace,
-    duration_ok,
-    match_witnesses,
-)
+from .checker import ConformanceReport, check_corpus, check_trace
 from .design import (
     DesignTraceSet,
     DesignValidationError,
@@ -76,12 +67,8 @@ __all__ = [
     "ViolationKind",
     "assemble_traces",
     "attr_values_equal",
-    "attrs_match",
     "check_corpus",
-    "check_disallowed",
-    "check_required",
     "check_trace",
-    "duration_ok",
     "generate_corpus",
     "generate_trace",
     "import_design_from_observed",
@@ -89,7 +76,6 @@ __all__ = [
     "load_bundled_design_set",
     "load_corpus_dir",
     "load_design_set",
-    "match_witnesses",
     "parse_trace_document",
     "serialize_design_set",
     "serialize_otel_json",

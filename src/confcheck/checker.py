@@ -37,10 +37,10 @@ its chain, so a slow root is exactly one duration violation instead of a
 cascade of structural failures down the tree. A required design trace
 reports one violation per unwitnessed span; a disallowed one fires as a
 joint pattern, only when every span is witnessed. Those two rules are
-``_required_violations`` and ``_disallowed_violations``. The entry points
-that take one trace (``evaluate``, ``check_trace``, ``check_required``,
-``check_disallowed`` and ``match_witnesses``, and the DOT renderer) run the
-same code on a one-trace partition, which
+``_required_violations`` and ``_disallowed_violations``. The two entry
+points that take one trace, ``evaluate`` (witness and slow span ids per
+design span) and ``check_trace`` (the verdict), and the DOT renderer run
+the same code on a one-trace partition, which
 :meth:`~confcheck.model.Partition.from_traces` builds without checking the
 trace again.
 """
@@ -52,7 +52,7 @@ import gc
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .design import DesignTraceSet
 from .gcpause import collector_paused
@@ -60,7 +60,6 @@ from .model import (
     AttrValue,
     DesignSpan,
     DesignTrace,
-    ObservedSpan,
     ObservedTrace,
     Partition,
     SERVICE_NAME_KEY,
@@ -74,40 +73,13 @@ from .model import (
 
 __all__ = [
     "ConformanceReport",
-    "attrs_match",
-    "duration_ok",
-    "check_required",
-    "check_disallowed",
     "check_trace",
     "check_corpus",
     "check_partitions",
     "compile_match_plan",
     "evaluate",
-    "match_witnesses",
     "WorkerExitedError",
 ]
-
-
-def attrs_match(design: DesignSpan, observed: ObservedSpan) -> bool:
-    """True when the observed span's name equals the pattern name and every
-    match attribute is present with a type-strict equal value. Extra
-    observed attributes never affect the result."""
-    return observed.name == design.name and _attributes_match(design.match_attributes.items(), observed)
-
-
-def _attributes_match(attributes: Iterable[Tuple[str, AttrValue]], observed: ObservedSpan) -> bool:
-    for key, expected in attributes:
-        actual = observed.lookup_attribute(key)
-        if actual is None or not attr_values_equal(expected, actual):
-            return False
-    return True
-
-
-def duration_ok(design: DesignSpan, observed: ObservedSpan) -> bool:
-    """True when the pattern has no duration bound or the observed duration
-    is within it. The bound is inclusive."""
-    bound = design.max_duration_micros
-    return bound is None or observed.duration_micros <= bound
 
 
 def _has_matched_ancestor(up: List[int], row: int, matched: "set[int]", reaches: Dict[int, bool]) -> bool:
@@ -384,14 +356,14 @@ def _violations(design_set: DesignTraceSet, index: CandidateIndex) -> Found:
     return found
 
 
-Outcome = Tuple[DesignSpan, Optional[ObservedSpan], Optional[ObservedSpan]]
+Outcome = Tuple[DesignSpan, Optional[SpanId], Optional[SpanId]]
 
 
 def evaluate(
     design_trace: DesignTrace, trace: ObservedTrace, index: Optional[CandidateIndex] = None
 ) -> List[Outcome]:
     """The one witness and duration rule: run ``design_trace``'s match plan
-    once over ``trace`` and return ``(design span, witness, slow)`` per
+    once over ``trace`` and return ``(design span, witness id, slow id)`` per
     design span, in design span id order. The witness is the smallest-id
     structural match within the duration bound, or None. Without a witness,
     slow is the fastest over-budget match (ties to the smaller span id), or
@@ -399,61 +371,31 @@ def evaluate(
     ``_candidate_index(trace)``, built here when not given."""
     if index is None:
         index = _candidate_index(trace)
-    span = index.partition.span
+    span_ids = index.partition.span_ids
     outcomes: List[Outcome] = []
     for design_span, witness, slow in _step_outcomes(design_trace.match_plan, index):
         witness_row, slow_row = witness.get(trace.trace_id), slow.get(trace.trace_id)
         outcomes.append(
             (
                 design_span,
-                None if witness_row is None else span(witness_row),
-                None if slow_row is None else span(slow_row),
+                None if witness_row is None else span_ids[witness_row],
+                None if slow_row is None else span_ids[slow_row],
             )
         )
     return outcomes
 
 
-def check_required(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
-    """Evaluate one required design trace.
-
-    Per design span: a witness means no violation; a span matched
-    structurally but over its duration budget is a DurationExceeded
-    violation carrying the fastest such candidate (ties broken by span id);
-    no structural match at all is a MissingRequired violation.
-    """
-    found: Found = {}
-    _required_violations(design_trace, _candidate_index(trace), found)
-    return found.get(trace.trace_id, [])
-
-
-def check_disallowed(design_trace: DesignTrace, trace: ObservedTrace) -> List[Violation]:
-    """Evaluate one disallowed design trace as a joint pattern.
-
-    Only when every design span in the trace is witnessed does the pattern
-    fire, emitting one DisallowedPresent violation per design span with its
-    witness. A partial match emits nothing: the root of a disallowed pattern
-    typically also matches legitimate behavior.
-    """
-    found: Found = {}
-    _disallowed_violations(design_trace, _candidate_index(trace), found)
-    return found.get(trace.trace_id, [])
-
-
 def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdict:
     """Decide conformance of one observed trace against a validated design
     set. Pure function; violations are ordered by (design trace id, design
-    span id) so two invocations agree bit for bit."""
-    violations = _violations(design_set, _candidate_index(trace)).get(trace.trace_id, ())
+    span id) so two invocations agree bit for bit.
+
+    The cyclic collector is paused meanwhile, as for a partition: the check
+    builds no reference cycles, so a pass over the caller's heap would cost
+    the check time that does not grow with the trace."""
+    with collector_paused():
+        violations = _violations(design_set, _candidate_index(trace)).get(trace.trace_id, ())
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
-
-
-def match_witnesses(design_trace: DesignTrace, trace: ObservedTrace) -> Dict[str, Optional[SpanId]]:
-    """The witness per design span (smallest span id within the duration
-    bound), or None when the span is unwitnessed, in design span id order."""
-    return {
-        span.design_span_id: None if witness is None else witness.span_id
-        for span, witness, _ in evaluate(design_trace, trace)
-    }
 
 
 def _kind_counts(counts: Optional[Mapping[ViolationKind, int]] = None) -> Dict[ViolationKind, int]:
@@ -542,9 +484,8 @@ class WorkerExitedError(RuntimeError):
 
 
 # A partition loader maps a partition index to that partition's traces, as a
-# Partition or a sequence of ObservedTrace with distinct ids, and the ingest
-# warnings raised while loading them.
-PartitionLoader = Callable[[int], Tuple[Union[Partition, Sequence[ObservedTrace]], Sequence[object]]]
+# Partition, and the ingest warnings raised while loading them.
+PartitionLoader = Callable[[int], Tuple[Partition, Sequence[object]]]
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
 
@@ -558,9 +499,7 @@ def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: i
     comes back once the partial result is built and the partition is
     dropped."""
     with collector_paused():
-        loaded, warnings = load(index)
-        partition = loaded if isinstance(loaded, Partition) else Partition.from_traces(loaded)
-        del loaded
+        partition, warnings = load(index)
         candidates = CandidateIndex(partition)
         del partition
         found = _violations(design_set, candidates)
@@ -630,8 +569,8 @@ def check_partitions(design_set: DesignTraceSet, load: PartitionLoader, partitio
     return report, nonconformant, sum(warning_count for _, _, warning_count in results)
 
 
-def _given_partition(parts: Sequence[Sequence[ObservedTrace]], index: int) -> Tuple[Sequence[ObservedTrace], list]:
-    return parts[index], []
+def _given_partition(parts: Sequence[Sequence[ObservedTrace]], index: int) -> Tuple[Partition, list]:
+    return Partition.from_traces(parts[index]), []
 
 
 def check_corpus(

@@ -252,7 +252,12 @@ _NO_ATTRIBUTES: "Mapping[str, AttrValue]" = {}
 
 @dataclass(frozen=True, slots=True, init=False)
 class ObservedSpan:
-    """One recorded operation, as exported by a running system."""
+    """One recorded operation, as exported by a running system.
+
+    The checker matches the columns of a :class:`Partition`, not span
+    objects; there, a design span's ``service.name`` is compared with
+    ``service_name``, never with a same-named attribute, so that resource
+    identity cannot be spoofed per span."""
 
     trace_id: TraceId
     span_id: SpanId
@@ -345,17 +350,6 @@ class ObservedSpan:
     def duration_micros(self) -> int:
         """Span duration in whole microseconds, truncating."""
         return (self.end_time_nanos - self.start_time_nanos) // 1000
-
-    def lookup_attribute(self, key: str) -> Optional[AttrValue]:
-        """Look up ``key`` in the matching view of this span's attributes.
-
-        The view is the span's own attributes plus the service name exposed
-        under "service.name". The service name field wins over a same-named
-        attribute so that resource identity cannot be spoofed per span.
-        """
-        if key == SERVICE_NAME_KEY:
-            return self.service_name
-        return self.attributes.get(key)
 
 
 # Bound once the decorator has built the slotted class: the stores that
@@ -553,27 +547,19 @@ class Partition(SpanColumns):
 
     ``parent_rows`` holds each row's parent row, or -1 for a root and for a
     dangling parent (one that names no span of the trace); ``dangling`` the
-    rows with a dangling parent, in (trace id, span id) order. Construction
-    from columns raises ``DuplicateSpanIdError`` or
-    ``CyclicParentChainError`` for the offending trace with the smallest
-    trace id, with the message :meth:`ObservedTrace.from_spans` gives for
-    its spans in input order.
+    rows with a dangling parent, in (trace id, span id) order.
+    ``Partition(columns)`` resolves the parents and raises
+    ``DuplicateSpanIdError`` or ``CyclicParentChainError`` for the offending
+    trace with the smallest trace id, with the message
+    :meth:`ObservedTrace.from_spans` gives for its spans in input order.
+    ``parent_rows``, when given, are taken as they are, and the rows are not
+    checked again: :meth:`from_traces` gives them."""
 
-    ``spans``, when given, are the span objects of the rows, returned by
-    :meth:`span` instead of new ones; ``parent_rows``, when given, are
-    taken as they are, and the rows are not checked again."""
+    __slots__ = ("parent_rows", "dangling")
 
-    __slots__ = ("parent_rows", "dangling", "spans")
-
-    def __init__(
-        self,
-        columns: SpanColumns,
-        spans: Optional[Sequence[ObservedSpan]] = None,
-        parent_rows: Optional[List[int]] = None,
-    ) -> None:
+    def __init__(self, columns: SpanColumns, parent_rows: Optional[List[int]] = None) -> None:
         for slot in SpanColumns.__slots__:
             setattr(self, slot, getattr(columns, slot))
-        self.spans = spans
         trace_ids, span_ids, parent_ids = self.trace_ids, self.span_ids, self.parent_ids
         self.parent_rows = self._checked_parent_rows() if parent_rows is None else parent_rows
         self.dangling: List[int] = []
@@ -612,10 +598,9 @@ class Partition(SpanColumns):
 
     @classmethod
     def from_traces(cls, traces: Iterable[ObservedTrace]) -> "Partition":
-        """The partition of ``traces``, whose ids must be distinct, holding
-        their span objects. A trace has already checked its spans, so each
-        span's parent is resolved within its trace and nothing is checked
-        again."""
+        """The partition of ``traces``, whose ids must be distinct. A trace
+        has already checked its spans, so each span's parent is resolved
+        within its trace and nothing is checked again."""
         spans: List[ObservedSpan] = []
         parent_rows: List[int] = []
         for trace in traces:
@@ -625,12 +610,7 @@ class Partition(SpanColumns):
             parent_rows += map(position.get, map(_parent_span_id, members.values()), repeat(-1))
         columns = SpanColumns()
         columns.extend_spans(spans)
-        return cls(columns, spans, parent_rows)
-
-    def span(self, row: int) -> ObservedSpan:
-        if self.spans is not None:
-            return self.spans[row]
-        return SpanColumns.span(self, row)
+        return cls(columns, parent_rows)
 
     def trace(self, trace_id: TraceId) -> Optional[ObservedTrace]:
         """The trace ``trace_id``, its span objects in input order, or None

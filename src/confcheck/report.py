@@ -99,9 +99,9 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
         anchor_of = {span.design_span_id: witness or slow for span, witness, slow in outcomes}
         for span, witness, slow in outcomes:
             if witness is not None:
-                witnesses.add(witness.span_id)
+                witnesses.add(witness)
             elif slow is not None:
-                duration_witnesses.add(slow.span_id)
+                duration_witnesses.add(slow)
             else:
                 anchor = anchor_of.get(span.parent_design_span_id)
                 ghosts.append((design_trace.design_trace_id, span, anchor))
@@ -132,14 +132,14 @@ def render_trace_dot(design_set: DesignTraceSet, trace: ObservedTrace) -> str:
         lines.append(f'  "{span_id}" [label="{label}"{style}];')
 
     for design_trace_id, design_span, anchor in ghosts:
-        ghost_id = f"missing_{design_trace_id}_{design_span.design_span_id}"
+        ghost_id = _dot_escape(f"missing_{design_trace_id}_{design_span.design_span_id}")
         label_parts = [f"missing: {design_span.name}"]
         if design_span.description:
             label_parts.append(design_span.description)
         label = "\\n".join(_dot_escape(part) for part in label_parts)
         lines.append(f'  "{ghost_id}" [label="{label}", style=dashed, color=red];')
         if anchor is not None:
-            lines.append(f'  "{anchor.span_id}" -> "{ghost_id}" [style=dashed];')
+            lines.append(f'  "{anchor}" -> "{ghost_id}" [style=dashed];')
 
     for span_id in sorted(trace.spans):
         span = trace.spans[span_id]

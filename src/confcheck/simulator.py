@@ -18,7 +18,6 @@ receive the other deviations.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 import re
@@ -90,11 +89,17 @@ def _substream(seed: int, index: int, purpose: str) -> random.Random:
     purpose), making the streams independent of each other and of trace
     scheduling.
     """
+    # Imported here, as in _hex_id: hashlib loads OpenSSL, which only
+    # simulate needs, so every other command skips its import and memory.
+    import hashlib
+
     digest = hashlib.blake2b(f"{seed}:{index}:{purpose}".encode(), digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 
 def _hex_id(material: str, n_bytes: int) -> str:
+    import hashlib
+
     digest = hashlib.blake2b(material.encode(), digest_size=n_bytes).hexdigest()
     if not digest.strip("0"):
         digest = digest[:-1] + "1"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import gc
 import random
@@ -11,18 +12,7 @@ import pytest
 
 import genutil
 from confcheck import checker, ingest
-from confcheck.checker import (
-    ConformanceReport,
-    attrs_match,
-    check_corpus,
-    check_disallowed,
-    check_partitions,
-    check_required,
-    check_trace,
-    duration_ok,
-    evaluate,
-    match_witnesses,
-)
+from confcheck.checker import ConformanceReport, check_corpus, check_partitions, check_trace, evaluate
 from confcheck.design import DesignTraceSet, load_design_set
 from confcheck.ingest import serialize_otel_json
 from confcheck.model import (
@@ -34,6 +24,7 @@ from confcheck.model import (
     TraceVerdict,
     Violation,
     ViolationKind,
+    attr_values_equal,
 )
 
 TRACE_ID = "0" * 31 + "1"
@@ -87,6 +78,26 @@ def design(design_set, span_id):
     raise KeyError(span_id)
 
 
+def witnesses_of(design_trace, trace):
+    """The witness span id per design span, or None, in design span id order."""
+    return {span.design_span_id: witness for span, witness, _ in evaluate(design_trace, trace)}
+
+
+def violations_of(design_trace, trace):
+    """The violations ``check_trace`` finds in ``trace`` against
+    ``design_trace`` alone, which need not be valid."""
+    return list(check_trace(DesignTraceSet(design_traces=(design_trace,)), trace).violations)
+
+
+def alone(pattern, span):
+    """``evaluate``'s (witness, slow) for ``pattern`` as the one root span of
+    a design trace, in a trace of ``span`` alone."""
+    root = dataclasses.replace(pattern, parent_design_span_id=None)
+    design_trace = DesignTrace(design_trace_id="alone", spans={root.design_span_id: root})
+    [(_, witness, slow)] = evaluate(design_trace, ObservedTrace.from_spans(TRACE_ID, [span]))
+    return witness, slow
+
+
 def with_trace_id(trace, new_id):
     return ObservedTrace.from_spans(
         new_id,
@@ -110,12 +121,12 @@ class TestAttrsMatch:
     def test_name_and_service_match(self, design_set):
         _, span_b = design(design_set, "B")
         target = observed(MS_REQUEST, "aspnet_core.request", "microservice")
-        assert attrs_match(span_b, target)
+        assert alone(span_b, target) == (MS_REQUEST, None)
 
     def test_service_mismatch(self, design_set):
         _, span_b = design(design_set, "B")
         target = observed(ROOT, "aspnet_core.request", "gateway")
-        assert not attrs_match(span_b, target)
+        assert alone(span_b, target) == (None, None)
 
     def test_missing_required_attribute_key(self):
         pattern = DesignSpan(
@@ -123,13 +134,13 @@ class TestAttrsMatch:
             name="op",
             match_attributes={"service.name": "svc", "http.method": "GET"},
         )
-        assert not attrs_match(pattern, observed(ROOT, "op", "svc"))
-        assert attrs_match(pattern, observed(ROOT, "op", "svc", attributes={"http.method": "GET"}))
+        assert alone(pattern, observed(ROOT, "op", "svc")) == (None, None)
+        assert alone(pattern, observed(ROOT, "op", "svc", attributes={"http.method": "GET"})) == (ROOT, None)
 
     def test_extra_observed_attributes_ignored(self):
         pattern = DesignSpan(design_span_id="X", name="op", match_attributes={"service.name": "svc"})
         span = observed(ROOT, "op", "svc", attributes={"anything": "else", "n": 4})
-        assert attrs_match(pattern, span)
+        assert alone(pattern, span) == (ROOT, None)
 
     def test_type_strict_value_comparison(self):
         pattern = DesignSpan(
@@ -137,33 +148,42 @@ class TestAttrsMatch:
             name="op",
             match_attributes={"service.name": "svc", "code": 200},
         )
-        assert not attrs_match(pattern, observed(ROOT, "op", "svc", attributes={"code": "200"}))
-        assert attrs_match(pattern, observed(ROOT, "op", "svc", attributes={"code": 200}))
+        assert alone(pattern, observed(ROOT, "op", "svc", attributes={"code": "200"})) == (None, None)
+        assert alone(pattern, observed(ROOT, "op", "svc", attributes={"code": 200})) == (ROOT, None)
+
+    def test_service_name_field_wins_over_attribute(self):
+        # A span's own service.name attribute cannot spoof its resource.
+        pattern = DesignSpan(design_span_id="X", name="op", match_attributes={"service.name": "svc"})
+        spoofed = observed(ROOT, "op", "other", attributes={"service.name": "svc"})
+        assert alone(pattern, spoofed) == (None, None)
+        overridden = observed(ROOT, "op", "svc", attributes={"service.name": "other"})
+        assert alone(pattern, overridden) == (ROOT, None)
 
 
 class TestDurationOk:
     def test_within_bound(self, design_set):
         _, span_a = design(design_set, "A")
-        assert duration_ok(span_a, observed(ROOT, "aspnet_core.request", "gateway", duration_micros=120_000))
+        root = observed(ROOT, "aspnet_core.request", "gateway", duration_micros=120_000)
+        assert alone(span_a, root) == (ROOT, None)
 
     def test_boundary_is_inclusive(self, design_set):
         _, span_a = design(design_set, "A")
-        assert duration_ok(span_a, observed(ROOT, "aspnet_core.request", "gateway", duration_micros=500_000))
-        assert not duration_ok(
-            span_a, observed(ROOT, "aspnet_core.request", "gateway", duration_micros=500_001)
-        )
+        at_bound = observed(ROOT, "aspnet_core.request", "gateway", duration_micros=500_000)
+        assert alone(span_a, at_bound) == (ROOT, None)
+        over_bound = observed(ROOT, "aspnet_core.request", "gateway", duration_micros=500_001)
+        assert alone(span_a, over_bound) == (None, ROOT)
 
     def test_absent_bound_accepts_anything(self, design_set):
         _, span_b = design(design_set, "B")
         slow = observed(MS_REQUEST, "aspnet_core.request", "microservice", duration_micros=10**9)
-        assert duration_ok(span_b, slow)
+        assert alone(span_b, slow) == (MS_REQUEST, None)
 
 
 class TestChainMatches:
     def test_grandparent_chain_satisfies_non_immediate_parent(self, design_set):
         trace = gateway_trace()
         design_trace, span_c = design(design_set, "C")
-        assert match_witnesses(design_trace, trace)[span_c.design_span_id] == MS_QUERY
+        assert witnesses_of(design_trace, trace)[span_c.design_span_id] == MS_QUERY
 
     def test_parentless_pattern_anchors_anywhere(self, design_set):
         nested_root = [
@@ -185,7 +205,7 @@ class TestChainMatches:
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, rehung)
         design_trace, span_a = design(design_set, "A")
-        assert match_witnesses(design_trace, trace)[span_a.design_span_id] == ROOT
+        assert witnesses_of(design_trace, trace)[span_a.design_span_id] == ROOT
 
     def test_no_matching_ancestor_fails(self, design_set):
         # A microservice request with no gateway request anywhere above it.
@@ -195,7 +215,7 @@ class TestChainMatches:
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, spans)
         design_trace, span_b = design(design_set, "B")
-        assert match_witnesses(design_trace, trace)[span_b.design_span_id] is None
+        assert witnesses_of(design_trace, trace)[span_b.design_span_id] is None
 
     def test_immediate_parent_mode_rejects_grandparent(self):
         parent = DesignSpan(design_span_id="P", name="root-op", match_attributes={"service.name": "svc"})
@@ -213,12 +233,12 @@ class TestChainMatches:
             observed(MS_REQUEST, "leaf-op", "svc", parent=CLIENT),
         ]
         trace = ObservedTrace.from_spans(TRACE_ID, spans)
-        assert match_witnesses(design_trace, trace)["Q"] is None
+        assert witnesses_of(design_trace, trace)["Q"] is None
         direct = ObservedTrace.from_spans(
             TRACE_ID,
             [observed(ROOT, "root-op", "svc"), observed(CLIENT, "leaf-op", "svc", parent=ROOT)],
         )
-        assert match_witnesses(design_trace, direct)["Q"] == CLIENT
+        assert witnesses_of(design_trace, direct)["Q"] == CLIENT
 
     def test_dangling_parent_is_chain_terminal(self):
         parent = DesignSpan(design_span_id="P", name="root-op", match_attributes={"service.name": "svc"})
@@ -233,14 +253,14 @@ class TestChainMatches:
         trace = ObservedTrace.from_spans(
             TRACE_ID, [observed(ROOT, "leaf-op", "svc", parent="00000000000000ff")]
         )
-        assert match_witnesses(design_trace, trace)["Q"] is None
+        assert witnesses_of(design_trace, trace)["Q"] is None
 
     def test_ancestor_duration_does_not_veto_chain(self, design_set):
         # The root is over its own budget, but budgets bind only the span
         # being witnessed, so the chain under it still matches.
         trace = gateway_trace(root_duration_micros=600_000)
         design_trace, span_b = design(design_set, "B")
-        assert match_witnesses(design_trace, trace)[span_b.design_span_id] == MS_REQUEST
+        assert witnesses_of(design_trace, trace)[span_b.design_span_id] == MS_REQUEST
 
 
     def test_child_listed_before_parent_resolves(self):
@@ -262,7 +282,7 @@ class TestChainMatches:
                 observed(MS_REQUEST, "leaf-op", "svc", parent=CLIENT),
             ],
         )
-        assert match_witnesses(design_trace, trace) == {"A": MS_REQUEST, "Z": ROOT}
+        assert witnesses_of(design_trace, trace) == {"A": MS_REQUEST, "Z": ROOT}
 
     def test_unknown_design_parent_raises(self):
         orphan = DesignSpan(
@@ -274,7 +294,7 @@ class TestChainMatches:
         design_trace = DesignTrace(design_trace_id="t", spans={"Q": orphan})
         trace = ObservedTrace.from_spans(TRACE_ID, [observed(ROOT, "leaf-op", "svc")])
         with pytest.raises(ValueError, match="design trace t"):
-            check_required(design_trace, trace)
+            violations_of(design_trace, trace)
 
 
 class TestCheckRequired:
@@ -282,10 +302,10 @@ class TestCheckRequired:
         return design_set.required_traces[0]
 
     def test_conformant_shape_has_no_violations(self, design_set):
-        assert check_required(self.required_trace(design_set), gateway_trace()) == []
+        assert violations_of(self.required_trace(design_set), gateway_trace()) == []
 
     def test_slow_root_is_exactly_one_duration_violation(self, design_set):
-        violations = check_required(self.required_trace(design_set), gateway_trace(root_duration_micros=600_000))
+        violations = violations_of(self.required_trace(design_set), gateway_trace(root_duration_micros=600_000))
         assert violations == [
             Violation(
                 kind=ViolationKind.DURATION_EXCEEDED,
@@ -296,7 +316,7 @@ class TestCheckRequired:
         ]
 
     def test_missing_query_is_missing_required(self, design_set):
-        violations = check_required(self.required_trace(design_set), gateway_trace(ms_query=False))
+        violations = violations_of(self.required_trace(design_set), gateway_trace(ms_query=False))
         assert violations == [
             Violation(
                 kind=ViolationKind.MISSING_REQUIRED,
@@ -325,7 +345,7 @@ class TestCheckRequired:
                 observed("00000000000000c3", "op", "svc", duration_micros=300),
             ],
         )
-        violations = check_required(pattern, trace)
+        violations = violations_of(pattern, trace)
         assert violations[0].observed_span_id == "00000000000000b2"
 
 
@@ -334,7 +354,7 @@ class TestCheckDisallowed:
         return design_set.disallowed_traces[0]
 
     def test_gateway_query_fires_joint_pattern(self, design_set):
-        violations = check_disallowed(self.disallowed_trace(design_set), gateway_trace(gw_query=True))
+        violations = violations_of(self.disallowed_trace(design_set), gateway_trace(gw_query=True))
         assert violations == [
             Violation(
                 kind=ViolationKind.DISALLOWED_PRESENT,
@@ -351,13 +371,13 @@ class TestCheckDisallowed:
         ]
 
     def test_conformant_shape_emits_nothing(self, design_set):
-        assert check_disallowed(self.disallowed_trace(design_set), gateway_trace()) == []
+        assert violations_of(self.disallowed_trace(design_set), gateway_trace()) == []
 
     def test_partial_match_does_not_fire(self, design_set):
         # The root matches the disallowed pattern's anchor span, but without
         # a gateway-side query the joint pattern stays silent.
         trace = gateway_trace(gw_query=False)
-        assert check_disallowed(self.disallowed_trace(design_set), trace) == []
+        assert violations_of(self.disallowed_trace(design_set), trace) == []
 
 
 class TestCheckTrace:
@@ -402,10 +422,10 @@ class TestCheckTrace:
         keys = [(v.design_trace_id, v.design_span_id) for v in first.violations]
         assert keys == sorted(keys)
 
-    def test_match_witnesses_reports_strict_matches(self, design_set):
-        witnesses = match_witnesses(design_set.required_traces[0], gateway_trace())
+    def test_evaluate_reports_strict_witnesses(self, design_set):
+        witnesses = witnesses_of(design_set.required_traces[0], gateway_trace())
         assert witnesses == {"A": ROOT, "B": MS_REQUEST, "C": MS_QUERY}
-        witnesses_slow = match_witnesses(
+        witnesses_slow = witnesses_of(
             design_set.required_traces[0], gateway_trace(root_duration_micros=600_000)
         )
         assert witnesses_slow["A"] is None
@@ -417,7 +437,7 @@ class TestEvaluate:
 
     def outcomes(self, design_set, trace):
         return [
-            (span.design_span_id, witness and witness.span_id, slow and slow.span_id)
+            (span.design_span_id, witness, slow)
             for span, witness, slow in evaluate(design_set.required_traces[0], trace)
         ]
 
@@ -450,18 +470,36 @@ class TestEvaluate:
         slow = observed(ROOT, "op", "svc", duration_micros=500)
         fast = observed(NOISE, "op", "svc", duration_micros=50)
         [(span, witness, over)] = evaluate(pattern, ObservedTrace.from_spans(TRACE_ID, [slow, fast]))
-        assert (span.design_span_id, witness, over) == ("X", fast, None)
+        assert (span.design_span_id, witness, over) == ("X", NOISE, None)
+
+
+def scan_attrs_match(design, observed):
+    """The name and every match attribute, type-strictly, with the span's
+    service name standing for its ``service.name``."""
+    if observed.name != design.name:
+        return False
+    for key, expected in design.match_attributes.items():
+        actual = observed.service_name if key == "service.name" else observed.attributes.get(key)
+        if actual is None or not attr_values_equal(expected, actual):
+            return False
+    return True
+
+
+def scan_within_bound(design, observed):
+    bound = design.max_duration_micros
+    return bound is None or observed.duration_micros <= bound
 
 
 def scan_matches(design_trace, trace):
-    """Structural matches per design span by an exhaustive ``attrs_match``
-    scan of every observed span, with full ancestor walks."""
+    """Structural matches per design span by an exhaustive
+    ``scan_attrs_match`` scan of every observed span, with full ancestor
+    walks."""
     spans = [trace.spans[span_id] for span_id in sorted(trace.spans)]
     matches = {}
 
     def resolve(design_span):
         if design_span.design_span_id not in matches:
-            found = [span for span in spans if attrs_match(design_span, span)]
+            found = [span for span in spans if scan_attrs_match(design_span, span)]
             if design_span.parent_design_span_id is not None:
                 parent_ids = {span.span_id for span in resolve(design_trace.spans[design_span.parent_design_span_id])}
                 if design_span.allow_non_immediate_parent:
@@ -479,44 +517,60 @@ def scan_matches(design_trace, trace):
 def scan_witnesses(design_trace, trace):
     matches = scan_matches(design_trace, trace)
     return {
-        span_id: next((s.span_id for s in matches[span_id] if duration_ok(design_trace.spans[span_id], s)), None)
+        span_id: next(
+            (s.span_id for s in matches[span_id] if scan_within_bound(design_trace.spans[span_id], s)), None
+        )
         for span_id in sorted(design_trace.spans)
     }
 
 
-def scan_required(design_trace, trace):
+def scan_violations(design_trace, trace):
+    """A required design trace: per design span without a match in bound, a
+    DurationExceeded violation carrying its fastest match by (duration, span
+    id), or a MissingRequired one. A disallowed design trace: when every
+    design span has a match in bound, a DisallowedPresent violation per
+    design span carrying its first."""
     matches = scan_matches(design_trace, trace)
+    design_trace_id = design_trace.design_trace_id
+    if design_trace.is_disallowed:
+        witnessed = scan_witnesses(design_trace, trace)
+        if None in witnessed.values():
+            return []
+        return [
+            Violation(ViolationKind.DISALLOWED_PRESENT, design_trace_id, span_id, witness)
+            for span_id, witness in witnessed.items()
+        ]
     violations = []
     for span_id in sorted(design_trace.spans):
         design_span = design_trace.spans[span_id]
-        if any(duration_ok(design_span, s) for s in matches[span_id]):
+        if any(scan_within_bound(design_span, s) for s in matches[span_id]):
             continue
         slow = sorted(matches[span_id], key=lambda s: (s.duration_micros, s.span_id))
         kind = ViolationKind.DURATION_EXCEEDED if slow else ViolationKind.MISSING_REQUIRED
-        violations.append(Violation(kind, design_trace.design_trace_id, span_id, slow[0].span_id if slow else None))
+        violations.append(Violation(kind, design_trace_id, span_id, slow[0].span_id if slow else None))
     return violations
 
 
 def scan_outcomes(design_trace, trace):
     """``evaluate``'s outcomes from the exhaustive scan: the first match in
-    bound, else the fastest match by (duration, span id)."""
+    bound, else the fastest match by (duration, span id), as span ids."""
     matches = scan_matches(design_trace, trace)
     outcomes = []
     for span_id in sorted(design_trace.spans):
         design_span = design_trace.spans[span_id]
-        in_bound = [s for s in matches[span_id] if duration_ok(design_span, s)]
+        in_bound = [s.span_id for s in matches[span_id] if scan_within_bound(design_span, s)]
         slow = sorted(matches[span_id], key=lambda s: (s.duration_micros, s.span_id))
         if in_bound:
             outcomes.append((design_span, in_bound[0], None))
         else:
-            outcomes.append((design_span, None, slow[0] if slow else None))
+            outcomes.append((design_span, None, slow[0].span_id if slow else None))
     return outcomes
 
 
 def assert_index_equals_scan(design_trace, trace):
     assert evaluate(design_trace, trace) == scan_outcomes(design_trace, trace)
-    assert match_witnesses(design_trace, trace) == scan_witnesses(design_trace, trace)
-    assert check_required(design_trace, trace) == scan_required(design_trace, trace)
+    assert witnesses_of(design_trace, trace) == scan_witnesses(design_trace, trace)
+    assert violations_of(design_trace, trace) == scan_violations(design_trace, trace)
 
 
 class TestCandidateIndex:
@@ -529,7 +583,7 @@ class TestCandidateIndex:
         design_trace = DesignTrace(design_trace_id="unvalidated", spans={"X": pattern})
         trace = gateway_trace()
         assert_index_equals_scan(design_trace, trace)
-        assert match_witnesses(design_trace, trace) == {"X": ROOT}
+        assert witnesses_of(design_trace, trace) == {"X": ROOT}
 
     def test_design_span_without_service_still_checks_other_attributes(self):
         pattern = DesignSpan(design_span_id="X", name="op", match_attributes={"code": 7})
@@ -539,7 +593,7 @@ class TestCandidateIndex:
             [observed(NOISE, "op", "b", attributes={"code": 7}), observed(ROOT, "op", "a", attributes={"code": "7"})],
         )
         assert_index_equals_scan(design_trace, trace)
-        assert match_witnesses(design_trace, trace) == {"X": NOISE}
+        assert witnesses_of(design_trace, trace) == {"X": NOISE}
 
     @pytest.mark.parametrize("service", [1, True, 1.0])
     def test_non_string_service_matches_nothing(self, service):
@@ -559,7 +613,7 @@ class TestCandidateIndex:
             ],
         )
         assert_index_equals_scan(design_trace, trace)
-        assert match_witnesses(design_trace, trace) == {"S": None, "T": None, "U": None}
+        assert witnesses_of(design_trace, trace) == {"S": None, "T": None, "U": None}
 
     def test_nan_valued_extra_attribute(self):
         nan = float("nan")
@@ -574,7 +628,7 @@ class TestCandidateIndex:
             ],
         )
         assert_index_equals_scan(design_trace, trace)
-        assert match_witnesses(design_trace, trace) == {"X": NOISE}
+        assert witnesses_of(design_trace, trace) == {"X": NOISE}
 
     def test_bucket_follows_span_id_order_not_insertion_order(self):
         later, earlier = "00000000000000f2", "00000000000000a1"
@@ -588,13 +642,13 @@ class TestCandidateIndex:
         assert list(trace.spans) == [later, earlier]
         assert_index_equals_scan(design_trace, trace)
         # Equal durations: the DurationExceeded witness is the smaller id.
-        assert check_required(design_trace, trace)[0].observed_span_id == earlier
+        assert violations_of(design_trace, trace)[0].observed_span_id == earlier
         unbounded = DesignTrace(
             design_trace_id="order",
             spans={"X": DesignSpan(design_span_id="X", name="op", match_attributes={"service.name": "svc"})},
         )
         assert_index_equals_scan(unbounded, trace)
-        assert match_witnesses(unbounded, trace) == {"X": earlier}
+        assert witnesses_of(unbounded, trace) == {"X": earlier}
 
     def test_random_instances(self):
         rng = random.Random(20261018)
@@ -655,7 +709,7 @@ class TestMatchPlan:
                 TRACE_ID, [observed(ROOT, "op", services[0]), observed(NOISE, "op", services[1])]
             )
             assert_index_equals_scan(design_trace, trace)
-            witnesses = match_witnesses(design_trace, trace)
+            witnesses = witnesses_of(design_trace, trace)
             assert sorted(witnesses.values()) == sorted([ROOT, NOISE])
 
     @pytest.mark.parametrize(
@@ -674,15 +728,16 @@ class TestMatchPlan:
             for span_id, parent in parents.items()
         }
         design_trace = DesignTrace(design_trace_id="broken", spans=spans)
-        for check in (check_required, match_witnesses, check_required):
+        for check in (violations_of, witnesses_of, violations_of):
             with pytest.raises(ValueError) as excinfo:
                 check(design_trace, gateway_trace())
             assert str(excinfo.value) == "design trace broken: unknown or cyclic design parents"
 
 
 class TestCollectorState:
-    """check_partitions runs its loads and checks with the cyclic collector
-    off, and leaves the caller's collector state as it found it."""
+    """check_partitions and check_trace run their loads and checks with the
+    cyclic collector off, and leave the caller's collector state as they
+    found it."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def collector(self, request):
@@ -698,13 +753,26 @@ class TestCollectorState:
 
         def load(index):
             seen.append(gc.isenabled())
-            return traces[index::partitions], []
+            return Partition.from_traces(traces[index::partitions]), []
 
         report, verdicts, warnings = check_partitions(design_set, load, partitions)
         assert (report.total_traces, verdicts, warnings) == (4, [], 0)
         assert gc.isenabled() is collector
         if partitions == 1:
             assert seen == [False]
+
+    def test_check_trace_pauses_it(self, design_set, collector, monkeypatch):
+        seen = []
+        real_violations = checker._violations
+
+        def recording_violations(design_set, index):
+            seen.append(gc.isenabled())
+            return real_violations(design_set, index)
+
+        monkeypatch.setattr(checker, "_violations", recording_violations)
+        assert check_trace(design_set, gateway_trace()).conformant
+        assert seen == [False]
+        assert gc.isenabled() is collector
 
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_state_restored_after_error(self, design_set, collector, partitions):
@@ -716,7 +784,16 @@ class TestCollectorState:
         assert gc.isenabled() is collector
 
 
-@pytest.mark.parametrize("loader", ["load_corpus_dir", "load_partition"])
+def _loaded_traces_as_partition(directory, index):
+    traces, warnings = ingest.load_corpus_dir(directory, index)
+    return Partition.from_traces(traces), warnings
+
+
+# A partition built from loaded span objects, and one built from columns.
+LOADERS = {"load_corpus_dir": _loaded_traces_as_partition, "load_partition": ingest.load_partition}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path, monkeypatch, loader):
     # Re-enabling the collector while a partition's spans are alive would
     # start a pass over all of them at the next allocation.
@@ -739,7 +816,7 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
 
     monkeypatch.setattr(gc, "enable", counting_enable)
     try:
-        report, _, _ = check_partitions(design_set, functools.partial(getattr(ingest, loader), tmp_path), 1)
+        report, _, _ = check_partitions(design_set, functools.partial(LOADERS[loader], tmp_path), 1)
     finally:
         monkeypatch.undo()
         (gc.enable if was_enabled else gc.disable)()

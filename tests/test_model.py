@@ -145,10 +145,6 @@ class TestObservedSpanInvariants:
         with pytest.raises(ValueError):
             make_span(links=((TRACE_ID, "nothex"),))
 
-    def test_service_name_wins_in_attribute_view(self):
-        span = make_span(attributes={"service.name": "spoofed"})
-        assert span.lookup_attribute("service.name") == "svc"
-
 
 ZERO_TRACE = "0" * 32
 
@@ -448,7 +444,7 @@ class TestPartition:
         ]
         columns = SpanColumns()
         columns.extend_spans(spans)
-        partition = Partition(columns, spans)
+        partition = Partition(columns)
         assert partition.parent_rows == [-1, 0, -1]
         assert partition.dangling == [2]
         traces = [ObservedTrace.from_spans(TRACE_ID, spans[:2]), ObservedTrace.from_spans(other, spans[2:])]
@@ -480,7 +476,7 @@ class TestPartition:
         ]
         columns = SpanColumns()
         columns.extend_spans(spans)
-        partition = Partition(columns, spans)
+        partition = Partition(columns)
         assert partition.parent_rows == [-1, 0, -1, 2]
         assert partition.dangling == []
         assert [trace.trace_id for trace in partition.traces()] == [TRACE_ID, other]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 
-from confcheck.checker import check_trace, match_witnesses
+from confcheck.checker import check_trace, evaluate
 from confcheck.design import DesignTraceSet
 from confcheck.model import DesignSpan, DesignTrace, ObservedSpan, ObservedTrace, ViolationKind
 
@@ -92,7 +92,7 @@ def test_unmatched_ancestor_chain_rejected_and_oracle_agrees(design_set):
     ]
     trace = ObservedTrace.from_spans(TRACE_ID, spans)
     required = design_set.required_traces[0]
-    assert match_witnesses(required, trace)["B"] is None
+    assert {span.design_span_id: witness for span, witness, _ in evaluate(required, trace)}["B"] is None
     assert "00000000000000c3" not in oracle.structural_witnesses(
         required, trace, required.spans["B"]
     )

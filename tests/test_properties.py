@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcheck import ingest
-from confcheck.checker import ConformanceReport, check_corpus, check_trace, match_witnesses
+from confcheck.checker import ConformanceReport, check_corpus, check_trace, evaluate
 from confcheck.design import load_design_set, serialize_design_set
 from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trace_document, serialize_otel_json
 from confcheck.model import ObservedSpan, ObservedTrace, Partition, ViolationKind
@@ -157,7 +157,7 @@ def test_deleting_a_required_witness_never_fixes_required_checks(seed):
 
     witness_ids = set()
     for design_trace in design_set.required_traces:
-        for witness in match_witnesses(design_trace, trace).values():
+        for _, witness, _ in evaluate(design_trace, trace):
             if witness is not None:
                 witness_ids.add(witness)
     if not witness_ids:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -16,7 +19,7 @@ from confcheck import checker, ingest, simulator
 from confcheck import report as report_module
 from confcheck.checker import check_corpus
 from confcheck.cli import main
-from confcheck.design import load_design_set
+from confcheck.design import DesignTraceSet, load_design_set
 from confcheck.model import ObservedSpan, ObservedTrace
 from confcheck.report import render_text_report, render_trace_dot, report_to_json_dict
 
@@ -107,7 +110,8 @@ def style_trace():
     )
 
 
-# Recorded from the renderer that called check_trace and match_witnesses.
+# Recorded from an earlier renderer, which read the verdict and the witnesses
+# through two separate checker calls; one match run must give the same bytes.
 STYLE_TRACE_DOT = """\
 digraph "trace_00000000000000000000000000000007" {
   rankdir=TB;
@@ -247,6 +251,23 @@ class TestDotRendering:
         assert f'  "{root}" -> "missing_required-flow_B" [style=dashed];\n' in dot
         # C's design parent is itself missing: its ghost has no edge.
         assert '-> "missing_required-flow_C"' not in dot
+
+    def test_ghost_ids_are_escaped(self, design_set, nonconformant_trace):
+        # The ghost of B hangs off the over-budget root, C's has no edge; a
+        # quote or backslash in a design id must stay inside the quoted id.
+        root, client = "a1b2c3d4e5f60718", "b2c3d4e5f6071829"
+        trace = ObservedTrace.from_spans(
+            nonconformant_trace.trace_id, [nonconformant_trace.spans[root], nonconformant_trace.spans[client]]
+        )
+        renamed = DesignTraceSet.of(
+            dataclasses.replace(design_trace, design_trace_id=design_trace.design_trace_id + '"x\\')
+            for design_trace in design_set.design_traces
+        )
+        lines = render_trace_dot(renamed, trace).splitlines()
+        ghost_b, ghost_c = '"missing_required-flow\\"x\\\\_B"', '"missing_required-flow\\"x\\\\_C"'
+        assert f'  {ghost_b} [label="missing: aspnet_core.request\\nProcess request", style=dashed, color=red];' in lines
+        assert f'  "{root}" -> {ghost_b} [style=dashed];' in lines
+        assert f'  {ghost_c} [label="missing: sql_server.query\\nDB operation", style=dashed, color=red];' in lines
 
     def test_dot_output_is_stable(self, design_set, nonconformant_trace):
         assert render_trace_dot(design_set, nonconformant_trace) == render_trace_dot(
@@ -836,6 +857,17 @@ def test_serial_runs_do_not_import_the_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_every_exported_name_resolves():
+    # An export list that still names a deleted definition fails here, not
+    # at a user's ``from confcheck import *``.
+    package = importlib.import_module("confcheck")
+    modules = [package]
+    modules += [importlib.import_module(f"confcheck.{info.name}") for info in pkgutil.iter_modules(package.__path__)]
+    exported = [(module.__name__, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert "check_trace" in {name for module, name in exported if module == "confcheck"}
+    assert [(module, name) for module, name in exported if not hasattr(sys.modules[module], name)] == []
 
 
 class TestValidateDesignCommand:

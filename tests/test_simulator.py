@@ -5,6 +5,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -248,3 +251,12 @@ class TestWriteCorpus:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL's _hashlib, about 3.5 MB of memory and 5 ms of
+    # start-up; only simulate hashes anything, so no other command pays it.
+    code = "import sys, confcheck.cli; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
