@@ -36,7 +36,8 @@ def _default_workers() -> int:
         except ValueError:
             pass
         print(f"warning: ignoring invalid {WORKERS_ENV_VAR}={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
+    # The CPUs this process may run on, which can be fewer than the machine has.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _fail(message: str) -> int:
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("traces", help="directory of exported trace files")
     p_check.add_argument("--out", help="write the report here instead of stdout")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--workers", type=int, help=f"worker processes (default: ${WORKERS_ENV_VAR} or the CPU count)")
+    p_check.add_argument("--workers", type=int, help=f"worker processes (default: ${WORKERS_ENV_VAR} or the usable CPU count)")
     p_check.add_argument("--max-ids", type=int, default=1000, help="cap on nonConformantTraceIds in JSON output")
     p_check.set_defaults(func=cmd_check)
 

@@ -20,6 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .ingest import _load_json
 from .model import (
+    _INT64_MAX,
     DesignSpan,
     DesignTrace,
     ObservedTrace,
@@ -126,7 +127,7 @@ class DesignTraceSet:
         return tuple(t for t in self.design_traces if t.is_disallowed)
 
 
-_DURATION_RE = re.compile(r"(\d+(?:\.\d+)?)\s*(us|ms|s)")
+_DURATION_RE = re.compile(r"(\d+)(?:\.(\d+))?\s*(us|ms|s)")
 _DURATION_FACTORS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 
 
@@ -136,33 +137,35 @@ def parse_duration_micros(value: object) -> int:
     Accepts a positive integer (already in microseconds) or a string with a
     "us", "ms", or "s" suffix, e.g. "500ms" or "500 ms". Raises ValueError
     for anything non-positive, fractional below microsecond resolution, or
-    unparseable.
+    unparseable. The arithmetic is exact, in integers: no value is rounded.
     """
     if isinstance(value, bool):
         raise ValueError("duration must be a number or suffixed string, not a boolean")
     if isinstance(value, int):
-        micros = float(value)
+        scaled, scale = value, 1
     elif isinstance(value, str):
         match = _DURATION_RE.fullmatch(value.strip())
         if match is None:
             raise ValueError(f"cannot parse duration {echo(value)}; use an integer or a us/ms/s suffix")
-        micros = float(match.group(1)) * _DURATION_FACTORS[match.group(2)]
+        whole, fraction, unit = match.groups("")
+        scaled, scale = int(whole + fraction) * _DURATION_FACTORS[unit], 10 ** len(fraction)
     else:
         raise ValueError(f"cannot parse duration of type {type(value).__name__}")
-    if micros <= 0:
+    if scaled <= 0:
         raise ValueError(f"duration must be positive, got {echo(value)}")
-    rounded = round(micros)
-    if abs(micros - rounded) > 1e-6:
+    micros, remainder = divmod(scaled, scale)
+    if remainder:
         raise ValueError(f"duration {echo(value)} is below microsecond resolution")
-    return int(rounded)
+    return micros
 
 
 def validate_design_trace(trace: DesignTrace) -> List[ValidationError]:
     """Return every invariant breach in one design trace.
 
     An empty list means the trace is usable: parent links resolve and form a
-    forest, every span matches on service.name, durations are positive, and
-    the disallowed flag is homogeneous across the trace.
+    forest, every span matches on service.name, durations are positive and at
+    most 2**63 - 1 microseconds, and the disallowed flag is homogeneous
+    across the trace.
     """
     errors: List[ValidationError] = []
 
@@ -193,6 +196,9 @@ def validate_design_trace(trace: DesignTrace) -> List[ValidationError]:
                 f"max duration must be positive, got {span.max_duration_micros}",
                 span.design_span_id,
             )
+        elif span.max_duration_micros is not None and span.max_duration_micros > _INT64_MAX:
+            detail = f"max duration must be at most {_INT64_MAX} microseconds"
+            err(ValidationErrorKind.BAD_DURATION, detail, span.design_span_id)
         parent_id = span.parent_design_span_id
         if parent_id is not None and parent_id not in trace.spans:
             err(

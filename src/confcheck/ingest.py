@@ -14,9 +14,10 @@ reader, ``_zipkin_columns`` or ``_otel_columns``, pulls each field of every
 span into a column with C-level calls such as ``map(dict.get, spans,
 repeat("traceId"))``; end times before their start are clamped, with a
 warning, and :func:`~confcheck.model.columns_valid` then checks every
-per-span rule a column at a time, each distinct trace id once. Within one
-load one string object is shared per distinct trace id (after Zipkin
-padding), span name and service name, which saves memory.
+per-span rule a column at a time, each distinct trace id once. Only the
+column read shares strings: within one load it keeps one string object per
+distinct trace id (after Zipkin padding), span name and service name, which
+saves memory.
 
 Errors are named by the record path, not the column read. A document that
 breaks any column rule is read again by its record reader,
@@ -24,7 +25,10 @@ breaks any column rule is read again by its record reader,
 normaliser, ``_build_spans``, which builds an
 :class:`~confcheck.model.ObservedSpan` per span in file order and so raises
 the first error of the file; valid input that the column read does not
-take gives the same spans that way. ``load_partition`` then assembles the
+take gives the same spans that way. Both OTel readers walk the resource
+entries and their span lists through one generator, ``_otel_batches``, and
+a column read rejects a document on the error of any decoder it shares with
+the record path. ``load_partition`` then assembles the
 columns, and the partition names a duplicate span id or a parent cycle
 through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
 trace. Span objects are built only when asked for: ``parse_trace_document``
@@ -33,7 +37,7 @@ returns them, ``load_corpus_dir`` builds the partition's
 groups span objects into traces, each of which checks its own spans.
 
 Each error context is added once, where it is known: ``load_partition``
-prefixes the file name, ``_otel_records`` prefixes ``resourceSpans[i]:`` to a
+prefixes the file name, ``_otel_batches`` prefixes ``resourceSpans[i]:`` to a
 resource entry's errors (its attributes' among them), and ``_build_spans``
 prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
 the fields it reads (times, links, Zipkin tags). The attribute decoders add no
@@ -180,29 +184,19 @@ def _span_label(span_id: object) -> str:
 def _build_spans(
     records: Iterable[_Record],
     warnings: "Optional[list[IngestWarning]]",
-    strings: dict,
     decode_attributes: Optional[Callable[[object], dict]] = None,
 ) -> List[ObservedSpan]:
     """The one normaliser: turn a reader's records into spans, one at a time,
     so a reader's own errors and the spans' errors keep their file order.
 
-    ``strings`` is the load's dict of shared strings: every span of a load
-    with an equal trace id, name or service name holds the same string
-    object. An end time before the start is clamped to it, with a
-    warning. The parent id is normalized, and with ``decode_attributes`` the
-    raw attributes decoded, inside the span's error context: a ``ValueError``
-    of either or of the span itself becomes ``MalformedDocumentError("span
-    S: ...")``, the one place that prefixes it."""
-    share = strings.setdefault
+    An end time before the start is clamped to it, with a warning. The
+    parent id is normalized, and with ``decode_attributes`` the raw
+    attributes decoded, inside the span's error context: a ``ValueError`` of
+    either or of the span itself becomes ``MalformedDocumentError("span S:
+    ...")``, the one place that prefixes it."""
     spans: List[ObservedSpan] = []
     append = spans.append
     for trace_id, span_id, name, service_name, start, end, parent_id, attributes, links in records:
-        if type(trace_id) is str:
-            trace_id = share(trace_id, trace_id)
-        if type(name) is str:
-            name = share(name, name)
-        if type(service_name) is str:
-            service_name = share(service_name, service_name)
         if end < start:
             if warnings is not None:
                 warnings.append(_clamp_warning(start, end, trace_id, span_id))
@@ -238,7 +232,6 @@ def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
             raise MissingFieldError(f"span #{index} lacks id or traceId")
         if not isinstance(raw_trace_id, str) or not isinstance(raw_span_id, str):
             raise MalformedDocumentError(f"span #{index}: id and traceId must be strings")
-        trace_id = raw_trace_id if len(raw_trace_id) >= TRACE_ID_LENGTH else _pad_trace_id(raw_trace_id)
 
         endpoint = get("localEndpoint")
         service_name = endpoint.get("serviceName") if isinstance(endpoint, dict) else None
@@ -255,18 +248,22 @@ def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
         tags = get("tags", {})
         if not isinstance(tags, dict):
             raise MalformedDocumentError(f"{_span_label(raw_span_id)}: tags must be an object")
-        attributes = {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
         yield (
-            trace_id,
+            _pad_trace_id(raw_trace_id),
             raw_span_id,
             get("name", ""),
             service_name,
             timestamp_micros * 1000,
             (timestamp_micros + duration_micros) * 1000,
             get("parentId"),
-            attributes,
+            _string_tags(tags),
             (),
         )
+
+
+def _string_tags(tags: dict) -> dict:
+    """Zipkin tags as attributes, each value as its string."""
+    return {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
 
 
 def _attr_value_from_json(value: object) -> Optional[AttrValue]:
@@ -347,13 +344,12 @@ def _links_from_json(links: object, span_id: object) -> Tuple[Tuple[object, obje
     return tuple((link["traceId"], link["spanId"]) for link in links)
 
 
-def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
-    """The spans of an OTel-layout document as records whose attributes are
-    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``.
+def _otel_batches(data: dict) -> Iterator[Tuple[str, list]]:
+    """The one walk of the OTel layout: each ``spans`` list of the document,
+    in file order, with the service name of its resource entry.
 
     Each ``resourceSpans`` entry must carry a ``service.name`` resource
-    attribute; every span under it inherits that service name. Typed
-    attribute values are preserved.
+    attribute; every span under it inherits that service name.
     """
     for entry_index, entry in enumerate(data["resourceSpans"]):
         if not isinstance(entry, dict):
@@ -380,29 +376,37 @@ def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
             raw_spans = scope_entry.get("spans", [])
             if not isinstance(raw_spans, list):
                 raise MalformedDocumentError(f"resourceSpans[{entry_index}]: spans must be a list")
-            for raw in raw_spans:
-                if not isinstance(raw, dict):
-                    raise MalformedDocumentError("span entries must be objects")
-                get = raw.get
-                trace_id = get("traceId")
-                if share is not None and _partition_of(trace_id, share[1]) != share[0]:
-                    continue
-                span_id = get("spanId")
-                if not trace_id or not span_id:
-                    raise MissingFieldError("a span lacks spanId or traceId")
-                start = _time_from_json(get("startTimeUnixNano"), "startTimeUnixNano", span_id)
-                end = _time_from_json(get("endTimeUnixNano"), "endTimeUnixNano", span_id)
-                yield (
-                    trace_id,
-                    span_id,
-                    get("name", ""),
-                    service_name,
-                    start,
-                    end,
-                    get("parentSpanId"),
-                    get("attributes"),
-                    _links_from_json(raw["links"], span_id) if "links" in raw else (),
-                )
+            yield service_name, raw_spans
+
+
+def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
+    """The spans of an OTel-layout document as records whose attributes are
+    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``.
+    Typed attribute values are preserved."""
+    for service_name, raw_spans in _otel_batches(data):
+        for raw in raw_spans:
+            if not isinstance(raw, dict):
+                raise MalformedDocumentError("span entries must be objects")
+            get = raw.get
+            trace_id = get("traceId")
+            if share is not None and _partition_of(trace_id, share[1]) != share[0]:
+                continue
+            span_id = get("spanId")
+            if not trace_id or not span_id:
+                raise MissingFieldError("a span lacks spanId or traceId")
+            start = _time_from_json(get("startTimeUnixNano"), "startTimeUnixNano", span_id)
+            end = _time_from_json(get("endTimeUnixNano"), "endTimeUnixNano", span_id)
+            yield (
+                trace_id,
+                span_id,
+                get("name", ""),
+                service_name,
+                start,
+                end,
+                get("parentSpanId"),
+                get("attributes"),
+                _links_from_json(raw["links"], span_id) if "links" in raw else (),
+            )
 
 
 # The column reads. Each returns the columns its record reader and
@@ -432,7 +436,7 @@ def _parent_column(raw: list) -> Optional[list]:
         return raw
     if not _of_types(raw, {str, _NONE_TYPE}):
         return None
-    return ["" if value is None or not value.strip("0") else value for value in raw]
+    return [_normalize_parent_id(value) or "" for value in raw]
 
 
 _MICROS = 1000  # nanoseconds
@@ -471,7 +475,7 @@ def _zipkin_columns(data: list, share: _Share, strings: dict) -> Optional[SpanCo
         # Kept as decoded; an empty one is dropped, to hold less memory.
         tags = [tag or _NO_ATTRIBUTES for tag in tags]
     else:
-        tags = [{key: value if isinstance(value, str) else str(value) for key, value in tag.items()} for tag in tags]
+        tags = list(map(_string_tags, tags))
     share_string = strings.setdefault
     trace_ids = list(map(str.rjust, raw_trace_ids, repeat(TRACE_ID_LENGTH), repeat("0")))
     columns = SpanColumns()
@@ -552,34 +556,23 @@ def _otel_attributes(raw: list) -> Optional[list]:
 
 def _otel_columns(data: dict, share: _Share, strings: dict) -> Optional[SpanColumns]:
     """``_otel_records`` a column at a time."""
+    try:
+        batches = list(_otel_batches(data))
+    except MalformedDocumentError:
+        return None
     share_string = strings.setdefault
     spans: list = []
     services: list = []
-    for entry in data["resourceSpans"]:
-        if type(entry) is not dict:
+    for service, raw_spans in batches:
+        if not _of_types(raw_spans, {dict}):
             return None
-        resource = entry.get("resource", {})
-        scope_spans = entry.get("scopeSpans", [])
-        if type(resource) is not dict or type(scope_spans) is not list:
-            return None
-        try:
-            service = _attrs_from_json(resource.get("attributes")).get(SERVICE_NAME_KEY)
-        except MalformedDocumentError:
-            return None
-        if type(service) is not str or not service:
-            return None
-        service = share_string(service, service)
-        for scope in scope_spans:
-            raw_spans = scope.get("spans", []) if type(scope) is dict else None
-            if type(raw_spans) is not list or not _of_types(raw_spans, {dict}):
+        if share is not None:
+            raw_trace_ids = list(map(dict.get, raw_spans, repeat("traceId")))
+            if not _of_types(raw_trace_ids, {str}):
                 return None
-            if share is not None:
-                raw_trace_ids = list(map(dict.get, raw_spans, repeat("traceId")))
-                if not _of_types(raw_trace_ids, {str}):
-                    return None
-                raw_spans = list(compress(raw_spans, _share_mask(raw_trace_ids, share)))
-            spans += raw_spans
-            services += repeat(service, len(raw_spans))
+            raw_spans = list(compress(raw_spans, _share_mask(raw_trace_ids, share)))
+        spans += raw_spans
+        services += repeat(share_string(service, service), len(raw_spans))
     get = dict.get
     trace_ids = list(map(get, spans, repeat("traceId")))
     names = list(map(get, spans, repeat("name"), repeat("")))
@@ -593,12 +586,9 @@ def _otel_columns(data: dict, share: _Share, strings: dict) -> Optional[SpanColu
         return None
     columns = SpanColumns()
     for row in compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))):
-        links = spans[row]["links"]
-        if type(links) is not list or not _of_types(links, {dict}):
-            return None
         try:
-            links = tuple((link["traceId"], link["spanId"]) for link in links)
-        except KeyError:
+            links = _links_from_json(spans[row]["links"], spans[row].get("spanId"))
+        except MalformedDocumentError:
             return None
         if links:
             columns.links[row] = links
@@ -643,17 +633,13 @@ def _layout(data: object) -> "tuple[Callable, Callable, Optional[Callable[[objec
 
 
 def _document_spans(
-    data: object,
-    warnings: "Optional[list[IngestWarning]]",
-    share: _Share = None,
-    strings: Optional[dict] = None,
+    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
 ) -> List[ObservedSpan]:
     """The record path: the spans of one decoded document, of the partition
     ``share`` names, built and checked one at a time, so the first error in
-    file order is the one raised. ``strings`` is the load's dict of shared
-    strings (a new one when None)."""
+    file order is the one raised."""
     _, read_records, decode_attributes = _layout(data)
-    return _build_spans(read_records(data, share), warnings, {} if strings is None else strings, decode_attributes)
+    return _build_spans(read_records(data, share), warnings, decode_attributes)
 
 
 def _read_document(
@@ -671,7 +657,7 @@ def _read_document(
     if read is not None and _clamp_and_check(read, warnings):
         columns.extend(read)
     else:
-        columns.extend_spans(_document_spans(data, warnings, share, strings))
+        columns.extend_spans(_document_spans(data, warnings, share))
 
 
 def parse_trace_document(

@@ -8,9 +8,9 @@ of its fields and raises ``ValueError`` on the first wrong one;
 :func:`confcheck.design.validate_design_trace` owns the rules that span
 several fields or spans (parents that resolve, no parent cycles, one
 disallowed flag per trace) and the value rules a design file may break
-more than once (service.name present, durations positive), so that a
-design file with several such problems is reported in full rather than
-failing on the first one.
+more than once (service.name present, durations positive and within 64
+bits), so that a design file with several such problems is reported in
+full rather than failing on the first one.
 
 The observed types are slotted dataclasses: an ``ObservedSpan`` or
 ``ObservedTrace`` has no ``__dict__``. On 64-bit CPython 3.11 a span object
@@ -18,7 +18,9 @@ takes 104 bytes instead of 152 (its field values aside). ``ObservedSpan``
 writes its own ``__init__``, with the generated one's signature and
 defaults: it stores each field through its slot descriptor instead of
 ``object.__setattr__`` and then calls ``__post_init__``, the one validation
-hook.
+hook, which checks the trace, span and parent ids by calling
+:func:`validate_trace_id` and :func:`validate_span_id`, so each id rule is
+written once.
 
 ``DesignTrace.match_plan`` keeps the checker's compiled match plan of the
 trace, built on first use.
@@ -114,16 +116,20 @@ def parent_cycles(parents: Mapping[str, Optional[str]]) -> Iterator[List[str]]:
         done.update(path)
 
 
+def _validate_hex_id(value: object, what: str, length: int, zero: str) -> str:
+    if not isinstance(value, str) or len(value) != length or value.strip(_LOWER_HEX):
+        raise ValueError(f"{what} id must be {length} lowercase hex chars, got {echo(value)}")
+    if value == zero:
+        raise ValueError(f"{what} id must not be all zeros")
+    return value
+
+
 def validate_span_id(value: str) -> str:
     """Return ``value`` if it is a valid span id, else raise ``ValueError``.
 
     Span ids are 16 lowercase hex characters (8 bytes) and never all-zero.
     """
-    if not isinstance(value, str) or len(value) != SPAN_ID_LENGTH or value.strip(_LOWER_HEX):
-        raise ValueError(f"span id must be {SPAN_ID_LENGTH} lowercase hex chars, got {echo(value)}")
-    if value == _ZERO_SPAN_ID:
-        raise ValueError("span id must not be all zeros")
-    return value
+    return _validate_hex_id(value, "span", SPAN_ID_LENGTH, _ZERO_SPAN_ID)
 
 
 def validate_trace_id(value: str) -> str:
@@ -131,11 +137,7 @@ def validate_trace_id(value: str) -> str:
 
     Trace ids are 32 lowercase hex characters (16 bytes) and never all-zero.
     """
-    if not isinstance(value, str) or len(value) != TRACE_ID_LENGTH or value.strip(_LOWER_HEX):
-        raise ValueError(f"trace id must be {TRACE_ID_LENGTH} lowercase hex chars, got {echo(value)}")
-    if value == _ZERO_TRACE_ID:
-        raise ValueError("trace id must not be all zeros")
-    return value
+    return _validate_hex_id(value, "trace", TRACE_ID_LENGTH, _ZERO_TRACE_ID)
 
 
 def _all_lower_hex(text: str) -> bool:
@@ -296,47 +298,24 @@ class ObservedSpan:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        # Each id test is the validator's own, inlined; the validator runs
-        # only on a failing id, to raise its message.
-        trace_id = self.trace_id
-        if (
-            type(trace_id) is not str
-            or len(trace_id) != TRACE_ID_LENGTH
-            or trace_id.strip(_LOWER_HEX)
-            or trace_id == _ZERO_TRACE_ID
-        ):
-            validate_trace_id(trace_id)
-        span_id = self.span_id
-        if (
-            type(span_id) is not str
-            or len(span_id) != SPAN_ID_LENGTH
-            or span_id.strip(_LOWER_HEX)
-            or span_id == _ZERO_SPAN_ID
-        ):
-            validate_span_id(span_id)
-        parent_id = self.parent_span_id
-        if parent_id is not None and (
-            type(parent_id) is not str
-            or len(parent_id) != SPAN_ID_LENGTH
-            or parent_id.strip(_LOWER_HEX)
-            or parent_id == _ZERO_SPAN_ID
-        ):
-            validate_span_id(parent_id)
+        # The ids go through the validators themselves, not an inlined fast
+        # test of their rules, so that each id rule is written once.
+        validate_trace_id(self.trace_id)
+        validate_span_id(self.span_id)
+        if self.parent_span_id is not None:
+            validate_span_id(self.parent_span_id)
         if not isinstance(self.name, str):
             raise ValueError(f"span name must be a string, got {type(self.name).__name__}")
         if not self.service_name or not isinstance(self.service_name, str):
             raise ValueError("service_name must be a non-empty string")
-        # Two exact ints in order and in range pass at once; anything else
-        # takes the separate tests, which raise the message that fits.
         start = self.start_time_nanos
         end = self.end_time_nanos
-        if type(start) is not int or type(end) is not int or not 0 <= start <= end <= _UINT64_MAX:
-            if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= _UINT64_MAX:
-                raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {echo(start)}")
-            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end <= _UINT64_MAX:
-                raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {echo(end)}")
-            if end < start:
-                raise ValueError(f"span {span_id}: end time {end} precedes start time {start}")
+        if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= _UINT64_MAX:
+            raise ValueError(f"start time must be an unsigned 64-bit nanosecond count, got {echo(start)}")
+        if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end <= _UINT64_MAX:
+            raise ValueError(f"end time must be an unsigned 64-bit nanosecond count, got {echo(end)}")
+        if end < start:
+            raise ValueError(f"span {self.span_id}: end time {end} precedes start time {start}")
         for key, value in self.attributes.items():
             if not isinstance(key, str):
                 raise ValueError(f"attribute key must be a string, got {type(key).__name__}")

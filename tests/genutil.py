@@ -184,8 +184,11 @@ def _span_lists(document: object) -> List[List[dict]]:
 
 
 # Faults, after the error cases of ``test_ingest.py``: each makes a document
-# invalid, at ingest or (the last two) at assembly.
-FAULTS = ("bad id", "non-string field", "bad time", "bad attribute", "duplicate span", "parent cycle")
+# invalid, at ingest or (duplicate span and parent cycle) at assembly. A bad
+# layout breaks the document around its spans: an OTel resource entry that
+# is no object, lacks service.name or has no scopeSpans list, at any entry;
+# a Zipkin span that is no object or lacks its localEndpoint.
+FAULTS = ("bad id", "non-string field", "bad time", "bad attribute", "duplicate span", "parent cycle", "bad layout")
 
 
 def inject_fault(rng: random.Random, document: object, fault: str) -> None:
@@ -241,6 +244,23 @@ def inject_fault(rng: random.Random, document: object, fault: str) -> None:
             span[parent_key], other[parent_key] = other[span_id_key], span[span_id_key]
         else:
             span[parent_key] = span[span_id_key]
+    elif fault == "bad layout":
+        if zipkin:
+            position = rng.randrange(len(document))
+            if rng.random() < 0.5:
+                document[position] = rng.choice(["x", 5, None, [document[position]]])
+            else:
+                del document[position]["localEndpoint"]
+        else:
+            entries = document["resourceSpans"]
+            position = rng.randrange(len(entries))
+            variant = rng.choice(["not an object", "no service.name", "scopeSpans not a list"])
+            if variant == "not an object":
+                entries[position] = rng.choice(["x", 5, None, [entries[position]]])
+            elif variant == "no service.name":
+                entries[position]["resource"]["attributes"][0]["key"] = "service"
+            else:
+                entries[position]["scopeSpans"] = rng.choice([{}, "x", 5])
     else:
         raise ValueError(f"unknown fault {fault!r}")
 

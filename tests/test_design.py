@@ -48,15 +48,40 @@ class TestDurationParsing:
             ("0.5s", 500_000),
             ("750us", 750),
             ("2s", 2_000_000),
+            ("1.001ms", 1001),
+            # Exact arithmetic: no value is rounded through a float.
+            (9007199254740993, 9007199254740993),
+            ("11111111111111111111s", 11111111111111111111000000),
+            ("9223372036854.775807s", 2**63 - 1),
+            pytest.param("9" * 400 + "us", int("9" * 400), id="400-digit-string"),
+            pytest.param(10**400, 10**400, id="10**400"),
         ],
     )
     def test_accepted_forms(self, raw, expected):
         assert parse_duration_micros(raw) == expected
 
-    @pytest.mark.parametrize("raw", [0, -5, "0ms", "abc", "1.5us", "5m", True, 2.5, None])
+    @pytest.mark.parametrize("raw", [0, -5, "0ms", "abc", "1.5us", "5m", True, 2.5, None, "1.0000000001ms"])
     def test_rejected_forms(self, raw):
         with pytest.raises(ValueError):
             parse_duration_micros(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["9" * 400 + "us", 10**400, 2**63, "9223372036854.775808s"],
+        ids=["400-digit-string", "10**400", "2**63", "2**63-as-seconds"],
+    )
+    def test_bound_beyond_64_bits_is_a_validation_error(self, raw):
+        with pytest.raises(DesignValidationError) as excinfo:
+            load_design_set(design_file([design_span_json("A", maxDuration=raw)]))
+        [error] = excinfo.value.errors
+        assert (error.kind, error.design_span_id) == (ValidationErrorKind.BAD_DURATION, "A")
+        assert error.detail == "max duration must be at most 9223372036854775807 microseconds"
+
+    @pytest.mark.parametrize("micros", [9007199254740993, 2**63 - 1])
+    def test_large_bound_round_trips(self, micros):
+        design_set = load_design_set(design_file([design_span_json("A", maxDuration=micros)]))
+        assert design_set.design_traces[0].spans["A"].max_duration_micros == micros
+        assert load_design_set(serialize_design_set(design_set)) == design_set
 
 
 class TestBundledFixture:

@@ -254,6 +254,20 @@ class TestOtelParsing:
         with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
             parse_trace_document(otel_document([span]))
 
+    @pytest.mark.parametrize("bad_entry_first", [False, True], ids=["span-first", "entry-first"])
+    def test_errors_follow_file_order_across_resource_entries(self, bad_entry_first):
+        # The layout walk goes an entry at a time: the spans of an entry are
+        # read before the next entry is looked at.
+        bad_span = json.loads(otel_document([otel_span(spanId="ABC")]))["resourceSpans"][0]
+        bad_entry = {"resource": {"attributes": []}, "scopeSpans": []}
+        entries = [bad_entry, bad_span] if bad_entry_first else [bad_span, bad_entry]
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_trace_document(json.dumps({"resourceSpans": entries}))
+        if bad_entry_first:
+            assert str(excinfo.value) == "resourceSpans[0] lacks a service.name resource attribute"
+        else:
+            assert str(excinfo.value) == "span ABC: span id must be 16 lowercase hex chars, got 'ABC'"
+
 
 class TestAutoDetection:
     def test_array_is_zipkin(self):

@@ -1,7 +1,8 @@
 """The benchmark in ``perfbench/`` drives confcheck through its public names.
-This reads the benchmark's source, without running or changing it, and checks
-that every confcheck name it uses still exists, so a rename in the package
-fails here and not first in a benchmark run."""
+This reads the benchmark's source, without changing it, and checks that every
+confcheck name it uses still exists, so a rename in the package fails here
+and not first in a benchmark run; it also runs the benchmark's smoke mode,
+so a change that breaks a workload or its output checks fails here too."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,12 @@ def test_every_name_the_benchmark_uses_exists(module, name):
 def test_every_keyword_the_benchmark_passes_is_accepted(module, name, keyword):
     parameters = inspect.signature(_resolve(name)).parameters
     assert keyword in parameters or any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
+
+
+def test_smoke_run_passes():
+    """``run.py --smoke``: every workload on tiny inputs, each output checked."""
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

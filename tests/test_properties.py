@@ -7,16 +7,18 @@ equivalence sweep and these properties.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from functools import reduce
+from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcheck import ingest
 from confcheck.checker import ConformanceReport, check_corpus, check_trace, evaluate
-from confcheck.design import load_design_set, serialize_design_set
+from confcheck.design import DesignValidationError, MalformedDesignError, load_design_set, serialize_design_set
 from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trace_document, serialize_otel_json
 from confcheck.model import ObservedSpan, ObservedTrace, Partition, ViolationKind
 
@@ -91,6 +93,43 @@ def test_design_round_trip(seed):
     rng = random.Random(seed)
     design_set = genutil.random_design_set(rng)
     assert load_design_set(serialize_design_set(design_set)) == design_set
+
+
+BUNDLED_DESIGN = resources.files("confcheck").joinpath("fixtures/table2.design.json").read_text()
+DESIGN_MUTANTS = (
+    None, True, False, 0, -1, 1.5, 2**63, 10**400, -(10**400), "", "x", "9" * 400 + "us", [], ["x"], {}, {"k": 1},
+)
+
+
+def _nodes(node, path=()):
+    """The path of every value in a decoded JSON document, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_design_raises_only_design_errors(seed):
+    """Any value at any place of a design file, however wrong, is reported
+    as a malformed or invalid design, never as another exception."""
+    rng = random.Random(seed)
+    document = json.loads(BUNDLED_DESIGN)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_nodes(document)))
+        value = copy.deepcopy(rng.choice(DESIGN_MUTANTS))
+        if not path:
+            document = value
+            continue
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        load_design_set(json.dumps(document))
+    except (MalformedDesignError, DesignValidationError):
+        pass
 
 
 @given(seeds, st.integers(min_value=1, max_value=6))

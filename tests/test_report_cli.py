@@ -957,6 +957,30 @@ class TestOversizedIntegerDesign:
         assert err.count("\n") == 1
 
 
+class TestOverflowingDuration:
+    """A duration too large for the checker's 64-bit bound is a validation
+    error: exit 2 and one ``error:`` line, not a traceback."""
+
+    @pytest.fixture(params=['"' + "9" * 400 + 'us"', str(10**400)], ids=["suffixed", "integer"])
+    def design_path(self, request, tmp_path):
+        path = tmp_path / "long.design.json"
+        path.write_text(
+            '{"designTraces": [{"id": "t", "spans": [{"spanId": "A", "name": "op", '
+            '"match": {"service.name": "svc"}, "design": {"maxDuration": ' + request.param + "}}]}]}"
+        )
+        return path
+
+    MESSAGE = "t/A: badDuration: max duration must be at most 9223372036854775807 microseconds\n"
+
+    def test_validate_design(self, design_path, capsys):
+        assert main(["validate-design", str(design_path)]) == 2
+        assert capsys.readouterr() == ("", "error: " + self.MESSAGE)
+
+    def test_check(self, design_path, fixture_corpus_dir, capsys):
+        assert main(["check", str(design_path), str(fixture_corpus_dir), "--workers", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: " + self.MESSAGE)
+
+
 class TestUsage:
     def test_no_subcommand_exits_two(self, capsys):
         assert main([]) == 2
@@ -968,6 +992,28 @@ class TestUsage:
         assert _default_workers() == 3
         monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
         assert _default_workers() >= 1
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        from confcheck.cli import _default_workers
+
+        monkeypatch.delenv("CONFCHECK_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _default_workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+        assert _default_workers() == 3
+        monkeypatch.setenv("CONFCHECK_WORKERS", "2")
+        assert _default_workers() == 2
+
+    def test_default_workers_without_affinity_use_the_cpu_count(self, monkeypatch):
+        from confcheck.cli import _default_workers
+
+        monkeypatch.delenv("CONFCHECK_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _default_workers() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _default_workers() == 1
 
     def test_invalid_workers_env_warns_only_for_check(self, fixture_corpus_dir, monkeypatch, capsys):
         monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
