@@ -43,16 +43,23 @@ design span) and ``check_trace`` (the verdict), and the DOT renderer run
 the same code on a one-trace partition, which
 :meth:`~confcheck.model.Partition.from_traces` builds without checking the
 trace again.
+
+:func:`check_partitions` checks a corpus with K workers through
+:func:`confcheck.runner.run`: each worker reads its own share of the spans
+(for ``check``, its group of files, so each file is decoded once), trades
+the traces that cross workers' reads with their owners, assembles whole
+traces and checks them; only the partial reports and verdicts come back.
+:func:`check_corpus` cuts an in-memory corpus into K slices of whole
+traces, which never cross.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .design import DesignTraceSet
 from .gcpause import collector_paused
@@ -70,6 +77,9 @@ from .model import (
     ViolationKind,
     attr_values_equal,
 )
+
+if TYPE_CHECKING:
+    from .runner import Exchange, Reader
 
 __all__ = [
     "ConformanceReport",
@@ -479,27 +489,29 @@ class ConformanceReport:
 
 
 class WorkerExitedError(RuntimeError):
-    """A pool worker process exited (killed by the OOM killer, say) before it
-    returned its partition's result, so the check is incomplete."""
+    """A worker process exited (killed by the OOM killer, say) before it
+    returned its result, so the check is incomplete."""
 
 
-# A partition loader maps a partition index to that partition's traces, as a
-# Partition, and the ingest warnings raised while loading them.
-PartitionLoader = Callable[[int], Tuple[Partition, Sequence[object]]]
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
 
-def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: int) -> PartialCheck:
-    """The one worker entry point: load partition ``index``, check all of its
-    traces at once, and return the partial report, the non-conformant
-    verdicts ordered by trace id and the number of ingest warnings.
+def _check_partition(
+    design_set: DesignTraceSet, read: Reader, index: int, exchange: Optional["Exchange"]
+) -> PartialCheck:
+    """The one worker entry point: assemble worker ``index``'s traces by
+    :func:`~confcheck.runner.worker_partition`, check all of them at once,
+    and return the partial report, the non-conformant verdicts ordered by
+    trace id and the number of ingest warnings.
 
-    The cyclic collector is paused meanwhile: loading and checking allocate
-    millions of objects and build no reference cycles. The caller's state
+    The cyclic collector is paused meanwhile: reading, exchanging and
+    checking allocate millions of objects and build no reference cycles. The caller's state
     comes back once the partial result is built and the partition is
     dropped."""
+    from .runner import worker_partition
+
     with collector_paused():
-        partition, warnings = load(index)
+        partition, warning_count = worker_partition(read, index, exchange)
         candidates = CandidateIndex(partition)
         del partition
         found = _violations(design_set, candidates)
@@ -509,57 +521,27 @@ def _check_partition(design_set: DesignTraceSet, load: PartitionLoader, index: i
         report = ConformanceReport.from_verdicts(verdicts).merge(
             ConformanceReport(total_traces=conformant, conformant_traces=conformant)
         )
-        return report, verdicts, len(warnings)
+        return report, verdicts, warning_count
 
 
-# Installed in each pool worker by the initializer: under fork the loader,
-# and any corpus it holds, is inherited through copy-on-write memory rather
-# than pickled; under spawn it is pickled once per worker.
-_WORKER_JOB: Optional[Tuple[DesignTraceSet, PartitionLoader]] = None
-
-
-def _init_worker(design_set: DesignTraceSet, load: PartitionLoader) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = (design_set, load)
-
-
-def _run_worker(index: int) -> PartialCheck:
-    return _check_partition(*_WORKER_JOB, index)
-
-
-def check_partitions(design_set: DesignTraceSet, load: PartitionLoader, partitions: int) -> PartialCheck:
-    """Check ``partitions`` partitions, each loaded and checked by its own
-    worker process, or in this process when there is one partition.
+def check_partitions(design_set: DesignTraceSet, read: Reader, workers: int) -> PartialCheck:
+    """Check the traces that ``workers`` workers read by ``read``, each
+    worker in its own process, or in this process when there is one, with
+    the traces that cross workers' reads exchanged by
+    :func:`confcheck.runner.run`.
 
     Returns the merged report, the non-conformant verdicts ordered by trace
     id, and the total ingest warning count. The merge is associative and
     commutative, so the result does not depend on which worker finishes
     first.
     """
-    if partitions < 1:
-        raise ValueError(f"partitions must be a positive integer, got {partitions}")
-    if partitions == 1:
-        results = [_check_partition(design_set, load, 0)]
-    else:
-        # Imported here: only a pool needs it, and it is about half of the
-        # package's import time.
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    # Imported here: only a check runs it. Compiled from source at package
+    # import, it raised that import's memory high-water mark by 0.2 MB.
+    from . import runner
 
-        try:
-            with ProcessPoolExecutor(
-                max_workers=partitions, initializer=_init_worker, initargs=(design_set, load)
-            ) as pool:
-                # Frozen objects are skipped by the collector, so a forked
-                # worker's collections do not write to, and copy, the pages it
-                # inherited. Fork starts every worker on the first submit.
-                gc.freeze()
-                try:
-                    futures = [pool.submit(_run_worker, index) for index in range(partitions)]
-                finally:
-                    gc.unfreeze()
-                results = [future.result() for future in futures]
-        except BrokenExecutor as exc:
-            raise WorkerExitedError("a worker process exited unexpectedly") from exc
+    results = runner.run(functools.partial(_check_partition, design_set, read), workers)
     report = ConformanceReport()
     nonconformant: List[TraceVerdict] = []
     for partial_report, partial_verdicts, _ in results:
@@ -567,10 +549,6 @@ def check_partitions(design_set: DesignTraceSet, load: PartitionLoader, partitio
         nonconformant.extend(partial_verdicts)
     nonconformant.sort(key=lambda verdict: verdict.trace_id)
     return report, nonconformant, sum(warning_count for _, _, warning_count in results)
-
-
-def _given_partition(parts: Sequence[Sequence[ObservedTrace]], index: int) -> Tuple[Partition, list]:
-    return Partition.from_traces(parts[index]), []
 
 
 def check_corpus(
@@ -597,5 +575,7 @@ def check_corpus(
     partitions = workers if len(trace_list) >= 2 * workers else 1
     cuts = [len(trace_list) * index // partitions for index in range(partitions + 1)]
     parts = [trace_list[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    report, verdicts, _ = check_partitions(design_set, functools.partial(_given_partition, parts), partitions)
+    report, verdicts, _ = check_partitions(
+        design_set, lambda index: (Partition.from_traces(parts[index]), ()), partitions
+    )
     return report, verdicts

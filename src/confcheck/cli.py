@@ -8,7 +8,6 @@ found by a completed check, 2 for usage, IO, or validation errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -79,14 +78,13 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
 
 
 def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
-    """Check the corpus in ``path`` with one worker per trace-id partition,
-    each ingesting and checking its own share."""
-    load = functools.partial(ingest.load_partition, path, partitions=workers)
+    """Check the corpus in ``path`` in this process, or with ``workers``
+    worker processes that each read their own share of the files."""
     try:
-        return checker.check_partitions(design_set, load, workers)
+        return checker.check_partitions(design_set, ingest.corpus_reader(path, workers), workers)
     except (OSError, ValueError):
         if workers > 1:
-            # A single load checks everything the partitions do, so it fails
+            # A single load checks everything the workers do, so it fails
             # too, and with the error a serial run reports (the first bad file
             # in name order, not the one a worker happened to reach).
             ingest.load_partition(path)

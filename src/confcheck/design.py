@@ -127,8 +127,12 @@ class DesignTraceSet:
         return tuple(t for t in self.design_traces if t.is_disallowed)
 
 
-_DURATION_RE = re.compile(r"(\d+)(?:\.(\d+))?\s*(us|ms|s)")
+# ASCII digits only: ``\d`` would take any Unicode decimal digit.
+_DURATION_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?\s*(us|ms|s)")
 _DURATION_FACTORS = {"us": 1, "ms": 1_000, "s": 1_000_000}
+# The lowest digit limit ``sys.set_int_max_str_digits`` accepts, so ``int()``
+# takes every duration string within it whatever the interpreter's setting.
+_MAX_DURATION_DIGITS = 640
 
 
 def parse_duration_micros(value: object) -> int:
@@ -148,6 +152,8 @@ def parse_duration_micros(value: object) -> int:
         if match is None:
             raise ValueError(f"cannot parse duration {echo(value)}; use an integer or a us/ms/s suffix")
         whole, fraction, unit = match.groups("")
+        if len(whole) + len(fraction) > _MAX_DURATION_DIGITS:
+            raise ValueError(f"duration {echo(value)} has more than {_MAX_DURATION_DIGITS} digits")
         scaled, scale = int(whole + fraction) * _DURATION_FACTORS[unit], 10 ** len(fraction)
     else:
         raise ValueError(f"cannot parse duration of type {type(value).__name__}")

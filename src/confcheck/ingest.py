@@ -43,22 +43,28 @@ prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
 the fields it reads (times, links, Zipkin tags). The attribute decoders add no
 context. A message shows an input value through :func:`~confcheck.model.echo`.
 
-``load_partition`` can load one of K partitions of a corpus: it still
-decodes every file, but keeps only the spans whose trace id hashes to that
-partition, so K processes can each ingest and check their own share of the
-traces without sending spans to one another.
+With K > 1 workers, ``corpus_reader`` gives each worker its share of the
+files by :func:`read_plan`: the name-sorted files are cut into
+min(files, K) contiguous groups of about equal size, a worker alone in its
+group reads it whole, and the workers sharing a group split it by trace-id
+hash class (``crc32`` of the padded id, mod K). Each file is so decoded
+once. A worker's share is read by ``read_files``, unassembled: a trace whose
+spans lie in files that different workers read is exchanged by
+:mod:`confcheck.runner` before the worker assembles it.
+``load_partition(directory, partition, partitions)`` still reads every file
+and keeps one hash class of its spans.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -75,6 +81,7 @@ from .model import (
     TraceId,
     columns_valid,
     echo,
+    trace_hash_class,
 )
 
 __all__ = [
@@ -90,6 +97,8 @@ __all__ = [
     "serialize_otel_json",
     "load_corpus_dir",
     "load_partition",
+    "corpus_reader",
+    "read_plan",
 ]
 
 
@@ -134,9 +143,10 @@ def _pad_trace_id(raw: str) -> str:
     return raw.rjust(TRACE_ID_LENGTH, "0")
 
 
-# A parser's ``share`` is (partition, partitions): it normalizes only the
-# spans of that partition. None normalizes every span.
-_Share = Optional[Tuple[int, int]]
+# A parser's ``share`` is (hash classes, classes): it normalizes only the
+# spans whose trace id falls in one of those hash classes of ``classes``.
+# None normalizes every span.
+_Share = Optional[Tuple[FrozenSet[int], int]]
 
 # One span as a format parser reads it, in ObservedSpan's positional order:
 # trace id (padded), span id, name, service name, start and end nanoseconds,
@@ -146,13 +156,13 @@ _Record = Tuple[object, object, object, object, int, int, object, object, tuple]
 
 
 def _partition_of(raw_trace_id: object, partitions: int) -> int:
-    """The partition, of ``partitions``, that normalizes a span with this raw
-    trace id: a stable hash of the padded id, so a trace's spans meet in one
-    partition whichever files hold them. An id that cannot be read goes to
-    partition 0, which then raises its error."""
+    """The hash class, of ``partitions``, of a span with this raw trace id:
+    that of the padded id, so a trace's spans meet in one class whichever
+    files hold them. An id that cannot be read is in class 0, whose reader
+    then raises its error."""
     if not isinstance(raw_trace_id, str) or not raw_trace_id:
         return 0
-    return zlib.crc32(_pad_trace_id(raw_trace_id).encode("utf-8", "surrogatepass")) % partitions
+    return trace_hash_class(_pad_trace_id(raw_trace_id), partitions)
 
 
 def _load_json(document: "bytes | str", error: "type[ValueError]" = MalformedDocumentError) -> object:
@@ -225,7 +235,7 @@ def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
             raise MalformedDocumentError(f"span #{index} is not an object")
         get = raw.get
         raw_trace_id = get("traceId")
-        if share is not None and _partition_of(raw_trace_id, share[1]) != share[0]:
+        if share is not None and _partition_of(raw_trace_id, share[1]) not in share[0]:
             continue
         raw_span_id = get("id")
         if not raw_trace_id or not raw_span_id:
@@ -389,7 +399,7 @@ def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
                 raise MalformedDocumentError("span entries must be objects")
             get = raw.get
             trace_id = get("traceId")
-            if share is not None and _partition_of(trace_id, share[1]) != share[0]:
+            if share is not None and _partition_of(trace_id, share[1]) not in share[0]:
                 continue
             span_id = get("spanId")
             if not trace_id or not span_id:
@@ -420,11 +430,11 @@ def _of_types(values: list, types: "set[type]") -> bool:
     return set(map(type, values)) <= types
 
 
-def _share_mask(raw_trace_ids: List[str], share: Tuple[int, int]) -> List[bool]:
-    """Which spans, by raw trace id, the partition ``share`` keeps; each
-    distinct id is hashed once."""
-    partition, partitions = share
-    kept = {raw: _partition_of(raw, partitions) == partition for raw in set(raw_trace_ids)}
+def _share_mask(raw_trace_ids: List[str], share: Tuple[FrozenSet[int], int]) -> List[bool]:
+    """Which spans, by raw trace id, ``share`` keeps; each distinct id is
+    hashed once."""
+    classes, partitions = share
+    kept = {raw: _partition_of(raw, partitions) in classes for raw in set(raw_trace_ids)}
     return list(map(kept.__getitem__, raw_trace_ids))
 
 
@@ -775,6 +785,29 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
     return json.dumps({"resourceSpans": resource_entries}, separators=(",", ":"))
 
 
+def _corpus_files(directory: "Path | str") -> List[Path]:
+    """The ``*.json`` files of a corpus directory, in name order."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"corpus directory {directory} does not exist")
+    return sorted(directory.glob("*.json"))
+
+
+def read_files(paths: Sequence[Path], share: _Share = None) -> Tuple[SpanColumns, List[IngestWarning]]:
+    """The spans of ``paths``, of the hash classes ``share`` names, as
+    columns that pass every span rule, unassembled, and their clamp
+    warnings. A file's errors are prefixed with its name."""
+    warnings: List[IngestWarning] = []
+    columns = SpanColumns()
+    strings: dict = {}
+    for path in paths:
+        try:
+            _read_document(_load_json(path.read_bytes()), warnings, share, strings, columns)
+        except MalformedDocumentError as exc:
+            raise MalformedDocumentError(f"{path.name}: {exc}") from exc
+    return columns, warnings
+
+
 def load_partition(
     directory: "Path | str", partition: int = 0, partitions: int = 1
 ) -> Tuple[Partition, List[IngestWarning]]:
@@ -790,22 +823,80 @@ def load_partition(
     """
     if not 0 <= partition < partitions:
         raise ValueError(f"partition {partition} is outside 0..{partitions - 1}")
-    share = (partition, partitions) if partitions > 1 else None
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"corpus directory {directory} does not exist")
-    warnings: List[IngestWarning] = []
-    columns = SpanColumns()
-    strings: dict = {}
-    for path in sorted(directory.glob("*.json")):
-        try:
-            _read_document(_load_json(path.read_bytes()), warnings, share, strings, columns)
-        except MalformedDocumentError as exc:
-            raise MalformedDocumentError(f"{path.name}: {exc}") from exc
-    del strings
+    share = (frozenset((partition,)), partitions) if partitions > 1 else None
+    columns, warnings = read_files(_corpus_files(directory), share)
     assembled = Partition(columns)
     warnings += _dangling_warnings(assembled)
     return assembled, warnings
+
+
+# Per worker: the range [lo, hi) of the name-sorted corpus files it reads,
+# and the hash classes it keeps of their spans, or None for all of them.
+WorkerRead = Tuple[int, int, Optional[FrozenSet[int]]]
+
+
+def read_plan(sizes: Sequence[int], workers: int) -> List[WorkerRead]:
+    """Which spans of the name-sorted files of ``sizes`` bytes each of
+    ``workers`` workers reads, so that every span is read by exactly one.
+
+    The files are cut into min(files, workers) contiguous groups of about
+    equal size, and the workers dealt over the groups, the same number or
+    one more each. A group with one worker is read whole by it. A group with
+    n > 1 workers is split among them by trace id: each of the ``workers``
+    hash classes goes to the group's worker of that number, or, when the
+    group has none, to its worker ``class % n``. A one-file corpus is so
+    read as one trace-id share per worker."""
+    groups = min(len(sizes), workers)
+    if groups == 0:
+        return [(0, 0, None)] * workers
+    ends = [0]
+    for size in sizes:
+        ends.append(ends[-1] + size)
+    cuts = [0]
+    for group in range(1, groups):
+        # The file boundary nearest an equal share, leaving a file for each
+        # group to come.
+        target = ends[-1] * group / groups
+        bounds = range(cuts[-1] + 1, len(sizes) - (groups - group) + 1)
+        cuts.append(min(bounds, key=lambda cut: abs(ends[cut] - target)))
+    cuts.append(len(sizes))
+    plan: List[WorkerRead] = []
+    for group in range(groups):
+        first, last = workers * group // groups, workers * (group + 1) // groups
+        members = last - first
+        for worker in range(first, last):
+            classes = None
+            if members > 1:
+                classes = frozenset(
+                    cls
+                    for cls in range(workers)
+                    if (cls if first <= cls < last else first + cls % members) == worker
+                )
+            plan.append((cuts[group], cuts[group + 1], classes))
+    return plan
+
+
+def read_share(
+    paths: Sequence[Path], plan: Sequence[WorkerRead], worker: int
+) -> Tuple[SpanColumns, List[IngestWarning]]:
+    """What ``read_plan`` gives worker ``worker`` of ``paths`` to read, by
+    :func:`read_files`."""
+    lo, hi, classes = plan[worker]
+    return read_files(paths[lo:hi], None if classes is None else (classes, len(plan)))
+
+
+def corpus_reader(
+    directory: "Path | str", workers: int
+) -> Callable[[int], Tuple[SpanColumns, List[IngestWarning]]]:
+    """The reader of a corpus directory for
+    :func:`~confcheck.checker.check_partitions` with ``workers`` workers:
+    with one, :func:`load_partition` of the whole directory; with more, each
+    worker's share of the files by :func:`read_plan`, unassembled, for the
+    runner to exchange the traces that cross shares and assemble."""
+    if workers == 1:
+        return lambda worker: load_partition(directory)
+    paths = _corpus_files(directory)
+    return functools.partial(read_share, paths, read_plan([path.stat().st_size for path in paths], workers))
 
 
 def load_corpus_dir(

@@ -43,6 +43,7 @@ objects are built from a partition only when asked for.
 from __future__ import annotations
 
 import functools
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
@@ -81,6 +82,13 @@ def echo(value: object, form: "Callable[[object], str]" = repr) -> str:
     if len(text) <= 80:
         return text
     return f"{text[:60]}... ({len(text)} chars)"
+
+
+def trace_hash_class(trace_id: str, classes: int) -> int:
+    """The hash class, of ``classes``, of a (padded) trace id: a stable
+    ``crc32``, so a trace's spans land in one class whichever file or
+    process holds them."""
+    return zlib.crc32(trace_id.encode("utf-8", "surrogatepass")) % classes
 
 
 class CyclicParentChainError(ValueError):
@@ -465,6 +473,16 @@ class SpanColumns:
         self.attributes += attributes
         self.links.update((offset + row, span_links) for row, span_links in enumerate(links) if span_links)
 
+    def take(self, rows: Sequence[int]) -> "SpanColumns":
+        """New columns of ``rows``, in the order given."""
+        taken = SpanColumns()
+        for slot in _ROW_COLUMNS:
+            setattr(taken, slot, list(map(getattr(self, slot).__getitem__, rows)))
+        links = self.links
+        if links:
+            taken.links = {new: links[old] for new, old in enumerate(rows) if old in links}
+        return taken
+
     def span(self, row: int) -> ObservedSpan:
         """The span object of ``row``, built and validated here."""
         return ObservedSpan(
@@ -478,6 +496,10 @@ class SpanColumns:
             self.attributes[row],
             self.links.get(row, ()),
         )
+
+
+# The columns with an entry for every row.
+_ROW_COLUMNS = tuple(slot for slot in SpanColumns.__slots__ if slot != "links")
 
 
 def columns_valid(columns: SpanColumns) -> bool:

@@ -1,0 +1,204 @@
+"""Worker processes for a check, and the exchange of the traces that cross
+their reads.
+
+:func:`run` calls ``target(index, exchange)`` once per worker and returns
+the results in worker order. One worker runs in this process, with no
+exchange. More are forked, so the target and whatever it holds are
+inherited, never pickled. Each has one pipe to this process, which only
+relays bytes between them: no worker talks to another.
+
+:func:`worker_partition` is what a worker assembles. Worker ``index`` reads
+its spans by ``read(index)``, and a trace whose spans lie in files that
+different workers read is read in part by each of them. Through
+:meth:`Exchange.trade`, every worker sends this process its distinct trace
+ids and gets back those that more than one worker read. It ships their rows,
+marshalled, to each such trace's owner, worker ``crc32(trace id) % K``, and
+keeps every other row where it was read: a trace read by one worker never
+moves. Each worker then holds whole traces, and assembles them.
+
+An exception a worker raises is sent back and raised here. A worker that
+exits before it answers raises
+:class:`~confcheck.checker.WorkerExitedError`.
+"""
+
+from __future__ import annotations
+
+import gc
+import marshal
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+from .checker import WorkerExitedError
+from .model import _NO_ATTRIBUTES, Partition, SpanColumns, trace_hash_class
+
+__all__ = ["Exchange", "Reader", "run", "worker_partition"]
+
+Result = TypeVar("Result")
+
+# A reader maps a worker index to the spans that worker reads, as columns
+# that pass every span rule, and the ingest warnings raised while reading
+# them. A reader that returns an assembled Partition has counted its
+# dangling parents among them.
+Reader = Callable[[int], Tuple[SpanColumns, Sequence[object]]]
+
+
+def _pack(columns: SpanColumns) -> bytes:
+    return marshal.dumps(tuple(map(columns.__getattribute__, SpanColumns.__slots__)))
+
+
+def _unpack(data: bytes) -> SpanColumns:
+    columns = SpanColumns()
+    for slot, values in zip(SpanColumns.__slots__, marshal.loads(data)):
+        setattr(columns, slot, values)
+    # Each load gives the rows without attributes one new empty dict.
+    columns.attributes = [attributes or _NO_ATTRIBUTES for attributes in columns.attributes]
+    return columns
+
+
+class Exchange:
+    """A worker's end of its pipe to the parent process."""
+
+    __slots__ = ("link", "index", "workers")
+
+    def __init__(self, link, index: int, workers: int) -> None:
+        self.link = link
+        self.index = index
+        self.workers = workers
+
+    def _ask(self, message: object):
+        self.link.send((True, message))
+        return self.link.recv()
+
+    def trade(self, columns: SpanColumns) -> SpanColumns:
+        """``columns`` once the rows of the traces that other workers read
+        too have gone to their owners, and the rows of the traces this
+        worker owns have come in: ``columns`` itself when no row moves."""
+        trace_ids = columns.trace_ids
+        crossing = self._ask(list(set(trace_ids)))
+        if crossing is None:  # no trace crosses any two workers' reads
+            return columns
+        index = self.index
+        owners = {trace_id: trace_hash_class(trace_id, self.workers) for trace_id in crossing}
+        rows: Dict[int, List[int]] = {}
+        for row, owner in enumerate(map(owners.get, trace_ids, repeat(index))):
+            rows.setdefault(owner, []).append(row)
+        kept = rows.pop(index, [])
+        incoming = self._ask({owner: _pack(columns.take(shipped)) for owner, shipped in rows.items()})
+        if not rows and not incoming:
+            return columns
+        traded = columns.take(kept)
+        for data in incoming:
+            traded.extend(_unpack(data))
+        return traded
+
+
+def worker_partition(read: Reader, index: int, exchange: Optional[Exchange]) -> Tuple[Partition, int]:
+    """Worker ``index``'s whole traces and its ingest warning count: the
+    spans of ``read(index)``, traded through ``exchange`` when there is one,
+    then assembled (which raises on a duplicate span id or a parent cycle),
+    unless the reader assembled them and no row moved."""
+    columns, warnings = read(index)
+    count = len(warnings)
+    del warnings
+    if exchange is not None:
+        columns = exchange.trade(columns)
+    if isinstance(columns, Partition):
+        return columns, count
+    partition = Partition(columns)
+    return partition, count + len(partition.dangling)
+
+
+def _serve(target: Callable[[int, Exchange], Result], index: int, workers: int, link, inherited: list) -> None:
+    """A worker process's body: run the target and send back its result or
+    its exception."""
+    for other in inherited:  # the parent's ends of the earlier workers' pipes
+        other.close()
+    try:
+        result = target(index, Exchange(link, index, workers))
+    except Exception as exc:
+        link.send((False, exc))
+    else:
+        link.send((True, result))
+
+
+def _receive(link):
+    try:
+        ok, payload = link.recv()
+    except (EOFError, OSError) as exc:
+        raise WorkerExitedError("a worker process exited unexpectedly") from exc
+    if not ok:
+        raise payload
+    return payload
+
+
+def _send(link, message: object) -> None:
+    try:
+        link.send(message)
+    except OSError as exc:
+        raise WorkerExitedError("a worker process exited unexpectedly") from exc
+
+
+def _relay(links: list) -> list:
+    """The parent's side of the exchange, then each worker's result."""
+    held = [_receive(link) for link in links]
+    seen: set = set()
+    crossing: set = set()
+    for trace_ids in held:
+        crossing.update(seen.intersection(trace_ids))
+        seen.update(trace_ids)
+    del seen
+    if not crossing:
+        for link in links:
+            _send(link, None)
+    else:
+        for link, trace_ids in zip(links, held):
+            _send(link, list(crossing.intersection(trace_ids)))
+        del held
+        shipments = [_receive(link) for link in links]
+        for index, link in enumerate(links):
+            _send(link, [shipment[index] for shipment in shipments if index in shipment])
+        del shipments
+    return [_receive(link) for link in links]
+
+
+def run(target: Callable[[int, Optional[Exchange]], Result], workers: int) -> List[Result]:
+    """``target(index, exchange)`` for each of ``workers`` workers, in
+    worker order: in this process with no exchange when there is one
+    worker, else each in a forked worker process."""
+    if workers == 1:
+        return [target(0, None)]
+    # Imported here: only a run with worker processes needs it.
+    import multiprocessing
+
+    # Forked, not spawned: a worker inherits the target and what it holds
+    # (design set, reader, file list) without pickling or imports, and the
+    # parent starts no threads that a fork could break.
+    context = multiprocessing.get_context("fork")
+    links: list = []
+    processes: list = []
+    try:
+        # Frozen objects are skipped by the collector, so a forked worker's
+        # collections do not write to, and copy, the pages it inherited.
+        gc.freeze()
+        try:
+            for index in range(workers):
+                link, worker_link = context.Pipe()
+                process = context.Process(
+                    target=_serve, args=(target, index, workers, worker_link, list(links)), daemon=True
+                )
+                process.start()
+                worker_link.close()
+                links.append(link)
+                processes.append(process)
+        finally:
+            gc.unfreeze()
+        return _relay(links)
+    except BaseException:
+        for process in processes:
+            process.kill()
+        raise
+    finally:
+        for process in processes:
+            process.join()
+        for link in links:
+            link.close()

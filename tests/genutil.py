@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from confcheck.design import DesignTraceSet
 from confcheck.ingest import serialize_otel_json
@@ -303,3 +303,34 @@ def shuffled_copy(source: Path, target: Path, seed: int) -> None:
         for spans in _span_lists(document):
             rng.shuffle(spans)
         (target / path.name).write_text(json.dumps(document))
+
+
+def dealt_copy(source: Path, target: Path, files: int, seed: int) -> None:
+    """Copy the OTel-layout corpus ``source`` into ``files`` files in
+    ``target`` with each trace's spans shuffled and dealt over them from a
+    seeded first file, so a trace of n spans lies in min(n, ``files``)
+    files. With ``files`` = 1 it is a one-file copy."""
+    rng = random.Random(seed)
+    target.mkdir()
+    traces: Dict[str, List[Tuple[str, dict]]] = {}
+    for path in sorted(source.glob("*.json")):
+        for entry in json.loads(path.read_bytes())["resourceSpans"]:
+            service = entry["resource"]["attributes"][0]["value"]["stringValue"]
+            for scope in entry["scopeSpans"]:
+                for raw in scope["spans"]:
+                    traces.setdefault(raw["traceId"], []).append((service, raw))
+    dealt: List[Dict[str, List[dict]]] = [{} for _ in range(files)]
+    for spans in traces.values():
+        rng.shuffle(spans)
+        first = rng.randrange(files)
+        for offset, (service, raw) in enumerate(spans):
+            dealt[(first + offset) % files].setdefault(service, []).append(raw)
+    for index, by_service in enumerate(dealt):
+        entries = [
+            {
+                "resource": {"attributes": [{"key": "service.name", "value": {"stringValue": service}}]},
+                "scopeSpans": [{"spans": spans}],
+            }
+            for service, spans in sorted(by_service.items())
+        ]
+        (target / f"dealt-{index:03d}.json").write_text(json.dumps({"resourceSpans": entries}))

@@ -21,6 +21,7 @@ from confcheck.model import (
     ObservedSpan,
     ObservedTrace,
     Partition,
+    SpanColumns,
     TraceVerdict,
     Violation,
     ViolationKind,
@@ -735,9 +736,9 @@ class TestMatchPlan:
 
 
 class TestCollectorState:
-    """check_partitions and check_trace run their loads and checks with the
-    cyclic collector off, and leave the caller's collector state as they
-    found it."""
+    """check_partitions and check_trace run their reads, exchanges and
+    checks with the cyclic collector off, and leave the caller's collector
+    state as they found it."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def collector(self, request):
@@ -749,13 +750,18 @@ class TestCollectorState:
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_state_restored_after_check(self, design_set, collector, partitions):
         traces = [with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(4)]
+        spans = [span for trace in traces for span in trace.spans.values()]
         seen = []
 
-        def load(index):
+        def read(index):
+            # Each worker reads every other span, unassembled, so at two
+            # workers every trace crosses their reads and is exchanged.
             seen.append(gc.isenabled())
-            return Partition.from_traces(traces[index::partitions]), []
+            columns = SpanColumns()
+            columns.extend_spans(spans[index::partitions])
+            return columns, []
 
-        report, verdicts, warnings = check_partitions(design_set, load, partitions)
+        report, verdicts, warnings = check_partitions(design_set, read, partitions)
         assert (report.total_traces, verdicts, warnings) == (4, [], 0)
         assert gc.isenabled() is collector
         if partitions == 1:
@@ -776,11 +782,11 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_state_restored_after_error(self, design_set, collector, partitions):
-        def load(index):
+        def read(index):
             raise ingest.MalformedDocumentError(f"bad partition {index}")
 
         with pytest.raises(ingest.MalformedDocumentError):
-            check_partitions(design_set, load, partitions)
+            check_partitions(design_set, read, partitions)
         assert gc.isenabled() is collector
 
 

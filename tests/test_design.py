@@ -19,7 +19,7 @@ from confcheck.design import (
     validate_design_trace,
 )
 from confcheck.checker import check_trace
-from confcheck.model import DesignSpan, DesignTrace, ObservedSpan, ObservedTrace
+from confcheck.model import DesignSpan, DesignTrace, ObservedSpan, ObservedTrace, echo
 
 TRACE_ID = "0" * 31 + "1"
 
@@ -60,10 +60,32 @@ class TestDurationParsing:
     def test_accepted_forms(self, raw, expected):
         assert parse_duration_micros(raw) == expected
 
-    @pytest.mark.parametrize("raw", [0, -5, "0ms", "abc", "1.5us", "5m", True, 2.5, None, "1.0000000001ms"])
+    @pytest.mark.parametrize(
+        "raw", [0, -5, "0ms", "abc", "1.5us", "5m", True, 2.5, None, "1.0000000001ms", "\u0665ms", "\u0661.\u0665s"]
+    )
     def test_rejected_forms(self, raw):
         with pytest.raises(ValueError):
             parse_duration_micros(raw)
+
+    # Arabic-Indic digits are Unicode decimal digits, but not a duration's.
+    @pytest.mark.parametrize("raw", ["abc", "5m", "1..5ms", "\u0665ms", "\u0661.\u0665s"])
+    def test_unparseable_strings_are_named(self, raw):
+        with pytest.raises(ValueError) as excinfo:
+            parse_duration_micros(raw)
+        assert str(excinfo.value) == f"cannot parse duration {raw!r}; use an integer or a us/ms/s suffix"
+
+    @pytest.mark.parametrize(
+        "raw", ["9" * 5000 + "us", "1." + "0" * 5000 + "s"], ids=["5000-digit-whole", "5000-digit-fraction"]
+    )
+    def test_digits_beyond_the_bound_name_the_duration(self, raw):
+        # Past the interpreter's 4,300-digit limit, int() would raise its own
+        # advice about sys.set_int_max_str_digits() instead.
+        with pytest.raises(DesignValidationError) as excinfo:
+            load_design_set(design_file([design_span_json("A", maxDuration=raw)]))
+        [error] = excinfo.value.errors
+        assert (error.kind, error.design_span_id) == (ValidationErrorKind.BAD_DURATION, "A")
+        assert error.detail == f"duration {echo(raw)} has more than 640 digits"
+        assert len(str(error)) < 200
 
     @pytest.mark.parametrize(
         "raw",

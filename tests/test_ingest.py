@@ -17,6 +17,7 @@ from confcheck.ingest import (
     assemble_traces,
     load_corpus_dir,
     parse_trace_document,
+    read_plan,
     serialize_otel_json,
 )
 from confcheck.model import ObservedSpan, ObservedTrace
@@ -473,6 +474,46 @@ class TestCorpusDirectory:
     def test_partition_out_of_range_rejected(self, tmp_path, partition, partitions):
         with pytest.raises(ValueError, match="outside"):
             load_corpus_dir(tmp_path, partition, partitions)
+
+
+class TestReadPlan:
+    """``read_plan`` cuts the name-sorted files into contiguous groups, one
+    per worker at most, and splits a group shared by several workers by
+    trace-id hash class."""
+
+    @pytest.mark.parametrize("files", range(1, 8))
+    @pytest.mark.parametrize("workers", range(1, 6))
+    def test_every_file_and_class_is_read_once(self, files, workers):
+        sizes = [100 + (37 * index) % 50 for index in range(files)]
+        plan = read_plan(sizes, workers)
+        assert len(plan) == workers
+        for file in range(files):
+            for cls in range(workers):
+                readers = [
+                    worker
+                    for worker, (lo, hi, classes) in enumerate(plan)
+                    if lo <= file < hi and (classes is None or cls in classes)
+                ]
+                assert len(readers) == 1, (file, cls, readers)
+        groups = sorted({(lo, hi) for lo, hi, _ in plan})
+        assert len(groups) == min(files, workers)
+        assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
+        assert groups[-1][1] == files and all(lo < hi for lo, hi in groups)
+        # Workers follow the files: a later worker never reads an earlier group.
+        assert [(lo, hi) for lo, hi, _ in plan] == sorted((lo, hi) for lo, hi, _ in plan)
+
+    def test_groups_balance_bytes(self):
+        assert [(lo, hi) for lo, hi, _ in read_plan([300, 100, 100, 100], 2)] == [(0, 1), (1, 4)]
+        assert [(lo, hi) for lo, hi, _ in read_plan([100, 100, 100, 300], 2)] == [(0, 3), (3, 4)]
+
+    def test_one_file_is_split_by_class_as_one_share_per_worker(self):
+        assert read_plan([500], 3) == [(0, 1, frozenset({worker})) for worker in range(3)]
+
+    def test_a_worker_alone_in_its_group_reads_it_whole(self):
+        assert read_plan([100, 100, 100], 3) == [(0, 1, None), (1, 2, None), (2, 3, None)]
+
+    def test_no_files(self):
+        assert read_plan([], 2) == [(0, 0, None), (0, 0, None)]
 
 
 class TestFastPathsKeepErrorsAndValues:

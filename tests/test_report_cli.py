@@ -11,6 +11,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import zlib
 from importlib import resources
 
 import pytest
@@ -742,12 +743,89 @@ def _huge_integer_corpus(corpus):
     _attribute_corpus(corpus, "i.json", '{"intValue": 1' + "0" * 5000 + "}")
 
 
+def _append_spans(path, spans, service="microservice"):
+    """Add a resource entry of ``spans`` to the OTel-layout file ``path``."""
+    document = json.loads(path.read_text())
+    resource = {"attributes": [{"key": "service.name", "value": {"stringValue": service}}]}
+    document["resourceSpans"].append({"resource": resource, "scopeSpans": [{"spans": spans}]})
+    path.write_text(json.dumps(document))
+
+
+def _four_files(corpus, traces):
+    """Files a-d of ``traces``: the first 20 whole, five to a file, and each
+    of the rest split between a.json and d.json, which lie in different
+    file groups at two and at three workers."""
+    whole, split = traces[:20], traces[20:]
+    parts = {name: whole[index * 5 : index * 5 + 5] for index, name in enumerate("abcd")}
+    for trace in split:
+        ids = sorted(trace.spans)
+        for name, chosen in (("a", ids[::2]), ("d", ids[1::2])):
+            parts[name].append(ObservedTrace(trace.trace_id, {span_id: trace.spans[span_id] for span_id in chosen}))
+    for name, part in parts.items():
+        (corpus / f"{name}.json").write_text(ingest.serialize_otel_json(part))
+    return whole, split
+
+
+def _split_and_whole_corpus(corpus):
+    """Whole traces and traces split across file groups, with a dangling
+    parent and a clamped span among the whole traces and on each side of
+    the split."""
+    traces = simulator.generate_corpus(
+        simulator.SimConfig(seed=9, trace_count=40, p_omit=0.2, p_slow=0.2, p_direct=0.2)
+    )
+    whole, split = _four_files(corpus, traces)
+    first, second, other = split[0].trace_id, split[1].trace_id, whole[7].trace_id
+    _append_spans(
+        corpus / "a.json",
+        [
+            _raw_span(first, "00000000000000d1", parent="00000000000000ee"),
+            _raw_span(second, "00000000000000d2", start="5000", end="4000"),
+        ],
+    )
+    _append_spans(
+        corpus / "d.json",
+        [
+            _raw_span(second, "00000000000000d3", parent="00000000000000ef"),
+            _raw_span(first, "00000000000000d4", start="5000", end="4000"),
+        ],
+    )
+    _append_spans(
+        corpus / "b.json",
+        [
+            _raw_span(other, "00000000000000d5", parent="00000000000000ef"),
+            _raw_span(other, "00000000000000d6", start="5000", end="4000"),
+        ],
+    )
+
+
+DUPLICATED_TRACE_ID = "0" * 29 + "d0d"
+
+
+def _duplicate_span_across_groups_corpus(corpus):
+    _four_files(corpus, simulator.generate_corpus(simulator.SimConfig(seed=10, trace_count=24)))
+    _append_spans(
+        corpus / "a.json",
+        [
+            _raw_span(DUPLICATED_TRACE_ID, "00000000000000b1"),
+            _raw_span(DUPLICATED_TRACE_ID, "00000000000000b2", parent="00000000000000b1"),
+        ],
+    )
+    _append_spans(corpus / "d.json", [_raw_span(DUPLICATED_TRACE_ID, "00000000000000b2", end="3000")])
+
+
 class TestPartitionedCheck:
-    """``check --workers K`` gives one worker per trace-id partition; its
-    output and exit code must not depend on K."""
+    """``check --workers K`` gives each worker its own share of the files;
+    the traces that cross shares are exchanged. Its output and exit code must
+    not depend on K."""
 
     CORPORA = {
         "split-traces": (_split_traces_corpus, 1, "warning: 2 ingest warning(s)\n"),
+        "split-across-groups-and-whole": (_split_and_whole_corpus, 1, "warning: 6 ingest warning(s)\n"),
+        "duplicate-span-across-groups": (
+            _duplicate_span_across_groups_corpus,
+            2,
+            f"error: trace {DUPLICATED_TRACE_ID}: duplicate span id 00000000000000b2\n",
+        ),
         "malformed-file": (_malformed_corpus, 2, "error: m.json: invalid JSON"),
         "deeply-nested-file": (_deeply_nested_corpus, 2, "error: deep.json: JSON nested too deeply"),
         "duplicate-span-across-files": (
@@ -788,19 +866,68 @@ class TestPartitionedCheck:
     def test_dying_worker_is_an_error(self, fixture_corpus_dir, monkeypatch, capsys):
         # A worker killed mid-check (by the OOM killer, say) leaves the check
         # incomplete: exit 2 with an error line, not 1 with a traceback.
-        real_load = ingest.load_partition
+        real_read = ingest.read_share
 
-        def load(directory, partition=0, partitions=1):
-            if partition == 1:
+        def read(paths, plan, worker):
+            if worker == 1:
                 os._exit(9)
-            return real_load(directory, partition, partitions)
+            return real_read(paths, plan, worker)
 
-        monkeypatch.setattr(ingest, "load_partition", load)
+        monkeypatch.setattr(ingest, "read_share", read)
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: a worker process exited unexpectedly")
         assert "Traceback" not in err
+
+    def test_worker_exiting_during_the_exchange_is_an_error(self, tmp_path):
+        # The first worker to marshal rows for another exits; the other waits
+        # for the relay, and must not keep the parent waiting for ever.
+        simulated, corpus = tmp_path / "simulated", tmp_path / "corpus"
+        assert main(["simulate", str(simulated), "--count", "60", "--seed", "3"]) == 0
+        genutil.dealt_copy(simulated, corpus, files=4, seed=4)
+        marker = tmp_path / "exited"
+        code = (
+            "import os, sys\n"
+            "from confcheck import cli, runner\n"
+            "real_pack = runner._pack\n"
+            "def pack(columns):\n"
+            "    try:\n"
+            f"        os.close(os.open({str(marker)!r}, os.O_CREAT | os.O_EXCL))\n"
+            "    except FileExistsError:\n"
+            "        return real_pack(columns)\n"
+            "    os._exit(9)\n"
+            "runner._pack = pack\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = [sys.executable, "-c", code, "check", BUNDLED_DESIGN, str(corpus), "--workers", "2"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert marker.exists()
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: a worker process exited unexpectedly")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_each_file_is_decoded_once(self, workers, tmp_path, monkeypatch, capsys):
+        corpus, log = tmp_path / "corpus", tmp_path / "decoded.txt"
+        assert main(["simulate", str(corpus), "--count", "60", "--seed", "2", "--traces-per-file", "10"]) == 0
+        files = {zlib.crc32(path.read_bytes()): path.name for path in corpus.glob("*.json")}
+        assert len(files) == 6
+        real_load_json = ingest._load_json
+
+        def load_json(document, *args):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {zlib.crc32(document)}\n")
+            return real_load_json(document, *args)
+
+        monkeypatch.setattr(ingest, "_load_json", load_json)
+        capsys.readouterr()
+        assert main(["check", BUNDLED_DESIGN, str(corpus), "--workers", workers]) in (0, 1)
+        decoded = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(files[int(crc)] for _, crc in decoded) == sorted(files.values())
+        pids = {int(pid) for pid, _ in decoded}
+        assert os.getpid() not in pids and len(pids) == int(workers)
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
         built, checked = [], []
@@ -852,11 +979,12 @@ class TestInterleavedLayout:
 
 
 def test_serial_runs_do_not_import_the_process_pool():
-    # Only --workers > 1 uses the pool; importing it costs every run.
-    code = "import sys, confcheck.cli; print('concurrent.futures' in sys.modules)"
+    # Only --workers > 1 starts processes; importing their modules costs
+    # every run.
+    code = "import sys, confcheck.cli; print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[False, False]\n"
 
 
 def test_every_exported_name_resolves():
