@@ -129,15 +129,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        # write_corpus checks --traces-per-file and makes the directory
-        # before it draws a trace, and writes each file as it fills, so the
-        # run holds one file's traces. It builds no reference cycles.
+        # --traces-per-file and the directory are checked before any trace
+        # is drawn or worker started. Each worker writes its files one at a
+        # time, holding one file's traces, and builds no reference cycles.
         with collector_paused():
-            file_count = simulator.write_corpus(
-                simulator.iter_corpus(config), args.out_dir, args.traces_per_file
+            file_count = simulator.write_simulated_corpus(
+                config, args.out_dir, args.traces_per_file, _default_workers()
             )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    except checker.WorkerExitedError:
+        return _fail(f"a worker process exited unexpectedly; the corpus in {args.out_dir} is incomplete")
     print(f"wrote {config.trace_count} traces to {file_count} file(s) in {args.out_dir}")
     return EXIT_CONFORMANT
 

@@ -4,7 +4,10 @@ Two file formats are understood: Zipkin v2 JSON (a top-level array of span
 objects) and an OpenTelemetry-style resource-grouped layout (a top-level
 object with a ``resourceSpans`` array). The latter is also the canonical
 storage format this package writes, so ``parse_trace_document`` and
-``serialize_otel_json`` round-trip exactly.
+``serialize_otel_json`` round-trip exactly. ``serialize_otel_json`` builds
+no dict per span: it writes each span's JSON text itself, with the json
+module's own string escaper and float spelling, and gives the bytes that
+``json.dumps`` gives for the same document of dicts.
 
 ``load_partition`` reads a directory of documents into a
 :class:`~confcheck.model.Partition`: spans as columns, one list per field,
@@ -62,12 +65,14 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import add, eq, is_not, lt, not_
+from json.encoder import encode_basestring_ascii
+from operator import add, attrgetter, eq, is_not, lt, not_
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
+    _span_fields,
     AttrValue,
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -721,35 +726,60 @@ def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace],
     return traces, warnings
 
 
-def _attr_value_to_json(value: AttrValue) -> dict:
+# The JSON text of a string: json.dumps's own escaper, which writes each
+# character outside printable ASCII, and each quote and backslash, escaped.
+_encode = encode_basestring_ascii
+_INFINITY = float("inf")
+# A resource entry's text before its service name, and between that name and
+# its first span.
+_RESOURCE_HEAD = '{"resource":{"attributes":[{"key":' + _encode(SERVICE_NAME_KEY) + ',"value":{"stringValue":'
+_SCOPE_HEAD = '}}]},"scopeSpans":[{"scope":{"name":"confcheck"},"spans":['
+
+
+def _float_text(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _attribute_text(key: str, value: AttrValue) -> str:
     if isinstance(value, bool):
-        return {"boolValue": value}
-    if isinstance(value, str):
-        return {"stringValue": value}
-    if isinstance(value, int):
-        return {"intValue": str(value)}
-    return {"doubleValue": value}
+        typed = '{"boolValue":true}' if value else '{"boolValue":false}'
+    elif isinstance(value, str):
+        typed = '{"stringValue":' + _encode(value) + "}"
+    elif isinstance(value, int):
+        typed = '{"intValue":' + _encode(str(value)) + "}"
+    else:
+        typed = '{"doubleValue":' + _float_text(value) + "}"
+    return '{"key":' + _encode(key) + ',"value":' + typed + "}"
 
 
-def _attrs_to_json(attributes: "dict | object") -> list:
-    return [
-        {"key": key, "value": _attr_value_to_json(attributes[key])}
-        for key in sorted(attributes)
-    ]
+def _span_text(span: ObservedSpan) -> str:
+    """One span's JSON object. Its ids and times are written unescaped:
+    ObservedSpan has checked the ids to be lowercase hex and the times to be
+    unsigned integers."""
+    trace_id, span_id, parent_id, name, _, start, end, attributes, links = _span_fields(span)
+    text = '{"traceId":"%s","spanId":"%s%s,"name":%s,"startTimeUnixNano":"%s","endTimeUnixNano":"%s"' % (
+        trace_id,
+        span_id,
+        '"' if parent_id is None else '","parentSpanId":"' + parent_id + '"',
+        _encode(name),
+        start,
+        end,
+    )
+    if attributes:
+        text += ',"attributes":[' + ",".join([_attribute_text(k, attributes[k]) for k in sorted(attributes)]) + "]"
+    if links:
+        text += ',"links":[' + ",".join(['{"traceId":"' + t + '","spanId":"' + s + '"}' for t, s in links]) + "]"
+    return text + "}"
 
 
-def _span_to_json(span: ObservedSpan) -> dict:
-    out: dict = {"traceId": span.trace_id, "spanId": span.span_id}
-    if span.parent_span_id is not None:
-        out["parentSpanId"] = span.parent_span_id
-    out["name"] = span.name
-    out["startTimeUnixNano"] = str(span.start_time_nanos)
-    out["endTimeUnixNano"] = str(span.end_time_nanos)
-    if span.attributes:
-        out["attributes"] = _attrs_to_json(span.attributes)
-    if span.links:
-        out["links"] = [{"traceId": t, "spanId": s} for t, s in span.links]
-    return out
+_span_order = attrgetter("trace_id", "span_id")
 
 
 def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
@@ -757,32 +787,23 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
 
     Spans are grouped into one resource entry per service name; entries are
     sorted by service name and spans by (trace id, span id), so identical
-    inputs always produce identical bytes.
+    inputs always produce identical bytes. The text is what ``json.dumps``
+    writes with ``separators=(",", ":")`` for the same document of dicts,
+    but each span's JSON is written directly, with no dict built.
     """
     by_service: "dict[str, list[ObservedSpan]]" = {}
     for trace in traces:
         for span in trace.spans.values():
             by_service.setdefault(span.service_name, []).append(span)
-
-    resource_entries = []
-    for service_name in sorted(by_service):
-        service_spans = sorted(by_service[service_name], key=lambda s: (s.trace_id, s.span_id))
-        resource_entries.append(
-            {
-                "resource": {
-                    "attributes": [
-                        {"key": SERVICE_NAME_KEY, "value": {"stringValue": service_name}}
-                    ]
-                },
-                "scopeSpans": [
-                    {
-                        "scope": {"name": "confcheck"},
-                        "spans": [_span_to_json(span) for span in service_spans],
-                    }
-                ],
-            }
-        )
-    return json.dumps({"resourceSpans": resource_entries}, separators=(",", ":"))
+    entries = [
+        _RESOURCE_HEAD
+        + _encode(service_name)
+        + _SCOPE_HEAD
+        + ",".join(map(_span_text, sorted(by_service[service_name], key=_span_order)))
+        + "]}]}"
+        for service_name in sorted(by_service)
+    ]
+    return '{"resourceSpans":[' + ",".join(entries) + "]}"
 
 
 def _corpus_files(directory: "Path | str") -> List[Path]:

@@ -483,6 +483,19 @@ class SpanColumns:
             taken.links = {new: links[old] for new, old in enumerate(rows) if old in links}
         return taken
 
+    def take_out(self, rows: Sequence[int]) -> "SpanColumns":
+        """:meth:`take`, leaving these columns empty: each list is dropped
+        as soon as its rows are copied, so at most one column is held twice."""
+        taken = SpanColumns()
+        for slot in _ROW_COLUMNS:
+            column = getattr(self, slot)
+            setattr(self, slot, [])
+            setattr(taken, slot, list(map(column.__getitem__, rows)))
+        links, self.links = self.links, {}
+        if links:
+            taken.links = {new: links[old] for new, old in enumerate(rows) if old in links}
+        return taken
+
     def span(self, row: int) -> ObservedSpan:
         """The span object of ``row``, built and validated here."""
         return ObservedSpan(

@@ -1,20 +1,29 @@
-"""Worker processes for a check, and the exchange of the traces that cross
-their reads.
+"""Worker processes, and the exchange of the traces that cross their reads.
 
 :func:`run` calls ``target(index, exchange)`` once per worker and returns
 the results in worker order. One worker runs in this process, with no
 exchange. More are forked, so the target and whatever it holds are
 inherited, never pickled. Each has one pipe to this process, which only
-relays bytes between them: no worker talks to another.
+relays bytes between them: no worker talks to another. Every message a
+worker sends is tagged as a request to the exchange, its target's result or
+the exception its target raised.
 
-:func:`worker_partition` is what a worker assembles. Worker ``index`` reads
-its spans by ``read(index)``, and a trace whose spans lie in files that
-different workers read is read in part by each of them. Through
+A target may trade through its exchange or not. Either every worker calls
+:meth:`Exchange.trade` exactly once, before it returns (``check`` does), or
+none calls it (``simulate``, whose workers each write their own files); a
+run in which some trade and some do not raises ``RuntimeError``.
+
+:func:`worker_partition` is what a ``check`` worker assembles. Worker
+``index`` reads its spans by ``read(index)``, and a trace whose spans lie in
+files that different workers read is read in part by each of them. Through
 :meth:`Exchange.trade`, every worker sends this process its distinct trace
 ids and gets back those that more than one worker read. It ships their rows,
 marshalled, to each such trace's owner, worker ``crc32(trace id) % K``, and
 keeps every other row where it was read: a trace read by one worker never
-moves. Each worker then holds whole traces, and assembles them.
+moves. Each worker then holds whole traces, and assembles them. Each side
+drops what it has passed on as it goes: a worker its read columns as it
+copies the rows it keeps, and each incoming byte string once unpacked; this
+process each shipment once relayed.
 
 An exception a worker raises is sent back and raised here. A worker that
 exits before it answers raises
@@ -42,14 +51,21 @@ Result = TypeVar("Result")
 Reader = Callable[[int], Tuple[SpanColumns, Sequence[object]]]
 
 
+# The tag of each message a worker sends: a request to the exchange, the
+# target's result, or the exception the target raised.
+_ASK, _RESULT, _ERROR = range(3)
+
+
 def _pack(columns: SpanColumns) -> bytes:
-    return marshal.dumps(tuple(map(columns.__getattribute__, SpanColumns.__slots__)))
+    # A column at a time: marshal keeps a table of the shared objects it has
+    # written, and one column's table is far smaller than all nine columns'.
+    return marshal.dumps(tuple(marshal.dumps(getattr(columns, slot)) for slot in SpanColumns.__slots__))
 
 
 def _unpack(data: bytes) -> SpanColumns:
     columns = SpanColumns()
-    for slot, values in zip(SpanColumns.__slots__, marshal.loads(data)):
-        setattr(columns, slot, values)
+    for slot, packed in zip(SpanColumns.__slots__, marshal.loads(data)):
+        setattr(columns, slot, marshal.loads(packed))
     # Each load gives the rows without attributes one new empty dict.
     columns.attributes = [attributes or _NO_ATTRIBUTES for attributes in columns.attributes]
     return columns
@@ -66,13 +82,15 @@ class Exchange:
         self.workers = workers
 
     def _ask(self, message: object):
-        self.link.send((True, message))
+        self.link.send((_ASK, message))
         return self.link.recv()
 
     def trade(self, columns: SpanColumns) -> SpanColumns:
         """``columns`` once the rows of the traces that other workers read
         too have gone to their owners, and the rows of the traces this
-        worker owns have come in: ``columns`` itself when no row moves."""
+        worker owns have come in: ``columns`` itself when no row moves,
+        else new columns, and ``columns`` is left empty (its lists dropped
+        one at a time as the kept rows are copied out of them)."""
         trace_ids = columns.trace_ids
         crossing = self._ask(list(set(trace_ids)))
         if crossing is None:  # no trace crosses any two workers' reads
@@ -82,14 +100,22 @@ class Exchange:
         rows: Dict[int, List[int]] = {}
         for row, owner in enumerate(map(owners.get, trace_ids, repeat(index))):
             rows.setdefault(owner, []).append(row)
+        del trace_ids, owners
         kept = rows.pop(index, [])
-        incoming = self._ask({owner: _pack(columns.take(shipped)) for owner, shipped in rows.items()})
-        if not rows and not incoming:
-            return columns
-        traded = columns.take(kept)
-        for data in incoming:
-            traded.extend(_unpack(data))
-        return traded
+        shipments = {owner: _pack(columns.take(shipped)) for owner, shipped in rows.items()}
+        self.link.send((_ASK, shipments))
+        del shipments
+        if rows:
+            # The shipped rows are dropped before the incoming ones arrive.
+            columns = columns.take_out(kept)
+        incoming = self.link.recv()
+        if incoming:
+            if not rows:  # kept is every row, copied even so: a Partition must not grow
+                columns = columns.take_out(kept)
+            incoming.reverse()
+            while incoming:  # in sender order, each byte string dropped once unpacked
+                columns.extend(_unpack(incoming.pop()))
+        return columns
 
 
 def worker_partition(read: Reader, index: int, exchange: Optional[Exchange]) -> Tuple[Partition, int]:
@@ -116,18 +142,28 @@ def _serve(target: Callable[[int, Exchange], Result], index: int, workers: int, 
     try:
         result = target(index, Exchange(link, index, workers))
     except Exception as exc:
-        link.send((False, exc))
+        link.send((_ERROR, exc))
     else:
-        link.send((True, result))
+        link.send((_RESULT, result))
 
 
-def _receive(link):
+def _receive(link) -> Tuple[int, object]:
+    """The next message from a worker, as (tag, payload); the worker's own
+    exception is raised here."""
     try:
-        ok, payload = link.recv()
+        tag, payload = link.recv()
     except (EOFError, OSError) as exc:
         raise WorkerExitedError("a worker process exited unexpectedly") from exc
-    if not ok:
+    if tag == _ERROR:
         raise payload
+    return tag, payload
+
+
+def _expect(link, tag: int) -> object:
+    """The payload of a worker's next message, which must be tagged ``tag``."""
+    received, payload = _receive(link)
+    if received != tag:
+        raise RuntimeError("a worker traded other than once")
     return payload
 
 
@@ -139,8 +175,16 @@ def _send(link, message: object) -> None:
 
 
 def _relay(links: list) -> list:
-    """The parent's side of the exchange, then each worker's result."""
-    held = [_receive(link) for link in links]
+    """Each worker's result, in worker order, once the exchange is served if
+    the workers trade."""
+    first = [_receive(link) for link in links]
+    tags = {tag for tag, _ in first}
+    if tags == {_RESULT}:  # no worker trades
+        return [result for _, result in first]
+    if tags != {_ASK}:
+        raise RuntimeError("some workers traded and some did not")
+    held = [trace_ids for _, trace_ids in first]
+    del first
     seen: set = set()
     crossing: set = set()
     for trace_ids in held:
@@ -154,11 +198,12 @@ def _relay(links: list) -> list:
         for link, trace_ids in zip(links, held):
             _send(link, list(crossing.intersection(trace_ids)))
         del held
-        shipments = [_receive(link) for link in links]
+        shipments = [_expect(link, _ASK) for link in links]
         for index, link in enumerate(links):
-            _send(link, [shipment[index] for shipment in shipments if index in shipment])
+            # Popped: each byte string is dropped once it is relayed.
+            _send(link, [shipment.pop(index) for shipment in shipments if index in shipment])
         del shipments
-    return [_receive(link) for link in links]
+    return [_expect(link, _RESULT) for link in links]
 
 
 def run(target: Callable[[int, Optional[Exchange]], Result], workers: int) -> List[Result]:

@@ -14,6 +14,11 @@ draw comes from a counter-derived sub-stream keyed by (seed, trace index,
 purpose), so corpora are byte-reproducible and the three deviation knobs
 are fully orthogonal: changing one probability never changes which traces
 receive the other deviations.
+
+Because no draw depends on which traces came before, any process can
+generate any trace. :func:`write_simulated_corpus`, which ``confcheck
+simulate`` runs, so has each of its worker processes write a contiguous
+range of the corpus files, and the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +33,14 @@ from typing import Iterable, Iterator, List, Tuple
 from .ingest import serialize_otel_json
 from .model import ObservedSpan, ObservedTrace
 
-__all__ = ["SimConfig", "generate_trace", "iter_corpus", "generate_corpus", "write_corpus"]
+__all__ = [
+    "SimConfig",
+    "generate_trace",
+    "iter_corpus",
+    "generate_corpus",
+    "write_corpus",
+    "write_simulated_corpus",
+]
 
 GATEWAY = "gateway"
 MICROSERVICE = "microservice"
@@ -254,6 +266,27 @@ def generate_corpus(config: SimConfig) -> List[ObservedTrace]:
     return list(iter_corpus(config))
 
 
+def _corpus_directory(directory: "Path | str", traces_per_file: int) -> Path:
+    """``directory``, made if need be, once ``traces_per_file`` is checked."""
+    if traces_per_file < 1:
+        raise ValueError(f"traces_per_file must be a positive integer, got {traces_per_file}")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+def _write_file(directory: Path, number: int, traces: List[ObservedTrace]) -> None:
+    (directory / f"corpus-{number:06d}.json").write_text(serialize_otel_json(traces), encoding="utf-8")
+
+
+def _remove_stale(directory: Path, file_count: int) -> None:
+    """Delete each ``corpus-<digits>.json`` numbered at or above
+    ``file_count``, left by an earlier run; no other file is touched."""
+    for path in directory.glob("corpus-*.json"):
+        if re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
+            path.unlink()
+
+
 def write_corpus(
     traces: Iterable[ObservedTrace],
     directory: "Path | str",
@@ -267,19 +300,46 @@ def write_corpus(
     count and the directory are checked before the first trace is drawn.
     Then each ``corpus-<digits>.json`` numbered at or above the file count,
     left by an earlier run, is deleted; no other file is touched."""
-    if traces_per_file < 1:
-        raise ValueError(f"traces_per_file must be a positive integer, got {traces_per_file}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _corpus_directory(directory, traces_per_file)
     traces = iter(traces)
     file_count = 0
     while batch := list(itertools.islice(traces, traces_per_file)):
-        path = directory / f"corpus-{file_count:06d}.json"
-        path.write_text(serialize_otel_json(batch), encoding="utf-8")
+        _write_file(directory, file_count, batch)
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
         del batch
-    for path in directory.glob("corpus-*.json"):
-        if re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
-            path.unlink()
+    _remove_stale(directory, file_count)
+    return file_count
+
+
+def write_simulated_corpus(
+    config: SimConfig, directory: "Path | str", traces_per_file: int, workers: int = 1
+) -> int:
+    """Write the corpus of ``config`` as :func:`write_corpus` writes
+    ``iter_corpus(config)``, with the same bytes, by up to ``workers``
+    workers (:func:`confcheck.runner.run`). Returns the file count.
+
+    ``traces_per_file`` and the directory are checked in this process
+    before any worker starts. Each worker writes a contiguous range of the
+    files, generating one file's traces at a time in index order; with one
+    worker that happens in this process. The earlier run's extra files are
+    deleted once every worker has finished. If a worker fails, the files
+    the others wrote stay."""
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    directory = _corpus_directory(directory, traces_per_file)
+    file_count = -(-config.trace_count // traces_per_file)
+    workers = min(workers, file_count)
+
+    def write_files(worker: int, exchange: object) -> None:
+        for number in range(file_count * worker // workers, file_count * (worker + 1) // workers):
+            first = number * traces_per_file
+            last = min(first + traces_per_file, config.trace_count)
+            _write_file(directory, number, [generate_trace(config, index) for index in range(first, last)])
+
+    # Imported here, so that importing the package leaves the runner unloaded.
+    from . import runner
+
+    runner.run(write_files, workers)
+    _remove_stale(directory, file_count)
     return file_count

@@ -23,6 +23,7 @@ from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trac
 from confcheck.model import ObservedSpan, ObservedTrace, Partition, ViolationKind
 
 import genutil
+from serializer_reference import reference_serialize_otel_json
 
 seeds = st.integers(min_value=0, max_value=2**48 - 1)
 
@@ -85,6 +86,67 @@ def test_observed_round_trip(seed):
     reparsed, _ = assemble_traces(parse_trace_document(document))
     assert reparsed == corpus
     assert serialize_otel_json(reparsed) == document
+
+
+# Strings that json.dumps must escape or spell out: quotes, backslashes,
+# control characters, non-ASCII, astral characters and lone surrogates.
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=8,
+)
+attribute_values = st.one_of(
+    awkward_text,
+    st.booleans(),
+    st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+    st.floats(),
+)
+trace_ids = st.integers(min_value=1, max_value=2**128 - 1).map("{:032x}".format)
+span_ids = st.integers(min_value=1, max_value=2**64 - 1).map("{:016x}".format)
+
+
+@st.composite
+def awkward_corpora(draw):
+    """Traces whose spans share a few services and carry awkward names,
+    attribute keys and values, links, parents and the extreme times."""
+    services = draw(st.lists(awkward_text.filter(bool), min_size=1, max_size=3))
+    corpus = []
+    for trace_id in draw(st.lists(trace_ids, min_size=1, max_size=3, unique=True)):
+        ids = draw(st.lists(span_ids, min_size=1, max_size=4, unique=True))
+        spans = []
+        for position, span_id in enumerate(ids):
+            # A parent among the earlier spans, or one the trace lacks: never a cycle.
+            parents = st.none() | span_ids.filter(lambda parent: parent not in ids)
+            if position:
+                parents |= st.sampled_from(ids[:position])
+            start = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(min_value=0, max_value=2**64 - 1))
+            spans.append(
+                ObservedSpan(
+                    trace_id,
+                    span_id,
+                    draw(awkward_text),
+                    draw(st.sampled_from(services)),
+                    start,
+                    draw(st.integers(min_value=start, max_value=2**64 - 1)),
+                    draw(parents),
+                    draw(st.dictionaries(awkward_text, attribute_values, max_size=3)),
+                    tuple(draw(st.lists(st.tuples(trace_ids, span_ids), max_size=2))),
+                )
+            )
+        corpus.append(ObservedTrace(trace_id, {span.span_id: span for span in spans}))
+    return corpus
+
+
+@given(awkward_corpora())
+@settings(max_examples=200, deadline=None)
+def test_serializer_writes_the_bytes_of_json_dumps(corpus):
+    """The direct span encoder writes what json.dumps of the document of
+    dicts writes, byte for byte."""
+    assert serialize_otel_json(corpus) == reference_serialize_otel_json(corpus)
 
 
 @given(seeds)

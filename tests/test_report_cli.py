@@ -401,7 +401,9 @@ class TestSimulateCommand:
         code = main(["check", BUNDLED_DESIGN, str(out_dir), "--workers", "1"])
         assert code == 0
 
-    def test_smaller_run_deletes_the_earlier_runs_extra_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_smaller_run_deletes_the_earlier_runs_extra_files(self, tmp_path, workers, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
         out_dir = tmp_path / "sim"
         assert main(["simulate", str(out_dir), "--count", "50", "--traces-per-file", "10", "--seed", "1"]) == 0
         assert main(["simulate", str(out_dir), "--count", "20", "--traces-per-file", "10", "--seed", "2"]) == 0
@@ -433,10 +435,68 @@ class TestSimulateCommand:
         monkeypatch.setattr(simulator, "generate_trace", counting_generate_trace)
         return calls
 
-    def test_each_trace_generated_once_in_order(self, tmp_path, generated, capsys):
+    def test_each_trace_generated_once_in_order(self, tmp_path, generated, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", "1")
         assert main(["simulate", str(tmp_path / "sim"), "--count", "7", "--traces-per-file", "3"]) == 0
         assert generated == list(range(7))
         assert capsys.readouterr().out.startswith("wrote 7 traces to 3 file(s)")
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_each_trace_generated_once_by_workers(self, tmp_path, workers, monkeypatch, capsys):
+        # The workers log each index they generate to one file, appending a
+        # line per call: each index once, and in order within each file.
+        log = tmp_path / "generated.log"
+        real_generate_trace = simulator.generate_trace
+
+        def logging_generate_trace(config, index):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {index}\n")
+            return real_generate_trace(config, index)
+
+        monkeypatch.setattr(simulator, "generate_trace", logging_generate_trace)
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
+        assert main(["simulate", str(tmp_path / "sim"), "--count", "7", "--traces-per-file", "3"]) == 0
+        assert capsys.readouterr().out.startswith("wrote 7 traces to 3 file(s)")
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(index for _, index in calls) == list(range(7))
+        for number in range(3):
+            in_file = [(pid, index) for pid, index in calls if index // 3 == number]
+            assert [index for _, index in in_file] == list(range(3 * number, min(3 * number + 3, 7)))
+            assert len({pid for pid, _ in in_file}) == 1 and in_file[0][0] != os.getpid()
+        assert len({pid for pid, _ in calls}) == int(workers)
+
+    def test_dying_worker_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # A worker killed mid-run leaves the corpus incomplete: exit 2 with
+        # an error line, not a traceback.
+        real_write_file = simulator._write_file
+
+        def write_file(directory, number, traces):
+            if number == 1:
+                os._exit(9)
+            real_write_file(directory, number, traces)
+
+        monkeypatch.setattr(simulator, "_write_file", write_file)
+        monkeypatch.setenv("CONFCHECK_WORKERS", "2")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", str(out_dir), "--count", "20", "--traces-per-file", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a worker process exited unexpectedly; the corpus in {out_dir} is incomplete\n"
+
+    def test_a_workers_os_error_is_reported_as_in_process(self, tmp_path, monkeypatch, capsys):
+        # The second file's name is taken by a directory, so writing it fails:
+        # the same error line and exit code from a worker as in this process.
+        runs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / "sim"
+            (out_dir / "corpus-000001.json").mkdir(parents=True, exist_ok=True)
+            monkeypatch.setenv("CONFCHECK_WORKERS", workers)
+            code = main(["simulate", str(out_dir), "--count", "20", "--traces-per-file", "10"])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[1] == runs[0]
+        code, out, err = runs[0]
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 21] Is a directory: ") and "corpus-000001.json" in err
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize("per_file, expected_code", [("5", 0), ("0", 2)], ids=["ok", "error"])
@@ -981,10 +1041,11 @@ class TestInterleavedLayout:
 def test_serial_runs_do_not_import_the_process_pool():
     # Only --workers > 1 starts processes; importing their modules costs
     # every run.
-    code = "import sys, confcheck.cli; print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
+    modules = ("concurrent.futures", "multiprocessing", "confcheck.runner")
+    code = f"import sys, confcheck.cli; print([m in sys.modules for m in {modules!r}])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[False, False]\n"
+    assert done.stdout == "[False, False, False]\n"
 
 
 def test_every_exported_name_resolves():
@@ -1143,11 +1204,15 @@ class TestUsage:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _default_workers() == 1
 
-    def test_invalid_workers_env_warns_only_for_check(self, fixture_corpus_dir, monkeypatch, capsys):
+    def test_invalid_workers_env_warns_only_for_check_and_simulate(
+        self, fixture_corpus_dir, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.setenv("CONFCHECK_WORKERS", "bogus")
         assert main(["validate-design", BUNDLED_DESIGN]) == 0
         assert capsys.readouterr().err == ""
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir)]) == 1
+        assert capsys.readouterr().err == "warning: ignoring invalid CONFCHECK_WORKERS='bogus'\n"
+        assert main(["simulate", str(tmp_path / "sim"), "--count", "5"]) == 0
         assert capsys.readouterr().err == "warning: ignoring invalid CONFCHECK_WORKERS='bogus'\n"
 
     def test_workers_flag_leaves_env_unread(self, fixture_corpus_dir, monkeypatch, capsys):

@@ -29,6 +29,7 @@ from confcheck.simulator import (
     generate_trace,
     iter_corpus,
     write_corpus,
+    write_simulated_corpus,
 )
 
 # The sha256 of each file `confcheck simulate` writes for GOLDEN_ARGS, recorded
@@ -202,7 +203,15 @@ class TestWriteCorpus:
         with pytest.raises(ValueError):
             write_corpus([], tmp_path, traces_per_file=0)
 
-    def test_simulate_output_matches_golden_digests(self, tmp_path, capsys):
+    def test_worker_count_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be a positive integer, got 0"):
+            write_simulated_corpus(SimConfig(seed=1, trace_count=5), tmp_path / "sim", 10, workers=0)
+        assert not (tmp_path / "sim").exists()
+
+    # 4 workers are more than the 3 files: the run uses 3.
+    @pytest.mark.parametrize("workers", ["1", "2", "3", "4"])
+    def test_simulate_output_matches_golden_digests(self, tmp_path, workers, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
         assert main(["simulate", str(tmp_path), *GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == f"wrote 250 traces to 3 file(s) in {tmp_path}\n"
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
