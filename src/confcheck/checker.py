@@ -45,12 +45,13 @@ the same code on a one-trace partition, which
 trace again.
 
 :func:`check_partitions` checks a corpus with K workers through
-:func:`confcheck.runner.run`: each worker reads its own share of the spans
-(for ``check``, its group of files, so each file is decoded once), trades
-the traces that cross workers' reads with their owners, assembles whole
-traces and checks them; only the partial reports and verdicts come back.
+:func:`confcheck.runner.run`: each worker checks the traces its loader
+gives, and only the partial reports and verdicts come back. ``check``'s
+loader is :func:`~confcheck.runner.worker_partition`: each worker reads its
+group of files, so each file is decoded once, trades the traces that cross
+workers' reads with their owners, and assembles whole traces.
 :func:`check_corpus` cuts an in-memory corpus into K slices of whole
-traces, which never cross.
+traces, and its workers never trade.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import functools
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .design import DesignTraceSet
 from .gcpause import collector_paused
@@ -79,7 +80,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .runner import Exchange, Reader
+    from .runner import Exchange
 
 __all__ = [
     "ConformanceReport",
@@ -495,23 +496,25 @@ class WorkerExitedError(RuntimeError):
 
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
+# A loader maps a worker index and the worker's exchange (None in this
+# process) to the worker's whole traces and its ingest warning count.
+Loader = Callable[[int, Optional["Exchange"]], Tuple[Partition, int]]
+
 
 def _check_partition(
-    design_set: DesignTraceSet, read: Reader, index: int, exchange: Optional["Exchange"]
+    design_set: DesignTraceSet, load: Loader, index: int, exchange: Optional["Exchange"]
 ) -> PartialCheck:
-    """The one worker entry point: assemble worker ``index``'s traces by
-    :func:`~confcheck.runner.worker_partition`, check all of them at once,
-    and return the partial report, the non-conformant verdicts ordered by
-    trace id and the number of ingest warnings.
+    """The one worker entry point: take worker ``index``'s traces by
+    ``load(index, exchange)``, check all of them at once, and return the
+    partial report, the non-conformant verdicts ordered by trace id and the
+    number of ingest warnings.
 
     The cyclic collector is paused meanwhile: reading, exchanging and
     checking allocate millions of objects and build no reference cycles. The caller's state
     comes back once the partial result is built and the partition is
     dropped."""
-    from .runner import worker_partition
-
     with collector_paused():
-        partition, warning_count = worker_partition(read, index, exchange)
+        partition, warning_count = load(index, exchange)
         candidates = CandidateIndex(partition)
         del partition
         found = _violations(design_set, candidates)
@@ -524,11 +527,11 @@ def _check_partition(
         return report, verdicts, warning_count
 
 
-def check_partitions(design_set: DesignTraceSet, read: Reader, workers: int) -> PartialCheck:
-    """Check the traces that ``workers`` workers read by ``read``, each
-    worker in its own process, or in this process when there is one, with
-    the traces that cross workers' reads exchanged by
-    :func:`confcheck.runner.run`.
+def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> PartialCheck:
+    """Check the traces that each of ``workers`` workers takes by ``load``,
+    each worker in its own process, or in this process when there is one.
+    A corpus directory's loader is :func:`~confcheck.runner.worker_partition`
+    over its reader.
 
     Returns the merged report, the non-conformant verdicts ordered by trace
     id, and the total ingest warning count. The merge is associative and
@@ -541,7 +544,7 @@ def check_partitions(design_set: DesignTraceSet, read: Reader, workers: int) -> 
     # import, it raised that import's memory high-water mark by 0.2 MB.
     from . import runner
 
-    results = runner.run(functools.partial(_check_partition, design_set, read), workers)
+    results = runner.run(functools.partial(_check_partition, design_set, load), workers)
     report = ConformanceReport()
     nonconformant: List[TraceVerdict] = []
     for partial_report, partial_verdicts, _ in results:
@@ -559,10 +562,10 @@ def check_corpus(
     """Check an in-memory corpus of traces with distinct trace ids,
     optionally in parallel; ``ValueError`` when two traces share an id.
 
-    The traces, ordered by trace id, are cut into one contiguous partition
-    per worker and checked by :func:`check_partitions`. Returns the report
-    and the non-conformant verdicts ordered by trace id; both are identical
-    for every worker count.
+    The traces, ordered by trace id, are cut into one contiguous slice per
+    worker; each worker checks its slice as it is, with nothing to trade.
+    Returns the report and the non-conformant verdicts ordered by trace id;
+    both are identical for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -576,6 +579,6 @@ def check_corpus(
     cuts = [len(trace_list) * index // partitions for index in range(partitions + 1)]
     parts = [trace_list[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     report, verdicts, _ = check_partitions(
-        design_set, lambda index: (Partition.from_traces(parts[index]), ()), partitions
+        design_set, lambda index, exchange: (Partition.from_traces(parts[index]), 0), partitions
     )
     return report, verdicts

@@ -8,6 +8,7 @@ found by a completed check, 2 for usage, IO, or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,8 +81,12 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
 def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
     """Check the corpus in ``path`` in this process, or with ``workers``
     worker processes that each read their own share of the files."""
+    # Imported here, as by check_partitions: only a check runs it.
+    from .runner import worker_partition
+
     try:
-        return checker.check_partitions(design_set, ingest.corpus_reader(path, workers), workers)
+        load = functools.partial(worker_partition, ingest.corpus_reader(path, workers))
+        return checker.check_partitions(design_set, load, workers)
     except (OSError, ValueError):
         if workers > 1:
             # A single load checks everything the workers do, so it fails

@@ -31,7 +31,7 @@ the first error of the file; valid input that the column read does not
 take gives the same spans that way. Both OTel readers walk the resource
 entries and their span lists through one generator, ``_otel_batches``, and
 a column read rejects a document on the error of any decoder it shares with
-the record path. ``load_partition`` then assembles the
+the record path. :func:`assemble_partition` then assembles the
 columns, and the partition names a duplicate span id or a parent cycle
 through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
 trace. Span objects are built only when asked for: ``parse_trace_document``
@@ -39,23 +39,23 @@ returns them, ``load_corpus_dir`` builds the partition's
 :class:`~confcheck.model.ObservedTrace` objects, and ``assemble_traces``
 groups span objects into traces, each of which checks its own spans.
 
-Each error context is added once, where it is known: ``load_partition``
+Each error context is added once, where it is known: ``read_files``
 prefixes the file name, ``_otel_batches`` prefixes ``resourceSpans[i]:`` to a
 resource entry's errors (its attributes' among them), and ``_build_spans``
 prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
 the fields it reads (times, links, Zipkin tags). The attribute decoders add no
 context. A message shows an input value through :func:`~confcheck.model.echo`.
 
-With K > 1 workers, ``corpus_reader`` gives each worker its share of the
-files by :func:`read_plan`: the name-sorted files are cut into
-min(files, K) contiguous groups of about equal size, a worker alone in its
-group reads it whole, and the workers sharing a group split it by trace-id
-hash class (``crc32`` of the padded id, mod K). Each file is so decoded
-once. A worker's share is read by ``read_files``, unassembled: a trace whose
-spans lie in files that different workers read is exchanged by
-:mod:`confcheck.runner` before the worker assembles it.
-``load_partition(directory, partition, partitions)`` still reads every file
-and keeps one hash class of its spans.
+Every corpus read is ``read_files``, unassembled columns and their clamp
+warnings, then ``assemble_partition``: ``load_partition`` reads a whole
+directory so, and each of ``check``'s K workers the share that
+``corpus_reader`` gives it by :func:`read_plan`. The name-sorted files are
+cut into min(files, K) contiguous groups of about equal size, a worker
+alone in its group reads it whole, and the workers sharing a group split it
+by trace-id hash class (``crc32`` of the padded id, mod K); K = 1 is one
+whole group. Each file is so decoded once. A trace whose spans lie in files
+that different workers read is exchanged by :mod:`confcheck.runner` before
+the worker assembles it.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ __all__ = [
     "serialize_otel_json",
     "load_corpus_dir",
     "load_partition",
+    "assemble_partition",
     "corpus_reader",
     "read_plan",
 ]
@@ -696,13 +697,6 @@ def _dangling_warning(trace_id: TraceId, span_id: SpanId, parent_id: SpanId) -> 
     )
 
 
-def _dangling_warnings(partition: Partition) -> List[IngestWarning]:
-    return [
-        _dangling_warning(partition.trace_ids[row], partition.span_ids[row], partition.parent_ids[row])
-        for row in partition.dangling
-    ]
-
-
 def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
     """Group spans by trace id into ObservedTrace DAGs.
 
@@ -810,6 +804,8 @@ def _corpus_files(directory: "Path | str") -> List[Path]:
     """The ``*.json`` files of a corpus directory, in name order."""
     directory = Path(directory)
     if not directory.is_dir():
+        if directory.exists():
+            raise NotADirectoryError(f"corpus {directory} is not a directory")
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
     return sorted(directory.glob("*.json"))
 
@@ -829,26 +825,25 @@ def read_files(paths: Sequence[Path], share: _Share = None) -> Tuple[SpanColumns
     return columns, warnings
 
 
-def load_partition(
-    directory: "Path | str", partition: int = 0, partitions: int = 1
-) -> Tuple[Partition, List[IngestWarning]]:
+def assemble_partition(columns: SpanColumns) -> Tuple[Partition, List[IngestWarning]]:
+    """The one assembly of read columns: their
+    :class:`~confcheck.model.Partition`, which raises on a duplicate span id
+    or a parent cycle, and a warning per span whose parent is not in its
+    trace."""
+    partition = Partition(columns)
+    return partition, [
+        _dangling_warning(partition.trace_ids[row], partition.span_ids[row], partition.parent_ids[row])
+        for row in partition.dangling
+    ]
+
+
+def load_partition(directory: "Path | str") -> Tuple[Partition, List[IngestWarning]]:
     """Ingest every ``*.json`` file in a directory, auto-detecting formats,
     into one assembled :class:`~confcheck.model.Partition`, building no span
-    object.
-
-    With ``partitions`` > 1, only the traces whose id hashes to
-    ``partition`` are kept, with only their warnings. Every file is still
-    decoded, so a document-level error is raised by every partition and a
-    span-level error by the partition that holds the span; the
-    ``partitions`` loads together check everything a single load checks.
-    """
-    if not 0 <= partition < partitions:
-        raise ValueError(f"partition {partition} is outside 0..{partitions - 1}")
-    share = (frozenset((partition,)), partitions) if partitions > 1 else None
-    columns, warnings = read_files(_corpus_files(directory), share)
-    assembled = Partition(columns)
-    warnings += _dangling_warnings(assembled)
-    return assembled, warnings
+    object, and the ingest warnings."""
+    columns, warnings = read_files(_corpus_files(directory))
+    partition, dangling = assemble_partition(columns)
+    return partition, warnings + dangling
 
 
 # Per worker: the range [lo, hi) of the name-sorted corpus files it reads,
@@ -910,21 +905,15 @@ def corpus_reader(
     directory: "Path | str", workers: int
 ) -> Callable[[int], Tuple[SpanColumns, List[IngestWarning]]]:
     """The reader of a corpus directory for
-    :func:`~confcheck.checker.check_partitions` with ``workers`` workers:
-    with one, :func:`load_partition` of the whole directory; with more, each
-    worker's share of the files by :func:`read_plan`, unassembled, for the
-    runner to exchange the traces that cross shares and assemble."""
-    if workers == 1:
-        return lambda worker: load_partition(directory)
+    :func:`~confcheck.runner.worker_partition` with ``workers`` workers:
+    each worker's share of the files by :func:`read_plan`, unassembled, for
+    the runner to exchange the traces that cross shares and assemble."""
     paths = _corpus_files(directory)
     return functools.partial(read_share, paths, read_plan([path.stat().st_size for path in paths], workers))
 
 
-def load_corpus_dir(
-    directory: "Path | str", partition: int = 0, partitions: int = 1
-) -> Tuple[List[ObservedTrace], List[IngestWarning]]:
+def load_corpus_dir(directory: "Path | str") -> Tuple[List[ObservedTrace], List[IngestWarning]]:
     """:func:`load_partition` with the traces built: every trace of the
-    directory (or of partition ``partition`` of ``partitions``) ordered by
-    trace id, and the ingest warnings."""
-    loaded, warnings = load_partition(directory, partition, partitions)
-    return loaded.traces(), warnings
+    directory ordered by trace id, and the ingest warnings."""
+    partition, warnings = load_partition(directory)
+    return partition.traces(), warnings

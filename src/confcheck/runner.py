@@ -10,8 +10,8 @@ the exception its target raised.
 
 A target may trade through its exchange or not. Either every worker calls
 :meth:`Exchange.trade` exactly once, before it returns (``check`` does), or
-none calls it (``simulate``, whose workers each write their own files); a
-run in which some trade and some do not raises ``RuntimeError``.
+none calls it (``simulate``, and ``check_corpus``, whose slices are whole
+traces); a run in which some trade and some do not raises ``RuntimeError``.
 
 :func:`worker_partition` is what a ``check`` worker assembles. Worker
 ``index`` reads its spans by ``read(index)``, and a trace whose spans lie in
@@ -20,10 +20,11 @@ files that different workers read is read in part by each of them. Through
 ids and gets back those that more than one worker read. It ships their rows,
 marshalled, to each such trace's owner, worker ``crc32(trace id) % K``, and
 keeps every other row where it was read: a trace read by one worker never
-moves. Each worker then holds whole traces, and assembles them. Each side
-drops what it has passed on as it goes: a worker its read columns as it
-copies the rows it keeps, and each incoming byte string once unpacked; this
-process each shipment once relayed.
+moves. Each worker then holds whole traces, and assembles them by
+:func:`~confcheck.ingest.assemble_partition`. Each side drops what it has
+passed on as it goes: a worker its read columns as it copies the rows it
+keeps, and each incoming byte string once unpacked; this process each
+shipment once relayed.
 
 An exception a worker raises is sent back and raised here. A worker that
 exits before it answers raises
@@ -38,6 +39,7 @@ from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .checker import WorkerExitedError
+from .ingest import assemble_partition
 from .model import _NO_ATTRIBUTES, Partition, SpanColumns, trace_hash_class
 
 __all__ = ["Exchange", "Reader", "run", "worker_partition"]
@@ -45,9 +47,8 @@ __all__ = ["Exchange", "Reader", "run", "worker_partition"]
 Result = TypeVar("Result")
 
 # A reader maps a worker index to the spans that worker reads, as columns
-# that pass every span rule, and the ingest warnings raised while reading
-# them. A reader that returns an assembled Partition has counted its
-# dangling parents among them.
+# that pass every span rule, unassembled, and the ingest warnings raised
+# while reading them.
 Reader = Callable[[int], Tuple[SpanColumns, Sequence[object]]]
 
 
@@ -121,17 +122,14 @@ class Exchange:
 def worker_partition(read: Reader, index: int, exchange: Optional[Exchange]) -> Tuple[Partition, int]:
     """Worker ``index``'s whole traces and its ingest warning count: the
     spans of ``read(index)``, traded through ``exchange`` when there is one,
-    then assembled (which raises on a duplicate span id or a parent cycle),
-    unless the reader assembled them and no row moved."""
+    then assembled (which raises on a duplicate span id or a parent cycle)."""
     columns, warnings = read(index)
     count = len(warnings)
     del warnings
     if exchange is not None:
         columns = exchange.trade(columns)
-    if isinstance(columns, Partition):
-        return columns, count
-    partition = Partition(columns)
-    return partition, count + len(partition.dangling)
+    partition, dangling = assemble_partition(columns)
+    return partition, count + len(dangling)
 
 
 def _serve(target: Callable[[int, Exchange], Result], index: int, workers: int, link, inherited: list) -> None:

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 import genutil
-from confcheck import checker, ingest
+from confcheck import checker, ingest, runner
 from confcheck.checker import ConformanceReport, check_corpus, check_partitions, check_trace, evaluate
 from confcheck.design import DesignTraceSet, load_design_set
 from confcheck.ingest import serialize_otel_json
@@ -761,7 +761,8 @@ class TestCollectorState:
             columns.extend_spans(spans[index::partitions])
             return columns, []
 
-        report, verdicts, warnings = check_partitions(design_set, read, partitions)
+        load = functools.partial(runner.worker_partition, read)
+        report, verdicts, warnings = check_partitions(design_set, load, partitions)
         assert (report.total_traces, verdicts, warnings) == (4, [], 0)
         assert gc.isenabled() is collector
         if partitions == 1:
@@ -786,17 +787,24 @@ class TestCollectorState:
             raise ingest.MalformedDocumentError(f"bad partition {index}")
 
         with pytest.raises(ingest.MalformedDocumentError):
-            check_partitions(design_set, read, partitions)
+            check_partitions(design_set, functools.partial(runner.worker_partition, read), partitions)
         assert gc.isenabled() is collector
 
 
-def _loaded_traces_as_partition(directory, index):
-    traces, warnings = ingest.load_corpus_dir(directory, index)
-    return Partition.from_traces(traces), warnings
+def _loaded_traces_as_columns(directory, index):
+    traces, warnings = ingest.load_corpus_dir(directory)
+    columns = SpanColumns()
+    columns.extend_spans([span for trace in traces for span in trace.spans.values()])
+    return columns, warnings
 
 
-# A partition built from loaded span objects, and one built from columns.
-LOADERS = {"load_corpus_dir": _loaded_traces_as_partition, "load_partition": ingest.load_partition}
+def _read_directory(directory, index):
+    return ingest.read_files(sorted(directory.glob("*.json")))
+
+
+# Columns built from loaded span objects, and columns read from the files, as
+# load_corpus_dir and load_partition read them.
+LOADERS = {"load_corpus_dir": _loaded_traces_as_columns, "load_partition": _read_directory}
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -822,7 +830,8 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
 
     monkeypatch.setattr(gc, "enable", counting_enable)
     try:
-        report, _, _ = check_partitions(design_set, functools.partial(LOADERS[loader], tmp_path), 1)
+        read = functools.partial(LOADERS[loader], tmp_path)
+        report, _, _ = check_partitions(design_set, functools.partial(runner.worker_partition, read), 1)
     finally:
         monkeypatch.undo()
         (gc.enable if was_enabled else gc.disable)()
@@ -853,6 +862,19 @@ class TestCheckCorpus:
     def test_workers_must_be_positive(self, design_set):
         with pytest.raises(ValueError):
             check_corpus(design_set, [], workers=0)
+
+    def test_workers_never_trade(self, design_set, monkeypatch):
+        # Each worker holds whole traces, so there is nothing to exchange.
+        # Forked workers inherit the patch.
+        def trade(exchange, columns):
+            raise AssertionError("check_corpus traded")
+
+        monkeypatch.setattr(runner.Exchange, "trade", trade)
+        traces = [with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(6)]
+        traces.append(with_trace_id(gateway_trace(root_duration_micros=600_000), f"{7:032x}"))
+        report, verdicts = check_corpus(design_set, traces, workers=2)
+        assert (report, verdicts) == check_corpus(design_set, traces, workers=1)
+        assert (report.total_traces, [verdict.trace_id for verdict in verdicts]) == (7, [f"{7:032x}"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_repeated_trace_id_raises_at_any_worker_count(self, design_set, workers):

@@ -14,9 +14,11 @@ from confcheck.ingest import (
     MalformedDocumentError,
     MissingFieldError,
     MissingServiceNameError,
+    assemble_partition,
     assemble_traces,
     load_corpus_dir,
     parse_trace_document,
+    read_files,
     read_plan,
     serialize_otel_json,
 )
@@ -410,8 +412,13 @@ class TestCorpusDirectory:
         assert warnings == []
 
     def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="does not exist"):
             load_corpus_dir(tmp_path / "nope")
+
+    def test_file_is_not_a_directory(self, tmp_path):
+        (tmp_path / "trace.json").write_text("[]")
+        with pytest.raises(NotADirectoryError, match="trace.json is not a directory"):
+            load_corpus_dir(tmp_path / "trace.json")
 
     def test_each_file_decoded_once(self, tmp_path, json_loads_calls):
         (tmp_path / "zipkin.json").write_text(json.dumps([zipkin_span()]))
@@ -457,7 +464,7 @@ class TestCorpusDirectory:
         ]
         (tmp_path / "b.json").write_text(otel_document(children))
         whole, whole_warnings = load_corpus_dir(tmp_path)
-        shares = [load_corpus_dir(tmp_path, index, partitions) for index in range(partitions)]
+        shares = [_hash_class_share(tmp_path, index, partitions) for index in range(partitions)]
         assert all(traces for traces, _ in shares)
         assert sorted((t for traces, _ in shares for t in traces), key=lambda t: t.trace_id) == whole
         assert all(len(trace.spans) == 2 for trace in whole)
@@ -467,13 +474,17 @@ class TestCorpusDirectory:
     def test_unreadable_trace_id_raises_in_partition_zero(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps([zipkin_span(traceId=None)]))
         with pytest.raises(MalformedDocumentError, match="bad.json: span #0 lacks id or traceId"):
-            load_corpus_dir(tmp_path, 0, 2)
-        assert load_corpus_dir(tmp_path, 1, 2) == ([], [])
+            _hash_class_share(tmp_path, 0, 2)
+        assert _hash_class_share(tmp_path, 1, 2) == ([], [])
 
-    @pytest.mark.parametrize("partition, partitions", [(-1, 2), (2, 2), (0, 0)])
-    def test_partition_out_of_range_rejected(self, tmp_path, partition, partitions):
-        with pytest.raises(ValueError, match="outside"):
-            load_corpus_dir(tmp_path, partition, partitions)
+
+def _hash_class_share(directory, index, classes):
+    """The traces and warnings of hash class ``index`` of ``classes`` in a
+    corpus: the share ``read_plan`` gives each of the workers that share a
+    file group."""
+    columns, warnings = read_files(sorted(directory.glob("*.json")), (frozenset({index}), classes))
+    partition, dangling = assemble_partition(columns)
+    return partition.traces(), warnings + dangling
 
 
 class TestReadPlan:

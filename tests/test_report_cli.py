@@ -350,6 +350,21 @@ class TestCheckCommand:
         code = main(["check", BUNDLED_DESIGN, "/nope/corpus"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["check", "graph"])
+    def test_missing_corpus_path_is_named_missing(self, command, workers, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(_corpus_command(command, missing, workers)) == 2
+        assert capsys.readouterr() == ("", f"error: corpus directory {missing} does not exist\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["check", "graph"])
+    def test_corpus_path_that_is_a_file_is_named_a_file(self, command, workers, tmp_path, capsys):
+        trace_file = tmp_path / "trace.json"
+        trace_file.write_text("[]")
+        assert main(_corpus_command(command, trace_file, workers)) == 2
+        assert capsys.readouterr() == ("", f"error: corpus {trace_file} is not a directory\n")
+
     def test_zero_workers_exits_two(self, fixture_corpus_dir, capsys):
         code = main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "0"])
         assert code == 2
@@ -528,6 +543,13 @@ class TestSimulateCommand:
             assert not out_dir.exists()
 
 
+def _corpus_command(command, corpus, workers):
+    """``check`` at ``workers`` workers, or ``graph`` of one trace, of the corpus path ``corpus``."""
+    if command == "check":
+        return ["check", BUNDLED_DESIGN, str(corpus), "--workers", workers]
+    return ["graph", BUNDLED_DESIGN, str(corpus), "--trace-id", NONCONFORMANT_ID]
+
+
 class TestGraphCommand:
     def test_graph_writes_dot(self, fixture_corpus_dir, tmp_path):
         out = tmp_path / "trace.dot"
@@ -650,9 +672,13 @@ class TestMissingOutDirectory:
     )
     def test_fails_before_ingest(self, command, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
         loads = []
-        real_load = ingest.load_partition
+        real_read = ingest.read_files
+        # Every corpus read at one worker, and that of graph and import-design,
+        # reads the files by read_files: logged here by their directory.
         monkeypatch.setattr(
-            ingest, "load_partition", lambda path, *share, **kw: loads.append(path) or real_load(path, *share, **kw)
+            ingest,
+            "read_files",
+            lambda paths, *share: loads.extend({str(path.parent) for path in paths}) or real_read(paths, *share),
         )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         out = tmp_path / "missing" / "result.out"
@@ -968,7 +994,7 @@ class TestPartitionedCheck:
         assert done.stderr.startswith("error: a worker process exited unexpectedly")
         assert "Traceback" not in done.stderr
 
-    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_each_file_is_decoded_once(self, workers, tmp_path, monkeypatch, capsys):
         corpus, log = tmp_path / "corpus", tmp_path / "decoded.txt"
         assert main(["simulate", str(corpus), "--count", "60", "--seed", "2", "--traces-per-file", "10"]) == 0
@@ -987,7 +1013,10 @@ class TestPartitionedCheck:
         decoded = [line.split() for line in log.read_text().splitlines()]
         assert sorted(files[int(crc)] for _, crc in decoded) == sorted(files.values())
         pids = {int(pid) for pid, _ in decoded}
-        assert os.getpid() not in pids and len(pids) == int(workers)
+        if workers == "1":  # one whole-corpus share, read in this process
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(pids) == int(workers)
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
         built, checked = [], []
