@@ -79,14 +79,15 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
 
 
 def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
-    """Check the corpus in ``path`` in this process, or with ``workers``
-    worker processes that each read their own share of the files."""
+    """Check the corpus in ``path`` in this process, or with up to
+    ``workers`` worker processes, no more than there are files, that each
+    read their own files whole."""
     # Imported here, as by check_partitions: only a check runs it.
     from .runner import worker_partition
 
+    read, workers = ingest.corpus_reader(path, workers)
     try:
-        load = functools.partial(worker_partition, ingest.corpus_reader(path, workers))
-        return checker.check_partitions(design_set, load, workers)
+        return checker.check_partitions(design_set, functools.partial(worker_partition, read), workers)
     except (OSError, ValueError):
         if workers > 1:
             # A single load checks everything the workers do, so it fails
@@ -245,9 +246,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 for --help.
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    # A missing output directory fails before any input is read, rather
-    # than after a full ingest and check.
+    # An output path that cannot name a new or existing file fails before
+    # any input is read, rather than after a full ingest and check.
     out = getattr(args, "out", None)
+    if out == "":
+        return _fail("--out must name a file, got an empty path")
+    if out is not None and Path(out).is_dir():
+        return _fail(f"cannot write {out}: it is a directory")
     if out is not None and not Path(out).parent.is_dir():
         return _fail(f"cannot write {out}: no such directory {Path(out).parent}")
     return args.func(args)

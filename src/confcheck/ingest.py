@@ -48,19 +48,17 @@ context. A message shows an input value through :func:`~confcheck.model.echo`.
 
 Every corpus read is ``read_files``, unassembled columns and their clamp
 warnings, then ``assemble_partition``: ``load_partition`` reads a whole
-directory so, and each of ``check``'s K workers the share that
+directory so, and each of ``check``'s workers the files that
 ``corpus_reader`` gives it by :func:`read_plan`. The name-sorted files are
-cut into min(files, K) contiguous groups of about equal size, a worker
-alone in its group reads it whole, and the workers sharing a group split it
-by trace-id hash class (``crc32`` of the padded id, mod K); K = 1 is one
-whole group. Each file is so decoded once. A trace whose spans lie in files
-that different workers read is exchanged by :mod:`confcheck.runner` before
-the worker assembles it.
+cut into K = max(1, min(files, workers)) contiguous groups of about equal
+size, one per worker, the rule ``simulate`` follows too; each file is so
+decoded once, and a one-file corpus is read in this process. A trace whose
+spans lie in files that different workers read is exchanged by
+:mod:`confcheck.runner` before the worker assembles it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +66,7 @@ from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter, eq, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -86,7 +84,6 @@ from .model import (
     TraceId,
     columns_valid,
     echo,
-    trace_hash_class,
 )
 
 __all__ = [
@@ -149,26 +146,11 @@ def _pad_trace_id(raw: str) -> str:
     return raw.rjust(TRACE_ID_LENGTH, "0")
 
 
-# A parser's ``share`` is (hash classes, classes): it normalizes only the
-# spans whose trace id falls in one of those hash classes of ``classes``.
-# None normalizes every span.
-_Share = Optional[Tuple[FrozenSet[int], int]]
-
 # One span as a format parser reads it, in ObservedSpan's positional order:
 # trace id (padded), span id, name, service name, start and end nanoseconds,
 # the raw parent id, the attributes (the raw OTel list, or None, when the
 # builder is given a decoder) and the links.
 _Record = Tuple[object, object, object, object, int, int, object, object, tuple]
-
-
-def _partition_of(raw_trace_id: object, partitions: int) -> int:
-    """The hash class, of ``partitions``, of a span with this raw trace id:
-    that of the padded id, so a trace's spans meet in one class whichever
-    files hold them. An id that cannot be read is in class 0, whose reader
-    then raises its error."""
-    if not isinstance(raw_trace_id, str) or not raw_trace_id:
-        return 0
-    return trace_hash_class(_pad_trace_id(raw_trace_id), partitions)
 
 
 def _load_json(document: "bytes | str", error: "type[ValueError]" = MalformedDocumentError) -> object:
@@ -228,7 +210,7 @@ def _build_spans(
     return spans
 
 
-def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
+def _zipkin_records(data: list) -> Iterator[_Record]:
     """The spans of a Zipkin v2 array as records.
 
     Zipkin timestamps and durations are in microseconds and are converted to
@@ -241,8 +223,6 @@ def _zipkin_records(data: list, share: _Share) -> Iterator[_Record]:
             raise MalformedDocumentError(f"span #{index} is not an object")
         get = raw.get
         raw_trace_id = get("traceId")
-        if share is not None and _partition_of(raw_trace_id, share[1]) not in share[0]:
-            continue
         raw_span_id = get("id")
         if not raw_trace_id or not raw_span_id:
             raise MissingFieldError(f"span #{index} lacks id or traceId")
@@ -395,7 +375,7 @@ def _otel_batches(data: dict) -> Iterator[Tuple[str, list]]:
             yield service_name, raw_spans
 
 
-def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
+def _otel_records(data: dict) -> Iterator[_Record]:
     """The spans of an OTel-layout document as records whose attributes are
     the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``.
     Typed attribute values are preserved."""
@@ -405,8 +385,6 @@ def _otel_records(data: dict, share: _Share) -> Iterator[_Record]:
                 raise MalformedDocumentError("span entries must be objects")
             get = raw.get
             trace_id = get("traceId")
-            if share is not None and _partition_of(trace_id, share[1]) not in share[0]:
-                continue
             span_id = get("spanId")
             if not trace_id or not span_id:
                 raise MissingFieldError("a span lacks spanId or traceId")
@@ -436,14 +414,6 @@ def _of_types(values: list, types: "set[type]") -> bool:
     return set(map(type, values)) <= types
 
 
-def _share_mask(raw_trace_ids: List[str], share: Tuple[FrozenSet[int], int]) -> List[bool]:
-    """Which spans, by raw trace id, ``share`` keeps; each distinct id is
-    hashed once."""
-    classes, partitions = share
-    kept = {raw: _partition_of(raw, partitions) in classes for raw in set(raw_trace_ids)}
-    return list(map(kept.__getitem__, raw_trace_ids))
-
-
 def _parent_column(raw: list) -> Optional[list]:
     """Raw parent ids as ``_normalize_parent_id`` reads them, with ``""`` for
     a root (an absent, null, empty or all-zero id); None when one is neither
@@ -458,7 +428,7 @@ def _parent_column(raw: list) -> Optional[list]:
 _MICROS = 1000  # nanoseconds
 
 
-def _zipkin_columns(data: list, share: _Share, strings: dict) -> Optional[SpanColumns]:
+def _zipkin_columns(data: list, strings: dict) -> Optional[SpanColumns]:
     """``_zipkin_records`` a column at a time."""
     if not _of_types(data, {dict}):
         return None
@@ -466,10 +436,6 @@ def _zipkin_columns(data: list, share: _Share, strings: dict) -> Optional[SpanCo
     raw_trace_ids = list(map(get, data, repeat("traceId")))
     if not _of_types(raw_trace_ids, {str}):
         return None
-    if share is not None:
-        keep = _share_mask(raw_trace_ids, share)
-        data = list(compress(data, keep))
-        raw_trace_ids = list(compress(raw_trace_ids, keep))
     endpoints = list(map(get, data, repeat("localEndpoint")))
     names = list(map(get, data, repeat("name"), repeat("")))
     timestamps = list(map(get, data, repeat("timestamp"), repeat(0)))
@@ -570,7 +536,7 @@ def _otel_attributes(raw: list) -> Optional[list]:
     return column
 
 
-def _otel_columns(data: dict, share: _Share, strings: dict) -> Optional[SpanColumns]:
+def _otel_columns(data: dict, strings: dict) -> Optional[SpanColumns]:
     """``_otel_records`` a column at a time."""
     try:
         batches = list(_otel_batches(data))
@@ -582,11 +548,6 @@ def _otel_columns(data: dict, share: _Share, strings: dict) -> Optional[SpanColu
     for service, raw_spans in batches:
         if not _of_types(raw_spans, {dict}):
             return None
-        if share is not None:
-            raw_trace_ids = list(map(dict.get, raw_spans, repeat("traceId")))
-            if not _of_types(raw_trace_ids, {str}):
-                return None
-            raw_spans = list(compress(raw_spans, _share_mask(raw_trace_ids, share)))
         spans += raw_spans
         services += repeat(share_string(service, service), len(raw_spans))
     get = dict.get
@@ -648,32 +609,25 @@ def _layout(data: object) -> "tuple[Callable, Callable, Optional[Callable[[objec
     )
 
 
-def _document_spans(
-    data: object, warnings: "Optional[list[IngestWarning]]", share: _Share = None
-) -> List[ObservedSpan]:
-    """The record path: the spans of one decoded document, of the partition
-    ``share`` names, built and checked one at a time, so the first error in
-    file order is the one raised."""
+def _document_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
+    """The record path: the spans of one decoded document, built and checked
+    one at a time, so the first error in file order is the one raised."""
     _, read_records, decode_attributes = _layout(data)
-    return _build_spans(read_records(data, share), warnings, decode_attributes)
+    return _build_spans(read_records(data), warnings, decode_attributes)
 
 
 def _read_document(
-    data: object,
-    warnings: "Optional[list[IngestWarning]]",
-    share: _Share,
-    strings: dict,
-    columns: SpanColumns,
+    data: object, warnings: "Optional[list[IngestWarning]]", strings: dict, columns: SpanColumns
 ) -> None:
-    """Append the spans of one decoded document, of the partition ``share``
-    names, to ``columns``: by the column read when every span passes every
-    rule, else by the record path, which raises the document's first error
-    or, for valid input the column read does not take, gives its spans."""
-    read = _layout(data)[0](data, share, strings)
+    """Append the spans of one decoded document to ``columns``: by the
+    column read when every span passes every rule, else by the record path,
+    which raises the document's first error or, for valid input the column
+    read does not take, gives its spans."""
+    read = _layout(data)[0](data, strings)
     if read is not None and _clamp_and_check(read, warnings):
         columns.extend(read)
     else:
-        columns.extend_spans(_document_spans(data, warnings, share))
+        columns.extend_spans(_document_spans(data, warnings))
 
 
 def parse_trace_document(
@@ -684,7 +638,7 @@ def parse_trace_document(
     top-level JSON shape: an array is Zipkin v2, an object with a
     ``resourceSpans`` array is the OTel-style layout."""
     columns = SpanColumns()
-    _read_document(_load_json(document), warnings, None, {}, columns)
+    _read_document(_load_json(document), warnings, {}, columns)
     return list(map(columns.span, range(len(columns))))
 
 
@@ -810,16 +764,16 @@ def _corpus_files(directory: "Path | str") -> List[Path]:
     return sorted(directory.glob("*.json"))
 
 
-def read_files(paths: Sequence[Path], share: _Share = None) -> Tuple[SpanColumns, List[IngestWarning]]:
-    """The spans of ``paths``, of the hash classes ``share`` names, as
-    columns that pass every span rule, unassembled, and their clamp
-    warnings. A file's errors are prefixed with its name."""
+def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]:
+    """The spans of ``paths`` as columns that pass every span rule,
+    unassembled, and their clamp warnings. A file's errors are prefixed with
+    its name."""
     warnings: List[IngestWarning] = []
     columns = SpanColumns()
     strings: dict = {}
     for path in paths:
         try:
-            _read_document(_load_json(path.read_bytes()), warnings, share, strings, columns)
+            _read_document(_load_json(path.read_bytes()), warnings, strings, columns)
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{path.name}: {exc}") from exc
     return columns, warnings
@@ -846,25 +800,12 @@ def load_partition(directory: "Path | str") -> Tuple[Partition, List[IngestWarni
     return partition, warnings + dangling
 
 
-# Per worker: the range [lo, hi) of the name-sorted corpus files it reads,
-# and the hash classes it keeps of their spans, or None for all of them.
-WorkerRead = Tuple[int, int, Optional[FrozenSet[int]]]
-
-
-def read_plan(sizes: Sequence[int], workers: int) -> List[WorkerRead]:
-    """Which spans of the name-sorted files of ``sizes`` bytes each of
-    ``workers`` workers reads, so that every span is read by exactly one.
-
-    The files are cut into min(files, workers) contiguous groups of about
-    equal size, and the workers dealt over the groups, the same number or
-    one more each. A group with one worker is read whole by it. A group with
-    n > 1 workers is split among them by trace id: each of the ``workers``
-    hash classes goes to the group's worker of that number, or, when the
-    group has none, to its worker ``class % n``. A one-file corpus is so
-    read as one trace-id share per worker."""
-    groups = min(len(sizes), workers)
-    if groups == 0:
-        return [(0, 0, None)] * workers
+def read_plan(sizes: Sequence[int], workers: int) -> List[Tuple[int, int]]:
+    """The range ``[lo, hi)`` of the name-sorted files of ``sizes`` bytes
+    that each worker reads whole: max(1, min(files, ``workers``)) contiguous
+    ranges of about equal size, so that every file is read by exactly one
+    worker and none is left without a file. No files are one empty range."""
+    groups = max(1, min(len(sizes), workers))
     ends = [0]
     for size in sizes:
         ends.append(ends[-1] + size)
@@ -876,40 +817,25 @@ def read_plan(sizes: Sequence[int], workers: int) -> List[WorkerRead]:
         bounds = range(cuts[-1] + 1, len(sizes) - (groups - group) + 1)
         cuts.append(min(bounds, key=lambda cut: abs(ends[cut] - target)))
     cuts.append(len(sizes))
-    plan: List[WorkerRead] = []
-    for group in range(groups):
-        first, last = workers * group // groups, workers * (group + 1) // groups
-        members = last - first
-        for worker in range(first, last):
-            classes = None
-            if members > 1:
-                classes = frozenset(
-                    cls
-                    for cls in range(workers)
-                    if (cls if first <= cls < last else first + cls % members) == worker
-                )
-            plan.append((cuts[group], cuts[group + 1], classes))
-    return plan
-
-
-def read_share(
-    paths: Sequence[Path], plan: Sequence[WorkerRead], worker: int
-) -> Tuple[SpanColumns, List[IngestWarning]]:
-    """What ``read_plan`` gives worker ``worker`` of ``paths`` to read, by
-    :func:`read_files`."""
-    lo, hi, classes = plan[worker]
-    return read_files(paths[lo:hi], None if classes is None else (classes, len(plan)))
+    return list(zip(cuts, cuts[1:]))
 
 
 def corpus_reader(
     directory: "Path | str", workers: int
-) -> Callable[[int], Tuple[SpanColumns, List[IngestWarning]]]:
+) -> Tuple[Callable[[int], Tuple[SpanColumns, List[IngestWarning]]], int]:
     """The reader of a corpus directory for
-    :func:`~confcheck.runner.worker_partition` with ``workers`` workers:
-    each worker's share of the files by :func:`read_plan`, unassembled, for
-    the runner to exchange the traces that cross shares and assemble."""
+    :func:`~confcheck.runner.worker_partition`, and the number K of workers
+    it serves, at most ``workers``: each worker's files by :func:`read_plan`,
+    read by :func:`read_files` and unassembled, for the runner to exchange
+    the traces that cross workers' files and assemble."""
     paths = _corpus_files(directory)
-    return functools.partial(read_share, paths, read_plan([path.stat().st_size for path in paths], workers))
+    plan = read_plan([path.stat().st_size for path in paths], workers)
+
+    def read(worker: int) -> Tuple[SpanColumns, List[IngestWarning]]:
+        lo, hi = plan[worker]
+        return read_files(paths[lo:hi])
+
+    return read, len(plan)
 
 
 def load_corpus_dir(directory: "Path | str") -> Tuple[List[ObservedTrace], List[IngestWarning]]:

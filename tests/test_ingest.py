@@ -14,11 +14,9 @@ from confcheck.ingest import (
     MalformedDocumentError,
     MissingFieldError,
     MissingServiceNameError,
-    assemble_partition,
     assemble_traces,
     load_corpus_dir,
     parse_trace_document,
-    read_files,
     read_plan,
     serialize_otel_json,
 )
@@ -443,88 +441,38 @@ class TestCorpusDirectory:
         with pytest.raises(MalformedDocumentError, match="^big.json: invalid JSON: Exceeds the limit"):
             load_corpus_dir(tmp_path)
 
-    @pytest.mark.parametrize("partitions", [2, 3, 5])
-    def test_partitions_split_the_traces_and_warnings(self, tmp_path, partitions):
-        trace_ids = [f"{index:032x}" for index in range(1, 41)]
-        # Each trace has a root in the Zipkin file (with a 16-char id that
-        # pads to the OTel one) and a child in the OTel file whose end
-        # precedes its start; every tenth child's parent is missing.
-        (tmp_path / "a.json").write_text(
-            json.dumps([zipkin_span(traceId=trace_id.lstrip("0").rjust(16, "0")) for trace_id in trace_ids])
-        )
-        children = [
-            otel_span(
-                traceId=trace_id,
-                spanId="0000000000000002",
-                parentSpanId="00000000000000ff" if index % 10 == 0 else "0000000000000001",
-                startTimeUnixNano="9",
-                endTimeUnixNano="5",
-            )
-            for index, trace_id in enumerate(trace_ids)
-        ]
-        (tmp_path / "b.json").write_text(otel_document(children))
-        whole, whole_warnings = load_corpus_dir(tmp_path)
-        shares = [_hash_class_share(tmp_path, index, partitions) for index in range(partitions)]
-        assert all(traces for traces, _ in shares)
-        assert sorted((t for traces, _ in shares for t in traces), key=lambda t: t.trace_id) == whole
-        assert all(len(trace.spans) == 2 for trace in whole)
-        assert sorted(repr(w) for _, warnings in shares for w in warnings) == sorted(map(repr, whole_warnings))
-        assert len(whole_warnings) == 44
-
-    def test_unreadable_trace_id_raises_in_partition_zero(self, tmp_path):
-        (tmp_path / "bad.json").write_text(json.dumps([zipkin_span(traceId=None)]))
-        with pytest.raises(MalformedDocumentError, match="bad.json: span #0 lacks id or traceId"):
-            _hash_class_share(tmp_path, 0, 2)
-        assert _hash_class_share(tmp_path, 1, 2) == ([], [])
-
-
-def _hash_class_share(directory, index, classes):
-    """The traces and warnings of hash class ``index`` of ``classes`` in a
-    corpus: the share ``read_plan`` gives each of the workers that share a
-    file group."""
-    columns, warnings = read_files(sorted(directory.glob("*.json")), (frozenset({index}), classes))
-    partition, dangling = assemble_partition(columns)
-    return partition.traces(), warnings + dangling
-
 
 class TestReadPlan:
-    """``read_plan`` cuts the name-sorted files into contiguous groups, one
-    per worker at most, and splits a group shared by several workers by
-    trace-id hash class."""
+    """``read_plan`` cuts the name-sorted files into contiguous ranges of
+    about equal size, one per worker and no more than there are files, each
+    read whole by its worker."""
 
     @pytest.mark.parametrize("files", range(1, 8))
     @pytest.mark.parametrize("workers", range(1, 6))
     def test_every_file_and_class_is_read_once(self, files, workers):
+        # Every file, and so every trace-id class of its spans, is read by
+        # exactly one worker.
         sizes = [100 + (37 * index) % 50 for index in range(files)]
         plan = read_plan(sizes, workers)
-        assert len(plan) == workers
+        assert len(plan) == max(1, min(files, workers))
         for file in range(files):
-            for cls in range(workers):
-                readers = [
-                    worker
-                    for worker, (lo, hi, classes) in enumerate(plan)
-                    if lo <= file < hi and (classes is None or cls in classes)
-                ]
-                assert len(readers) == 1, (file, cls, readers)
-        groups = sorted({(lo, hi) for lo, hi, _ in plan})
-        assert len(groups) == min(files, workers)
-        assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
-        assert groups[-1][1] == files and all(lo < hi for lo, hi in groups)
-        # Workers follow the files: a later worker never reads an earlier group.
-        assert [(lo, hi) for lo, hi, _ in plan] == sorted((lo, hi) for lo, hi, _ in plan)
+            readers = [worker for worker, (lo, hi) in enumerate(plan) if lo <= file < hi]
+            assert len(readers) == 1, (file, readers)
+        assert [lo for lo, _ in plan] == [0] + [hi for _, hi in plan[:-1]]
+        assert plan[-1][1] == files and all(lo < hi for lo, hi in plan)
 
     def test_groups_balance_bytes(self):
-        assert [(lo, hi) for lo, hi, _ in read_plan([300, 100, 100, 100], 2)] == [(0, 1), (1, 4)]
-        assert [(lo, hi) for lo, hi, _ in read_plan([100, 100, 100, 300], 2)] == [(0, 3), (3, 4)]
+        assert read_plan([300, 100, 100, 100], 2) == [(0, 1), (1, 4)]
+        assert read_plan([100, 100, 100, 300], 2) == [(0, 3), (3, 4)]
 
-    def test_one_file_is_split_by_class_as_one_share_per_worker(self):
-        assert read_plan([500], 3) == [(0, 1, frozenset({worker})) for worker in range(3)]
+    def test_one_file_is_read_whole_by_one_worker(self):
+        assert read_plan([500], 1) == read_plan([500], 3) == [(0, 1)]
 
     def test_a_worker_alone_in_its_group_reads_it_whole(self):
-        assert read_plan([100, 100, 100], 3) == [(0, 1, None), (1, 2, None), (2, 3, None)]
+        assert read_plan([100, 100, 100], 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_no_files(self):
-        assert read_plan([], 2) == [(0, 0, None), (0, 0, None)]
+        assert read_plan([], 1) == read_plan([], 2) == [(0, 0)]
 
 
 class TestFastPathsKeepErrorsAndValues:

@@ -320,7 +320,7 @@ def test_column_and_record_paths_agree(seed, fault, zipkin):
     record = _ingest_outcome(lambda warnings: ingest._document_spans(json.loads(text), warnings))
     assert _ingest_outcome(lambda warnings: parse_trace_document(text, warnings)) == record
 
-    columns = ingest._layout(document)[0](json.loads(text), None, {})
+    columns = ingest._layout(document)[0](json.loads(text), {})
     on_column_path = columns is not None and ingest._clamp_and_check(columns, [])
     assert on_column_path == (not isinstance(record, str))
     if not on_column_path:

@@ -21,7 +21,7 @@ from confcheck import report as report_module
 from confcheck.checker import check_corpus
 from confcheck.cli import main
 from confcheck.design import DesignTraceSet, load_design_set
-from confcheck.model import ObservedSpan, ObservedTrace
+from confcheck.model import ObservedSpan, ObservedTrace, trace_hash_class
 from confcheck.report import render_text_report, render_trace_dot, report_to_json_dict
 
 import genutil
@@ -678,7 +678,7 @@ class TestMissingOutDirectory:
         monkeypatch.setattr(
             ingest,
             "read_files",
-            lambda paths, *share: loads.extend({str(path.parent) for path in paths}) or real_read(paths, *share),
+            lambda paths: loads.extend({str(path.parent) for path in paths}) or real_read(paths),
         )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         out = tmp_path / "missing" / "result.out"
@@ -688,6 +688,36 @@ class TestMissingOutDirectory:
         # The same command with a writable --out does read the corpus.
         assert main(argv + ["--out", str(tmp_path / "result.out")]) in (0, 1)
         assert loads == [str(fixture_corpus_dir)]
+
+
+class TestOutNamesNoFile:
+    """An ``--out`` that is an existing directory, or empty, cannot be
+    written: exit 2 before the corpus is read, not after a whole check."""
+
+    @pytest.mark.parametrize("out", ["directory", "empty"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", BUNDLED_DESIGN, "{corpus}", "--workers", "1"],
+            ["graph", BUNDLED_DESIGN, "{corpus}", "--trace-id", NONCONFORMANT_ID],
+            ["import-design", "{corpus}", "--trace-id", NONCONFORMANT_ID],
+        ],
+        ids=["check", "graph", "import-design"],
+    )
+    def test_fails_before_ingest(self, command, out, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
+        loads = []
+        real_read = ingest.read_files
+        monkeypatch.setattr(ingest, "read_files", lambda paths: loads.append(paths) or real_read(paths))
+        argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
+        if out == "directory":
+            expected = f"error: cannot write {tmp_path}: it is a directory\n"
+            out = str(tmp_path)
+        else:
+            expected = "error: --out must name a file, got an empty path\n"
+            out = ""
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr() == ("", expected)
+        assert loads == []
 
 
 def _otel_file(path, spans, service="microservice"):
@@ -702,13 +732,14 @@ def _raw_span(trace_id, span_id, parent=None, start="1000", end="2000"):
     return span
 
 
-def _trace_id_in(partitions_by_k):
-    """The first trace id whose partition at each K is the one given."""
+def _trace_id_in(owners_by_k):
+    """The first trace id whose owner at each K, the worker its spans go to
+    when they lie in different workers' files, is the one given."""
     for index in range(1, 10_000):
         trace_id = f"{index:032x}"
-        if all(ingest._partition_of(trace_id, k) == part for k, part in partitions_by_k.items()):
+        if all(trace_hash_class(trace_id, k) == owner for k, owner in owners_by_k.items()):
             return trace_id
-    raise AssertionError(f"no trace id lands in {partitions_by_k}")
+    raise AssertionError(f"no trace id lands in {owners_by_k}")
 
 
 def _split_traces_corpus(corpus):
@@ -773,8 +804,10 @@ def _parent_cycle_corpus(corpus):
 
 
 def _errors_in_two_partitions_corpus(corpus):
-    # The first file's error lies in a later partition than the second
-    # file's, so a partition's own error is not the one a serial run names.
+    # Each file holds an error, and at two and three workers each file has a
+    # worker of its own: a.json's error is found as it is read, b.json's (a
+    # parent cycle) only as its trace is assembled. a.json's trace would go
+    # to a later worker than b.json's, were either split across files.
     late, early = _trace_id_in({2: 1, 3: 2}), _trace_id_in({2: 0, 3: 0})
     _otel_file(corpus / "a.json", [_raw_span(late, "00000000000000a1", end="soon")])
     _otel_file(
@@ -784,6 +817,59 @@ def _errors_in_two_partitions_corpus(corpus):
             _raw_span(early, "00000000000000a2", parent="00000000000000a1"),
         ],
     )
+
+
+def _cycles_in_two_partitions_corpus(corpus):
+    # A parent cycle in each file, and each file read by its own worker: the
+    # first worker's cycle is not the one with the smaller trace id, which a
+    # serial run names.
+    late, early = "0" * 31 + "2", "0" * 31 + "1"
+    for name, trace_id in (("a.json", late), ("b.json", early)):
+        _otel_file(
+            corpus / name,
+            [
+                _raw_span(trace_id, "00000000000000c1", parent="00000000000000c2"),
+                _raw_span(trace_id, "00000000000000c2", parent="00000000000000c1"),
+            ],
+        )
+
+
+def _padded_zipkin_ids_corpus(corpus):
+    # Each trace has a root in the Zipkin file, with a 16-char id that pads
+    # to the OTel one, and a child in the OTel file whose end precedes its
+    # start; every tenth child's parent is missing.
+    trace_ids = [f"{index:032x}" for index in range(1, 41)]
+    roots = [
+        {
+            "traceId": trace_id.lstrip("0").rjust(16, "0"),
+            "id": "0000000000000001",
+            "name": "aspnet_core.request",
+            "timestamp": 1000,
+            "duration": 500,
+            "localEndpoint": {"serviceName": "gateway"},
+        }
+        for trace_id in trace_ids
+    ]
+    (corpus / "a.json").write_text(json.dumps(roots))
+    _otel_file(
+        corpus / "b.json",
+        [
+            _raw_span(
+                trace_id,
+                "0000000000000002",
+                parent="00000000000000ff" if index % 10 == 0 else "0000000000000001",
+                start="9",
+                end="5",
+            )
+            for index, trace_id in enumerate(trace_ids)
+        ],
+    )
+
+
+def _unreadable_trace_id_corpus(corpus):
+    shutil.copy(FIXTURES_DIR / "conformant.trace.json", corpus / "a.json")
+    span = {"traceId": None, "id": "0000000000000001", "name": "x", "localEndpoint": {"serviceName": "gateway"}}
+    (corpus / "bad.json").write_text(json.dumps([span]))
 
 
 def _scope_spans_corpus(corpus, spans):
@@ -900,9 +986,9 @@ def _duplicate_span_across_groups_corpus(corpus):
 
 
 class TestPartitionedCheck:
-    """``check --workers K`` gives each worker its own share of the files;
-    the traces that cross shares are exchanged. Its output and exit code must
-    not depend on K."""
+    """``check --workers K`` gives each worker its own files, read whole;
+    the traces that cross workers' files are exchanged. Its output and exit
+    code must not depend on K."""
 
     CORPORA = {
         "split-traces": (_split_traces_corpus, 1, "warning: 2 ingest warning(s)\n"),
@@ -919,6 +1005,11 @@ class TestPartitionedCheck:
         ),
         "parent-cycle": (_parent_cycle_corpus, 2, "error: trace "),
         "errors-in-two-partitions": (_errors_in_two_partitions_corpus, 2, "error: a.json: span 00000000000000a1"),
+        "cycles-in-two-partitions": (
+            _cycles_in_two_partitions_corpus, 2, "error: trace " + "0" * 31 + "1: parent chain cycle"
+        ),
+        "padded-zipkin-ids": (_padded_zipkin_ids_corpus, 1, "warning: 44 ingest warning(s)\n"),
+        "unreadable-trace-id": (_unreadable_trace_id_corpus, 2, "error: bad.json: span #0 lacks id or traceId\n"),
         "null-spans": (_null_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
         "non-list-spans": (_non_list_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
         "double-beyond-float-range": (
@@ -952,14 +1043,15 @@ class TestPartitionedCheck:
     def test_dying_worker_is_an_error(self, fixture_corpus_dir, monkeypatch, capsys):
         # A worker killed mid-check (by the OOM killer, say) leaves the check
         # incomplete: exit 2 with an error line, not 1 with a traceback.
-        real_read = ingest.read_share
+        real_read = ingest.read_files
+        last = sorted(fixture_corpus_dir.glob("*.json"))[-1]
 
-        def read(paths, plan, worker):
-            if worker == 1:
+        def read(paths):
+            if last in paths:  # the second worker's files
                 os._exit(9)
-            return real_read(paths, plan, worker)
+            return real_read(paths)
 
-        monkeypatch.setattr(ingest, "read_share", read)
+        monkeypatch.setattr(ingest, "read_files", read)
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -996,27 +1088,29 @@ class TestPartitionedCheck:
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_each_file_is_decoded_once(self, workers, tmp_path, monkeypatch, capsys):
-        corpus, log = tmp_path / "corpus", tmp_path / "decoded.txt"
-        assert main(["simulate", str(corpus), "--count", "60", "--seed", "2", "--traces-per-file", "10"]) == 0
-        files = {zlib.crc32(path.read_bytes()): path.name for path in corpus.glob("*.json")}
-        assert len(files) == 6
         real_load_json = ingest._load_json
+        for traces_per_file, file_count in (("10", 6), ("60", 1)):
+            corpus, log = tmp_path / f"corpus-{file_count}", tmp_path / f"decoded-{file_count}.txt"
+            argv = ["simulate", str(corpus), "--count", "60", "--seed", "2", "--traces-per-file", traces_per_file]
+            assert main(argv) == 0
+            files = {zlib.crc32(path.read_bytes()): path.name for path in corpus.glob("*.json")}
+            assert len(files) == file_count
 
-        def load_json(document, *args):
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()} {zlib.crc32(document)}\n")
-            return real_load_json(document, *args)
+            def load_json(document, *args):
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()} {zlib.crc32(document)}\n")
+                return real_load_json(document, *args)
 
-        monkeypatch.setattr(ingest, "_load_json", load_json)
-        capsys.readouterr()
-        assert main(["check", BUNDLED_DESIGN, str(corpus), "--workers", workers]) in (0, 1)
-        decoded = [line.split() for line in log.read_text().splitlines()]
-        assert sorted(files[int(crc)] for _, crc in decoded) == sorted(files.values())
-        pids = {int(pid) for pid, _ in decoded}
-        if workers == "1":  # one whole-corpus share, read in this process
-            assert pids == {os.getpid()}
-        else:
-            assert os.getpid() not in pids and len(pids) == int(workers)
+            monkeypatch.setattr(ingest, "_load_json", load_json)
+            capsys.readouterr()
+            assert main(["check", BUNDLED_DESIGN, str(corpus), "--workers", workers]) in (0, 1)
+            decoded = [line.split() for line in log.read_text().splitlines()]
+            assert sorted(files[int(crc)] for _, crc in decoded) == sorted(files.values())
+            pids = {int(pid) for pid, _ in decoded}
+            if workers == "1" or file_count == 1:  # one worker, in this process
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids and len(pids) == int(workers)
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
         built, checked = [], []
