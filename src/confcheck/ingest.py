@@ -469,6 +469,7 @@ def _zipkin_columns(data: list, strings: dict) -> Optional[SpanColumns]:
     columns.starts = list(map(_MICROS.__mul__, timestamps))
     columns.ends = list(map(_MICROS.__mul__, map(add, timestamps, durations)))
     columns.attributes = tags
+    columns.links = [()] * len(data)
     return columns
 
 
@@ -561,14 +562,13 @@ def _otel_columns(data: dict, strings: dict) -> Optional[SpanColumns]:
     attributes = _otel_attributes(list(map(get, spans, repeat("attributes"))))
     if starts is None or ends is None or parent_ids is None or attributes is None:
         return None
-    columns = SpanColumns()
+    links = [()] * len(spans)
     for row in compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))):
         try:
-            links = _links_from_json(spans[row]["links"], spans[row].get("spanId"))
+            links[row] = _links_from_json(spans[row]["links"], spans[row].get("spanId"))
         except MalformedDocumentError:
             return None
-        if links:
-            columns.links[row] = links
+    columns = SpanColumns()
     columns.trace_ids = list(map(share_string, trace_ids, trace_ids))
     columns.span_ids = list(map(get, spans, repeat("spanId")))
     columns.parent_ids = parent_ids
@@ -577,6 +577,7 @@ def _otel_columns(data: dict, strings: dict) -> Optional[SpanColumns]:
     columns.starts = starts
     columns.ends = ends
     columns.attributes = attributes
+    columns.links = links
     return columns
 
 
@@ -755,13 +756,14 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
 
 
 def _corpus_files(directory: "Path | str") -> List[Path]:
-    """The ``*.json`` files of a corpus directory, in name order."""
+    """The ``*.json`` regular files of a corpus directory, in name order:
+    a directory, pipe or other entry of that name is skipped."""
     directory = Path(directory)
     if not directory.is_dir():
         if directory.exists():
             raise NotADirectoryError(f"corpus {directory} is not a directory")
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
-    return sorted(directory.glob("*.json"))
+    return sorted(path for path in directory.glob("*.json") if path.is_file())
 
 
 def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]:
@@ -792,7 +794,7 @@ def assemble_partition(columns: SpanColumns) -> Tuple[Partition, List[IngestWarn
 
 
 def load_partition(directory: "Path | str") -> Tuple[Partition, List[IngestWarning]]:
-    """Ingest every ``*.json`` file in a directory, auto-detecting formats,
+    """Ingest every ``*.json`` regular file in a directory, auto-detecting formats,
     into one assembled :class:`~confcheck.model.Partition`, building no span
     object, and the ingest warnings."""
     columns, warnings = read_files(_corpus_files(directory))

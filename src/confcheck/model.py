@@ -421,7 +421,9 @@ class SpanColumns:
 
     ``parent_ids`` holds ``""`` for a span without a parent, ``attributes``
     one dict per span (the shared, never changed ``_NO_ATTRIBUTES`` for
-    none), and ``links`` the links of only the rows that have any."""
+    none), and ``links`` one tuple of (trace id, span id) pairs per span
+    (the shared empty tuple for none). :meth:`split` cuts the rows into
+    groups, dropping each source list once every group has copied from it."""
 
     __slots__ = (
         "trace_ids", "span_ids", "parent_ids", "names", "services", "starts", "ends", "attributes", "links",
@@ -436,14 +438,13 @@ class SpanColumns:
         self.starts: List[int] = []
         self.ends: List[int] = []
         self.attributes: List[Mapping[str, AttrValue]] = []
-        self.links: Dict[int, Tuple[Tuple[TraceId, SpanId], ...]] = {}
+        self.links: List[Tuple[Tuple[TraceId, SpanId], ...]] = []
 
     def __len__(self) -> int:
         return len(self.span_ids)
 
     def extend(self, other: "SpanColumns") -> None:
         """Append the rows of ``other``."""
-        offset = len(self)
         self.trace_ids += other.trace_ids
         self.span_ids += other.span_ids
         self.parent_ids += other.parent_ids
@@ -452,13 +453,12 @@ class SpanColumns:
         self.starts += other.starts
         self.ends += other.ends
         self.attributes += other.attributes
-        self.links.update((offset + row, links) for row, links in other.links.items())
+        self.links += other.links
 
     def extend_spans(self, spans: Sequence[ObservedSpan]) -> None:
         """Append one row per span object."""
         if not spans:
             return
-        offset = len(self)
         # One tuple of fields per span, transposed into one tuple per field.
         trace_ids, span_ids, parent_ids, names, services, starts, ends, attributes, links = zip(
             *map(_span_fields, spans)
@@ -471,30 +471,20 @@ class SpanColumns:
         self.starts += starts
         self.ends += ends
         self.attributes += attributes
-        self.links.update((offset + row, span_links) for row, span_links in enumerate(links) if span_links)
+        self.links += links
 
-    def take(self, rows: Sequence[int]) -> "SpanColumns":
-        """New columns of ``rows``, in the order given."""
-        taken = SpanColumns()
-        for slot in _ROW_COLUMNS:
-            setattr(taken, slot, list(map(getattr(self, slot).__getitem__, rows)))
-        links = self.links
-        if links:
-            taken.links = {new: links[old] for new, old in enumerate(rows) if old in links}
-        return taken
-
-    def take_out(self, rows: Sequence[int]) -> "SpanColumns":
-        """:meth:`take`, leaving these columns empty: each list is dropped
-        as soon as its rows are copied, so at most one column is held twice."""
-        taken = SpanColumns()
-        for slot in _ROW_COLUMNS:
+    def split(self, groups: Sequence[Sequence[int]]) -> List["SpanColumns"]:
+        """New columns for each group of ``groups``, in that order, holding
+        the group's rows in the order given; these columns are left empty.
+        Each list is dropped once every group has copied its rows, so at
+        most one column is held twice."""
+        parts = [SpanColumns() for _ in groups]
+        for slot in SpanColumns.__slots__:
             column = getattr(self, slot)
             setattr(self, slot, [])
-            setattr(taken, slot, list(map(column.__getitem__, rows)))
-        links, self.links = self.links, {}
-        if links:
-            taken.links = {new: links[old] for new, old in enumerate(rows) if old in links}
-        return taken
+            for part, rows in zip(parts, groups):
+                setattr(part, slot, list(map(column.__getitem__, rows)))
+        return parts
 
     def span(self, row: int) -> ObservedSpan:
         """The span object of ``row``, built and validated here."""
@@ -507,12 +497,8 @@ class SpanColumns:
             self.ends[row],
             self.parent_ids[row] or None,
             self.attributes[row],
-            self.links.get(row, ()),
+            self.links[row],
         )
-
-
-# The columns with an entry for every row.
-_ROW_COLUMNS = tuple(slot for slot in SpanColumns.__slots__ if slot != "links")
 
 
 def columns_valid(columns: SpanColumns) -> bool:
@@ -524,7 +510,7 @@ def columns_valid(columns: SpanColumns) -> bool:
     except TypeError:  # an unhashable value is no trace id
         return False
     attributes = columns.attributes
-    links = list(chain.from_iterable(columns.links.values()))
+    links = list(chain.from_iterable(columns.links))
     return (
         trace_ids_valid(trace_ids)
         and span_ids_valid(columns.span_ids)

@@ -20,11 +20,15 @@ files that different workers read is read in part by each of them. Through
 ids and gets back those that more than one worker read. It ships their rows,
 marshalled, to each such trace's owner, worker ``crc32(trace id) % K``, and
 keeps every other row where it was read: a trace read by one worker never
-moves. Each worker then holds whole traces, and assembles them by
+moves. A worker cuts its read columns by one
+:meth:`~confcheck.model.SpanColumns.split` into the rows it keeps and the
+rows it ships to each owner, then appends what comes in. Each worker then
+holds whole traces, and assembles them by
 :func:`~confcheck.ingest.assemble_partition`. Each side drops what it has
-passed on as it goes: a worker its read columns as it copies the rows it
-keeps, and each incoming byte string once unpacked; this process each
-shipment once relayed.
+passed on as it goes: a worker each read column once every group has
+copied its rows, and each incoming byte string once unpacked; this process
+each shipment once relayed. Only when no trace crosses two workers' reads
+does a worker keep its read columns as they are.
 
 An exception a worker raises is sent back and raised here. A worker that
 exits before it answers raises
@@ -89,9 +93,9 @@ class Exchange:
     def trade(self, columns: SpanColumns) -> SpanColumns:
         """``columns`` once the rows of the traces that other workers read
         too have gone to their owners, and the rows of the traces this
-        worker owns have come in: ``columns`` itself when no row moves,
-        else new columns, and ``columns`` is left empty (its lists dropped
-        one at a time as the kept rows are copied out of them)."""
+        worker owns have come in: ``columns`` itself only when no trace
+        crosses any two workers' reads, else new columns, and ``columns`` is
+        left empty by :meth:`~confcheck.model.SpanColumns.split`."""
         trace_ids = columns.trace_ids
         crossing = self._ask(list(set(trace_ids)))
         if crossing is None:  # no trace crosses any two workers' reads
@@ -103,19 +107,14 @@ class Exchange:
             rows.setdefault(owner, []).append(row)
         del trace_ids, owners
         kept = rows.pop(index, [])
-        shipments = {owner: _pack(columns.take(shipped)) for owner, shipped in rows.items()}
-        self.link.send((_ASK, shipments))
-        del shipments
-        if rows:
-            # The shipped rows are dropped before the incoming ones arrive.
-            columns = columns.take_out(kept)
+        columns, *shipped = columns.split([kept, *rows.values()])
+        del kept
+        self.link.send((_ASK, {owner: _pack(part) for owner, part in zip(rows, shipped)}))
+        del rows, shipped  # the shipped rows are dropped before the incoming ones arrive
         incoming = self.link.recv()
-        if incoming:
-            if not rows:  # kept is every row, copied even so: a Partition must not grow
-                columns = columns.take_out(kept)
-            incoming.reverse()
-            while incoming:  # in sender order, each byte string dropped once unpacked
-                columns.extend(_unpack(incoming.pop()))
+        incoming.reverse()
+        while incoming:  # in sender order, each byte string dropped once unpacked
+            columns.extend(_unpack(incoming.pop()))
         return columns
 
 

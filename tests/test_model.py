@@ -415,7 +415,7 @@ class TestColumnRulesAgreeWithScalarRules:
     @settings(max_examples=300, deadline=None)
     def test_columns_valid_is_every_span_check(self, rows):
         columns = SpanColumns()
-        for row, (trace_id, span_id, parent, name, service, (start, end), attributes, links) in enumerate(rows):
+        for trace_id, span_id, parent, name, service, (start, end), attributes, links in rows:
             columns.trace_ids.append(trace_id)
             columns.span_ids.append(span_id)
             columns.parent_ids.append(parent)
@@ -424,13 +424,51 @@ class TestColumnRulesAgreeWithScalarRules:
             columns.starts.append(start)
             columns.ends.append(end)
             columns.attributes.append(attributes)
-            if links:
-                columns.links[row] = links
+            columns.links.append(links)
         built = all(
             _passes(ObservedSpan, trace_id, span_id, name, service, start, end, parent or None, attributes, links)
             for trace_id, span_id, parent, name, service, (start, end), attributes, links in rows
         )
         assert columns_valid(columns) == built
+
+
+class TestSplit:
+    def columns(self):
+        other = "0" * 31 + "2"
+        spans = [
+            make_span("00000000000000a1", start=1, end=2),
+            make_span("00000000000000a2", parent="00000000000000a1", links=((other, "00000000000000b1"),)),
+            make_span("00000000000000b1", trace_id=other, name="other", attributes={"k": "v"}),
+            make_span("00000000000000b2", trace_id=other, service_name="svc2", links=((TRACE_ID, "00000000000000a1"),)),
+            make_span("00000000000000a3", parent="00000000000000a2", end=7),
+        ]
+        columns = SpanColumns()
+        columns.extend_spans(spans)
+        return columns
+
+    def test_each_group_gets_its_rows_in_order(self):
+        source, reference = self.columns(), self.columns()
+        groups = [[3, 0], [], [4, 1, 2]]
+        parts = source.split(groups)
+        assert len(parts) == len(groups)
+        for part, rows in zip(parts, groups):
+            assert len(part) == len(rows)
+            for slot in SpanColumns.__slots__:
+                column = getattr(reference, slot)
+                assert getattr(part, slot) == [column[row] for row in rows], slot
+            assert [part.span(row) for row in range(len(part))] == [reference.span(row) for row in rows]
+        assert parts[0].links == [((TRACE_ID, "00000000000000a1"),), ()]
+        assert parts[2].links == [(), (("0" * 31 + "2", "00000000000000b1"),), ()]
+
+    def test_source_is_left_empty(self):
+        source = self.columns()
+        source.split([[0, 1], [2, 3, 4]])
+        assert len(source) == 0
+        assert all(getattr(source, slot) == [] for slot in SpanColumns.__slots__)
+
+    def test_an_empty_group_gives_empty_columns(self):
+        for part in self.columns().split([[]]) + SpanColumns().split([[], []]):
+            assert all(getattr(part, slot) == [] for slot in SpanColumns.__slots__)
 
 
 class TestPartition:

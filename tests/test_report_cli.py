@@ -26,6 +26,7 @@ from confcheck.report import render_text_report, render_trace_dot, report_to_jso
 
 import genutil
 from conftest import FIXTURES_DIR
+from test_runner import deadline
 
 BUNDLED_DESIGN = str(resources.files("confcheck").joinpath("fixtures/table2.design.json"))
 
@@ -718,6 +719,37 @@ class TestOutNamesNoFile:
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr() == ("", expected)
         assert loads == []
+
+
+class TestNonRegularEntries:
+    """A ``*.json`` entry of a corpus that is not a regular file, such as a
+    directory or a named pipe, is skipped: each command gives what it gives
+    for the corpus without that entry, and a pipe is never opened."""
+
+    @pytest.mark.parametrize("entry", ["directory", "fifo"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check", BUNDLED_DESIGN, "{corpus}", "--workers", "1"],
+            ["check", BUNDLED_DESIGN, "{corpus}", "--workers", "2"],
+            ["graph", BUNDLED_DESIGN, "{corpus}", "--trace-id", NONCONFORMANT_ID],
+            ["import-design", "{corpus}", "--trace-id", NONCONFORMANT_ID],
+        ],
+        ids=["check-1", "check-2", "graph", "import-design"],
+    )
+    def test_is_skipped(self, command, entry, fixture_corpus_dir, capsys):
+        if entry == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is not available")
+        argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
+        expected = (main(argv), *capsys.readouterr())
+        if entry == "directory":
+            (fixture_corpus_dir / "sub.json").mkdir()
+        else:
+            os.mkfifo(fixture_corpus_dir / "pipe.json")
+        # Opening a pipe for reading waits for a writer, which never comes.
+        with deadline(30):
+            assert (main(argv), *capsys.readouterr()) == expected
+        assert expected[0] in (0, 1)
 
 
 def _otel_file(path, spans, service="microservice"):

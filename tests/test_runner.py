@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import signal
 from contextlib import contextmanager
+from itertools import chain
+from operator import attrgetter
 
 import pytest
 
-from confcheck import runner
+from confcheck import ingest, runner
 from confcheck.checker import WorkerExitedError
 from confcheck.model import SpanColumns, trace_hash_class
+
+import genutil
 
 
 @contextmanager
@@ -41,6 +47,7 @@ def columns_of(trace_ids):
         columns.starts.append(0)
         columns.ends.append(1)
         columns.attributes.append({})
+        columns.links.append(())
     return columns
 
 
@@ -113,6 +120,32 @@ class TestTargetThatTrades:
 
         with deadline(60), pytest.raises(WorkerExitedError):
             runner.run(target, workers)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_the_exchange_keeps_every_span_field(workers, tmp_path):
+    # Reports never show links, so only the traces themselves can show a
+    # field the exchange loses.
+    rng = random.Random(20261019)
+    source, corpus = tmp_path / "source", tmp_path / "corpus"
+    source.mkdir()
+    for index in range(12):
+        document = genutil.random_trace_document(rng, zipkin=False)
+        (source / f"{index:02d}.json").write_text(json.dumps(document))
+    genutil.dealt_copy(source, corpus, files=3, seed=5)
+    expected = ingest.load_corpus_dir(corpus)[0]
+    # A trace of three spans or more lies in all three files, so its rows
+    # cross the workers' reads at any K.
+    assert any(len(trace.spans) >= 3 and any(span.links for span in trace.spans.values()) for trace in expected)
+    read, served = ingest.corpus_reader(corpus, workers)
+    assert served == workers
+
+    def target(index, exchange):
+        return runner.worker_partition(read, index, exchange)[0].traces()
+
+    with deadline(60):
+        results = runner.run(target, workers)
+    assert sorted(chain.from_iterable(results), key=attrgetter("trace_id")) == expected
 
 
 def test_some_workers_trading_and_some_not_is_refused():
