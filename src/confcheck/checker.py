@@ -45,11 +45,12 @@ the same code on a one-trace partition, which
 trace again.
 
 :func:`check_partitions` checks a corpus with K workers through
-:func:`confcheck.runner.run`: each worker checks the traces its loader
-gives, and only the partial reports and verdicts come back. ``check``'s
-loader is :func:`~confcheck.runner.worker_partition`: each worker reads its
-group of files, so each file is decoded once, trades the traces that cross
-workers' reads with their owners, and assembles whole traces.
+:func:`confcheck.runner.run`: each worker checks the traces its loader gives,
+and only the partial reports and verdicts come back. ``check``'s loader is
+:func:`~confcheck.runner.worker_partition`: each worker reads its group of
+files, so each file is decoded once, trades the traces that cross workers'
+reads with their owners, and assembles whole traces. A failed check raises a
+serial run's error: its first bad file, else its broken trace of least id.
 :func:`check_corpus` cuts an in-memory corpus into K slices of whole
 traces, and its workers never trade.
 """
@@ -66,6 +67,7 @@ from .design import DesignTraceSet
 from .gcpause import collector_paused
 from .model import (
     AttrValue,
+    BrokenTraceError,
     DesignSpan,
     DesignTrace,
     ObservedTrace,
@@ -503,18 +505,21 @@ Loader = Callable[[int, Optional["Exchange"]], Tuple[Partition, int]]
 
 def _check_partition(
     design_set: DesignTraceSet, load: Loader, index: int, exchange: Optional["Exchange"]
-) -> PartialCheck:
+) -> "PartialCheck | BrokenTraceError":
     """The one worker entry point: take worker ``index``'s traces by
     ``load(index, exchange)``, check all of them at once, and return the
     partial report, the non-conformant verdicts ordered by trace id and the
-    number of ingest warnings.
+    number of ingest warnings; a ``BrokenTraceError`` of the load is returned.
 
     The cyclic collector is paused meanwhile: reading, exchanging and
     checking allocate millions of objects and build no reference cycles. The caller's state
     comes back once the partial result is built and the partition is
     dropped."""
     with collector_paused():
-        partition, warning_count = load(index, exchange)
+        try:
+            partition, warning_count = load(index, exchange)
+        except BrokenTraceError as error:
+            return error.with_traceback(None)  # its frames would keep the read spans alive
         candidates = CandidateIndex(partition)
         del partition
         found = _violations(design_set, candidates)
@@ -533,10 +538,12 @@ def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> 
     A corpus directory's loader is :func:`~confcheck.runner.worker_partition`
     over its reader.
 
-    Returns the merged report, the non-conformant verdicts ordered by trace
-    id, and the total ingest warning count. The merge is associative and
-    commutative, so the result does not depend on which worker finishes
-    first.
+    Returns the merged report, the non-conformant verdicts ordered by trace id,
+    and the total ingest warning count. The merge is associative and
+    commutative, so the result does not depend on which worker finishes first.
+    The error raised is a serial run's: a read error first, in worker order
+    (name order for a corpus directory); else, once every worker has answered,
+    the ``BrokenTraceError`` of least trace id.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -545,6 +552,9 @@ def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> 
     from . import runner
 
     results = runner.run(functools.partial(_check_partition, design_set, load), workers)
+    broken = [result for result in results if isinstance(result, BrokenTraceError)]
+    if broken:
+        raise min(broken, key=lambda error: error.trace_id)
     report = ConformanceReport()
     nonconformant: List[TraceVerdict] = []
     for partial_report, partial_verdicts, _ in results:

@@ -78,34 +78,19 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
     return trace
 
 
-def _check_corpus_dir(design_set: design.DesignTraceSet, path: str, workers: int) -> checker.PartialCheck:
-    """Check the corpus in ``path`` in this process, or with up to
-    ``workers`` worker processes, no more than there are files, that each
-    read their own files whole."""
-    # Imported here, as by check_partitions: only a check runs it.
-    from .runner import worker_partition
-
-    read, workers = ingest.corpus_reader(path, workers)
-    try:
-        return checker.check_partitions(design_set, functools.partial(worker_partition, read), workers)
-    except (OSError, ValueError):
-        if workers > 1:
-            # A single load checks everything the workers do, so it fails
-            # too, and with the error a serial run reports (the first bad file
-            # in name order, not the one a worker happened to reach).
-            ingest.load_partition(path)
-        raise
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     workers = _default_workers() if args.workers is None else args.workers
     if workers < 1:
         return _fail(f"--workers must be a positive integer, got {workers}")
     if args.max_ids < 0:
         return _fail(f"--max-ids must be non-negative, got {args.max_ids}")
+    from .runner import worker_partition  # imported here, as by check_partitions: only a check runs it
     try:
         design_set = _load_design(args.design)
-        corpus_report, verdicts, warning_count = _check_corpus_dir(design_set, args.traces, workers)
+        read, workers = ingest.corpus_reader(args.traces, workers)
+        corpus_report, verdicts, warning_count = checker.check_partitions(
+            design_set, functools.partial(worker_partition, read), workers
+        )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except checker.WorkerExitedError:
@@ -135,9 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        # --traces-per-file and the directory are checked before any trace
-        # is drawn or worker started. Each worker writes its files one at a
-        # time, holding one file's traces, and builds no reference cycles.
+        # Each worker holds one file's traces at a time and builds no reference cycles.
         with collector_paused():
             file_count = simulator.write_simulated_corpus(
                 config, args.out_dir, args.traces_per_file, _default_workers()

@@ -91,11 +91,20 @@ def trace_hash_class(trace_id: str, classes: int) -> int:
     return zlib.crc32(trace_id.encode("utf-8", "surrogatepass")) % classes
 
 
-class CyclicParentChainError(ValueError):
+class BrokenTraceError(ValueError):
+    """A trace that cannot be assembled; ``args`` are its id and the problem."""
+
+    trace_id = property(lambda error: error.args[0])
+
+    def __str__(self) -> str:
+        return f"trace {self.args[0]}: {self.args[1]}"
+
+
+class CyclicParentChainError(BrokenTraceError):
     """Parent references within a single trace form a cycle."""
 
 
-class DuplicateSpanIdError(ValueError):
+class DuplicateSpanIdError(BrokenTraceError):
     """Two spans share the same (trace id, span id); the export is corrupt."""
 
 
@@ -385,9 +394,7 @@ class ObservedTrace:
                 dangling.add(span_id)
             parents[span_id] = span.parent_span_id
         for cycle in parent_cycles(parents):
-            raise CyclicParentChainError(
-                f"trace {self.trace_id}: parent chain cycle through {' -> '.join(cycle)}"
-            )
+            raise CyclicParentChainError(self.trace_id, f"parent chain cycle through {' -> '.join(cycle)}")
         object.__setattr__(self, "dangling_parents", frozenset(dangling))
 
     @classmethod
@@ -397,7 +404,7 @@ class ObservedTrace:
         by_id: dict = {}
         for span in spans:
             if span.span_id in by_id:
-                raise DuplicateSpanIdError(f"trace {trace_id}: duplicate span id {span.span_id}")
+                raise DuplicateSpanIdError(trace_id, f"duplicate span id {span.span_id}")
             by_id[span.span_id] = span
         return cls(trace_id=trace_id, spans=by_id)
 

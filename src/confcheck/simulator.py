@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple
 
-from .ingest import serialize_otel_json
+from .ingest import read_plan, serialize_otel_json
 from .model import ObservedSpan, ObservedTrace
 
 __all__ = [
@@ -280,10 +280,10 @@ def _write_file(directory: Path, number: int, traces: List[ObservedTrace]) -> No
 
 
 def _remove_stale(directory: Path, file_count: int) -> None:
-    """Delete each ``corpus-<digits>.json`` numbered at or above
-    ``file_count``, left by an earlier run; no other file is touched."""
+    """Delete each regular file ``corpus-<digits>.json`` numbered at or
+    above ``file_count``, left by an earlier run; nothing else is touched."""
     for path in directory.glob("corpus-*.json"):
-        if re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
+        if path.is_file() and re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
             path.unlink()
 
 
@@ -298,8 +298,8 @@ def write_corpus(
     Each file is written as soon as its batch is full, so fed a lazy
     iterable (``iter_corpus``) this holds one file's traces at a time. The
     count and the directory are checked before the first trace is drawn.
-    Then each ``corpus-<digits>.json`` numbered at or above the file count,
-    left by an earlier run, is deleted; no other file is touched."""
+    Then each regular file ``corpus-<digits>.json`` numbered at or above
+    the file count, left by an earlier run, is deleted, and nothing else."""
     directory = _corpus_directory(directory, traces_per_file)
     traces = iter(traces)
     file_count = 0
@@ -319,27 +319,27 @@ def write_simulated_corpus(
     ``iter_corpus(config)``, with the same bytes, by up to ``workers``
     workers (:func:`confcheck.runner.run`). Returns the file count.
 
-    ``traces_per_file`` and the directory are checked in this process
-    before any worker starts. Each worker writes a contiguous range of the
-    files, generating one file's traces at a time in index order; with one
-    worker that happens in this process. The earlier run's extra files are
-    deleted once every worker has finished. If a worker fails, the files
-    the others wrote stay."""
+    ``traces_per_file`` and the directory are checked in this process before
+    any worker starts. Each worker writes a contiguous range of the files, cut
+    by :func:`~confcheck.ingest.read_plan` as ``check`` cuts its reads (a
+    file's traces for its size), generating one file's traces at a time in
+    index order; with one worker that happens in this process. The earlier
+    run's extra files are deleted once every worker has finished. If a worker
+    fails, the files the others wrote stay."""
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     directory = _corpus_directory(directory, traces_per_file)
-    file_count = -(-config.trace_count // traces_per_file)
-    workers = min(workers, file_count)
+    count = config.trace_count
+    files = [range(first, min(first + traces_per_file, count)) for first in range(0, count, traces_per_file)]
+    plan = read_plan(list(map(len, files)), workers)
 
     def write_files(worker: int, exchange: object) -> None:
-        for number in range(file_count * worker // workers, file_count * (worker + 1) // workers):
-            first = number * traces_per_file
-            last = min(first + traces_per_file, config.trace_count)
-            _write_file(directory, number, [generate_trace(config, index) for index in range(first, last)])
+        for number in range(*plan[worker]):
+            _write_file(directory, number, [generate_trace(config, index) for index in files[number]])
 
     # Imported here, so that importing the package leaves the runner unloaded.
     from . import runner
 
-    runner.run(write_files, workers)
-    _remove_stale(directory, file_count)
-    return file_count
+    runner.run(write_files, len(plan))
+    _remove_stale(directory, len(files))
+    return len(files)

@@ -545,7 +545,10 @@ class TestPartition:
         columns.extend_spans([make_span(span_id, parent=parent) for span_id, parent in spans])
         with pytest.raises(error) as excinfo:
             Partition(columns)
-        assert str(excinfo.value) == message
+        assert (str(excinfo.value), excinfo.value.trace_id) == (message, TRACE_ID)
+        # The error crosses a worker's pipe whole.
+        received = pickle.loads(pickle.dumps(excinfo.value))
+        assert (type(received), str(received), received.trace_id) == (error, message, TRACE_ID)
 
     def test_deep_chain_is_acyclic(self):
         ids = [f"{index + 1:016x}" for index in range(3000)]

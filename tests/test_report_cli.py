@@ -866,6 +866,17 @@ def _cycles_in_two_partitions_corpus(corpus):
         )
 
 
+def _duplicates_in_two_partitions_corpus(corpus):
+    # A duplicate span id in each file, and each file read by its own
+    # worker: the first worker's broken trace is not the one with the
+    # smaller trace id, which a serial run names.
+    late, early = "0" * 31 + "2", "0" * 31 + "1"
+    for name, trace_id in (("a.json", late), ("b.json", early)):
+        _otel_file(
+            corpus / name, [_raw_span(trace_id, "00000000000000d1"), _raw_span(trace_id, "00000000000000d1", end="3000")]
+        )
+
+
 def _padded_zipkin_ids_corpus(corpus):
     # Each trace has a root in the Zipkin file, with a 16-char id that pads
     # to the OTel one, and a child in the OTel file whose end precedes its
@@ -1040,6 +1051,9 @@ class TestPartitionedCheck:
         "cycles-in-two-partitions": (
             _cycles_in_two_partitions_corpus, 2, "error: trace " + "0" * 31 + "1: parent chain cycle"
         ),
+        "duplicates-in-two-partitions": (
+            _duplicates_in_two_partitions_corpus, 2, "error: trace " + "0" * 31 + "1: duplicate span id 00000000000000d1\n"
+        ),
         "padded-zipkin-ids": (_padded_zipkin_ids_corpus, 1, "warning: 44 ingest warning(s)\n"),
         "unreadable-trace-id": (_unreadable_trace_id_corpus, 2, "error: bad.json: span #0 lacks id or traceId\n"),
         "null-spans": (_null_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
@@ -1143,6 +1157,35 @@ class TestPartitionedCheck:
                 assert pids == {os.getpid()}
             else:
                 assert os.getpid() not in pids and len(pids) == int(workers)
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_a_failing_corpus_is_decoded_once(self, workers, tmp_path, monkeypatch, capsys):
+        # A parent cycle in the first and in the last file, read by the first
+        # and the last worker: the error comes from the workers' own reads.
+        corpus, log = tmp_path / "corpus", tmp_path / "decoded.txt"
+        argv = ["simulate", str(corpus), "--count", "60", "--seed", "2", "--traces-per-file", "10"]
+        assert main(argv) == 0
+        paths = sorted(corpus.glob("*.json"))
+        late, early = "0" * 31 + "2", "0" * 31 + "1"
+        for path, trace_id in ((paths[0], late), (paths[-1], early)):
+            cycle = [
+                _raw_span(trace_id, "00000000000000c1", parent="00000000000000c2"),
+                _raw_span(trace_id, "00000000000000c2", parent="00000000000000c1"),
+            ]
+            _append_spans(path, cycle)
+        files = {zlib.crc32(path.read_bytes()): path.name for path in paths}
+        real_load_json = ingest._load_json
+
+        def load_json(document, *args):
+            with open(log, "a") as out:
+                out.write(f"{zlib.crc32(document)}\n")
+            return real_load_json(document, *args)
+
+        monkeypatch.setattr(ingest, "_load_json", load_json)
+        capsys.readouterr()
+        assert main(["check", BUNDLED_DESIGN, str(corpus), "--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith(f"error: trace {early}: parent chain cycle")
+        assert sorted(files[int(crc)] for crc in log.read_text().split()) == sorted(files.values())
 
     def test_parent_builds_no_spans(self, fixture_corpus_dir, monkeypatch, capsys):
         built, checked = [], []

@@ -208,6 +208,14 @@ class TestWriteCorpus:
             write_simulated_corpus(SimConfig(seed=1, trace_count=5), tmp_path / "sim", 10, workers=0)
         assert not (tmp_path / "sim").exists()
 
+    def test_a_directory_with_a_stale_files_name_is_left(self, tmp_path, capsys):
+        # Only a regular file can be an earlier run's output.
+        (tmp_path / "corpus-000009.json").mkdir()
+        assert main(["simulate", str(tmp_path), "--count", "100", "--traces-per-file", "50"]) == 0
+        names = ["corpus-000000.json", "corpus-000001.json", "corpus-000009.json"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        assert (tmp_path / "corpus-000009.json").is_dir()
+
     # 4 workers are more than the 3 files: the run uses 3.
     @pytest.mark.parametrize("workers", ["1", "2", "3", "4"])
     def test_simulate_output_matches_golden_digests(self, tmp_path, workers, monkeypatch, capsys):
