@@ -60,6 +60,7 @@ spans lie in files that different workers read is exchanged by
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, islice, repeat
@@ -262,6 +263,28 @@ def _string_tags(tags: dict) -> dict:
     return {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
 
 
+_DECIMAL_DIGITS = b"0123456789"
+
+
+def _decimal(texts: Sequence[str]) -> bool:
+    """Whether every string of ``texts`` is an integer as proto3 JSON writes
+    one: ASCII decimal digits after an optional sign. ``int()`` alone also
+    reads ``"1_000"``, ``" 12 "`` and other scripts' digits. An empty string
+    passes here, and ``int()`` rejects it. The strings are tested as one
+    joined text, and one at a time only when that holds a non-digit."""
+    joined = "".join(texts)
+    if joined.isascii() and not joined.encode().translate(None, _DECIMAL_DIGITS):
+        return True
+    unsigned = (text[1:] if text[:1] in ("+", "-") else text for text in texts)
+    return all(digits.isascii() and digits.isdigit() for digits in unsigned)
+
+
+# A double as proto3 JSON may give it in a string: NaN, an infinity, or a
+# JSON number, each read as the JSON value it spells. Compiled on first use,
+# by re's own cache, not at every import.
+_DOUBLE_TEXT = r"NaN|-?Infinity|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+
+
 def _attr_value_from_json(value: object) -> Optional[AttrValue]:
     """Decode one OTel-style attribute value object. Returns None for value
     kinds outside the four scalar types (arrays, kvlists), which are ignored."""
@@ -283,12 +306,19 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
         # appear in hand-written files.
         if isinstance(raw, bool) or not isinstance(raw, (str, int)):
             raise MalformedDocumentError("intValue must hold an integer or its string form")
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise MalformedDocumentError(f"intValue {echo(raw)} is not an integer") from exc
+        if isinstance(raw, int) or _decimal([raw]):
+            try:
+                return int(raw)
+            except ValueError:
+                pass
+        raise MalformedDocumentError(f"intValue {echo(raw)} is not an integer")
     if "doubleValue" in value:
         raw = value["doubleValue"]
+        if isinstance(raw, str) and re.fullmatch(_DOUBLE_TEXT, raw):
+            try:
+                raw = json.loads(raw)
+            except ValueError as exc:  # an integer beyond the interpreter's digit limit
+                raise MalformedDocumentError("doubleValue is outside the float range") from exc
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise MalformedDocumentError("doubleValue must hold a number")
         try:
@@ -322,12 +352,12 @@ def _time_from_json(raw: object, field_name: str, span_id: object) -> int:
     if isinstance(raw, bool):
         raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer")
     if isinstance(raw, (str, int)):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise MalformedDocumentError(
-                f"{_span_label(span_id)}: {field_name} {echo(raw)} is not an integer"
-            ) from exc
+        if isinstance(raw, int) or _decimal([raw]):
+            try:
+                return int(raw)
+            except ValueError:
+                pass
+        raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} {echo(raw)} is not an integer")
     raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer or string")
 
 
@@ -480,6 +510,8 @@ def _otel_times(raw: list) -> Optional[List[int]]:
         return None
     if _NONE_TYPE in types:
         raw = [0 if value is None else value for value in raw]
+    if not _decimal(raw if types == {str} else [value for value in raw if type(value) is str]):
+        return None
     try:
         return list(map(int, raw))
     except ValueError:
@@ -495,14 +527,15 @@ def _attr_values_from_json(values: list) -> Optional[list]:
         decoded = list(map(dict.__getitem__, values, kinds))
         integer = list(map(eq, kinds, repeat("intValue")))
         if set(kinds) <= {"stringValue", "intValue"} and _of_types(list(compress(decoded, map(not_, integer))), {str}):
-            for row in compress(range(len(decoded)), integer):
-                raw = decoded[row]
-                if type(raw) is not str and type(raw) is not int:
-                    return None
-                try:
-                    decoded[row] = int(raw)
-                except ValueError:
-                    return None
+            rows = list(compress(range(len(decoded)), integer))
+            raw = list(map(decoded.__getitem__, rows))
+            if not _of_types(raw, {str, int}) or not _decimal([value for value in raw if type(value) is str]):
+                return None
+            try:
+                for row, number in zip(rows, map(int, raw)):
+                    decoded[row] = number
+            except ValueError:
+                return None
             return decoded
     try:
         return [_attr_value_from_json(value) for value in values]

@@ -372,7 +372,9 @@ class ObservedTrace:
 
     ``dangling_parents`` is derived at construction: the ids of spans whose
     ``parent_span_id`` names no span in this trace. Such spans act as chain
-    terminals during ancestor walks. Parent cycles are rejected here.
+    terminals during ancestor walks. Parent cycles are rejected here: the
+    error lists the cycle through the least span id on any cycle, from that
+    id in parent order, so that it does not depend on the spans' order.
     """
 
     trace_id: TraceId
@@ -393,18 +395,24 @@ class ObservedTrace:
             if span.parent_span_id is not None and span.parent_span_id not in self.spans:
                 dangling.add(span_id)
             parents[span_id] = span.parent_span_id
-        for cycle in parent_cycles(parents):
+        cycles = list(parent_cycles(parents))
+        if cycles:
+            cycle = [min(chain.from_iterable(cycles))]
+            while parents[cycle[-1]] != cycle[0]:
+                cycle.append(parents[cycle[-1]])
             raise CyclicParentChainError(self.trace_id, f"parent chain cycle through {' -> '.join(cycle)}")
         object.__setattr__(self, "dangling_parents", frozenset(dangling))
 
     @classmethod
     def from_spans(cls, trace_id: TraceId, spans: "list[ObservedSpan]") -> "ObservedTrace":
-        """Build a trace from its spans; raises DuplicateSpanIdError when two
-        of them share a span id."""
+        """Build a trace from its spans; raises DuplicateSpanIdError, naming
+        the least repeated span id, when two of them share a span id."""
         by_id: dict = {}
         for span in spans:
             if span.span_id in by_id:
-                raise DuplicateSpanIdError(trace_id, f"duplicate span id {span.span_id}")
+                ids = sorted(other.span_id for other in spans)
+                repeated = next(span_id for span_id, after in zip(ids, ids[1:]) if span_id == after)
+                raise DuplicateSpanIdError(trace_id, f"duplicate span id {repeated}")
             by_id[span.span_id] = span
         return cls(trace_id=trace_id, spans=by_id)
 
@@ -558,7 +566,7 @@ class Partition(SpanColumns):
     ``Partition(columns)`` resolves the parents and raises
     ``DuplicateSpanIdError`` or ``CyclicParentChainError`` for the offending
     trace with the smallest trace id, with the message
-    :meth:`ObservedTrace.from_spans` gives for its spans in input order.
+    :meth:`ObservedTrace.from_spans` gives for its spans.
     ``parent_rows``, when given, are taken as they are, and the rows are not
     checked again: :meth:`from_traces` gives them."""
 

@@ -112,8 +112,7 @@ class Exchange:
         self.link.send((_ASK, {owner: _pack(part) for owner, part in zip(rows, shipped)}))
         del rows, shipped  # the shipped rows are dropped before the incoming ones arrive
         incoming = self.link.recv()
-        incoming.reverse()
-        while incoming:  # in sender order, each byte string dropped once unpacked
+        while incoming:  # each byte string dropped once unpacked
             columns.extend(_unpack(incoming.pop()))
         return columns
 

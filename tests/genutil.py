@@ -125,12 +125,15 @@ def random_corpus(rng: random.Random, max_traces: int = 6) -> List[ObservedTrace
 # ------------------------------------------------------------ trace documents
 
 
+DOUBLE_STRINGS = ("Infinity", "-Infinity", "2.5", "-0.125", "1e-3", "6.02E+23", "0")
+
+
 def random_trace_document(rng: random.Random, zipkin: bool) -> object:
     """A valid decoded trace document of 1-4 random traces, in the Zipkin v2
     layout or the OTel one, with the quirks valid exports have: roots with
     an empty or all-zero parent id, spans without a name, ends before their
-    start (clamped at ingest), links (OTel), 16-char trace ids and
-    non-string tags (Zipkin)."""
+    start (clamped at ingest), links and doubles given as strings (OTel),
+    16-char trace ids and non-string tags (Zipkin)."""
     traces = [random_observed_trace(rng, max_spans=5) for _ in range(rng.randint(1, 4))]
     document = json.loads(serialize_otel_json(traces))
     entries = document["resourceSpans"]
@@ -148,6 +151,11 @@ def random_trace_document(rng: random.Random, zipkin: bool) -> object:
             if not zipkin and rng.random() < 0.1:
                 # A value kind outside the four scalar ones, which ingest ignores.
                 span.setdefault("attributes", []).insert(0, {"key": "list", "value": {"arrayValue": {"values": []}}})
+            if not zipkin and rng.random() < 0.1:
+                # proto3 JSON spells infinities as strings and takes numbers as
+                # strings too. NaN is left out: it equals no copy of itself.
+                double = rng.choice(DOUBLE_STRINGS)
+                span.setdefault("attributes", []).append({"key": "ratio", "value": {"doubleValue": double}})
             if rng.random() < 0.05:
                 del span["startTimeUnixNano"]
     if not zipkin:
@@ -187,8 +195,14 @@ def _span_lists(document: object) -> List[List[dict]]:
 # invalid, at ingest or (duplicate span and parent cycle) at assembly. A bad
 # layout breaks the document around its spans: an OTel resource entry that
 # is no object, lacks service.name or has no scopeSpans list, at any entry;
-# a Zipkin span that is no object or lacks its localEndpoint.
-FAULTS = ("bad id", "non-string field", "bad time", "bad attribute", "duplicate span", "parent cycle", "bad layout")
+# a Zipkin span that is no object or lacks its localEndpoint. A lax integer
+# is a string that int() reads but proto3 JSON does not write, as a time or
+# an intValue (a Zipkin time must be a JSON number).
+FAULTS = (
+    "bad id", "non-string field", "bad time", "bad attribute", "lax integer", "duplicate span", "parent cycle",
+    "bad layout",
+)
+LAX_INTEGERS = ("1_000", " 12 ", "\u0661\u0662", "1_0", "+12 ")
 
 
 def inject_fault(rng: random.Random, document: object, fault: str) -> None:
@@ -230,8 +244,18 @@ def inject_fault(rng: random.Random, document: object, fault: str) -> None:
                     [{"key": "k", "value": 5}],
                     [{"key": "k", "value": {"intValue": str(2**63)}}],
                     [{"key": "k", "value": {"boolValue": "yes"}}],
+                    [{"key": "k", "value": {"doubleValue": "nan"}}],
+                    [{"key": "k", "value": {"doubleValue": "1_0.5"}}],
                 ]
             )
+    elif fault == "lax integer":
+        lax = rng.choice(LAX_INTEGERS)
+        if zipkin:
+            span[rng.choice(["timestamp", "duration"])] = lax
+        elif rng.random() < 0.5:
+            span[rng.choice(["startTimeUnixNano", "endTimeUnixNano"])] = lax
+        else:
+            span.setdefault("attributes", []).append({"key": "count", "value": {"intValue": lax}})
     elif fault == "duplicate span":
         holder.insert(rng.randrange(len(holder) + 1), dict(span))
     elif fault == "parent cycle":

@@ -255,6 +255,38 @@ class TestOtelParsing:
         with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
             parse_trace_document(otel_document([span]))
 
+    def test_double_string_beyond_the_digit_limit_is_beyond_float_range(self):
+        span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": "1" + "0" * 5000}}])
+        with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
+            parse_trace_document(otel_document([span]))
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1.5", "-0.5e-3", "6E+2", "0", "1e400"])
+    def test_double_strings_of_proto3_json_read_as_the_number_they_spell(self, raw):
+        span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": raw}}])
+        [parsed] = parse_trace_document(otel_document([span]))
+        value = parsed.attributes["x"]
+        assert type(value) is float and (value == float(raw) or raw == "NaN" and value != value)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "Inf", " 1.5", "1.5 ", "1_0.5", "1.", ".5", "01", "+1", "0x10", ""])
+    def test_other_double_strings_are_malformed(self, raw):
+        span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": raw}}])
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_trace_document(otel_document([span]))
+        assert str(excinfo.value) == "span 0000000000000001: doubleValue must hold a number"
+
+    @pytest.mark.parametrize("raw, value", [("-12", -12), ("+12", 12), ("0", 0), (str(-(2**63)), -(2**63))])
+    def test_int_value_strings_of_proto3_json_are_read(self, raw, value):
+        span = otel_span(attributes=[{"key": "n", "value": {"intValue": raw}}])
+        [parsed] = parse_trace_document(otel_document([span]))
+        assert parsed.attributes == {"n": value}
+
+    @pytest.mark.parametrize("raw", ["1_0", " 12 ", "\u0661\u0662", "1 2", "-"])
+    def test_lax_int_value_strings_are_malformed(self, raw):
+        span = otel_span(attributes=[{"key": "n", "value": {"intValue": raw}}])
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_trace_document(otel_document([span]))
+        assert str(excinfo.value) == f"span 0000000000000001: intValue {raw!r} is not an integer"
+
     @pytest.mark.parametrize("bad_entry_first", [False, True], ids=["span-first", "entry-first"])
     def test_errors_follow_file_order_across_resource_entries(self, bad_entry_first):
         # The layout walk goes an entry at a time: the spans of an entry are
@@ -487,12 +519,14 @@ class TestFastPathsKeepErrorsAndValues:
             f"span 0000000000000001: startTimeUnixNano '{digits[:59]}... (5002 chars) is not an integer"
         )
 
-    @pytest.mark.parametrize("raw, value", [(" 12", 12), ("1_000", 1000), (12, 12), (None, 0)])
+    @pytest.mark.parametrize("raw, value", [("+12", 12), ("0012", 12), (12, 12), (None, 0)])
     def test_timestamps_int_accepts_keep_their_values(self, raw, value):
         [span] = parse_trace_document(otel_document([otel_span(startTimeUnixNano=raw, endTimeUnixNano="2000000")]))
         assert span.start_time_nanos == value
 
-    @pytest.mark.parametrize("raw", ["²", "1.5", ""])
+    # int() reads each of these but the first three, and proto3 JSON writes
+    # none: an integer string is ASCII digits after an optional sign.
+    @pytest.mark.parametrize("raw", ["²", "1.5", "", " 12", "1_000", "\u0661\u0662", "12\n", "+", "+-1"])
     def test_timestamps_int_rejects_keep_their_message(self, raw):
         with pytest.raises(MalformedDocumentError) as excinfo:
             parse_trace_document(otel_document([otel_span(endTimeUnixNano=raw)]))

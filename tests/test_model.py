@@ -298,6 +298,58 @@ def test_parent_cycles_yields_each_cycle_once_in_walk_order(parents, cycles):
     assert list(parent_cycles(parents)) == cycles
 
 
+@given(st.integers(min_value=0, max_value=2**48 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_broken_trace_is_named_alike_in_any_span_order(seed):
+    """A trace with parent cycles or repeated span ids gives one error, of
+    one type and message, for every order of its spans, both built from
+    span objects and assembled from columns among another trace's rows: the
+    least repeated span id, else the cycle through the least id on any
+    cycle, listed from that id."""
+    rng = random.Random(seed)
+    trace = genutil.random_observed_trace(rng)
+    spans = list(trace.spans.values())
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:  # a cycle through one to three spans
+            ring = rng.sample(range(len(spans)), rng.randint(1, min(3, len(spans))))
+            for position, parent in zip(ring, ring[1:] + ring[:1]):
+                spans[position] = dataclasses.replace(spans[position], parent_span_id=spans[parent].span_id)
+        else:  # a copy of a span, at times with other fields
+            copied = rng.choice(spans)
+            spans.append(dataclasses.replace(copied, end_time_nanos=copied.end_time_nanos + rng.randrange(2)))
+    other = list(genutil.random_observed_trace(rng).spans.values())
+
+    def errors(order):
+        with pytest.raises((CyclicParentChainError, DuplicateSpanIdError)) as by_objects:
+            ObservedTrace.from_spans(trace.trace_id, order)
+        rows = order + other
+        rng.shuffle(rows)
+        columns = SpanColumns()
+        columns.extend_spans(rows)
+        with pytest.raises((CyclicParentChainError, DuplicateSpanIdError)) as by_columns:
+            Partition(columns)
+        return [(type(error.value), str(error.value)) for error in (by_objects, by_columns)]
+
+    expected = errors(spans)
+    assert expected[1] == expected[0]
+    ids = [span.span_id for span in spans]
+    repeated = {span_id for span_id in ids if ids.count(span_id) > 1}
+    named = expected[0][1].split(": ", 1)[1]
+    if repeated:
+        assert named == f"duplicate span id {min(repeated)}"
+    else:
+        parents = {span.span_id: span.parent_span_id for span in spans}
+        least = min(span_id for cycle in parent_cycles(parents) for span_id in cycle)
+        prefix = "parent chain cycle through "
+        assert named.startswith(prefix)
+        listed = named[len(prefix):].split(" -> ")
+        assert listed[0] == least
+        assert [parents[span_id] for span_id in listed] == listed[1:] + listed[:1]
+    for _ in range(5):
+        rng.shuffle(spans)
+        assert errors(spans) == expected
+
+
 attr_value_strategy = st.one_of(
     st.text(max_size=16),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),

@@ -877,6 +877,34 @@ def _duplicates_in_two_partitions_corpus(corpus):
         )
 
 
+# A parent cycle of three spans, c1 -> c3 -> c2 -> c1.
+THREE_CYCLE_PARENTS = {
+    "00000000000000c1": "00000000000000c3",
+    "00000000000000c2": "00000000000000c1",
+    "00000000000000c3": "00000000000000c2",
+}
+
+
+def _cycle_over_three_files_corpus(corpus, rotation):
+    # One span of the cycle in each of a.json, b.json and c.json: c1, c2 and
+    # c3 turned by ``rotation`` places. Walked from the first span read, or
+    # from the first of the owner's own rows, the cycle would be listed from
+    # another span as the layout or K changes; it is listed from c1 always.
+    span_ids = sorted(THREE_CYCLE_PARENTS)
+    span_ids = span_ids[rotation:] + span_ids[:rotation]
+    for name, span_id in zip(("a.json", "b.json", "c.json"), span_ids):
+        _otel_file(corpus / name, [_raw_span("0" * 31 + "1", span_id, parent=THREE_CYCLE_PARENTS[span_id])])
+
+
+def _two_duplicates_over_three_files_corpus(corpus):
+    # d2 repeats before d1 does in file order, and K=3 reads the copies of
+    # d1 first; the least repeated id, d1, is named in every case.
+    trace_id = "0" * 31 + "1"
+    _otel_file(corpus / "a.json", [_raw_span(trace_id, "00000000000000d1"), _raw_span(trace_id, "00000000000000d2")])
+    _otel_file(corpus / "b.json", [_raw_span(trace_id, "00000000000000d2", end="3000")])
+    _otel_file(corpus / "c.json", [_raw_span(trace_id, "00000000000000d1", end="3000")])
+
+
 def _padded_zipkin_ids_corpus(corpus):
     # Each trace has a root in the Zipkin file, with a 16-char id that pads
     # to the OTel one, and a child in the OTel file whose end precedes its
@@ -1028,6 +1056,12 @@ def _duplicate_span_across_groups_corpus(corpus):
     _append_spans(corpus / "d.json", [_raw_span(DUPLICATED_TRACE_ID, "00000000000000b2", end="3000")])
 
 
+THREE_CYCLE_ERROR = (
+    "error: trace " + "0" * 31 + "1: parent chain cycle through "
+    "00000000000000c1 -> 00000000000000c3 -> 00000000000000c2\n"
+)
+
+
 class TestPartitionedCheck:
     """``check --workers K`` gives each worker its own files, read whole;
     the traces that cross workers' files are exchanged. Its output and exit
@@ -1053,6 +1087,15 @@ class TestPartitionedCheck:
         ),
         "duplicates-in-two-partitions": (
             _duplicates_in_two_partitions_corpus, 2, "error: trace " + "0" * 31 + "1: duplicate span id 00000000000000d1\n"
+        ),
+        "cycle-over-three-files": (lambda corpus: _cycle_over_three_files_corpus(corpus, 0), 2, THREE_CYCLE_ERROR),
+        "cycle-over-three-files-c3-first": (
+            lambda corpus: _cycle_over_three_files_corpus(corpus, 2), 2, THREE_CYCLE_ERROR
+        ),
+        "two-duplicates-over-three-files": (
+            _two_duplicates_over_three_files_corpus,
+            2,
+            "error: trace " + "0" * 31 + "1: duplicate span id 00000000000000d1\n",
         ),
         "padded-zipkin-ids": (_padded_zipkin_ids_corpus, 1, "warning: 44 ingest warning(s)\n"),
         "unreadable-trace-id": (_unreadable_trace_id_corpus, 2, "error: bad.json: span #0 lacks id or traceId\n"),
