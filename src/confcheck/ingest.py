@@ -4,10 +4,13 @@ Two file formats are understood: Zipkin v2 JSON (a top-level array of span
 objects) and an OpenTelemetry-style resource-grouped layout (a top-level
 object with a ``resourceSpans`` array). The latter is also the canonical
 storage format this package writes, so ``parse_trace_document`` and
-``serialize_otel_json`` round-trip exactly. ``serialize_otel_json`` builds
-no dict per span: it writes each span's JSON text itself, with the json
-module's own string escaper and float spelling, and gives the bytes that
-``json.dumps`` gives for the same document of dicts.
+``serialize_otel_json`` round-trip exactly. There is one OTel serializer,
+``_otel_text``, over rows: it writes the spans of a
+:class:`~confcheck.model.SpanColumns` whose rows pass the column rules,
+building no dict per span, with the json module's own string escaper and
+float spelling, and gives the bytes that ``json.dumps`` gives for the same
+document of dicts. ``serialize_otel_json`` gives it the spans of traces as
+rows; ``simulate`` gives it the rows it draws.
 
 ``load_partition`` reads a directory of documents into a
 :class:`~confcheck.model.Partition`: spans as columns, one list per field,
@@ -63,15 +66,14 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, eq, is_not, lt, not_
+from operator import add, eq, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
-    _span_fields,
     AttrValue,
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -280,9 +282,11 @@ def _decimal(texts: Sequence[str]) -> bool:
 
 
 # A double as proto3 JSON may give it in a string: NaN, an infinity, or a
-# JSON number, each read as the JSON value it spells. Compiled on first use,
-# by re's own cache, not at every import.
+# JSON number. Each is read by float(), which rounds it correctly, never
+# raises, gives an infinity beyond the float range and keeps the sign of
+# "-0". Compiled on first use, by re's own cache, not at every import.
 _DOUBLE_TEXT = r"NaN|-?Infinity|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_INFINITY = float("inf")
 
 
 def _attr_value_from_json(value: object) -> Optional[AttrValue]:
@@ -315,16 +319,13 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
     if "doubleValue" in value:
         raw = value["doubleValue"]
         if isinstance(raw, str) and re.fullmatch(_DOUBLE_TEXT, raw):
-            try:
-                raw = json.loads(raw)
-            except ValueError as exc:  # an integer beyond the interpreter's digit limit
-                raise MalformedDocumentError("doubleValue is outside the float range") from exc
+            return float(raw)
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise MalformedDocumentError("doubleValue must hold a number")
         try:
             return float(raw)
-        except OverflowError as exc:
-            raise MalformedDocumentError("doubleValue is outside the float range") from exc
+        except OverflowError:  # a JSON integer beyond the float range, as "1e400" would read
+            return _INFINITY if raw > 0 else -_INFINITY
     return None
 
 
@@ -711,7 +712,6 @@ def assemble_traces(spans: Iterable[ObservedSpan]) -> Tuple[List[ObservedTrace],
 # The JSON text of a string: json.dumps's own escaper, which writes each
 # character outside printable ASCII, and each quote and backslash, escaped.
 _encode = encode_basestring_ascii
-_INFINITY = float("inf")
 # A resource entry's text before its service name, and between that name and
 # its first span.
 _RESOURCE_HEAD = '{"resource":{"attributes":[{"key":' + _encode(SERVICE_NAME_KEY) + ',"value":{"stringValue":'
@@ -741,27 +741,51 @@ def _attribute_text(key: str, value: AttrValue) -> str:
     return '{"key":' + _encode(key) + ',"value":' + typed + "}"
 
 
-def _span_text(span: ObservedSpan) -> str:
-    """One span's JSON object. Its ids and times are written unescaped:
-    ObservedSpan has checked the ids to be lowercase hex and the times to be
-    unsigned integers."""
-    trace_id, span_id, parent_id, name, _, start, end, attributes, links = _span_fields(span)
-    text = '{"traceId":"%s","spanId":"%s%s,"name":%s,"startTimeUnixNano":"%s","endTimeUnixNano":"%s"' % (
-        trace_id,
-        span_id,
-        '"' if parent_id is None else '","parentSpanId":"' + parent_id + '"',
-        _encode(name),
-        start,
-        end,
-    )
-    if attributes:
-        text += ',"attributes":[' + ",".join([_attribute_text(k, attributes[k]) for k in sorted(attributes)]) + "]"
-    if links:
-        text += ',"links":[' + ",".join(['{"traceId":"' + t + '","spanId":"' + s + '"}' for t, s in links]) + "]"
-    return text + "}"
+def _attributes_text(attributes: Mapping[str, AttrValue]) -> str:
+    return ',"attributes":[' + ",".join([_attribute_text(key, attributes[key]) for key in sorted(attributes)]) + "]"
 
 
-_span_order = attrgetter("trace_id", "span_id")
+def _links_text(links: Tuple[Tuple[TraceId, SpanId], ...]) -> str:
+    return ',"links":[' + ",".join(['{"traceId":"' + t + '","spanId":"' + s + '"}' for t, s in links]) + "]"
+
+
+def _otel_text(columns: SpanColumns) -> str:
+    """The one OTel serializer: the spans of ``columns``, whose rows pass
+    :func:`~confcheck.model.columns_valid`, in the canonical OTel-style
+    layout. Their ids and times are written unescaped, as the column rules
+    have checked the ids to be lowercase hex and the times to be unsigned
+    integers. The spans' parent, attribute and link text is made a column
+    at a time, and each distinct name escaped once."""
+    trace_ids, span_ids, services = columns.trace_ids, columns.span_ids, columns.services
+    names = {name: _encode(name) for name in set(columns.names)}
+    texts = [
+        # One span's JSON object; its parent text closes the span id.
+        f'{{"traceId":"{trace_id}","spanId":"{span_id}{parent},"name":{name},'
+        f'"startTimeUnixNano":"{start}","endTimeUnixNano":"{end}"{attributes}{links}}}'
+        for trace_id, span_id, parent, name, start, end, attributes, links in zip(
+            trace_ids,
+            span_ids,
+            ['","parentSpanId":"' + parent + '"' if parent else '"' for parent in columns.parent_ids],
+            map(names.__getitem__, columns.names),
+            columns.starts,
+            columns.ends,
+            [_attributes_text(attributes) if attributes else "" for attributes in columns.attributes],
+            [_links_text(links) if links else "" for links in columns.links],
+        )
+    ]
+    # Every trace id has one length, so joined to its span id it sorts in
+    # (trace id, span id) order; a stable sort by service then groups them.
+    keys = list(map(add, trace_ids, span_ids))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    order.sort(key=services.__getitem__)
+    entries = [
+        _RESOURCE_HEAD + _encode(service) + _SCOPE_HEAD + ",".join(map(texts.__getitem__, rows)) + "]}]}"
+        for service, rows in groupby(order, services.__getitem__)
+    ]
+    # Each span's text is now in its entry: not held a second time below.
+    del texts
+    return '{"resourceSpans":[' + ",".join(entries) + "]}"
 
 
 def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
@@ -771,21 +795,11 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
     sorted by service name and spans by (trace id, span id), so identical
     inputs always produce identical bytes. The text is what ``json.dumps``
     writes with ``separators=(",", ":")`` for the same document of dicts,
-    but each span's JSON is written directly, with no dict built.
+    but it is written from the spans' columns, with no dict built.
     """
-    by_service: "dict[str, list[ObservedSpan]]" = {}
-    for trace in traces:
-        for span in trace.spans.values():
-            by_service.setdefault(span.service_name, []).append(span)
-    entries = [
-        _RESOURCE_HEAD
-        + _encode(service_name)
-        + _SCOPE_HEAD
-        + ",".join(map(_span_text, sorted(by_service[service_name], key=_span_order)))
-        + "]}]}"
-        for service_name in sorted(by_service)
-    ]
-    return '{"resourceSpans":[' + ",".join(entries) + "]}"
+    columns = SpanColumns()
+    columns.extend_spans([span for trace in traces for span in trace.spans.values()])
+    return _otel_text(columns)
 
 
 def _corpus_files(directory: "Path | str") -> List[Path]:

@@ -15,6 +15,22 @@ purpose), so corpora are byte-reproducible and the three deviation knobs
 are fully orthogonal: changing one probability never changes which traces
 receive the other deviations.
 
+Each stream is a ``random.Random`` seeded from blake2b, and every draw
+from it is ``random()`` or :func:`_below`, CPython's own draw below a
+bound, written out over ``getrandbits``. So the bytes depend only on
+blake2b, Mersenne Twister seeding and ``getrandbits``, which are the same on
+every supported Python, and not on how ``randint`` or ``choice`` are
+written.
+
+One function, ``_draw_trace``, draws a trace: it appends each span as a row
+of plain values, in ``SpanColumns``' field order. :func:`generate_trace`
+builds span objects from the rows. The file writer builds none: it turns a
+file's rows into one :class:`~confcheck.model.SpanColumns`, checks them by
+the rules ``check`` reads with (:func:`~confcheck.model.columns_valid`, then
+:class:`~confcheck.model.Partition` for duplicate span ids and parent
+cycles), and writes the text with the one OTel serializer, the one that
+:func:`~confcheck.ingest.serialize_otel_json` runs.
+
 Because no draw depends on which traces came before, any process can
 generate any trace. :func:`write_simulated_corpus`, which ``confcheck
 simulate`` runs, so has each of its worker processes write a contiguous
@@ -28,10 +44,10 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
-from .ingest import read_plan, serialize_otel_json
-from .model import ObservedSpan, ObservedTrace
+from .ingest import _otel_text, read_plan
+from .model import _NO_ATTRIBUTES, ObservedTrace, Partition, SpanColumns, columns_valid
 
 __all__ = [
     "SimConfig",
@@ -118,12 +134,19 @@ def _hex_id(material: str, n_bytes: int) -> str:
     return digest
 
 
-def _trace_id_for(seed: int, index: int) -> str:
-    return _hex_id(f"{seed}:{index}:trace", 16)
-
-
-def _span_id_for(seed: int, index: int, ordinal: int) -> str:
-    return _hex_id(f"{seed}:{index}:span:{ordinal}", 8)
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A random int in ``[0, n)``, for ``n`` > 0, drawn from ``getrandbits``
+    as CPython's ``Random._randbelow_with_getrandbits`` draws it (the same
+    code in 3.10 to 3.13), which ``randrange`` and so ``randint`` and
+    ``choice`` call: ``randint(a, b)`` is ``a + _below(bits, b - a + 1)``
+    and ``choice(seq)`` is ``seq[_below(bits, len(seq))]``. Written out, the
+    draws cost one frame each instead of three, and depend only on
+    ``getrandbits``, not on how a later ``random`` module spells them."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def deviation_flags(config: SimConfig, index: int) -> Tuple[bool, bool, bool]:
@@ -135,122 +158,130 @@ def deviation_flags(config: SimConfig, index: int) -> Tuple[bool, bool, bool]:
     )
 
 
-def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
-    """Generate the trace for one request index."""
+# One span as the draw gives it, in SpanColumns' field order: trace id, span
+# id, parent id ("" for none), name, service name, start and end nanoseconds,
+# attributes (the shared _NO_ATTRIBUTES for none).
+_Row = Tuple[str, str, str, str, str, int, int, dict]
+
+
+def _draw_trace(config: SimConfig, index: int, rows: List[_Row]) -> None:
+    """Draw the trace for one request index: append each of its spans' rows
+    to ``rows``, root first."""
     omit, slow, direct = deviation_flags(config, index)
-    shape = _substream(config.seed, index, "shape")
-    trace_id = _trace_id_for(config.seed, index)
+    shape = _substream(config.seed, index, "shape").getrandbits
+    key = f"{config.seed}:{index}:"
+    trace_id = _hex_id(key + "trace", 16)
     root_start = _BASE_EPOCH_NANOS + index * 1_000_000_000
 
     def span(
         ordinal: int,
+        parent_id: str,
         name: str,
         service: str,
-        parent_span_id: "str | None",
         start_nanos: int,
         duration_micros: int,
-        attributes: "dict | None" = None,
-    ) -> ObservedSpan:
-        # Positional, in ObservedSpan's field order: binding by keyword
-        # costs more per span.
-        return ObservedSpan(
-            trace_id,
-            _span_id_for(config.seed, index, ordinal),
-            name,
-            service,
-            start_nanos,
-            start_nanos + duration_micros * 1000,
-            parent_span_id,
-            attributes or {},
-        )
+        attributes: dict = _NO_ATTRIBUTES,
+    ) -> str:
+        span_id = _hex_id(f"{key}span:{ordinal}", 8)
+        end_nanos = start_nanos + duration_micros * 1000
+        rows.append((trace_id, span_id, parent_id, name, service, start_nanos, end_nanos, attributes))
+        return span_id
 
     # The shape stream is consumed identically whether or not deviations
-    # fire, so the trace layout depends only on (seed, index).
-    base_duration = shape.randint(*BASE_LATENCY_MICROS)
-    client_offset = shape.randint(500, 2_000)
-    ms_offset = shape.randint(500, 2_000)
-    query_offset = shape.randint(200, 1_000)
-    query_duration = shape.randint(1_000, 20_000)
-    http_method = shape.choice(("GET", "POST"))
+    # fire, so the trace layout depends only on (seed, index). Each draw in
+    # [low, high] is low + _below(bits, high - low + 1).
+    low, high = BASE_LATENCY_MICROS
+    root_duration = low + _below(shape, high - low + 1)
+    client_offset = 500 + _below(shape, 2_000 - 500 + 1)
+    ms_offset = 500 + _below(shape, 2_000 - 500 + 1)
+    query_offset = 200 + _below(shape, 1_000 - 200 + 1)
+    query_duration = 1_000 + _below(shape, 20_000 - 1_000 + 1)
+    http_method = ("GET", "POST")[_below(shape, 2)]
 
-    root_duration = base_duration
     if slow:
-        root_duration = _substream(config.seed, index, "slow-latency").randint(*SLOW_LATENCY_MICROS)
+        low, high = SLOW_LATENCY_MICROS
+        root_duration = low + _below(_substream(config.seed, index, "slow-latency").getrandbits, high - low + 1)
 
     client_duration = max(1, (root_duration * 3) // 4)
     ms_duration = max(1, (client_duration * 4) // 5)
 
-    # Each child takes its parent's id from the parent span, so every span
-    # id is hashed once.
-    root = span(
+    first = len(rows)
+    root_id = span(
         _ORD_ROOT,
+        "",
         REQUEST_SPAN_NAME,
         GATEWAY,
-        None,
         root_start,
         root_duration,
         {"http.method": http_method, "http.status_code": 200},
     )
-    client = span(
-        _ORD_CLIENT,
-        CLIENT_SPAN_NAME,
-        GATEWAY,
-        root.span_id,
-        root_start + client_offset * 1000,
-        client_duration,
-    )
-    ms_request = span(
-        _ORD_MS_REQUEST,
-        REQUEST_SPAN_NAME,
-        MICROSERVICE,
-        client.span_id,
-        root_start + (client_offset + ms_offset) * 1000,
-        ms_duration,
-    )
-    spans = [root, client, ms_request]
+    client_start = root_start + client_offset * 1000
+    client_id = span(_ORD_CLIENT, root_id, CLIENT_SPAN_NAME, GATEWAY, client_start, client_duration)
+    ms_start = client_start + ms_offset * 1000
+    ms_id = span(_ORD_MS_REQUEST, client_id, REQUEST_SPAN_NAME, MICROSERVICE, ms_start, ms_duration)
     if not omit:
-        spans.append(
-            span(
-                _ORD_MS_QUERY,
-                QUERY_SPAN_NAME,
-                MICROSERVICE,
-                ms_request.span_id,
-                root_start + (client_offset + ms_offset + query_offset) * 1000,
-                query_duration,
-                {"db.system": "mssql"},
-            )
+        span(
+            _ORD_MS_QUERY,
+            ms_id,
+            QUERY_SPAN_NAME,
+            MICROSERVICE,
+            ms_start + query_offset * 1000,
+            query_duration,
+            {"db.system": "mssql"},
         )
     if direct:
-        direct_stream = _substream(config.seed, index, "direct-shape")
-        spans.append(
-            span(
-                _ORD_DIRECT_QUERY,
-                QUERY_SPAN_NAME,
-                GATEWAY,
-                root.span_id,
-                root_start + direct_stream.randint(200, 2_000) * 1000,
-                direct_stream.randint(1_000, 20_000),
-                {"db.system": "mssql"},
-            )
+        direct_shape = _substream(config.seed, index, "direct-shape").getrandbits
+        span(
+            _ORD_DIRECT_QUERY,
+            root_id,
+            QUERY_SPAN_NAME,
+            GATEWAY,
+            root_start + (200 + _below(direct_shape, 2_000 - 200 + 1)) * 1000,
+            1_000 + _below(direct_shape, 20_000 - 1_000 + 1),
+            {"db.system": "mssql"},
         )
 
     # Noise spans are leaves under random parents; they never re-parent the
     # core chain, so they cannot alter conformance.
-    noise_count = shape.randint(*NOISE_SPANS_PER_TRACE)
-    for noise_index in range(noise_count):
-        parent = shape.choice(spans)
-        spans.append(
-            span(
-                _ORD_NOISE_BASE + noise_index,
-                shape.choice(NOISE_SPAN_NAMES),
-                shape.choice(NOISE_SERVICES),
-                parent.span_id,
-                parent.start_time_nanos + shape.randint(10, 500) * 1000,
-                shape.randint(10, 5_000),
-            )
+    low, high = NOISE_SPANS_PER_TRACE
+    for ordinal in range(_ORD_NOISE_BASE, _ORD_NOISE_BASE + low + _below(shape, high - low + 1)):
+        # A row of this trace: parent[1] is its span id, parent[5] its start.
+        parent = rows[first + _below(shape, len(rows) - first)]
+        span(
+            ordinal,
+            parent[1],
+            NOISE_SPAN_NAMES[_below(shape, len(NOISE_SPAN_NAMES))],
+            NOISE_SERVICES[_below(shape, len(NOISE_SERVICES))],
+            parent[5] + (10 + _below(shape, 500 - 10 + 1)) * 1000,
+            10 + _below(shape, 5_000 - 10 + 1),
         )
 
-    return ObservedTrace.from_spans(trace_id, spans)
+
+def _row_columns(rows: List[_Row]) -> SpanColumns:
+    """``rows``, at least one, as columns. ``rows`` is left empty, so that
+    the two are not held at once."""
+    columns = SpanColumns()
+    (
+        columns.trace_ids,
+        columns.span_ids,
+        columns.parent_ids,
+        columns.names,
+        columns.services,
+        columns.starts,
+        columns.ends,
+        columns.attributes,
+    ) = map(list, zip(*rows))
+    columns.links = [()] * len(rows)
+    rows.clear()
+    return columns
+
+
+def generate_trace(config: SimConfig, index: int) -> ObservedTrace:
+    """Generate the trace for one request index."""
+    rows: List[_Row] = []
+    _draw_trace(config, index, rows)
+    columns = _row_columns(rows)
+    return ObservedTrace.from_spans(columns.trace_ids[0], list(map(columns.span, range(len(columns)))))
 
 
 def iter_corpus(config: SimConfig) -> Iterator[ObservedTrace]:
@@ -275,8 +306,17 @@ def _corpus_directory(directory: "Path | str", traces_per_file: int) -> Path:
     return directory
 
 
-def _write_file(directory: Path, number: int, traces: List[ObservedTrace]) -> None:
-    (directory / f"corpus-{number:06d}.json").write_text(serialize_otel_json(traces), encoding="utf-8")
+def _write_file(directory: Path, number: int, columns: SpanColumns) -> None:
+    """Write the spans of ``columns`` as file ``number`` once they pass the
+    rules ``check`` reads with: :func:`~confcheck.model.columns_valid`, else
+    the first span whose object does not build raises its own error, and
+    :class:`~confcheck.model.Partition`, which raises on a duplicate span id
+    or a parent cycle."""
+    if not columns_valid(columns):
+        for row in range(len(columns)):
+            columns.span(row)
+    text = _otel_text(Partition(columns))
+    (directory / f"corpus-{number:06d}.json").write_text(text, encoding="utf-8")
 
 
 def _remove_stale(directory: Path, file_count: int) -> None:
@@ -304,10 +344,12 @@ def write_corpus(
     traces = iter(traces)
     file_count = 0
     while batch := list(itertools.islice(traces, traces_per_file)):
-        _write_file(directory, file_count, batch)
+        columns = SpanColumns()
+        columns.extend_spans([span for trace in batch for span in trace.spans.values()])
+        _write_file(directory, file_count, columns)
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
-        del batch
+        del batch, columns
     _remove_stale(directory, file_count)
     return file_count
 
@@ -335,7 +377,10 @@ def write_simulated_corpus(
 
     def write_files(worker: int, exchange: object) -> None:
         for number in range(*plan[worker]):
-            _write_file(directory, number, [generate_trace(config, index) for index in files[number]])
+            rows: List[_Row] = []
+            for index in files[number]:
+                _draw_trace(config, index, rows)
+            _write_file(directory, number, _row_columns(rows))
 
     # Imported here, so that importing the package leaves the runner unloaded.
     from . import runner

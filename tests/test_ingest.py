@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -250,15 +251,25 @@ class TestOtelParsing:
             parse_trace_document(json.dumps(document))
         assert str(excinfo.value) == f"resourceSpans[0]: {message}"
 
-    def test_double_beyond_float_range_is_malformed(self):
+    def test_double_beyond_float_range_reads_as_infinity(self):
+        # As the JSON float 1e400 and the string "1e400" read.
         span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": 10**400}}])
-        with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
-            parse_trace_document(otel_document([span]))
+        [parsed] = parse_trace_document(otel_document([span]))
+        assert parsed.attributes["x"] == math.inf
 
     def test_double_string_beyond_the_digit_limit_is_beyond_float_range(self):
         span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": "1" + "0" * 5000}}])
-        with pytest.raises(MalformedDocumentError, match="doubleValue is outside the float range"):
-            parse_trace_document(otel_document([span]))
+        [parsed] = parse_trace_document(otel_document([span]))
+        assert parsed.attributes["x"] == math.inf
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("-0", "-0.0"), ("0", "0.0"), ("-1e400", "-inf"), (-(10**400), "-inf"), ("-" + "9" * 5000, "-inf")],
+    )
+    def test_double_keeps_its_sign(self, raw, expected):
+        span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": raw}}])
+        [parsed] = parse_trace_document(otel_document([span]))
+        assert repr(parsed.attributes["x"]) == expected
 
     @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1.5", "-0.5e-3", "6E+2", "0", "1e400"])
     def test_double_strings_of_proto3_json_read_as_the_number_they_spell(self, raw):

@@ -24,7 +24,7 @@ from confcheck import cli, ingest
 from confcheck.checker import ConformanceReport, check_corpus, check_trace, evaluate
 from confcheck.design import DesignValidationError, MalformedDesignError, load_design_set, serialize_design_set
 from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trace_document, serialize_otel_json
-from confcheck.model import ObservedSpan, ObservedTrace, Partition, ViolationKind
+from confcheck.model import ObservedSpan, ObservedTrace, Partition, SpanColumns, ViolationKind
 
 import genutil
 from serializer_reference import reference_serialize_otel_json
@@ -145,12 +145,19 @@ def awkward_corpora(draw):
     return corpus
 
 
-@given(awkward_corpora())
+@given(awkward_corpora(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_serializer_writes_the_bytes_of_json_dumps(corpus):
-    """The direct span encoder writes what json.dumps of the document of
-    dicts writes, byte for byte."""
-    assert serialize_otel_json(corpus) == reference_serialize_otel_json(corpus)
+def test_serializer_writes_the_bytes_of_json_dumps(corpus, rng):
+    """The column serializer writes what json.dumps of the document of dicts
+    writes, byte for byte, whether it is given traces or, as ``simulate``
+    gives it, an assembled partition of their rows in any order."""
+    expected = reference_serialize_otel_json(corpus)
+    assert serialize_otel_json(corpus) == expected
+    spans = [span for trace in corpus for span in trace.spans.values()]
+    rng.shuffle(spans)
+    columns = SpanColumns()
+    columns.extend_spans(spans)
+    assert ingest._otel_text(Partition(columns)) == expected
 
 
 @given(seeds)

@@ -440,15 +440,15 @@ class TestSimulateCommand:
 
     @pytest.fixture()
     def generated(self, monkeypatch):
-        """The index of each generate_trace call, in call order."""
+        """The index of each trace drawn, in draw order."""
         calls = []
-        real_generate_trace = simulator.generate_trace
+        real_draw_trace = simulator._draw_trace
 
-        def counting_generate_trace(config, index):
+        def counting_draw_trace(config, index, rows):
             calls.append(index)
-            return real_generate_trace(config, index)
+            real_draw_trace(config, index, rows)
 
-        monkeypatch.setattr(simulator, "generate_trace", counting_generate_trace)
+        monkeypatch.setattr(simulator, "_draw_trace", counting_draw_trace)
         return calls
 
     def test_each_trace_generated_once_in_order(self, tmp_path, generated, monkeypatch, capsys):
@@ -459,17 +459,17 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("workers", ["2", "3"])
     def test_each_trace_generated_once_by_workers(self, tmp_path, workers, monkeypatch, capsys):
-        # The workers log each index they generate to one file, appending a
-        # line per call: each index once, and in order within each file.
+        # The workers log each index they draw to one file, appending a line
+        # per call: each index once, and in order within each file.
         log = tmp_path / "generated.log"
-        real_generate_trace = simulator.generate_trace
+        real_draw_trace = simulator._draw_trace
 
-        def logging_generate_trace(config, index):
+        def logging_draw_trace(config, index, rows):
             with open(log, "a") as out:
                 out.write(f"{os.getpid()} {index}\n")
-            return real_generate_trace(config, index)
+            real_draw_trace(config, index, rows)
 
-        monkeypatch.setattr(simulator, "generate_trace", logging_generate_trace)
+        monkeypatch.setattr(simulator, "_draw_trace", logging_draw_trace)
         monkeypatch.setenv("CONFCHECK_WORKERS", workers)
         assert main(["simulate", str(tmp_path / "sim"), "--count", "7", "--traces-per-file", "3"]) == 0
         assert capsys.readouterr().out.startswith("wrote 7 traces to 3 file(s)")
@@ -968,7 +968,8 @@ def _attribute_corpus(corpus, name, value_json):
 
 
 def _huge_double_corpus(corpus):
-    # A JSON integer too large for a float, as a doubleValue.
+    # A JSON integer too large for a float, as a doubleValue: it reads as
+    # infinity, and the span matches no design span.
     _attribute_corpus(corpus, "d.json", '{"doubleValue": 1' + "0" * 400 + "}")
 
 
@@ -1101,9 +1102,7 @@ class TestPartitionedCheck:
         "unreadable-trace-id": (_unreadable_trace_id_corpus, 2, "error: bad.json: span #0 lacks id or traceId\n"),
         "null-spans": (_null_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
         "non-list-spans": (_non_list_spans_corpus, 2, "error: n.json: resourceSpans[0]: spans must be a list"),
-        "double-beyond-float-range": (
-            _huge_double_corpus, 2, "error: d.json: span 00000000000000e1: doubleValue is outside the float range"
-        ),
+        "double-beyond-float-range": (_huge_double_corpus, 0, ""),
         "integer-beyond-digit-limit": (_huge_integer_corpus, 2, "error: i.json: invalid JSON: Exceeds the limit"),
         "integer-string-beyond-digit-limit": (
             _huge_integer_string_corpus,

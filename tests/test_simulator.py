@@ -6,10 +6,15 @@ import gc
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcheck.checker import check_corpus, check_trace
 from confcheck.cli import main
@@ -24,6 +29,7 @@ from confcheck.simulator import (
     ROOT_BUDGET_MICROS,
     SLOW_LATENCY_MICROS,
     SimConfig,
+    _below,
     deviation_flags,
     generate_corpus,
     generate_trace,
@@ -31,6 +37,8 @@ from confcheck.simulator import (
     write_corpus,
     write_simulated_corpus,
 )
+
+from serializer_reference import reference_serialize_otel_json
 
 # The sha256 of each file `confcheck simulate` writes for GOLDEN_ARGS, recorded
 # when the corpus was built in memory before the first file was written.
@@ -42,6 +50,21 @@ GOLDEN_SHA256 = {
     "corpus-000000.json": "fa57c1672bdb85f4094b30b0c951bb5cb13344866969983879f04e770d0fba54",
     "corpus-000001.json": "0142e2b671862be7bbd4198ab0725bb97a3560297410e80360609c04d5458e08",
     "corpus-000002.json": "d1bb15c0782432096df42057a4c84dd32bdce9e6e5fb70959f6edcd08ac525d6",
+}
+
+# The same for a run in which each deviation fires for about half the traces,
+# so every stream, slow-latency and direct-shape among them, is drawn from;
+# recorded while the simulator still drew through random.randint and choice.
+# Its 4 files hold 10, 10, 10 and 7 traces.
+ALL_DEVIATIONS_ARGS = [
+    "--count", "37", "--seed", "11", "--p-omit", "0.5", "--p-slow", "0.5", "--p-direct", "0.5",
+    "--traces-per-file", "10",
+]
+ALL_DEVIATIONS_SHA256 = {
+    "corpus-000000.json": "92603aada4e0cad806a0212688a4cba8c61d42a232730894a81452fdbb4b01d1",
+    "corpus-000001.json": "0a87cf2803b1ec2cbd60af2a3da875b0cf106311dca9d860edd33b990dd9fd8d",
+    "corpus-000002.json": "c24429c0b1e7f6e3bdf501628fcb4f79504988b7494e0e2518c9c080d990ed2a",
+    "corpus-000003.json": "291941fbf15b4884464fb2634102b754c8bb0e8aa48ed54094f8b7435918df23",
 }
 
 
@@ -225,6 +248,17 @@ class TestWriteCorpus:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
         assert digests == GOLDEN_SHA256
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_simulate_output_with_every_deviation_matches_golden_digests(self, tmp_path, workers, monkeypatch, capsys):
+        config = SimConfig(seed=11, trace_count=37, p_omit=0.5, p_slow=0.5, p_direct=0.5)
+        flags = [deviation_flags(config, index) for index in range(37)]
+        assert all({draw[kind] for draw in flags} == {False, True} for kind in range(3))
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
+        assert main(["simulate", str(tmp_path), *ALL_DEVIATIONS_ARGS]) == 0
+        assert capsys.readouterr().out == f"wrote 37 traces to 4 file(s) in {tmp_path}\n"
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == ALL_DEVIATIONS_SHA256
+
     @pytest.mark.parametrize("count", [23, 25])
     def test_stream_writes_the_list_bytes_one_file_ahead(self, tmp_path, count):
         config = SimConfig(seed=4, trace_count=count, p_omit=0.3, p_slow=0.3, p_direct=0.3)
@@ -277,3 +311,41 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+probabilities = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    p_omit=probabilities,
+    p_slow=probabilities,
+    p_direct=probabilities,
+    count=st.integers(min_value=1, max_value=40),
+    per_file=st.integers(min_value=1, max_value=15),
+)
+@settings(max_examples=60, deadline=None)
+def test_simulated_files_are_the_serialized_traces(seed, p_omit, p_slow, p_direct, count, per_file):
+    """Each file drawn as rows and written from columns holds the bytes of
+    its traces' span objects, serialized and as json.dumps writes them."""
+    config = SimConfig(seed=seed, trace_count=count, p_omit=p_omit, p_slow=p_slow, p_direct=p_direct)
+    traces = [generate_trace(config, index) for index in range(count)]
+    with tempfile.TemporaryDirectory() as directory:
+        files = write_simulated_corpus(config, directory, per_file)
+        assert sorted(path.name for path in Path(directory).iterdir()) == [
+            f"corpus-{number:06d}.json" for number in range(files)
+        ]
+        for number in range(files):
+            batch = traces[number * per_file : (number + 1) * per_file]
+            text = (Path(directory) / f"corpus-{number:06d}.json").read_text(encoding="utf-8")
+            assert text == serialize_otel_json(batch) == reference_serialize_otel_json(batch)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), n=st.integers(min_value=1, max_value=2**20))
+@settings(max_examples=300, deadline=None)
+def test_below_draws_as_randrange_choice_and_randint(seed, n):
+    bits = random.Random(seed).getrandbits
+    twin = random.Random(seed)
+    assert [_below(bits, n) for _ in range(3)] == [twin.randrange(n) for _ in range(3)]
+    assert range(n)[_below(bits, n)] == twin.choice(range(n))
+    assert 7 + _below(bits, n) == twin.randint(7, 6 + n)
