@@ -63,7 +63,6 @@ from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .design import DesignTraceSet
 from .gcpause import collector_paused
 from .model import (
     AttrValue,
@@ -78,10 +77,12 @@ from .model import (
     TraceVerdict,
     Violation,
     ViolationKind,
+    WorkerExitedError,
     attr_values_equal,
 )
 
 if TYPE_CHECKING:
+    from .design import DesignTraceSet
     from .runner import Exchange
 
 __all__ = [
@@ -491,11 +492,6 @@ class ConformanceReport:
         )
 
 
-class WorkerExitedError(RuntimeError):
-    """A worker process exited (killed by the OOM killer, say) before it
-    returned its result, so the check is incomplete."""
-
-
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
 # A loader maps a worker index and the worker's exchange (None in this
@@ -547,8 +543,8 @@ def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> 
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    # Imported here: only a check runs it. Compiled from source at package
-    # import, it raised that import's memory high-water mark by 0.2 MB.
+    # Imported here: only a check runs it, and it loads ingest, which
+    # check_trace and graph's rendering do not need.
     from . import runner
 
     results = runner.run(functools.partial(_check_partition, design_set, load), workers)

@@ -3,6 +3,12 @@
 Subcommands: check, simulate, graph, import-design, validate-design.
 Exit codes: 0 when every checked trace conforms, 1 when non-conformance was
 found by a completed check, 2 for usage, IO, or validation errors.
+
+Importing this module loads no other confcheck module: each command imports
+the modules it runs, so a launch compiles and runs only those. ``check``
+loads the checker, design, ingest, report and runner modules; ``simulate``
+loads the simulator, ingest and runner and no checker; ``validate-design``
+loads only design and model.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import checker, design, ingest, report, simulator
-from .gcpause import collector_paused
-from .model import ObservedTrace
+if TYPE_CHECKING:
+    from .design import DesignTraceSet
+    from .model import ObservedTrace
 
 EXIT_CONFORMANT = 0
 EXIT_NONCONFORMANT = 1
@@ -58,7 +64,9 @@ def _write_output(text: str, out_path: Optional[str], status: int = EXIT_CONFORM
     return status
 
 
-def _load_design(path: str) -> design.DesignTraceSet:
+def _load_design(path: str) -> DesignTraceSet:
+    from . import design
+
     return design.load_design_set(Path(path).read_bytes())
 
 
@@ -70,6 +78,8 @@ def _warn_ingest(count: int) -> None:
 def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
     """The trace ``trace_id`` of the corpus in ``directory``, the only one
     whose span objects are built; ValueError if absent."""
+    from . import ingest
+
     partition, warnings = ingest.load_partition(directory)
     _warn_ingest(len(warnings))
     trace = partition.trace(trace_id)
@@ -84,7 +94,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(f"--workers must be a positive integer, got {workers}")
     if args.max_ids < 0:
         return _fail(f"--max-ids must be non-negative, got {args.max_ids}")
-    from .runner import worker_partition  # imported here, as by check_partitions: only a check runs it
+    from . import checker, ingest, report
+    from .model import WorkerExitedError
+    from .runner import worker_partition
+
     try:
         design_set = _load_design(args.design)
         read, workers = ingest.corpus_reader(args.traces, workers)
@@ -93,7 +106,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    except checker.WorkerExitedError:
+    except WorkerExitedError:
         # A killed worker leaves the check incomplete; that is an error, not a
         # non-conformance finding.
         return _fail(f"a worker process exited unexpectedly; the check of {args.traces} did not complete")
@@ -109,6 +122,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulator
+    from .gcpause import collector_paused
+    from .model import WorkerExitedError
+
     try:
         config = simulator.SimConfig(
             seed=args.seed,
@@ -127,13 +144,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    except checker.WorkerExitedError:
+    except WorkerExitedError:
         return _fail(f"a worker process exited unexpectedly; the corpus in {args.out_dir} is incomplete")
     print(f"wrote {config.trace_count} traces to {file_count} file(s) in {args.out_dir}")
     return EXIT_CONFORMANT
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from . import report
+
     try:
         design_set = _load_design(args.design)
         trace = _load_trace(args.traces, args.trace_id)
@@ -143,6 +162,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_import_design(args: argparse.Namespace) -> int:
+    from . import design
+
     try:
         trace = _load_trace(args.traces, args.trace_id)
     except (OSError, ValueError) as exc:
@@ -157,6 +178,8 @@ def cmd_import_design(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_design(args: argparse.Namespace) -> int:
+    from . import design
+
     try:
         design_set = _load_design(args.design)
     except OSError as exc:

@@ -15,12 +15,11 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .ingest import _load_json
 from .model import (
     _INT64_MAX,
+    _load_json,
     DesignSpan,
     DesignTrace,
     ObservedTrace,
@@ -127,8 +126,9 @@ class DesignTraceSet:
         return tuple(t for t in self.design_traces if t.is_disallowed)
 
 
-# ASCII digits only: ``\d`` would take any Unicode decimal digit.
-_DURATION_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?\s*(us|ms|s)")
+# ASCII digits only: ``\d`` would take any Unicode decimal digit. Compiled on
+# first use, by ``re``'s own cache.
+_DURATION = r"([0-9]+)(?:\.([0-9]+))?\s*(us|ms|s)"
 _DURATION_FACTORS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 # The lowest digit limit ``sys.set_int_max_str_digits`` accepts, so ``int()``
 # takes every duration string within it whatever the interpreter's setting.
@@ -148,7 +148,7 @@ def parse_duration_micros(value: object) -> int:
     if isinstance(value, int):
         scaled, scale = value, 1
     elif isinstance(value, str):
-        match = _DURATION_RE.fullmatch(value.strip())
+        match = re.fullmatch(_DURATION, value.strip())
         if match is None:
             raise ValueError(f"cannot parse duration {echo(value)}; use an integer or a us/ms/s suffix")
         whole, fraction, unit = match.groups("")
@@ -399,5 +399,7 @@ def serialize_design_set(design_set: DesignTraceSet) -> str:
 
 def load_bundled_design_set() -> DesignTraceSet:
     """Load the gateway/microservice design set shipped with the package."""
+    from importlib import resources
+
     document = resources.files(__package__).joinpath(f"fixtures/{BUNDLED_DESIGN_FIXTURE}").read_bytes()
     return load_design_set(document)

@@ -62,7 +62,6 @@ spans lie in files that different workers read is exchanged by
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -74,6 +73,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .model import (
     _NO_ATTRIBUTES,
+    _load_json,
     AttrValue,
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -154,18 +154,6 @@ def _pad_trace_id(raw: str) -> str:
 # the raw parent id, the attributes (the raw OTel list, or None, when the
 # builder is given a decoder) and the links.
 _Record = Tuple[object, object, object, object, int, int, object, object, tuple]
-
-
-def _load_json(document: "bytes | str", error: "type[ValueError]" = MalformedDocumentError) -> object:
-    """Decode a trace or design document, raising each decode failure as ``error``."""
-    try:
-        return json.loads(document)
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, and the plain ValueError of an
-        # integer longer than the interpreter's digit limit.
-        raise error(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise error(f"JSON nested too deeply: {exc}") from exc
 
 
 def _clamp_warning(start: int, end: int, trace_id: object, span_id: object) -> IngestWarning:
@@ -673,7 +661,7 @@ def parse_trace_document(
     top-level JSON shape: an array is Zipkin v2, an object with a
     ``resourceSpans`` array is the OTel-style layout."""
     columns = SpanColumns()
-    _read_document(_load_json(document), warnings, {}, columns)
+    _read_document(_load_json(document, MalformedDocumentError), warnings, {}, columns)
     return list(map(columns.span, range(len(columns))))
 
 
@@ -822,7 +810,7 @@ def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]
     strings: dict = {}
     for path in paths:
         try:
-            _read_document(_load_json(path.read_bytes()), warnings, strings, columns)
+            _read_document(_load_json(path.read_bytes(), MalformedDocumentError), warnings, strings, columns)
         except MalformedDocumentError as exc:
             raise MalformedDocumentError(f"{path.name}: {exc}") from exc
     return columns, warnings

@@ -43,6 +43,7 @@ objects are built from a partition only when asked for.
 from __future__ import annotations
 
 import functools
+import json
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,6 +85,18 @@ def echo(value: object, form: "Callable[[object], str]" = repr) -> str:
     return f"{text[:60]}... ({len(text)} chars)"
 
 
+def _load_json(document: "bytes | str", error: "type[ValueError]") -> object:
+    """Decode a trace or design document, raising each decode failure as ``error``."""
+    try:
+        return json.loads(document)
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and the plain ValueError of an
+        # integer longer than the interpreter's digit limit.
+        raise error(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"JSON nested too deeply: {exc}") from exc
+
+
 def trace_hash_class(trace_id: str, classes: int) -> int:
     """The hash class, of ``classes``, of a (padded) trace id: a stable
     ``crc32``, so a trace's spans land in one class whichever file or
@@ -106,6 +119,11 @@ class CyclicParentChainError(BrokenTraceError):
 
 class DuplicateSpanIdError(BrokenTraceError):
     """Two spans share the same (trace id, span id); the export is corrupt."""
+
+
+class WorkerExitedError(RuntimeError):
+    """A worker process exited (killed by the OOM killer, say) before it
+    returned its result, so the run is incomplete."""
 
 
 def parent_cycles(parents: Mapping[str, Optional[str]]) -> Iterator[List[str]]:

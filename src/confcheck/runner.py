@@ -32,7 +32,7 @@ does a worker keep its read columns as they are.
 
 An exception a worker raises is sent back and raised here. A worker that
 exits before it answers raises
-:class:`~confcheck.checker.WorkerExitedError`.
+:class:`~confcheck.model.WorkerExitedError`.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ import marshal
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .checker import WorkerExitedError
 from .ingest import assemble_partition
-from .model import _NO_ATTRIBUTES, Partition, SpanColumns, trace_hash_class
+from .model import _NO_ATTRIBUTES, Partition, SpanColumns, WorkerExitedError, trace_hash_class
 
 __all__ = ["Exchange", "Reader", "run", "worker_partition"]
 

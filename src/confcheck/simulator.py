@@ -149,12 +149,21 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
+def _fires(config: SimConfig, index: int, purpose: str, p: float) -> bool:
+    """``random() < p`` on the ``purpose`` stream of trace ``index``. As
+    ``random()`` is in [0, 1), p = 0 never fires and p = 1 always does: those
+    seed no stream, and no other draw depends on this one."""
+    if p == 0.0 or p == 1.0:
+        return p == 1.0
+    return _substream(config.seed, index, purpose).random() < p
+
+
 def deviation_flags(config: SimConfig, index: int) -> Tuple[bool, bool, bool]:
     """The (omit, slow, direct) deviation draws for one trace index."""
     return (
-        _substream(config.seed, index, "omit").random() < config.p_omit,
-        _substream(config.seed, index, "slow").random() < config.p_slow,
-        _substream(config.seed, index, "direct").random() < config.p_direct,
+        _fires(config, index, "omit", config.p_omit),
+        _fires(config, index, "slow", config.p_slow),
+        _fires(config, index, "direct", config.p_direct),
     )
 
 
@@ -382,7 +391,7 @@ def write_simulated_corpus(
                 _draw_trace(config, index, rows)
             _write_file(directory, number, _row_columns(rows))
 
-    # Imported here, so that importing the package leaves the runner unloaded.
+    # Imported here, so that building a SimConfig leaves the runner unloaded.
     from . import runner
 
     runner.run(write_files, len(plan))

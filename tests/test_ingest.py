@@ -36,7 +36,7 @@ def json_loads_calls(monkeypatch):
         calls.append(document)
         return real_loads(document, *args, **kwargs)
 
-    monkeypatch.setattr("confcheck.ingest.json.loads", counting_loads)
+    monkeypatch.setattr(json, "loads", counting_loads)
     return calls
 
 

@@ -1280,12 +1280,115 @@ class TestInterleavedLayout:
 
 def test_serial_runs_do_not_import_the_process_pool():
     # Only --workers > 1 starts processes; importing their modules costs
-    # every run.
+    # every run. Nor does the CLI load a confcheck module before a command
+    # asks for it.
     modules = ("concurrent.futures", "multiprocessing", "confcheck.runner")
-    code = f"import sys, confcheck.cli; print([m in sys.modules for m in {modules!r}])"
+    code = (
+        f"import sys, confcheck.cli; print([m in sys.modules for m in {modules!r}]); "
+        "print(sorted(m for m in sys.modules if m.startswith('confcheck')))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[False, False, False]\n"
+    assert done.stdout == "[False, False, False]\n['confcheck', 'confcheck.cli']\n"
+
+
+def loaded_modules(code, *argv, **env):
+    """The ``confcheck`` modules, and ``hashlib`` and ``multiprocessing`` if
+    loaded, that a fresh interpreter holds once it has run ``code`` with
+    ``argv``; ``env`` is added to its environment."""
+    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('confcheck'))"
+    report += " + [m for m in ('hashlib', 'multiprocessing') if m in sys.modules]), file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    argv = [sys.executable, "-c", f"{code}\n{report}", *map(str, argv)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+# A command runs through main in a fresh interpreter, at one worker, so
+# every module it uses is loaded in that process.
+RUN_MAIN = "import sys; from confcheck.cli import main; main(sys.argv[1:])"
+
+
+class TestModuleLoads:
+    """Each entry point loads only the confcheck modules it runs."""
+
+    def test_importing_the_package_loads_no_module(self):
+        assert loaded_modules("import confcheck") == {"confcheck"}
+
+    def test_loading_a_design_loads_design_and_model(self):
+        code = "import sys, confcheck; confcheck.load_design_set(open(sys.argv[1], 'rb').read())"
+        assert loaded_modules(code, BUNDLED_DESIGN) == {"confcheck", "confcheck.design", "confcheck.model"}
+
+    def test_a_sim_config_loads_simulator_ingest_and_model(self):
+        code = "import confcheck; confcheck.SimConfig(seed=1, trace_count=2, p_omit=0.5)"
+        assert loaded_modules(code) == {"confcheck", "confcheck.ingest", "confcheck.model", "confcheck.simulator"}
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_check_loads_no_simulator_and_no_hashlib(self, fixture_corpus_dir, output):
+        argv = ["check", BUNDLED_DESIGN, fixture_corpus_dir, "--format", output, "--workers", "1"]
+        assert loaded_modules(RUN_MAIN, *argv) == {
+            "confcheck",
+            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "gcpause", "ingest", "model", "report", "runner")),
+        }
+
+    def test_simulate_loads_no_checker_design_or_report(self, tmp_path):
+        loaded = loaded_modules(RUN_MAIN, "simulate", tmp_path, "--count", "3", CONFCHECK_WORKERS="1")
+        assert len(list(tmp_path.iterdir())) == 1
+        assert loaded == {
+            "confcheck",
+            *(f"confcheck.{name}" for name in ("cli", "gcpause", "ingest", "model", "runner", "simulator")),
+            "hashlib",
+        }
+
+    def test_import_design_loads_design_ingest_and_model(self, fixture_corpus_dir):
+        argv = ["import-design", fixture_corpus_dir, "--trace-id", CONFORMANT_ID]
+        expected = {"confcheck", "confcheck.cli", "confcheck.design", "confcheck.ingest", "confcheck.model"}
+        assert loaded_modules(RUN_MAIN, *argv) == expected
+
+    def test_validate_design_loads_design_and_model(self):
+        expected = {"confcheck", "confcheck.cli", "confcheck.design", "confcheck.model"}
+        assert loaded_modules(RUN_MAIN, "validate-design", BUNDLED_DESIGN) == expected
+
+
+class TestLazyExports:
+    """``import confcheck`` imports each exported name from its module on
+    first use, and the package behaves as if it had imported them all."""
+
+    def test_each_export_is_its_modules_object(self):
+        import confcheck
+
+        for name in confcheck.__all__:
+            module = importlib.import_module(f"confcheck.{confcheck._EXPORTS[name]}")
+            assert getattr(confcheck, name) is getattr(module, name)
+            assert name in vars(confcheck)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from confcheck import *", namespace)
+        namespace.pop("__builtins__")
+        import confcheck
+
+        assert sorted(namespace) == sorted(confcheck.__all__)
+        assert all(namespace[name] is getattr(confcheck, name) for name in namespace)
+
+    def test_dir_lists_every_export(self):
+        import confcheck
+
+        assert set(confcheck.__all__) <= set(dir(confcheck))
+        assert {"__all__", "__version__"} <= set(dir(confcheck))
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import confcheck
+
+        with pytest.raises(AttributeError, match="module 'confcheck' has no attribute 'check_partitions'"):
+            confcheck.check_partitions
+        assert not hasattr(confcheck, "no_such_name")
+
+    def test_the_checkers_worker_exited_error_is_the_runners(self):
+        from confcheck import model, runner
+
+        assert checker.WorkerExitedError is model.WorkerExitedError
+        assert runner.WorkerExitedError is checker.WorkerExitedError
 
 
 def test_every_exported_name_resolves():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confcheck import simulator
 from confcheck.checker import check_corpus, check_trace
 from confcheck.cli import main
 from confcheck.ingest import load_corpus_dir, serialize_otel_json
@@ -65,6 +66,24 @@ ALL_DEVIATIONS_SHA256 = {
     "corpus-000001.json": "0a87cf2803b1ec2cbd60af2a3da875b0cf106311dca9d860edd33b990dd9fd8d",
     "corpus-000002.json": "c24429c0b1e7f6e3bdf501628fcb4f79504988b7494e0e2518c9c080d990ed2a",
     "corpus-000003.json": "291941fbf15b4884464fb2634102b754c8bb0e8aa48ed54094f8b7435918df23",
+}
+
+# The same for ALL_DEVIATIONS_ARGS' count, seed and file size with every
+# deviation probability 0 (simulate's defaults) and with every one 1, both
+# decided without a draw; recorded while each trace still seeded a stream
+# for each deviation. Their 4 files hold 10, 10, 10 and 7 traces.
+DECIDED_ARGS = ["--count", "37", "--seed", "11", "--traces-per-file", "10"]
+NO_DEVIATION_SHA256 = {
+    "corpus-000000.json": "b7a48c74eaa29b0a317415981652c9255b0db13bcac74d094e7ead79dae7d96e",
+    "corpus-000001.json": "258c4329776b3d4100ef08f52efb9ac23a26a89657b859810f0104eb7c93d10d",
+    "corpus-000002.json": "86f05d967a85d8640b42cfef525d83b0c4f8c4bcf0acd94eb7772927cff04402",
+    "corpus-000003.json": "3466f860c785511bed6ae0bbdca8bdf35d5670f1e9953b89c08dd1fbc4a87e71",
+}
+EVERY_DEVIATION_SHA256 = {
+    "corpus-000000.json": "3af267aa7fe336eea3da0015b405e621c8eb25792a94ad1fa5a98d17bc7b0b6b",
+    "corpus-000001.json": "a484fd88081f20cbb3c561189ce25f02e3b9fd2f574118e37533e665f9b5dc1a",
+    "corpus-000002.json": "df7a899d50ad5a54306167e61fd8ff53d6fdc4ad46f300e9b9b63764faa8e851",
+    "corpus-000003.json": "06eec1be468725f95c7dc8fe32fc4b49ad4dc646310129a95c71f87259cd8af1",
 }
 
 
@@ -259,6 +278,19 @@ class TestWriteCorpus:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
         assert digests == ALL_DEVIATIONS_SHA256
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize(
+        "deviations, golden",
+        [([], NO_DEVIATION_SHA256), (["--p-omit", "1", "--p-slow", "1", "--p-direct", "1"], EVERY_DEVIATION_SHA256)],
+        ids=["p0", "p1"],
+    )
+    def test_decided_deviations_match_golden_digests(self, tmp_path, deviations, golden, workers, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
+        assert main(["simulate", str(tmp_path), *DECIDED_ARGS, *deviations]) == 0
+        assert capsys.readouterr().out == f"wrote 37 traces to 4 file(s) in {tmp_path}\n"
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == golden
+
     @pytest.mark.parametrize("count", [23, 25])
     def test_stream_writes_the_list_bytes_one_file_ahead(self, tmp_path, count):
         config = SimConfig(seed=4, trace_count=count, p_omit=0.3, p_slow=0.3, p_direct=0.3)
@@ -302,6 +334,25 @@ class TestWriteCorpus:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+@pytest.mark.parametrize("p_omit, p_slow, p_direct", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.5)])
+def test_a_decided_deviation_seeds_no_stream(p_omit, p_slow, p_direct, monkeypatch):
+    # random() is in [0, 1), so p = 0 never fires and p = 1 always does.
+    purposes = []
+    real_substream = simulator._substream
+    monkeypatch.setattr(simulator, "_substream", lambda *key: purposes.append(key[2]) or real_substream(*key))
+    config = SimConfig(seed=5, trace_count=20, p_omit=p_omit, p_slow=p_slow, p_direct=p_direct)
+    flags = list(zip(*(deviation_flags(config, index) for index in range(20))))
+    drawn = {kind for kind, p in (("omit", p_omit), ("slow", p_slow), ("direct", p_direct)) if 0 < p < 1}
+    assert sorted(purposes) == sorted([*drawn] * 20)
+    for fired, p in zip(flags, (p_omit, p_slow, p_direct)):
+        if p in (0.0, 1.0):
+            assert set(fired) == {p == 1.0}
+    purposes.clear()
+    generate_corpus(config)
+    assert {"omit", "slow", "direct"} & set(purposes) == drawn
+    assert purposes.count("shape") == 20
 
 
 def test_importing_the_cli_leaves_openssl_unloaded():
