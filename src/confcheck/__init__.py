@@ -9,8 +9,7 @@ workloads for experiments and tests.
 Importing the package loads none of its modules. Each exported name is
 imported from its module on first use (PEP 562) and then kept here, so a
 program pays only for the modules it uses: ``load_design_set`` loads
-``design`` and ``model``, ``SimConfig`` loads ``simulator``, ``ingest`` and
-``model``.
+``design`` and ``model``, ``SimConfig`` loads ``simulator`` and ``model``.
 """
 
 from importlib import import_module

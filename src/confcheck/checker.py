@@ -40,9 +40,8 @@ joint pattern, only when every span is witnessed. Those two rules are
 ``_required_violations`` and ``_disallowed_violations``. The two entry
 points that take one trace, ``evaluate`` (witness and slow span ids per
 design span) and ``check_trace`` (the verdict), and the DOT renderer run
-the same code on a one-trace partition, which
-:meth:`~confcheck.model.Partition.from_traces` builds without checking the
-trace again.
+the same code on a one-trace partition,
+:meth:`~confcheck.model.Partition.from_traces`.
 
 :func:`check_partitions` checks a corpus with K workers through
 :func:`confcheck.runner.run`: each worker checks the traces its loader gives,

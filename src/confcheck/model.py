@@ -14,13 +14,10 @@ full rather than failing on the first one.
 
 The observed types are slotted dataclasses: an ``ObservedSpan`` or
 ``ObservedTrace`` has no ``__dict__``. On 64-bit CPython 3.11 a span object
-takes 104 bytes instead of 152 (its field values aside). ``ObservedSpan``
-writes its own ``__init__``, with the generated one's signature and
-defaults: it stores each field through its slot descriptor instead of
-``object.__setattr__`` and then calls ``__post_init__``, the one validation
-hook, which checks the trace, span and parent ids by calling
-:func:`validate_trace_id` and :func:`validate_span_id`, so each id rule is
-written once.
+takes 104 bytes instead of 152 (its field values aside). ``ObservedSpan``'s
+one validation hook, ``__post_init__``, checks the trace, span and parent
+ids by calling :func:`validate_trace_id` and :func:`validate_span_id`, so
+each id rule is written once.
 
 ``DesignTrace.match_plan`` keeps the checker's compiled match plan of the
 trace, built on first use.
@@ -34,16 +31,15 @@ them all, checking each distinct trace id once. A ``Partition`` is
 assembled columns: each span's parent resolved to a row, dangling parents
 listed, and duplicate span ids and parent cycles rejected. Those errors are
 named by :meth:`ObservedTrace.from_spans` on the offending trace, so their
-messages are the span objects' own. :meth:`Partition.from_traces` builds a
-partition of ``ObservedTrace`` objects, which have checked their spans
-already, so it only resolves each parent within its trace. Span and trace
-objects are built from a partition only when asked for.
+messages are the span objects' own. Span and trace objects are built from
+a partition only when asked for.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,10 +85,12 @@ def _load_json(document: "bytes | str", error: "type[ValueError]") -> object:
     """Decode a trace or design document, raising each decode failure as ``error``."""
     try:
         return json.loads(document)
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, and the plain ValueError of an
-        # integer longer than the interpreter's digit limit.
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # The plain ValueError of an integer longer than the interpreter's
+        # digit limit, whose own text differs between Python versions.
+        raise error(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise error(f"JSON nested too deeply: {exc}") from exc
 
@@ -282,12 +280,12 @@ def attr_values_equal(a: AttrValue, b: AttrValue) -> bool:
     return a == b
 
 
-# ``ObservedSpan.__init__``'s stand-in for the ``attributes`` default: a new
-# dict per span, as the dataclass ``default_factory`` gives.
+# The one empty attribute mapping that ``SpanColumns`` rows share; never
+# changed, and never held by a span object.
 _NO_ATTRIBUTES: "Mapping[str, AttrValue]" = {}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ObservedSpan:
     """One recorded operation, as exported by a running system.
 
@@ -305,32 +303,6 @@ class ObservedSpan:
     parent_span_id: Optional[SpanId] = None
     attributes: Mapping[str, AttrValue] = field(default_factory=dict)
     links: Tuple[Tuple[TraceId, SpanId], ...] = ()
-
-    def __init__(
-        self,
-        trace_id: TraceId,
-        span_id: SpanId,
-        name: str,
-        service_name: str,
-        start_time_nanos: int,
-        end_time_nanos: int,
-        parent_span_id: Optional[SpanId] = None,
-        attributes: Mapping[str, AttrValue] = _NO_ATTRIBUTES,
-        links: Tuple[Tuple[TraceId, SpanId], ...] = (),
-    ) -> None:
-        # The generated __init__ of a frozen dataclass stores each field with
-        # object.__setattr__; the slot descriptors' own __set__ does the same
-        # store at a third of the cost.
-        _set_trace_id(self, trace_id)
-        _set_span_id(self, span_id)
-        _set_name(self, name)
-        _set_service_name(self, service_name)
-        _set_start_time_nanos(self, start_time_nanos)
-        _set_end_time_nanos(self, end_time_nanos)
-        _set_parent_span_id(self, parent_span_id)
-        _set_attributes(self, {} if attributes is _NO_ATTRIBUTES else attributes)
-        _set_links(self, links)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         # The ids go through the validators themselves, not an inlined fast
@@ -366,18 +338,6 @@ class ObservedSpan:
         return (self.end_time_nanos - self.start_time_nanos) // 1000
 
 
-# Bound once the decorator has built the slotted class: the stores that
-# ObservedSpan.__init__ makes.
-_set_trace_id = ObservedSpan.trace_id.__set__
-_set_span_id = ObservedSpan.span_id.__set__
-_set_name = ObservedSpan.name.__set__
-_set_service_name = ObservedSpan.service_name.__set__
-_set_start_time_nanos = ObservedSpan.start_time_nanos.__set__
-_set_end_time_nanos = ObservedSpan.end_time_nanos.__set__
-_set_parent_span_id = ObservedSpan.parent_span_id.__set__
-_set_attributes = ObservedSpan.attributes.__set__
-_set_links = ObservedSpan.links.__set__
-_parent_span_id = attrgetter("parent_span_id")
 _span_fields = attrgetter(
     "trace_id", "span_id", "parent_span_id", "name", "service_name", "start_time_nanos", "end_time_nanos",
     "attributes", "links",
@@ -520,7 +480,9 @@ class SpanColumns:
         return parts
 
     def span(self, row: int) -> ObservedSpan:
-        """The span object of ``row``, built and validated here."""
+        """The span object of ``row``, built and validated here, with a dict
+        of its own for the shared ``_NO_ATTRIBUTES``."""
+        attributes = self.attributes[row]
         return ObservedSpan(
             self.trace_ids[row],
             self.span_ids[row],
@@ -529,7 +491,7 @@ class SpanColumns:
             self.starts[row],
             self.ends[row],
             self.parent_ids[row] or None,
-            self.attributes[row],
+            {} if attributes is _NO_ATTRIBUTES else attributes,
             self.links[row],
         )
 
@@ -584,17 +546,15 @@ class Partition(SpanColumns):
     ``Partition(columns)`` resolves the parents and raises
     ``DuplicateSpanIdError`` or ``CyclicParentChainError`` for the offending
     trace with the smallest trace id, with the message
-    :meth:`ObservedTrace.from_spans` gives for its spans.
-    ``parent_rows``, when given, are taken as they are, and the rows are not
-    checked again: :meth:`from_traces` gives them."""
+    :meth:`ObservedTrace.from_spans` gives for its spans."""
 
     __slots__ = ("parent_rows", "dangling")
 
-    def __init__(self, columns: SpanColumns, parent_rows: Optional[List[int]] = None) -> None:
+    def __init__(self, columns: SpanColumns) -> None:
         for slot in SpanColumns.__slots__:
             setattr(self, slot, getattr(columns, slot))
         trace_ids, span_ids, parent_ids = self.trace_ids, self.span_ids, self.parent_ids
-        self.parent_rows = self._checked_parent_rows() if parent_rows is None else parent_rows
+        self.parent_rows = self._checked_parent_rows()
         self.dangling: List[int] = []
         if self.parent_rows.count(-1) != parent_ids.count(""):
             roots = compress(range(len(self)), map(eq, self.parent_rows, repeat(-1)))
@@ -631,19 +591,10 @@ class Partition(SpanColumns):
 
     @classmethod
     def from_traces(cls, traces: Iterable[ObservedTrace]) -> "Partition":
-        """The partition of ``traces``, whose ids must be distinct. A trace
-        has already checked its spans, so each span's parent is resolved
-        within its trace and nothing is checked again."""
-        spans: List[ObservedSpan] = []
-        parent_rows: List[int] = []
-        for trace in traces:
-            members = trace.spans
-            position = dict(zip(members, range(len(spans), len(spans) + len(members))))
-            spans += members.values()
-            parent_rows += map(position.get, map(_parent_span_id, members.values()), repeat(-1))
+        """The partition of ``traces``, whose ids must be distinct."""
         columns = SpanColumns()
-        columns.extend_spans(spans)
-        return cls(columns, parent_rows)
+        columns.extend_spans([span for trace in traces for span in trace.spans.values()])
+        return cls(columns)
 
     def trace(self, trace_id: TraceId) -> Optional[ObservedTrace]:
         """The trace ``trace_id``, its span objects in input order, or None

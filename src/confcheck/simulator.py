@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Tuple
 
-from .ingest import _otel_text, read_plan
 from .model import _NO_ATTRIBUTES, ObservedTrace, Partition, SpanColumns, columns_valid
 
 __all__ = [
@@ -315,16 +314,17 @@ def _corpus_directory(directory: "Path | str", traces_per_file: int) -> Path:
     return directory
 
 
-def _write_file(directory: Path, number: int, columns: SpanColumns) -> None:
+def _write_file(directory: Path, number: int, columns: SpanColumns, otel_text: Callable[[Partition], str]) -> None:
     """Write the spans of ``columns`` as file ``number`` once they pass the
     rules ``check`` reads with: :func:`~confcheck.model.columns_valid`, else
     the first span whose object does not build raises its own error, and
     :class:`~confcheck.model.Partition`, which raises on a duplicate span id
-    or a parent cycle."""
+    or a parent cycle. ``otel_text`` is ingest's OTel serializer, which the
+    caller imports once."""
     if not columns_valid(columns):
         for row in range(len(columns)):
             columns.span(row)
-    text = _otel_text(Partition(columns))
+    text = otel_text(Partition(columns))
     (directory / f"corpus-{number:06d}.json").write_text(text, encoding="utf-8")
 
 
@@ -349,13 +349,16 @@ def write_corpus(
     count and the directory are checked before the first trace is drawn.
     Then each regular file ``corpus-<digits>.json`` numbered at or above
     the file count, left by an earlier run, is deleted, and nothing else."""
+    # Imported here, so that building a SimConfig leaves ingest unloaded.
+    from .ingest import _otel_text
+
     directory = _corpus_directory(directory, traces_per_file)
     traces = iter(traces)
     file_count = 0
     while batch := list(itertools.islice(traces, traces_per_file)):
         columns = SpanColumns()
         columns.extend_spans([span for trace in batch for span in trace.spans.values()])
-        _write_file(directory, file_count, columns)
+        _write_file(directory, file_count, columns, _otel_text)
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
         del batch, columns
@@ -379,6 +382,9 @@ def write_simulated_corpus(
     fails, the files the others wrote stay."""
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
+    # Imported here, so that building a SimConfig leaves ingest unloaded.
+    from .ingest import _otel_text, read_plan
+
     directory = _corpus_directory(directory, traces_per_file)
     count = config.trace_count
     files = [range(first, min(first + traces_per_file, count)) for first in range(0, count, traces_per_file)]
@@ -389,7 +395,7 @@ def write_simulated_corpus(
             rows: List[_Row] = []
             for index in files[number]:
                 _draw_trace(config, index, rows)
-            _write_file(directory, number, _row_columns(rows))
+            _write_file(directory, number, _row_columns(rows), _otel_text)
 
     # Imported here, so that building a SimConfig leaves the runner unloaded.
     from . import runner

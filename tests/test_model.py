@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import genutil
 from confcheck.model import (
+    _NO_ATTRIBUTES,
     CyclicParentChainError,
     DuplicateSpanIdError,
     ObservedSpan,
@@ -217,18 +218,34 @@ class TestSlottedSpan:
 
 
 class TestSpanConstructor:
-    """``ObservedSpan.__init__`` is written out, not generated: it keeps the
-    dataclass signature and defaults and validates through __post_init__."""
+    """``ObservedSpan.__init__`` is the one the dataclass generates, and it
+    validates through __post_init__."""
 
     def test_signature_and_defaults_match_the_fields(self):
         parameters = list(inspect.signature(ObservedSpan).parameters.values())
         assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(ObservedSpan)]
         defaults = {p.name: p.default for p in parameters if p.default is not inspect.Parameter.empty}
-        assert defaults == {"parent_span_id": None, "attributes": {}, "links": ()}
+        assert defaults.keys() == {"parent_span_id", "attributes", "links"}
+        assert defaults["parent_span_id"] is None and defaults["links"] == ()
+        attributes = next(f for f in dataclasses.fields(ObservedSpan) if f.name == "attributes")
+        assert attributes.default_factory is dict
 
     def test_each_span_gets_its_own_attribute_dict(self):
         first, second = make_span(), make_span("00000000000000b2")
         assert first.attributes == {} and first.attributes is not second.attributes
+
+    def test_a_row_without_attributes_gives_its_span_a_new_dict(self):
+        # Rows without attributes share one empty mapping; a span built from
+        # such a row holds a dict of its own, so that changing it changes no
+        # row and no other span.
+        columns = SpanColumns()
+        columns.extend_spans([make_span(), make_span("00000000000000b2")])
+        columns.attributes = [_NO_ATTRIBUTES, _NO_ATTRIBUTES]
+        first, second = columns.span(0), columns.span(1)
+        assert first.attributes == {} and first.attributes is not _NO_ATTRIBUTES
+        assert first.attributes is not second.attributes
+        first.attributes["k"] = "v"
+        assert _NO_ATTRIBUTES == {} and second.attributes == {} and columns.span(1).attributes == {}
 
     def test_positional_and_keyword_construction_agree(self):
         by_keyword = make_span(parent="00000000000000b2", attributes={"k": 1}, links=((TRACE_ID, "00000000000000ff"),))
@@ -543,8 +560,8 @@ class TestPartition:
         assert trusted.dangling == [2]
 
     def test_from_traces_resolves_as_the_checked_assembly(self):
-        # from_traces takes each trace's own checks as done; resolving the
-        # same rows with every check must give the same parents.
+        # from_traces assembles the traces' spans; assembling the same rows
+        # directly must give the same parents.
         rng = random.Random(20261019)
         for _ in range(200):
             traces = genutil.random_corpus(rng)
