@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -53,12 +54,16 @@ def _fail(message: str) -> int:
 
 def _write_output(text: str, out_path: Optional[str], status: int = EXIT_CONFORMANT) -> int:
     """Write ``text`` to ``out_path``, or to stdout when it is None, and
-    return the command's exit ``status``; an unwritable file is an IO error."""
+    return the command's exit ``status``; an unwritable file is an IO error.
+    The file is written whole or not at all, so a failed write keeps the
+    last report there."""
     if out_path is None:
         sys.stdout.write(text)
         return status
+    from .ingest import _write_whole
+
     try:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write_whole(out_path, text)
     except OSError as exc:
         return _fail(str(exc))
     return status
@@ -265,7 +270,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    status = main()
+    # Frozen, what the run leaves is skipped by the collections the
+    # interpreter runs as it exits; its exit handlers still run.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,10 @@ spans lie in files that different workers read is exchanged by
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, groupby, islice, repeat
@@ -799,6 +802,31 @@ def _corpus_files(directory: "Path | str") -> List[Path]:
             raise NotADirectoryError(f"corpus {directory} is not a directory")
         raise FileNotFoundError(f"corpus directory {directory} does not exist")
     return sorted(path for path in directory.glob("*.json") if path.is_file())
+
+
+def _write_whole(path: "Path | str", text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8 so that the name never holds part
+    of it: the text goes to ``<path>.partial`` in the same directory, which
+    ``os.replace`` then moves onto ``path``. If the write fails, the partial
+    file is removed and a file already at ``path`` is left as it was. A path
+    that names an existing entry other than a regular file (a FIFO, a device
+    such as ``/dev/stdout``, a symbolic link) is written in place."""
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as file:
+            file.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+        raise
 
 
 def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]:

@@ -2,11 +2,16 @@
 
 :func:`run` calls ``target(index, exchange)`` once per worker and returns
 the results in worker order. One worker runs in this process, with no
-exchange. More are forked, so the target and whatever it holds are
-inherited, never pickled. Each has one pipe to this process, which only
-relays bytes between them: no worker talks to another. Every message a
-worker sends is tagged as a request to the exchange, its target's result or
-the exception its target raised.
+exchange. More each get one ``os.fork()``, so the target and whatever it
+holds (design set, reader, file list) are inherited, never pickled, and a
+worker imports nothing. A spawned worker would start a new interpreter and
+import every module again. Fork is safe here because this process starts no
+thread before it forks. Each worker has two pipes to this process, one each
+way, that carry pickles; this process only relays them: no worker talks to
+another. Every message a worker sends is tagged as a request to the
+exchange, its target's result or the exception its target raised. A worker
+ends in ``os._exit`` and never returns into the caller, and every worker is
+reaped before :func:`run` returns or raises.
 
 A target may trade through its exchange or not. Either every worker calls
 :meth:`Exchange.trade` exactly once, before it returns (``check`` does), or
@@ -31,14 +36,17 @@ each shipment once relayed. Only when no trace crosses two workers' reads
 does a worker keep its read columns as they are.
 
 An exception a worker raises is sent back and raised here. A worker that
-exits before it answers raises
-:class:`~confcheck.model.WorkerExitedError`.
+exits before it answers (an end of file or a truncated pickle on its pipe,
+or a broken pipe to it) raises :class:`~confcheck.model.WorkerExitedError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import marshal
+import os
+import sys
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -129,32 +137,89 @@ def worker_partition(read: Reader, index: int, exchange: Optional[Exchange]) -> 
     return partition, count + len(dangling)
 
 
-def _serve(target: Callable[[int, Exchange], Result], index: int, workers: int, link, inherited: list) -> None:
-    """A worker process's body: run the target and send back its result or
-    its exception."""
-    for other in inherited:  # the parent's ends of the earlier workers' pipes
-        other.close()
+class _Link:
+    """One end of a worker's two pipes. Each message is one pickle, written
+    to one pipe and read from the other; a pickle stream is self-delimiting,
+    so a message needs no framing. Reading a closed pipe raises
+    ``EOFError``, a truncated pickle included, and writing to one raises
+    ``BrokenPipeError``."""
+
+    __slots__ = ("reader", "writer")
+
+    def __init__(self, read_fd: int, write_fd: int) -> None:
+        self.reader = open(read_fd, "rb")
+        self.writer = open(write_fd, "wb")
+
+    def send(self, message: object) -> None:
+        import pickle  # loaded by run before it forks
+
+        pickle.dump(message, self.writer, pickle.HIGHEST_PROTOCOL)
+        self.writer.flush()
+
+    def recv(self) -> object:
+        import pickle
+
+        try:
+            return pickle.load(self.reader)
+        except pickle.UnpicklingError as exc:  # the sender exited mid-message
+            raise EOFError("a message was cut short") from exc
+
+    def close(self) -> None:
+        self.reader.close()
+        # The rest of a message that a broken pipe cut short goes nowhere.
+        with contextlib.suppress(BrokenPipeError):
+            self.writer.close()
+
+
+def _flush_std() -> None:
+    """Write out what stdout and stderr hold, so that a forked worker
+    neither writes it again nor loses its own."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
+def _serve(target: Callable[[int, Exchange], Result], index: int, workers: int, link: _Link, inherited: list) -> None:
+    """A worker process's body: run the target, send back its result or its
+    exception, and end the process. It never returns into the caller, whose
+    code and exit handlers are the parent's to run."""
+    status = 1
     try:
-        result = target(index, Exchange(link, index, workers))
-    except Exception as exc:
-        link.send((_ERROR, exc))
-    else:
-        link.send((_RESULT, result))
+        for other in inherited:  # the parent's ends of the workers' pipes
+            other.close()
+        try:
+            result = target(index, Exchange(link, index, workers))
+        except Exception as exc:
+            link.send((_ERROR, exc))
+        else:
+            link.send((_RESULT, result))
+        status = 0
+    except Exception:  # a message that could not be sent: the parent reads an end of file
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            _flush_std()
+        finally:
+            os._exit(status)
 
 
-def _receive(link) -> Tuple[int, object]:
+def _receive(link: _Link) -> Tuple[int, object]:
     """The next message from a worker, as (tag, payload); the worker's own
     exception is raised here."""
     try:
         tag, payload = link.recv()
-    except (EOFError, OSError) as exc:
+    except EOFError as exc:
         raise WorkerExitedError("a worker process exited unexpectedly") from exc
     if tag == _ERROR:
         raise payload
     return tag, payload
 
 
-def _expect(link, tag: int) -> object:
+def _expect(link: _Link, tag: int) -> object:
     """The payload of a worker's next message, which must be tagged ``tag``."""
     received, payload = _receive(link)
     if received != tag:
@@ -162,10 +227,10 @@ def _expect(link, tag: int) -> object:
     return payload
 
 
-def _send(link, message: object) -> None:
+def _send(link: _Link, message: object) -> None:
     try:
         link.send(message)
-    except OSError as exc:
+    except BrokenPipeError as exc:
         raise WorkerExitedError("a worker process exited unexpectedly") from exc
 
 
@@ -204,41 +269,43 @@ def _relay(links: list) -> list:
 def run(target: Callable[[int, Optional[Exchange]], Result], workers: int) -> List[Result]:
     """``target(index, exchange)`` for each of ``workers`` workers, in
     worker order: in this process with no exchange when there is one
-    worker, else each in a forked worker process."""
+    worker, else each in a forked worker process. No worker process and no
+    pipe outlives the call, whether it returns or raises."""
     if workers == 1:
         return [target(0, None)]
-    # Imported here: only a run with worker processes needs it.
-    import multiprocessing
+    # Imported here, before the forks: only a run with worker processes
+    # needs it, and every worker inherits it.
+    import pickle  # noqa: F401
 
-    # Forked, not spawned: a worker inherits the target and what it holds
-    # (design set, reader, file list) without pickling or imports, and the
-    # parent starts no threads that a fork could break.
-    context = multiprocessing.get_context("fork")
-    links: list = []
-    processes: list = []
+    links: List[_Link] = []
+    pids: List[int] = []
     try:
         # Frozen objects are skipped by the collector, so a forked worker's
         # collections do not write to, and copy, the pages it inherited.
         gc.freeze()
         try:
             for index in range(workers):
-                link, worker_link = context.Pipe()
-                process = context.Process(
-                    target=_serve, args=(target, index, workers, worker_link, list(links)), daemon=True
-                )
-                process.start()
-                worker_link.close()
+                down, up = os.pipe(), os.pipe()
+                link, worker_link = _Link(up[0], down[1]), _Link(down[0], up[1])
                 links.append(link)
-                processes.append(process)
+                try:
+                    _flush_std()
+                    pids.append(os.fork())
+                    if pids[-1] == 0:
+                        _serve(target, index, workers, worker_link, links)
+                finally:
+                    worker_link.close()
         finally:
             gc.unfreeze()
         return _relay(links)
     except BaseException:
-        for process in processes:
-            process.kill()
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for process in processes:
-            process.join()
+        for pid in pids:
+            os.waitpid(pid, 0)
         for link in links:
             link.close()

@@ -314,25 +314,31 @@ def _corpus_directory(directory: "Path | str", traces_per_file: int) -> Path:
     return directory
 
 
-def _write_file(directory: Path, number: int, columns: SpanColumns, otel_text: Callable[[Partition], str]) -> None:
+def _write_file(directory: Path, number: int, columns: SpanColumns) -> None:
     """Write the spans of ``columns`` as file ``number`` once they pass the
     rules ``check`` reads with: :func:`~confcheck.model.columns_valid`, else
     the first span whose object does not build raises its own error, and
     :class:`~confcheck.model.Partition`, which raises on a duplicate span id
-    or a parent cycle. ``otel_text`` is ingest's OTel serializer, which the
-    caller imports once."""
+    or a parent cycle. The file is written whole or not at all, through
+    ``corpus-NNNNNN.json.partial``."""
+    # Imported here, so that building a SimConfig leaves ingest unloaded.
+    from .ingest import _otel_text, _write_whole
+
     if not columns_valid(columns):
         for row in range(len(columns)):
             columns.span(row)
-    text = otel_text(Partition(columns))
-    (directory / f"corpus-{number:06d}.json").write_text(text, encoding="utf-8")
+    _write_whole(directory / f"corpus-{number:06d}.json", _otel_text(Partition(columns)))
 
 
 def _remove_stale(directory: Path, file_count: int) -> None:
-    """Delete each regular file ``corpus-<digits>.json`` numbered at or
-    above ``file_count``, left by an earlier run; nothing else is touched."""
-    for path in directory.glob("corpus-*.json"):
-        if path.is_file() and re.fullmatch(r"corpus-[0-9]+\.json", path.name) and int(path.name[7:-5]) >= file_count:
+    """Delete each regular file ``corpus-<digits>.json`` or
+    ``corpus-<digits>.json.partial`` numbered at or above ``file_count``,
+    left by an earlier run or by one killed mid-write; nothing else is
+    touched. A partial file numbered below ``file_count`` is not left: this
+    run wrote it and renamed it onto its name."""
+    for path in directory.glob("corpus-*.json*"):
+        name = re.fullmatch(r"corpus-([0-9]+)\.json(?:\.partial)?", path.name)
+        if name and path.is_file() and int(name[1]) >= file_count:
             path.unlink()
 
 
@@ -347,18 +353,17 @@ def write_corpus(
     Each file is written as soon as its batch is full, so fed a lazy
     iterable (``iter_corpus``) this holds one file's traces at a time. The
     count and the directory are checked before the first trace is drawn.
-    Then each regular file ``corpus-<digits>.json`` numbered at or above
-    the file count, left by an earlier run, is deleted, and nothing else."""
-    # Imported here, so that building a SimConfig leaves ingest unloaded.
-    from .ingest import _otel_text
-
+    Each file is written whole or not at all. Then each regular file
+    ``corpus-<digits>.json`` or ``corpus-<digits>.json.partial`` numbered at
+    or above the file count, left by an earlier run, is deleted, and nothing
+    else."""
     directory = _corpus_directory(directory, traces_per_file)
     traces = iter(traces)
     file_count = 0
     while batch := list(itertools.islice(traces, traces_per_file)):
         columns = SpanColumns()
         columns.extend_spans([span for trace in batch for span in trace.spans.values()])
-        _write_file(directory, file_count, columns, _otel_text)
+        _write_file(directory, file_count, columns)
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
         del batch, columns
@@ -383,7 +388,7 @@ def write_simulated_corpus(
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     # Imported here, so that building a SimConfig leaves ingest unloaded.
-    from .ingest import _otel_text, read_plan
+    from .ingest import read_plan
 
     directory = _corpus_directory(directory, traces_per_file)
     count = config.trace_count
@@ -395,7 +400,7 @@ def write_simulated_corpus(
             rows: List[_Row] = []
             for index in files[number]:
                 _draw_trace(config, index, rows)
-            _write_file(directory, number, _row_columns(rows), _otel_text)
+            _write_file(directory, number, _row_columns(rows))
 
     # Imported here, so that building a SimConfig leaves the runner unloaded.
     from . import runner

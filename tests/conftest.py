@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,21 @@ import pytest
 import confcheck as cc
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
+
+
+def _refuse_a_fork_beside_threads() -> None:
+    """Fail the test that forks while this process runs a second thread,
+    whose locks a forked worker could inherit held. The error goes to
+    ``sys.unraisablehook``, which pytest turns into a
+    ``PytestUnraisableExceptionWarning``, an error under this suite's
+    filters. CPython 3.12+ warns at such a fork too, but it clears the error
+    that an ``error`` filter makes of the warning, so a filter cannot fail
+    the test."""
+    if threading.active_count() > 1:
+        raise RuntimeError(f"fork while this process runs {threading.active_count()} threads")
+
+
+os.register_at_fork(before=_refuse_a_fork_beside_threads)
 
 
 def load_single_trace(path: Path) -> cc.ObservedTrace:

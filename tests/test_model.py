@@ -559,19 +559,27 @@ class TestPartition:
         assert trusted.parent_rows == [-1, 0, -1]
         assert trusted.dangling == [2]
 
-    def test_from_traces_resolves_as_the_checked_assembly(self):
-        # from_traces assembles the traces' spans; assembling the same rows
-        # directly must give the same parents.
+    def test_from_traces_resolves_as_the_span_objects(self):
+        # Each row's parent row, and each dangling row, is the one that the
+        # trace's span objects resolve, assembled by ObservedTrace.from_spans.
         rng = random.Random(20261019)
+        dangling = 0
         for _ in range(200):
             traces = genutil.random_corpus(rng)
-            trusted = Partition.from_traces(traces)
-            columns = SpanColumns()
-            columns.extend_spans([span for trace in traces for span in trace.spans.values()])
-            checked = Partition(columns)
-            assert trusted.parent_rows == checked.parent_rows
-            assert trusted.dangling == checked.dangling
-            assert [trusted.span(row) for row in range(len(trusted))] == list(map(checked.span, range(len(checked))))
+            partition = Partition.from_traces(traces)
+            spans = list(map(partition.span, range(len(partition))))
+            assert spans == [span for trace in traces for span in trace.spans.values()]
+            grouped = {}
+            for span in spans:
+                grouped.setdefault(span.trace_id, []).append(span)
+            assembled = {trace_id: ObservedTrace.from_spans(trace_id, group) for trace_id, group in grouped.items()}
+            rows = {(span.trace_id, span.span_id): row for row, span in enumerate(spans)}
+            parents = [assembled[span.trace_id].parent_of(span) for span in spans]
+            assert partition.parent_rows == [-1 if parent is None else rows[parent.trace_id, parent.span_id] for parent in parents]
+            expected = [rows[trace.trace_id, span_id] for trace in assembled.values() for span_id in trace.dangling_parents]
+            assert partition.dangling == sorted(expected, key=lambda row: (spans[row].trace_id, spans[row].span_id))
+            dangling += len(expected)
+        assert dangling  # the corpora hold dangling parents
 
     def test_span_ids_repeated_across_traces(self):
         other = "0" * 31 + "2"

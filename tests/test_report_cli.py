@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import gc
 import importlib
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import zlib
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -542,6 +544,107 @@ class TestSimulateCommand:
         if case == "zero-traces-per-file":
             assert "traces_per_file must be a positive integer, got 0" in err
             assert not out_dir.exists()
+
+
+def cut_short(name):
+    """An ``open`` for ingest's writer under which writing a file called
+    ``name`` stops halfway and fails, as on a full disk; every other file is
+    opened as usual."""
+
+    class CutShort:
+        def __init__(self, path, mode, **kwargs):
+            self.file = open(path, mode, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def write(self, text):
+            self.file.write(text[: len(text) // 2])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    return lambda path, mode="r", **kwargs: (CutShort if Path(path).name == name else open)(path, mode, **kwargs)
+
+
+class TestDurableOutputs:
+    """A file that ``simulate`` or ``--out`` writes holds its old bytes or
+    all its new ones: a write that fails midway leaves no part of it."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failed_simulate_leaves_only_whole_files(self, tmp_path, workers, monkeypatch, capsys):
+        monkeypatch.setenv("CONFCHECK_WORKERS", workers)
+        out_dir = tmp_path / "sim"
+        argv = ["simulate", str(out_dir), "--count", "30", "--traces-per-file", "10"]
+        assert main(argv + ["--seed", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        monkeypatch.setattr(ingest, "open", cut_short("corpus-000001.json.partial"), raising=False)
+        assert main(argv + ["--seed", "2"]) == 2
+        assert capsys.readouterr().err.endswith("No space left on device\n")
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(before)
+        assert (out_dir / "corpus-000001.json").read_bytes() == before["corpus-000001.json"]
+        for path in out_dir.glob("*.json"):
+            json.loads(path.read_bytes())
+
+    def test_a_failed_out_write_keeps_the_last_report(self, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("the last good report\n")
+        monkeypatch.setattr(ingest, "open", cut_short("report.txt.partial"), raising=False)
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1", "--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert report.read_text() == "the last good report\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus", "report.txt"]
+
+    def test_an_out_file_is_replaced_whole(self, fixture_corpus_dir, tmp_path, capsys):
+        argv = ["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]
+        assert main(argv) == 1
+        expected = capsys.readouterr().out
+        report = tmp_path / "report.txt"
+        report.write_text("x" * 100_000)
+        assert main(argv + ["--out", str(report)]) == 1
+        assert report.read_text() == expected
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus", "report.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
+    def test_an_out_fifo_is_written_in_place(self, fixture_corpus_dir, tmp_path, capsys):
+        argv = ["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]
+        assert main(argv) == 1
+        expected = capsys.readouterr().out
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        # Opened for reading first, so that opening it for writing does not wait.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with deadline(30):
+                assert main(argv + ["--out", str(fifo)]) == 1
+            assert os.read(reader, 1 << 16).decode() == expected
+        finally:
+            os.close(reader)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus", "report.fifo"]
+
+    def test_an_out_symlink_is_written_through(self, fixture_corpus_dir, tmp_path, capsys):
+        argv = ["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "1"]
+        assert main(argv) == 1
+        expected = capsys.readouterr().out
+        (tmp_path / "report.txt").write_text("old")
+        link = tmp_path / "latest.txt"
+        link.symlink_to("report.txt")
+        assert main(argv + ["--out", str(link)]) == 1
+        assert link.is_symlink() and (tmp_path / "report.txt").read_text() == expected
+
+    def test_a_rerun_removes_only_its_own_partial_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        out_dir.mkdir()
+        left = ["corpus-000000.json.partial", "corpus-000007.json.partial"]
+        kept = ["corpus-x.json.partial", "other.json.partial", "corpus-000001.json.partial.bak", "corpus-000002.partial"]
+        for name in left + kept:
+            (out_dir / name).write_text("{")
+        (out_dir / "corpus-000003.json.partial").mkdir()
+        kept.append("corpus-000003.json.partial")
+        assert main(["simulate", str(out_dir), "--count", "5", "--traces-per-file", "10"]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(kept + ["corpus-000000.json"])
 
 
 def _corpus_command(command, corpus, workers):
@@ -1387,6 +1490,24 @@ class TestModuleLoads:
             "hashlib",
         }
 
+    def test_a_parallel_check_loads_no_multiprocessing(self, fixture_corpus_dir):
+        # The fixture corpus holds two files, so two workers run.
+        argv = ["check", BUNDLED_DESIGN, fixture_corpus_dir, "--workers", "2"]
+        assert loaded_modules(RUN_MAIN, *argv) == {
+            "confcheck",
+            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "gcpause", "ingest", "model", "report", "runner")),
+        }
+
+    def test_a_parallel_simulate_loads_no_multiprocessing(self, tmp_path):
+        argv = ["simulate", tmp_path, "--count", "3", "--traces-per-file", "1"]
+        loaded = loaded_modules(RUN_MAIN, *argv, CONFCHECK_WORKERS="2")
+        assert len(list(tmp_path.iterdir())) == 3
+        # Only the workers draw traces, so only they load hashlib.
+        assert loaded == {
+            "confcheck",
+            *(f"confcheck.{name}" for name in ("cli", "gcpause", "ingest", "model", "runner", "simulator")),
+        }
+
     def test_import_design_loads_design_ingest_and_model(self, fixture_corpus_dir):
         argv = ["import-design", fixture_corpus_dir, "--trace-id", CONFORMANT_ID]
         expected = {"confcheck", "confcheck.cli", "confcheck.design", "confcheck.ingest", "confcheck.model"}
@@ -1395,6 +1516,24 @@ class TestModuleLoads:
     def test_validate_design_loads_design_and_model(self):
         expected = {"confcheck", "confcheck.cli", "confcheck.design", "confcheck.model"}
         assert loaded_modules(RUN_MAIN, "validate-design", BUNDLED_DESIGN) == expected
+
+
+def test_the_entry_point_exits_with_the_commands_status(fixture_corpus_dir, conformant_corpus_dir):
+    # entrypoint freezes the heap before it exits: the status, and the
+    # output still buffered in stdout, reach the caller.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    runs = [
+        (0, ["check", BUNDLED_DESIGN, conformant_corpus_dir, "--workers", "1"], "Conformance:       100.00%"),
+        (1, ["check", BUNDLED_DESIGN, fixture_corpus_dir, "--workers", "2"], "Conformance:       50.00%"),
+        (2, ["check", BUNDLED_DESIGN], ""),
+    ]
+    for status, argv, shown in runs:
+        command = [sys.executable, "-m", "confcheck.cli", *map(str, argv)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == status, done.stderr
+        assert shown in done.stdout
+        assert ("usage: " in done.stderr) == (status == 2)
 
 
 class TestLazyExports:

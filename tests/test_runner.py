@@ -6,6 +6,7 @@ import json
 import os
 import random
 import signal
+import time
 from contextlib import contextmanager
 from itertools import chain
 from operator import attrgetter
@@ -158,3 +159,51 @@ def test_some_workers_trading_and_some_not_is_refused():
 
 def test_one_worker_runs_here_without_an_exchange():
     assert runner.run(lambda index, exchange: (index, exchange, os.getpid()), 1) == [(0, None, os.getpid())]
+
+
+def open_fds():
+    """How many file descriptors this process holds, or None where
+    ``/proc`` is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def returning(index, exchange):
+    return index
+
+
+def raising(index, exchange):
+    raise KeyError(f"worker {index}")
+
+
+def exiting(index, exchange):
+    os._exit(9)
+
+
+def sleeping(index, exchange):
+    time.sleep(60)
+
+
+# Each way a run ends: the target, how long the run may wait, and what it raises.
+ENDINGS = {
+    "returns": (returning, 60, None),
+    "worker-raises": (raising, 60, KeyError),
+    "worker-exits": (exiting, 60, WorkerExitedError),
+    "interrupted-while-relaying": (sleeping, 1, TimeoutError),
+}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("ending", list(ENDINGS))
+def test_no_worker_or_pipe_outlives_the_run(workers, ending):
+    target, seconds, error = ENDINGS[ending]
+    fds = open_fds()
+    with deadline(seconds):
+        if error is None:
+            assert runner.run(target, workers) == list(range(workers))
+        else:
+            with pytest.raises(error):
+                runner.run(target, workers)
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert open_fds() == fds
