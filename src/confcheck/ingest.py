@@ -15,26 +15,24 @@ rows; ``simulate`` gives it the rows it draws.
 ``load_partition`` reads a directory of documents into a
 :class:`~confcheck.model.Partition`: spans as columns, one list per field,
 with no span object built. A document's JSON is decoded once, and
-``_layout`` alone decides its layout from the decoded value. Its column
-reader, ``_zipkin_columns`` or ``_otel_columns``, pulls each field of every
-span into a column with C-level calls such as ``map(dict.get, spans,
-repeat("traceId"))``; end times before their start are clamped, with a
-warning, and :func:`~confcheck.model.columns_valid` then checks every
-per-span rule a column at a time, each distinct trace id once. Only the
-column read shares strings: within one load it keeps one string object per
-distinct trace id (after Zipkin padding), span name and service name, which
-saves memory.
+``_layout`` alone decides its layout from the decoded value and gives its
+one reader, ``_zipkin_columns`` or ``_otel_columns``, which pulls each field
+of every span into a column with C-level calls such as ``map(dict.get,
+spans, repeat("traceId"))``. Within one load, each document's columns keep
+one string object per distinct trace id (after Zipkin padding), span name
+and service name once they read clean, which saves memory.
 
-Errors are named by the record path, not the column read. A document that
-breaks any column rule is read again by its record reader,
-``_zipkin_records`` or ``_otel_records``, and the one per-record
-normaliser, ``_build_spans``, which builds an
-:class:`~confcheck.model.ObservedSpan` per span in file order and so raises
-the first error of the file; valid input that the column read does not
-take gives the same spans that way. Both OTel readers walk the resource
-entries and their span lists through one generator, ``_otel_batches``, and
-a column read rejects a document on the error of any decoder it shares with
-the record path. :func:`assemble_partition` then assembles the
+The reader names a document's first error in file order itself. Each rule
+(a type or shape check, a decimal time, parent normalisation, an attribute
+or link decode) is a fast pass over a whole column; only when that fails
+does it find its first bad span, and it raises that span's message, which
+is written once, in the rule. The rules run in the order in which a span's
+fields are checked, and ``_read_rows`` reads the spans before a rule's bad
+span again, so that a later rule's error on an earlier span wins. End
+times before their start are then clamped, with a warning, and
+:func:`~confcheck.model.first_span_error` checks every span object's rule a
+column at a time and names the first span that breaks one by its span
+object's own message. :func:`assemble_partition` then assembles the
 columns, and the partition names a duplicate span id or a parent cycle
 through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
 trace. Span objects are built only when asked for: ``parse_trace_document``
@@ -43,11 +41,11 @@ returns them, ``load_corpus_dir`` builds the partition's
 groups span objects into traces, each of which checks its own spans.
 
 Each error context is added once, where it is known: ``read_files``
-prefixes the file name, ``_otel_batches`` prefixes ``resourceSpans[i]:`` to a
-resource entry's errors (its attributes' among them), and ``_build_spans``
-prefixes ``span S:`` to a span's; a reader prefixes ``span S:`` itself only to
-the fields it reads (times, links, Zipkin tags). The attribute decoders add no
-context. A message shows an input value through :func:`~confcheck.model.echo`.
+prefixes the file name, ``_otel_spans`` prefixes ``resourceSpans[i]:`` to a
+resource entry's errors (its attributes' among them), and a span's rule
+prefixes ``span S:`` to the span's (Zipkin ``span #i`` where the span has no
+id to show). The value decoders add no context. A message shows an input
+value through :func:`~confcheck.model.echo`.
 
 Every corpus read is ``read_files``, unassembled columns and their clamp
 warnings, then ``assemble_partition``: ``load_partition`` reads a whole
@@ -68,11 +66,11 @@ import re
 import stat
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, is_not, lt, not_
+from operator import add, eq, is_, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -88,8 +86,8 @@ from .model import (
     SpanId,
     TRACE_ID_LENGTH,
     TraceId,
-    columns_valid,
     echo,
+    first_span_error,
 )
 
 __all__ = [
@@ -137,28 +135,6 @@ class IngestWarning:
     detail: str
 
 
-def _normalize_parent_id(raw: object) -> Optional[str]:
-    # Empty-string and all-zero parent ids both mean "root" in real exports.
-    if raw is None:
-        return None
-    if not isinstance(raw, str):
-        raise MalformedDocumentError(f"parent span id must be a string, got {type(raw).__name__}")
-    if not raw.strip("0"):
-        return None
-    return raw
-
-
-def _pad_trace_id(raw: str) -> str:
-    return raw.rjust(TRACE_ID_LENGTH, "0")
-
-
-# One span as a format parser reads it, in ObservedSpan's positional order:
-# trace id (padded), span id, name, service name, start and end nanoseconds,
-# the raw parent id, the attributes (the raw OTel list, or None, when the
-# builder is given a decoder) and the links.
-_Record = Tuple[object, object, object, object, int, int, object, object, tuple]
-
-
 def _clamp_warning(start: int, end: int, trace_id: object, span_id: object) -> IngestWarning:
     return IngestWarning(
         kind=IngestWarningKind.CLAMPED_TIMESTAMP,
@@ -173,87 +149,138 @@ def _span_label(span_id: object) -> str:
     return f"span {echo(span_id, str)}"
 
 
-def _build_spans(
-    records: Iterable[_Record],
-    warnings: "Optional[list[IngestWarning]]",
-    decode_attributes: Optional[Callable[[object], dict]] = None,
-) -> List[ObservedSpan]:
-    """The one normaliser: turn a reader's records into spans, one at a time,
-    so a reader's own errors and the spans' errors keep their file order.
+class _RowError(Exception):
+    """A reader rule's error, raised as ``_RowError(row, error)`` at the
+    first row (a span, in file order) that breaks the rule. A row before it
+    may break a later rule, so it is the document's error only once those
+    rows read clean: see ``_read_rows``."""
 
-    An end time before the start is clamped to it, with a warning. The
-    parent id is normalized, and with ``decode_attributes`` the raw
-    attributes decoded, inside the span's error context: a ``ValueError`` of
-    either or of the span itself becomes ``MalformedDocumentError("span S:
-    ...")``, the one place that prefixes it."""
-    spans: List[ObservedSpan] = []
-    append = spans.append
-    for trace_id, span_id, name, service_name, start, end, parent_id, attributes, links in records:
-        if end < start:
-            if warnings is not None:
-                warnings.append(_clamp_warning(start, end, trace_id, span_id))
-            end = start
+
+def _first_false(flags: Iterable[object]) -> Optional[int]:
+    return next(compress(count(), map(not_, flags)), None)
+
+
+def _require(
+    good: Iterable[object], message: str, span_ids: Sequence[object] = (), error: type = MalformedDocumentError
+) -> None:
+    """Raise ``error(message)`` at the first row whose ``good`` is false, if
+    any: ``{row}`` in ``message`` is that row, ``{span}`` its ``span S``."""
+    row = _first_false(good)
+    if row is not None:
+        span = _span_label(span_ids[row]) if span_ids else None
+        raise _RowError(row, error(message.format(row=row, span=span)))
+
+
+def _each_row(
+    decode: Callable[[object], object], values: Iterable[object], span_ids: list, rows: Optional[Iterable[int]] = None
+) -> list:
+    """``decode`` of each value, a span at a time: the first
+    ``MalformedDocumentError`` is raised at its row, as ``span S: ...``.
+    ``rows`` are the rows of the values, by default 0, 1, 2, ..."""
+    decoded = []
+    for row, value in zip(count() if rows is None else rows, values):
         try:
-            if parent_id is not None:
-                parent_id = _normalize_parent_id(parent_id)
-            if decode_attributes is not None:
-                attributes = {} if attributes is None else decode_attributes(attributes)
-            append(ObservedSpan(trace_id, span_id, name, service_name, start, end, parent_id, attributes, links))
-        except ValueError as exc:
-            raise MalformedDocumentError(f"{_span_label(span_id)}: {exc}") from exc
-    return spans
+            decoded.append(decode(value))
+        except MalformedDocumentError as exc:
+            raise _RowError(row, MalformedDocumentError(f"{_span_label(span_ids[row])}: {exc}")) from None
+    return decoded
 
 
-def _zipkin_records(data: list) -> Iterator[_Record]:
-    """The spans of a Zipkin v2 array as records.
+_NONE_TYPE = type(None)
+
+
+def _of_types(values: Sequence[object], types: "set[type]") -> bool:
+    return set(map(type, values)) <= types
+
+
+def _cut(columns: "tuple[list, ...]", texts: int) -> "tuple[list, ...]":
+    """The rows of ``columns`` through the first where one of the first
+    ``texts`` columns, span fields that must be strings, holds no string.
+    That row's span object cannot build, so its error, or an earlier row's,
+    is the document's, and no later row is read."""
+    if all(map(_of_types, columns[:texts], repeat({str}))):
+        return columns
+    end = _first_false(map(_of_types, zip(*columns[:texts]), repeat({str}))) + 1
+    return tuple(column[:end] for column in columns)
+
+
+def _normalize_parent_id(raw: object) -> Optional[str]:
+    # Empty-string and all-zero parent ids both mean "root" in real exports.
+    if raw is None:
+        return None
+    if not isinstance(raw, str):
+        raise MalformedDocumentError(f"parent span id must be a string, got {type(raw).__name__}")
+    if not raw.strip("0"):
+        return None
+    return raw
+
+
+def _parent_column(raw: list, span_ids: list) -> list:
+    """Raw parent ids as ``_normalize_parent_id`` reads them, with ``""`` for
+    a root (an absent, null, empty or all-zero id)."""
+    if _of_types(raw, {str}) and set(map(len, raw)) <= {0, 16} and "0" * 16 not in raw:
+        return raw
+    return _each_row(lambda value: _normalize_parent_id(value) or "", raw, span_ids)
+
+
+def _string_tags(tags: dict) -> dict:
+    """Zipkin tags as attributes, each value as its string."""
+    return {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
+
+
+_MICROS = 1000  # nanoseconds
+
+
+def _zipkin_columns(spans: list) -> SpanColumns:
+    """The spans of a Zipkin v2 array.
 
     Zipkin timestamps and durations are in microseconds and are converted to
     nanoseconds. Trace ids shorter than 32 chars are left-padded with zeros
     (Zipkin permits 64-bit trace ids). Tags become string-typed attributes,
     matching Zipkin's string-only tag model.
     """
-    for index, raw in enumerate(data):
-        if not isinstance(raw, dict):
-            raise MalformedDocumentError(f"span #{index} is not an object")
-        get = raw.get
-        raw_trace_id = get("traceId")
-        raw_span_id = get("id")
-        if not raw_trace_id or not raw_span_id:
-            raise MissingFieldError(f"span #{index} lacks id or traceId")
-        if not isinstance(raw_trace_id, str) or not isinstance(raw_span_id, str):
-            raise MalformedDocumentError(f"span #{index}: id and traceId must be strings")
-
-        endpoint = get("localEndpoint")
-        service_name = endpoint.get("serviceName") if isinstance(endpoint, dict) else None
-        if not service_name:
-            raise MissingFieldError(f"{_span_label(raw_span_id)} lacks localEndpoint.serviceName")
-
-        timestamp_micros = get("timestamp", 0)
-        duration_micros = get("duration", 0)
-        if isinstance(timestamp_micros, bool) or not isinstance(timestamp_micros, int):
-            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: timestamp must be an integer")
-        if isinstance(duration_micros, bool) or not isinstance(duration_micros, int):
-            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: duration must be an integer")
-
-        tags = get("tags", {})
-        if not isinstance(tags, dict):
-            raise MalformedDocumentError(f"{_span_label(raw_span_id)}: tags must be an object")
-        yield (
-            _pad_trace_id(raw_trace_id),
-            raw_span_id,
-            get("name", ""),
-            service_name,
-            timestamp_micros * 1000,
-            (timestamp_micros + duration_micros) * 1000,
-            get("parentId"),
-            _string_tags(tags),
-            (),
-        )
-
-
-def _string_tags(tags: dict) -> dict:
-    """Zipkin tags as attributes, each value as its string."""
-    return {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
+    if not _of_types(spans, {dict}):
+        _require(map(isinstance, spans, repeat(dict)), "span #{row} is not an object")
+    get = dict.get
+    trace_ids = list(map(get, spans, repeat("traceId")))
+    span_ids = list(map(get, spans, repeat("id")))
+    if not (_of_types(trace_ids, {str}) and _of_types(span_ids, {str}) and all(trace_ids) and all(span_ids)):
+        _require(map(all, zip(trace_ids, span_ids)), "span #{row} lacks id or traceId", error=MissingFieldError)
+        _require(map(_of_types, zip(trace_ids, span_ids), repeat({str})), "span #{row}: id and traceId must be strings")
+    endpoints = list(map(get, spans, repeat("localEndpoint")))
+    if _of_types(endpoints, {dict}):
+        services = list(map(get, endpoints, repeat("serviceName")))
+    else:
+        services = [endpoint.get("serviceName") if type(endpoint) is dict else None for endpoint in endpoints]
+    if not all(services):
+        _require(services, "{span} lacks localEndpoint.serviceName", span_ids, MissingFieldError)
+    names = list(map(get, spans, repeat("name"), repeat("")))
+    names, services, spans, trace_ids, span_ids = _cut((names, services, spans, trace_ids, span_ids), 2)
+    timestamps = list(map(get, spans, repeat("timestamp"), repeat(0)))
+    durations = list(map(get, spans, repeat("duration"), repeat(0)))
+    for field, times in (("timestamp", timestamps), ("duration", durations)):
+        if not _of_types(times, {int}):
+            _require(map(is_, map(type, times), repeat(int)), "{span}: " + field + " must be an integer", span_ids)
+    tags = list(map(get, spans, repeat("tags"), repeat(_NO_ATTRIBUTES)))
+    if not _of_types(tags, {dict}):
+        _require(map(isinstance, tags, repeat(dict)), "{span}: tags must be an object", span_ids)
+    parent_ids = _parent_column(list(map(get, spans, repeat("parentId"), repeat(""))), span_ids)
+    if _of_types(list(chain.from_iterable(map(dict.values, tags))), {str}):
+        # Kept as decoded; an empty one is dropped, to hold less memory.
+        tags = [tag or _NO_ATTRIBUTES for tag in tags]
+    else:
+        tags = list(map(_string_tags, tags))
+    columns = SpanColumns()
+    columns.trace_ids = list(map(str.rjust, trace_ids, repeat(TRACE_ID_LENGTH), repeat("0")))
+    columns.span_ids = span_ids
+    columns.parent_ids = parent_ids
+    columns.names = names
+    columns.services = services
+    columns.starts = list(map(_MICROS.__mul__, timestamps))
+    columns.ends = list(map(_MICROS.__mul__, map(add, timestamps, durations)))
+    columns.attributes = tags
+    columns.links = [()] * len(spans)
+    return columns
 
 
 _DECIMAL_DIGITS = b"0123456789"
@@ -270,6 +297,17 @@ def _decimal(texts: Sequence[str]) -> bool:
         return True
     unsigned = (text[1:] if text[:1] in ("+", "-") else text for text in texts)
     return all(digits.isascii() and digits.isdigit() for digits in unsigned)
+
+
+def _integer(raw: "str | int") -> Optional[int]:
+    """An integer as it is, or the integer a string spells as proto3 JSON
+    writes one; None for any other string."""
+    if isinstance(raw, int) or _decimal([raw]):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    return None
 
 
 # A double as proto3 JSON may give it in a string: NaN, an infinity, or a
@@ -301,12 +339,10 @@ def _attr_value_from_json(value: object) -> Optional[AttrValue]:
         # appear in hand-written files.
         if isinstance(raw, bool) or not isinstance(raw, (str, int)):
             raise MalformedDocumentError("intValue must hold an integer or its string form")
-        if isinstance(raw, int) or _decimal([raw]):
-            try:
-                return int(raw)
-            except ValueError:
-                pass
-        raise MalformedDocumentError(f"intValue {echo(raw)} is not an integer")
+        number = _integer(raw)
+        if number is None:
+            raise MalformedDocumentError(f"intValue {echo(raw)} is not an integer")
+        return number
     if "doubleValue" in value:
         raw = value["doubleValue"]
         if isinstance(raw, str) and re.fullmatch(_DOUBLE_TEXT, raw):
@@ -338,176 +374,41 @@ def _attrs_from_json(raw_attrs: object) -> dict:
     return attributes
 
 
-def _time_from_json(raw: object, field_name: str, span_id: object) -> int:
+def _time_value(raw: object, field: str) -> int:
+    """One OTel time, a span at a time: null is 0."""
     if raw is None:
         return 0
     if isinstance(raw, bool):
-        raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer")
-    if isinstance(raw, (str, int)):
-        if isinstance(raw, int) or _decimal([raw]):
+        raise MalformedDocumentError(f"{field} must be an integer")
+    if not isinstance(raw, (str, int)):
+        raise MalformedDocumentError(f"{field} must be an integer or string")
+    number = _integer(raw)
+    if number is None:
+        raise MalformedDocumentError(f"{field} {echo(raw)} is not an integer")
+    return number
+
+
+def _otel_times(spans: list, field: str, span_ids: list) -> List[int]:
+    """The ``field`` time of each span, as ``_time_value`` reads it."""
+    raw = list(map(dict.get, spans, repeat(field)))
+    types = set(map(type, raw))
+    if types <= {str, int, _NONE_TYPE}:
+        values = [0 if value is None else value for value in raw] if _NONE_TYPE in types else raw
+        if _decimal(values if types == {str} else [value for value in values if type(value) is str]):
             try:
-                return int(raw)
+                return list(map(int, values))
             except ValueError:
                 pass
-        raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} {echo(raw)} is not an integer")
-    raise MalformedDocumentError(f"{_span_label(span_id)}: {field_name} must be an integer or string")
+    return _each_row(lambda value: _time_value(value, field), raw, span_ids)
 
 
-def _links_from_json(links: object, span_id: object) -> Tuple[Tuple[object, object], ...]:
+def _links_from_json(links: object) -> Tuple[Tuple[object, object], ...]:
     if not isinstance(links, list):
-        raise MalformedDocumentError(f"{_span_label(span_id)}: links must be a list")
+        raise MalformedDocumentError("links must be a list")
     for link in links:
         if not isinstance(link, dict) or "traceId" not in link or "spanId" not in link:
-            raise MalformedDocumentError(f"{_span_label(span_id)}: links must carry traceId and spanId")
+            raise MalformedDocumentError("links must carry traceId and spanId")
     return tuple((link["traceId"], link["spanId"]) for link in links)
-
-
-def _otel_batches(data: dict) -> Iterator[Tuple[str, list]]:
-    """The one walk of the OTel layout: each ``spans`` list of the document,
-    in file order, with the service name of its resource entry.
-
-    Each ``resourceSpans`` entry must carry a ``service.name`` resource
-    attribute; every span under it inherits that service name.
-    """
-    for entry_index, entry in enumerate(data["resourceSpans"]):
-        if not isinstance(entry, dict):
-            raise MalformedDocumentError(f"resourceSpans[{entry_index}] is not an object")
-        resource = entry.get("resource", {})
-        if not isinstance(resource, dict):
-            raise MalformedDocumentError(f"resourceSpans[{entry_index}]: resource must be an object")
-        try:
-            resource_attrs = _attrs_from_json(resource.get("attributes"))
-        except MalformedDocumentError as exc:
-            raise MalformedDocumentError(f"resourceSpans[{entry_index}]: {exc}") from exc
-        service_name = resource_attrs.get(SERVICE_NAME_KEY)
-        if not isinstance(service_name, str) or not service_name:
-            raise MissingServiceNameError(
-                f"resourceSpans[{entry_index}] lacks a service.name resource attribute"
-            )
-
-        scope_spans = entry.get("scopeSpans", [])
-        if not isinstance(scope_spans, list):
-            raise MalformedDocumentError(f"resourceSpans[{entry_index}]: scopeSpans must be a list")
-        for scope_entry in scope_spans:
-            if not isinstance(scope_entry, dict):
-                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: scopeSpans entries must be objects")
-            raw_spans = scope_entry.get("spans", [])
-            if not isinstance(raw_spans, list):
-                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: spans must be a list")
-            yield service_name, raw_spans
-
-
-def _otel_records(data: dict) -> Iterator[_Record]:
-    """The spans of an OTel-layout document as records whose attributes are
-    the raw list, for ``_build_spans`` to decode with ``_attrs_from_json``.
-    Typed attribute values are preserved."""
-    for service_name, raw_spans in _otel_batches(data):
-        for raw in raw_spans:
-            if not isinstance(raw, dict):
-                raise MalformedDocumentError("span entries must be objects")
-            get = raw.get
-            trace_id = get("traceId")
-            span_id = get("spanId")
-            if not trace_id or not span_id:
-                raise MissingFieldError("a span lacks spanId or traceId")
-            start = _time_from_json(get("startTimeUnixNano"), "startTimeUnixNano", span_id)
-            end = _time_from_json(get("endTimeUnixNano"), "endTimeUnixNano", span_id)
-            yield (
-                trace_id,
-                span_id,
-                get("name", ""),
-                service_name,
-                start,
-                end,
-                get("parentSpanId"),
-                get("attributes"),
-                _links_from_json(raw["links"], span_id) if "links" in raw else (),
-            )
-
-
-# The column reads. Each returns the columns its record reader and
-# ``_build_spans`` would give, before clamping, or None when a span breaks a
-# rule of the reader; ``_read_document`` clamps and checks the rest.
-
-_NONE_TYPE = type(None)
-
-
-def _of_types(values: list, types: "set[type]") -> bool:
-    return set(map(type, values)) <= types
-
-
-def _parent_column(raw: list) -> Optional[list]:
-    """Raw parent ids as ``_normalize_parent_id`` reads them, with ``""`` for
-    a root (an absent, null, empty or all-zero id); None when one is neither
-    a string nor null."""
-    if _of_types(raw, {str}) and set(map(len, raw)) <= {0, 16} and "0" * 16 not in raw:
-        return raw
-    if not _of_types(raw, {str, _NONE_TYPE}):
-        return None
-    return [_normalize_parent_id(value) or "" for value in raw]
-
-
-_MICROS = 1000  # nanoseconds
-
-
-def _zipkin_columns(data: list, strings: dict) -> Optional[SpanColumns]:
-    """``_zipkin_records`` a column at a time."""
-    if not _of_types(data, {dict}):
-        return None
-    get = dict.get
-    raw_trace_ids = list(map(get, data, repeat("traceId")))
-    if not _of_types(raw_trace_ids, {str}):
-        return None
-    endpoints = list(map(get, data, repeat("localEndpoint")))
-    names = list(map(get, data, repeat("name"), repeat("")))
-    timestamps = list(map(get, data, repeat("timestamp"), repeat(0)))
-    durations = list(map(get, data, repeat("duration"), repeat(0)))
-    tags = list(map(get, data, repeat("tags"), repeat(_NO_ATTRIBUTES)))
-    if not (
-        _of_types(endpoints, {dict})
-        and _of_types(names, {str})
-        and _of_types(timestamps, {int})
-        and _of_types(durations, {int})
-        and _of_types(tags, {dict})
-    ):
-        return None
-    services = list(map(get, endpoints, repeat("serviceName")))
-    parent_ids = _parent_column(list(map(get, data, repeat("parentId"), repeat(""))))
-    if parent_ids is None or not _of_types(services, {str}):
-        return None
-    if _of_types(list(chain.from_iterable(map(dict.values, tags))), {str}):
-        # Kept as decoded; an empty one is dropped, to hold less memory.
-        tags = [tag or _NO_ATTRIBUTES for tag in tags]
-    else:
-        tags = list(map(_string_tags, tags))
-    share_string = strings.setdefault
-    trace_ids = list(map(str.rjust, raw_trace_ids, repeat(TRACE_ID_LENGTH), repeat("0")))
-    columns = SpanColumns()
-    columns.trace_ids = list(map(share_string, trace_ids, trace_ids))
-    columns.span_ids = list(map(get, data, repeat("id")))
-    columns.parent_ids = parent_ids
-    columns.names = list(map(share_string, names, names))
-    columns.services = list(map(share_string, services, services))
-    columns.starts = list(map(_MICROS.__mul__, timestamps))
-    columns.ends = list(map(_MICROS.__mul__, map(add, timestamps, durations)))
-    columns.attributes = tags
-    columns.links = [()] * len(data)
-    return columns
-
-
-def _otel_times(raw: list) -> Optional[List[int]]:
-    """``_time_from_json`` over a column: null is 0."""
-    types = set(map(type, raw))
-    if not types <= {str, int, _NONE_TYPE}:
-        return None
-    if _NONE_TYPE in types:
-        raw = [0 if value is None else value for value in raw]
-    if not _decimal(raw if types == {str} else [value for value in raw if type(value) is str]):
-        return None
-    try:
-        return list(map(int, raw))
-    except ValueError:
-        return None
 
 
 def _attr_values_from_json(values: list) -> Optional[list]:
@@ -535,9 +436,10 @@ def _attr_values_from_json(values: list) -> Optional[list]:
         return None
 
 
-def _otel_attributes(raw: list) -> Optional[list]:
+def _attribute_column(raw: list) -> Optional[list]:
     """``_attrs_from_json`` over a column of raw attribute lists (None for
-    none), as one dict per span, ``_NO_ATTRIBUTES`` for none."""
+    none), as one dict per span, ``_NO_ATTRIBUTES`` for none; None when a
+    list breaks a rule."""
     column = [_NO_ATTRIBUTES] * len(raw)
     rows = list(compress(range(len(raw)), map(is_not, raw, repeat(None))))
     if not rows:
@@ -556,48 +458,82 @@ def _otel_attributes(raw: list) -> Optional[list]:
         return None
     pairs = zip(keys, values)
     skip = None in values  # value kinds outside the four scalar types are ignored
-    for row, count in zip(rows, map(len, lists)):
-        entries = islice(pairs, count)
+    for row, size in zip(rows, map(len, lists)):
+        entries = islice(pairs, size)
         column[row] = {key: value for key, value in entries if value is not None} if skip else dict(entries)
     return column
 
 
-def _otel_columns(data: dict, strings: dict) -> Optional[SpanColumns]:
-    """``_otel_records`` a column at a time."""
-    try:
-        batches = list(_otel_batches(data))
-    except MalformedDocumentError:
-        return None
-    share_string = strings.setdefault
+def _otel_spans(data: dict) -> "tuple[list, list, Optional[MalformedDocumentError]]":
+    """The one walk of the OTel layout: the span objects of the document, in
+    file order, the service name of each, and the error of the first
+    resource entry that breaks the layout, which follows those spans in file
+    order, or None.
+
+    Each ``resourceSpans`` entry must carry a ``service.name`` resource
+    attribute; every span under it inherits that service name.
+    """
     spans: list = []
     services: list = []
-    for service, raw_spans in batches:
-        if not _of_types(raw_spans, {dict}):
-            return None
-        spans += raw_spans
-        services += repeat(share_string(service, service), len(raw_spans))
+    try:
+        for entry_index, entry in enumerate(data["resourceSpans"]):
+            if not isinstance(entry, dict):
+                raise MalformedDocumentError(f"resourceSpans[{entry_index}] is not an object")
+            resource = entry.get("resource", {})
+            if not isinstance(resource, dict):
+                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: resource must be an object")
+            try:
+                resource_attrs = _attrs_from_json(resource.get("attributes"))
+            except MalformedDocumentError as exc:
+                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: {exc}") from exc
+            service_name = resource_attrs.get(SERVICE_NAME_KEY)
+            if not isinstance(service_name, str) or not service_name:
+                raise MissingServiceNameError(f"resourceSpans[{entry_index}] lacks a service.name resource attribute")
+
+            scope_spans = entry.get("scopeSpans", [])
+            if not isinstance(scope_spans, list):
+                raise MalformedDocumentError(f"resourceSpans[{entry_index}]: scopeSpans must be a list")
+            for scope_entry in scope_spans:
+                if not isinstance(scope_entry, dict):
+                    raise MalformedDocumentError(f"resourceSpans[{entry_index}]: scopeSpans entries must be objects")
+                raw_spans = scope_entry.get("spans", [])
+                if not isinstance(raw_spans, list):
+                    raise MalformedDocumentError(f"resourceSpans[{entry_index}]: spans must be a list")
+                spans += raw_spans
+                services += repeat(service_name, len(raw_spans))
+    except MalformedDocumentError as exc:
+        return spans, services, exc
+    return spans, services, None
+
+
+def _otel_columns(spans: list, services: list) -> SpanColumns:
+    """The spans of an OTel-layout document, as ``_otel_spans`` gives them,
+    with their service names. Typed attribute values are preserved."""
+    if not _of_types(spans, {dict}):
+        _require(map(isinstance, spans, repeat(dict)), "span entries must be objects")
     get = dict.get
     trace_ids = list(map(get, spans, repeat("traceId")))
+    span_ids = list(map(get, spans, repeat("spanId")))
+    if not (all(trace_ids) and all(span_ids)):
+        _require(map(all, zip(trace_ids, span_ids)), "a span lacks spanId or traceId", error=MissingFieldError)
     names = list(map(get, spans, repeat("name"), repeat("")))
-    if not (_of_types(trace_ids, {str}) and _of_types(names, {str})):
-        return None
-    starts = _otel_times(list(map(get, spans, repeat("startTimeUnixNano"))))
-    ends = _otel_times(list(map(get, spans, repeat("endTimeUnixNano"))))
-    parent_ids = _parent_column(list(map(get, spans, repeat("parentSpanId"), repeat(""))))
-    attributes = _otel_attributes(list(map(get, spans, repeat("attributes"))))
-    if starts is None or ends is None or parent_ids is None or attributes is None:
-        return None
+    trace_ids, names, spans, services, span_ids = _cut((trace_ids, names, spans, services, span_ids), 2)
+    starts = _otel_times(spans, "startTimeUnixNano", span_ids)
+    ends = _otel_times(spans, "endTimeUnixNano", span_ids)
     links = [()] * len(spans)
-    for row in compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))):
-        try:
-            links[row] = _links_from_json(spans[row]["links"], spans[row].get("spanId"))
-        except MalformedDocumentError:
-            return None
+    rows = list(compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))))
+    for row, pairs in zip(rows, _each_row(_links_from_json, [spans[row]["links"] for row in rows], span_ids, rows)):
+        links[row] = pairs
+    parent_ids = _parent_column(list(map(get, spans, repeat("parentSpanId"), repeat(""))), span_ids)
+    raw_attributes = list(map(get, spans, repeat("attributes")))
+    attributes = _attribute_column(raw_attributes)
+    if attributes is None:
+        attributes = _each_row(_attrs_from_json, raw_attributes, span_ids)
     columns = SpanColumns()
-    columns.trace_ids = list(map(share_string, trace_ids, trace_ids))
-    columns.span_ids = list(map(get, spans, repeat("spanId")))
+    columns.trace_ids = trace_ids
+    columns.span_ids = span_ids
     columns.parent_ids = parent_ids
-    columns.names = list(map(share_string, names, names))
+    columns.names = names
     columns.services = services
     columns.starts = starts
     columns.ends = ends
@@ -606,54 +542,79 @@ def _otel_columns(data: dict, strings: dict) -> Optional[SpanColumns]:
     return columns
 
 
-def _clamp_and_check(columns: SpanColumns, warnings: "Optional[list[IngestWarning]]") -> bool:
-    """Clamp each end time before its start to the start, and check every
-    span of a column read: True, with a warning per clamp added to
-    ``warnings``, when every span passes."""
+def _clamp_and_check(columns: SpanColumns) -> List[IngestWarning]:
+    """Clamp each end time before its start to the start, then check every
+    span of a column read: the clamp warnings, once every span would build
+    its span object; else raise the error of the first that does not, as
+    ``span S: ...``."""
     starts, ends = columns.starts, columns.ends
     late = list(compress(range(len(starts)), map(lt, ends, starts)))
     clamps = [_clamp_warning(starts[row], ends[row], columns.trace_ids[row], columns.span_ids[row]) for row in late]
     for row in late:
         ends[row] = starts[row]
-    if not columns_valid(columns):
-        return False
-    if warnings is not None:
-        warnings += clamps
-    return True
+    failure = first_span_error(columns)
+    if failure is not None:
+        row, error = failure
+        raise MalformedDocumentError(f"{_span_label(columns.span_ids[row])}: {error}") from error
+    return clamps
 
 
-def _layout(data: object) -> "tuple[Callable, Callable, Optional[Callable[[object], dict]]]":
-    """The one layout check: a decoded document's column reader, record
-    reader and raw-attribute decoder. A list is Zipkin v2; an object whose
-    ``resourceSpans`` is a list is the OTel-style layout."""
+def _read_rows(read: Callable[[int], SpanColumns], end: int) -> "tuple[SpanColumns, List[IngestWarning]]":
+    """The columns of a document's first ``end`` spans, by its reader
+    ``read``, and their clamp warnings, once every span passes every rule;
+    else raise the error of the first span in file order that breaks one.
+
+    A rule that fails at row ``r`` raises ``_RowError``; the spans before
+    ``r`` are then read again, as a later rule may fail on one of them. A
+    rule that passes on some spans passes on every run of them from the
+    first, so each rule fails once at most, and a document is read at most
+    once per rule, plus once. The span objects' rules come last and need no
+    second read: every span before the first that breaks one has passed
+    every rule."""
+    try:
+        columns = read(end)
+    except _RowError as fault:
+        row, error = fault.args
+    else:
+        return columns, _clamp_and_check(columns)
+    _read_rows(read, row)
+    raise error
+
+
+def _layout(data: object) -> "tuple[Callable[[int], SpanColumns], int, Optional[MalformedDocumentError]]":
+    """The one layout check: a decoded document's reader, which reads its
+    first ``end`` spans into columns; its span count; and the error of its
+    layout that follows those spans in file order, or None. A list is
+    Zipkin v2; an object whose ``resourceSpans`` is a list is the OTel-style
+    layout."""
     if isinstance(data, list):
-        return _zipkin_columns, _zipkin_records, None
+        return (lambda end: _zipkin_columns(data[:end])), len(data), None
     if isinstance(data, dict) and isinstance(data.get("resourceSpans"), list):
-        return _otel_columns, _otel_records, _attrs_from_json
+        spans, services, error = _otel_spans(data)
+        return (lambda end: _otel_columns(spans[:end], services[:end])), len(spans), error
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
     )
 
 
-def _document_spans(data: object, warnings: "Optional[list[IngestWarning]]") -> List[ObservedSpan]:
-    """The record path: the spans of one decoded document, built and checked
-    one at a time, so the first error in file order is the one raised."""
-    _, read_records, decode_attributes = _layout(data)
-    return _build_spans(read_records(data), warnings, decode_attributes)
-
-
 def _read_document(
     data: object, warnings: "Optional[list[IngestWarning]]", strings: dict, columns: SpanColumns
 ) -> None:
-    """Append the spans of one decoded document to ``columns``: by the
-    column read when every span passes every rule, else by the record path,
-    which raises the document's first error or, for valid input the column
-    read does not take, gives its spans."""
-    read = _layout(data)[0](data, strings)
-    if read is not None and _clamp_and_check(read, warnings):
-        columns.extend(read)
-    else:
-        columns.extend_spans(_document_spans(data, warnings))
+    """Append the spans of one decoded document to ``columns``, and their
+    clamp warnings to ``warnings``, when every span passes every rule; else
+    raise the document's first error in file order. Trace ids, names and
+    services are kept as one string object per distinct string in
+    ``strings``."""
+    read, spans, layout_error = _layout(data)
+    read, clamps = _read_rows(read, spans)
+    if layout_error is not None:
+        raise layout_error
+    for slot in ("trace_ids", "names", "services"):
+        values = getattr(read, slot)
+        setattr(read, slot, list(map(strings.setdefault, values, values)))
+    columns.extend(read)
+    if warnings is not None:
+        warnings += clamps
 
 
 def parse_trace_document(

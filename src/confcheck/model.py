@@ -27,7 +27,9 @@ list per field, one entry per span (a struct of arrays). Every per-span rule
 of ``ObservedSpan`` has a column form next to its scalar form
 (:func:`span_ids_valid` beside :func:`validate_span_id`, and so on), which
 checks a whole column in a few C-level passes; :func:`columns_valid` runs
-them all, checking each distinct trace id once. A ``Partition`` is
+them all, checking each distinct trace id once, and
+:func:`first_span_error` names the first row that breaks one by the
+message its span object raises. A ``Partition`` is
 assembled columns: each span's parent resolved to a row, dangling parents
 listed, and duplicate span ids and parent cycles rejected. Those errors are
 named by :meth:`ObservedTrace.from_spans` on the offending trace, so their
@@ -479,6 +481,13 @@ class SpanColumns:
                 setattr(part, slot, list(map(column.__getitem__, rows)))
         return parts
 
+    def rows(self, start: int, stop: int) -> "SpanColumns":
+        """New columns holding rows [``start``, ``stop``) of these."""
+        part = SpanColumns()
+        for slot in SpanColumns.__slots__:
+            setattr(part, slot, getattr(self, slot)[start:stop])
+        return part
+
     def span(self, row: int) -> ObservedSpan:
         """The span object of ``row``, built and validated here, with a dict
         of its own for the shared ``_NO_ATTRIBUTES``."""
@@ -519,6 +528,27 @@ def columns_valid(columns: SpanColumns) -> bool:
         and trace_ids_valid([link[0] for link in links])
         and span_ids_valid([link[1] for link in links])
     )
+
+
+_BLOCK = 1024
+
+
+def first_span_error(columns: SpanColumns) -> Optional[Tuple[int, ValueError]]:
+    """None when every row of ``columns`` (whose attributes are dicts) would
+    build its span object; else the first row whose ``columns.span(row)``
+    raises, and its error, the one copy of each rule's message.
+    :func:`columns_valid` tests all rows, then ``_BLOCK`` rows at a time, and
+    span objects are built only in the first block that fails."""
+    if columns_valid(columns):
+        return None
+    for start in range(0, len(columns), _BLOCK):
+        if not columns_valid(columns.rows(start, start + _BLOCK)):
+            for row in range(start, min(start + _BLOCK, len(columns))):
+                try:
+                    columns.span(row)
+                except ValueError as error:
+                    return row, error
+    return None
 
 
 def _rows_on_cycles(parent_rows: List[int]) -> List[int]:

@@ -26,7 +26,7 @@ One function, ``_draw_trace``, draws a trace: it appends each span as a row
 of plain values, in ``SpanColumns``' field order. :func:`generate_trace`
 builds span objects from the rows. The file writer builds none: it turns a
 file's rows into one :class:`~confcheck.model.SpanColumns`, checks them by
-the rules ``check`` reads with (:func:`~confcheck.model.columns_valid`, then
+the rules ``check`` reads with (:func:`~confcheck.model.first_span_error`, then
 :class:`~confcheck.model.Partition` for duplicate span ids and parent
 cycles), and writes the text with the one OTel serializer, the one that
 :func:`~confcheck.ingest.serialize_otel_json` runs.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Tuple
 
-from .model import _NO_ATTRIBUTES, ObservedTrace, Partition, SpanColumns, columns_valid
+from .model import _NO_ATTRIBUTES, ObservedTrace, Partition, SpanColumns, first_span_error
 
 __all__ = [
     "SimConfig",
@@ -316,17 +316,17 @@ def _corpus_directory(directory: "Path | str", traces_per_file: int) -> Path:
 
 def _write_file(directory: Path, number: int, columns: SpanColumns) -> None:
     """Write the spans of ``columns`` as file ``number`` once they pass the
-    rules ``check`` reads with: :func:`~confcheck.model.columns_valid`, else
-    the first span whose object does not build raises its own error, and
-    :class:`~confcheck.model.Partition`, which raises on a duplicate span id
-    or a parent cycle. The file is written whole or not at all, through
-    ``corpus-NNNNNN.json.partial``."""
+    rules ``check`` reads with: :func:`~confcheck.model.first_span_error`,
+    which names the first span whose object does not build, and whose error
+    is raised here, and :class:`~confcheck.model.Partition`, which raises on
+    a duplicate span id or a parent cycle. The file is written whole or not
+    at all, through ``corpus-NNNNNN.json.partial``."""
     # Imported here, so that building a SimConfig leaves ingest unloaded.
     from .ingest import _otel_text, _write_whole
 
-    if not columns_valid(columns):
-        for row in range(len(columns)):
-            columns.span(row)
+    failure = first_span_error(columns)
+    if failure is not None:
+        raise failure[1]
     _write_whole(directory / f"corpus-{number:06d}.json", _otel_text(Partition(columns)))
 
 

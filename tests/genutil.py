@@ -198,6 +198,11 @@ def _span_lists(document: object) -> List[List[dict]]:
 # a Zipkin span that is no object or lacks its localEndpoint. A lax integer
 # is a string that int() reads but proto3 JSON does not write, as a time or
 # an intValue (a Zipkin time must be a JSON number).
+#
+# Given a span, ``inject_fault`` makes its fault there, so that one span can
+# break several rules; a bad OTel layout then breaks an entry after the one
+# that holds the span, when there is one, so that the span's error comes
+# first in file order.
 FAULTS = (
     "bad id", "non-string field", "bad time", "bad attribute", "lax integer", "duplicate span", "parent cycle",
     "bad layout",
@@ -205,10 +210,25 @@ FAULTS = (
 LAX_INTEGERS = ("1_000", " 12 ", "\u0661\u0662", "1_0", "+12 ")
 
 
-def inject_fault(rng: random.Random, document: object, fault: str) -> None:
-    """Make one ``fault`` in a document of ``random_trace_document``."""
-    holder = rng.choice([spans for spans in _span_lists(document) if spans])
-    span = rng.choice(holder)
+def _index(items: list, item: object) -> int:
+    """The position of ``item`` itself (not of an equal copy) in ``items``."""
+    return next(position for position, other in enumerate(items) if other is item)
+
+
+def some_span(rng: random.Random, document: object) -> dict:
+    """A span object of a document of ``random_trace_document``, at random."""
+    return rng.choice([span for spans in _span_lists(document) for span in spans])
+
+
+def inject_fault(rng: random.Random, document: object, fault: str, span: Optional[dict] = None) -> None:
+    """Make one ``fault`` in a document of ``random_trace_document``, at
+    ``span`` when given, else at a span chosen at random. A bad layout goes
+    last: the document's other spans are not found after it."""
+    if span is None:
+        holder = rng.choice([spans for spans in _span_lists(document) if spans])
+        span = rng.choice(holder)
+    else:
+        holder = next(spans for spans in _span_lists(document) if any(other is span for other in spans))
     zipkin = isinstance(document, list)
     span_id_key, parent_key = ("id", "parentId") if zipkin else ("spanId", "parentSpanId")
     if fault == "bad id":
@@ -252,7 +272,7 @@ def inject_fault(rng: random.Random, document: object, fault: str) -> None:
         lax = rng.choice(LAX_INTEGERS)
         if zipkin:
             span[rng.choice(["timestamp", "duration"])] = lax
-        elif rng.random() < 0.5:
+        elif rng.random() < 0.5 or not isinstance(span.get("attributes", []), list):
             span[rng.choice(["startTimeUnixNano", "endTimeUnixNano"])] = lax
         else:
             span.setdefault("attributes", []).append({"key": "count", "value": {"intValue": lax}})
@@ -270,14 +290,18 @@ def inject_fault(rng: random.Random, document: object, fault: str) -> None:
             span[parent_key] = span[span_id_key]
     elif fault == "bad layout":
         if zipkin:
-            position = rng.randrange(len(document))
+            position = rng.randrange(len(document)) if span is None else _index(document, span)
             if rng.random() < 0.5:
                 document[position] = rng.choice(["x", 5, None, [document[position]]])
             else:
-                del document[position]["localEndpoint"]
+                document[position].pop("localEndpoint", None)
         else:
             entries = document["resourceSpans"]
-            position = rng.randrange(len(entries))
+            first = 0
+            if span is not None:
+                holder_entry = _index(_span_lists(document), holder)
+                first = min(holder_entry + 1, len(entries) - 1)
+            position = rng.randrange(first, len(entries))
             variant = rng.choice(["not an object", "no service.name", "scopeSpans not a list"])
             if variant == "not an object":
                 entries[position] = rng.choice(["x", 5, None, [entries[position]]])

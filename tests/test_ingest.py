@@ -264,9 +264,18 @@ class TestOtelParsing:
 
     @pytest.mark.parametrize(
         "raw, expected",
-        [("-0", "-0.0"), ("0", "0.0"), ("-1e400", "-inf"), (-(10**400), "-inf"), ("-" + "9" * 5000, "-inf")],
+        [
+            ("-0", "-0.0"),
+            (-0.0, "-0.0"),
+            ("0", "0.0"),
+            ("-1e400", "-inf"),
+            (-(10**400), "-inf"),
+            ("-" + "9" * 5000, "-inf"),
+        ],
     )
     def test_double_keeps_its_sign(self, raw, expected):
+        # A bare JSON -0 is not among these: json.loads gives the integer 0,
+        # which reads as 0.0.
         span = otel_span(attributes=[{"key": "x", "value": {"doubleValue": raw}}])
         [parsed] = parse_trace_document(otel_document([span]))
         assert repr(parsed.attributes["x"]) == expected

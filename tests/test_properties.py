@@ -23,10 +23,18 @@ from hypothesis import strategies as st
 from confcheck import cli, ingest
 from confcheck.checker import ConformanceReport, check_corpus, check_trace, evaluate
 from confcheck.design import DesignValidationError, MalformedDesignError, load_design_set, serialize_design_set
-from confcheck.ingest import MalformedDocumentError, assemble_traces, parse_trace_document, serialize_otel_json
+from confcheck.ingest import (
+    MalformedDocumentError,
+    MissingFieldError,
+    MissingServiceNameError,
+    assemble_traces,
+    parse_trace_document,
+    serialize_otel_json,
+)
 from confcheck.model import ObservedSpan, ObservedTrace, Partition, SpanColumns, ViolationKind
 
 import genutil
+from ingest_reference import reference_parse
 from serializer_reference import reference_serialize_otel_json
 
 seeds = st.integers(min_value=0, max_value=2**48 - 1)
@@ -293,12 +301,13 @@ def test_parallel_equals_sequential_with_real_processes(design_set):
 
 
 def _ingest_outcome(read):
-    """The spans and warnings ``read(warnings)`` gives, or its error text."""
+    """The spans and warnings ``read(warnings)`` gives, or its error's class
+    and text."""
     warnings = []
     try:
         spans = read(warnings)
     except MalformedDocumentError as exc:
-        return str(exc)
+        return type(exc), str(exc)
     return spans, warnings
 
 
@@ -316,28 +325,34 @@ def _assembly_by_span_objects(spans):
     return traces, [(trace.trace_id, span_id) for trace in traces for span_id in sorted(trace.dangling_parents)]
 
 
+def _read_as_the_reference(document):
+    """The column read of ``document`` gives the reference reader's spans and
+    warnings, or its first error, class and text; returns that outcome."""
+    text = json.dumps(document)
+    outcome = _ingest_outcome(lambda warnings: reference_parse(text, warnings))
+    assert _ingest_outcome(lambda warnings: parse_trace_document(text, warnings)) == outcome
+    return outcome
+
+
 @given(seeds, st.sampled_from((None,) + genutil.FAULTS), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_column_and_record_paths_agree(seed, fault, zipkin):
     """A clean or faulted document gives the same spans and warnings, or the
-    same first error, by the column read as by the per-record path; the
-    column read takes exactly the documents whose spans are valid; and the
-    partition assembles them as span objects do."""
+    same first error, by the column read as by the reference reader, which
+    reads and checks one span at a time; and the partition assembles them as
+    span objects do."""
     rng = random.Random(seed)
     document = genutil.random_trace_document(rng, zipkin)
     if fault is not None:
         genutil.inject_fault(rng, document, fault)
-    text = json.dumps(document)
-    record = _ingest_outcome(lambda warnings: ingest._document_spans(json.loads(text), warnings))
-    assert _ingest_outcome(lambda warnings: parse_trace_document(text, warnings)) == record
-
-    columns = ingest._layout(document)[0](json.loads(text), {})
-    on_column_path = columns is not None and ingest._clamp_and_check(columns, [])
-    assert on_column_path == (not isinstance(record, str))
-    if fault == "lax integer":
-        assert not on_column_path
-    if not on_column_path:
+    outcome = _read_as_the_reference(document)
+    if isinstance(outcome[0], type):
+        assert fault not in (None, "duplicate span", "parent cycle")
+        assert outcome[0] in (MalformedDocumentError, MissingFieldError, MissingServiceNameError)
         return
+    assert fault != "lax integer"
+    columns = SpanColumns()
+    ingest._read_document(json.loads(json.dumps(document)), [], {}, columns)
     try:
         partition = Partition(columns)
     except ValueError as exc:
@@ -345,9 +360,32 @@ def test_column_and_record_paths_agree(seed, fault, zipkin):
     else:
         dangling = [(partition.trace_ids[row], partition.span_ids[row]) for row in partition.dangling]
         assembled = partition.traces(), dangling
-    assert assembled == _assembly_by_span_objects(record[0])
+    assert assembled == _assembly_by_span_objects(outcome[0])
     if fault in ("duplicate span", "parent cycle"):
         assert isinstance(assembled[0], type)
+
+
+SPAN_FAULTS = tuple(fault for fault in genutil.FAULTS if fault not in ("bad layout", "duplicate span", "parent cycle"))
+
+
+@given(seeds, st.integers(min_value=1, max_value=3), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_first_bad_span_in_file_order_is_named(seed, faults, zipkin, layout_last):
+    """With one to three faults, the first two in one span, the column read
+    names the error the reference reader meets first: that of the first
+    span, in file order, that breaks a rule, and of its first rule broken.
+    With ``layout_last`` the last fault breaks the layout after that span
+    (in OTel, a resource entry after the span's own)."""
+    rng = random.Random(seed)
+    document = genutil.random_trace_document(rng, zipkin)
+    kinds = [rng.choice(SPAN_FAULTS) for _ in range(faults)]
+    if layout_last:
+        kinds[-1] = "bad layout"
+    target = genutil.some_span(rng, document)
+    for index, kind in enumerate(kinds):
+        genutil.inject_fault(rng, document, kind, target if index < 2 or rng.random() < 0.5 else None)
+    outcome = _read_as_the_reference(document)
+    assert isinstance(outcome[0], type)
 
 
 def _check_outcome(design, corpus, workers):
