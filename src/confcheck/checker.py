@@ -62,7 +62,6 @@ from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .gcpause import collector_paused
 from .model import (
     AttrValue,
     BrokenTraceError,
@@ -401,13 +400,9 @@ def evaluate(
 def check_trace(design_set: DesignTraceSet, trace: ObservedTrace) -> TraceVerdict:
     """Decide conformance of one observed trace against a validated design
     set. Pure function; violations are ordered by (design trace id, design
-    span id) so two invocations agree bit for bit.
-
-    The cyclic collector is paused meanwhile, as for a partition: the check
-    builds no reference cycles, so a pass over the caller's heap would cost
-    the check time that does not grow with the trace."""
-    with collector_paused():
-        violations = _violations(design_set, _candidate_index(trace)).get(trace.trace_id, ())
+    span id) so two invocations agree bit for bit. It leaves the cyclic
+    collector as it is: for one trace, a pause costs more than it saves."""
+    violations = _violations(design_set, _candidate_index(trace)).get(trace.trace_id, ())
     return TraceVerdict(trace_id=trace.trace_id, violations=tuple(violations))
 
 
@@ -505,26 +500,20 @@ def _check_partition(
     ``load(index, exchange)``, check all of them at once, and return the
     partial report, the non-conformant verdicts ordered by trace id and the
     number of ingest warnings; a ``BrokenTraceError`` of the load is returned.
-
-    The cyclic collector is paused meanwhile: reading, exchanging and
-    checking allocate millions of objects and build no reference cycles. The caller's state
-    comes back once the partial result is built and the partition is
-    dropped."""
-    with collector_paused():
-        try:
-            partition, warning_count = load(index, exchange)
-        except BrokenTraceError as error:
-            return error.with_traceback(None)  # its frames would keep the read spans alive
-        candidates = CandidateIndex(partition)
-        del partition
-        found = _violations(design_set, candidates)
-        conformant = len(candidates.traces) - len(found)
-        del candidates
-        verdicts = [TraceVerdict(trace_id, tuple(found[trace_id])) for trace_id in sorted(found)]
-        report = ConformanceReport.from_verdicts(verdicts).merge(
-            ConformanceReport(total_traces=conformant, conformant_traces=conformant)
-        )
-        return report, verdicts, warning_count
+    It runs under :func:`~confcheck.runner.run`, with the cyclic collector
+    off, and builds no reference cycles."""
+    try:
+        partition, warning_count = load(index, exchange)
+    except BrokenTraceError as error:
+        return error.with_traceback(None)  # its frames would keep the read spans alive
+    candidates = CandidateIndex(partition)
+    found = _violations(design_set, candidates)
+    conformant = len(candidates.traces) - len(found)
+    verdicts = [TraceVerdict(trace_id, tuple(found[trace_id])) for trace_id in sorted(found)]
+    report = ConformanceReport.from_verdicts(verdicts).merge(
+        ConformanceReport(total_traces=conformant, conformant_traces=conformant)
+    )
+    return report, verdicts, warning_count
 
 
 def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> PartialCheck:

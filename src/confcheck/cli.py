@@ -128,7 +128,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import simulator
-    from .gcpause import collector_paused
     from .model import WorkerExitedError
 
     try:
@@ -142,11 +141,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        # Each worker holds one file's traces at a time and builds no reference cycles.
-        with collector_paused():
-            file_count = simulator.write_simulated_corpus(
-                config, args.out_dir, args.traces_per_file, _default_workers()
-            )
+        # The runner pauses the cyclic collector: each worker holds one
+        # file's traces at a time and builds no reference cycles.
+        file_count = simulator.write_simulated_corpus(config, args.out_dir, args.traces_per_file, _default_workers())
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except WorkerExitedError:

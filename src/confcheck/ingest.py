@@ -792,8 +792,8 @@ def _write_whole(path: "Path | str", text: str) -> None:
 
 def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]:
     """The spans of ``paths`` as columns that pass every span rule,
-    unassembled, and their clamp warnings. A file's errors are prefixed with
-    its name."""
+    unassembled, and their clamp warnings. A file's error is raised with its
+    class kept and its text prefixed with the file's name."""
     warnings: List[IngestWarning] = []
     columns = SpanColumns()
     strings: dict = {}
@@ -801,7 +801,7 @@ def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]
         try:
             _read_document(_load_json(path.read_bytes(), MalformedDocumentError), warnings, strings, columns)
         except MalformedDocumentError as exc:
-            raise MalformedDocumentError(f"{path.name}: {exc}") from exc
+            raise type(exc)(f"{path.name}: {exc}") from exc
     return columns, warnings
 
 

@@ -11,7 +11,8 @@ way, that carry pickles; this process only relays them: no worker talks to
 another. Every message a worker sends is tagged as a request to the
 exchange, its target's result or the exception its target raised. A worker
 ends in ``os._exit`` and never returns into the caller, and every worker is
-reaped before :func:`run` returns or raises.
+reaped before :func:`run` returns or raises. The cyclic collector is off
+throughout, in this process and in every worker.
 
 A target may trade through its exchange or not. Either every worker calls
 :meth:`Exchange.trade` exactly once, before it returns (``check`` does), or
@@ -270,9 +271,25 @@ def run(target: Callable[[int, Optional[Exchange]], Result], workers: int) -> Li
     """``target(index, exchange)`` for each of ``workers`` workers, in
     worker order: in this process with no exchange when there is one
     worker, else each in a forked worker process. No worker process and no
-    pipe outlives the call, whether it returns or raises."""
-    if workers == 1:
-        return [target(0, None)]
+    pipe outlives the call, whether it returns or raises.
+
+    Targets build no reference cycles, so the cyclic collector, whose
+    passes would find nothing to free, is off for the call. A forked worker
+    inherits that, so no collection copies the pages it inherited. The
+    caller's state comes back whether the call returns or raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if workers == 1:
+            return [target(0, None)]
+        return _fork_and_relay(target, workers)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _fork_and_relay(target: Callable[[int, Exchange], Result], workers: int) -> List[Result]:
+    """:func:`run` with one forked worker process per worker."""
     # Imported here, before the forks: only a run with worker processes
     # needs it, and every worker inherits it.
     import pickle  # noqa: F401
@@ -280,23 +297,17 @@ def run(target: Callable[[int, Optional[Exchange]], Result], workers: int) -> Li
     links: List[_Link] = []
     pids: List[int] = []
     try:
-        # Frozen objects are skipped by the collector, so a forked worker's
-        # collections do not write to, and copy, the pages it inherited.
-        gc.freeze()
-        try:
-            for index in range(workers):
-                down, up = os.pipe(), os.pipe()
-                link, worker_link = _Link(up[0], down[1]), _Link(down[0], up[1])
-                links.append(link)
-                try:
-                    _flush_std()
-                    pids.append(os.fork())
-                    if pids[-1] == 0:
-                        _serve(target, index, workers, worker_link, links)
-                finally:
-                    worker_link.close()
-        finally:
-            gc.unfreeze()
+        for index in range(workers):
+            down, up = os.pipe(), os.pipe()
+            link, worker_link = _Link(up[0], down[1]), _Link(down[0], up[1])
+            links.append(link)
+            try:
+                _flush_std()
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _serve(target, index, workers, worker_link, links)
+            finally:
+                worker_link.close()
         return _relay(links)
     except BaseException:
         import signal

@@ -27,6 +27,7 @@ from confcheck.model import (
     ViolationKind,
     attr_values_equal,
 )
+from confcheck.simulator import SimConfig, write_simulated_corpus
 
 TRACE_ID = "0" * 31 + "1"
 
@@ -736,9 +737,9 @@ class TestMatchPlan:
 
 
 class TestCollectorState:
-    """check_partitions and check_trace run their reads, exchanges and
-    checks with the cyclic collector off, and leave the caller's collector
-    state as they found it."""
+    """check_partitions runs its reads, exchanges and checks under
+    runner.run, with the cyclic collector off, and leaves the caller's
+    collector state as it found it."""
 
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def collector(self, request):
@@ -768,19 +769,6 @@ class TestCollectorState:
         if partitions == 1:
             assert seen == [False]
 
-    def test_check_trace_pauses_it(self, design_set, collector, monkeypatch):
-        seen = []
-        real_violations = checker._violations
-
-        def recording_violations(design_set, index):
-            seen.append(gc.isenabled())
-            return real_violations(design_set, index)
-
-        monkeypatch.setattr(checker, "_violations", recording_violations)
-        assert check_trace(design_set, gateway_trace()).conformant
-        assert seen == [False]
-        assert gc.isenabled() is collector
-
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_state_restored_after_error(self, design_set, collector, partitions):
         def read(index):
@@ -809,8 +797,9 @@ LOADERS = {"load_corpus_dir": _loaded_traces_as_columns, "load_partition": _read
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path, monkeypatch, loader):
-    # Re-enabling the collector while a partition's spans are alive would
-    # start a pass over all of them at the next allocation.
+    # runner.run re-enables the collector as it returns; were a partition's
+    # spans still alive then, the next allocation could start a pass over
+    # all of them.
     (tmp_path / "a.json").write_text(
         serialize_otel_json([with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(20)])
     )
@@ -837,6 +826,29 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
         (gc.enable if was_enabled else gc.disable)()
     assert report.total_traces == 20
     assert alive_at_enable == [0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_check_leaves_no_unreachable_objects(design_set, tmp_path, workers):
+    # runner.run pauses the cyclic collector for a check, which holds only
+    # while the check builds no reference cycles.
+    config = SimConfig(seed=7, trace_count=400, p_omit=0.07, p_slow=0.06, p_direct=0.075)
+    write_simulated_corpus(config, tmp_path, 100, 2)
+
+    def check():
+        read, served = ingest.corpus_reader(tmp_path, workers)
+        return check_partitions(design_set, functools.partial(runner.worker_partition, read), served)[0]
+
+    check()  # the first run's imports leave cycles of their own
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert check().total_traces == 400
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestCheckCorpus:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -16,12 +17,15 @@ from confcheck.ingest import (
     MissingFieldError,
     MissingServiceNameError,
     assemble_traces,
+    corpus_reader,
     load_corpus_dir,
     parse_trace_document,
     read_plan,
     serialize_otel_json,
 )
+from confcheck.checker import check_partitions
 from confcheck.model import ObservedSpan, ObservedTrace
+from confcheck.runner import worker_partition
 
 TRACE_ID = "00000000000000000000000000000001"
 
@@ -451,6 +455,17 @@ class TestSerialization:
         }
 
 
+# A file each read error class names: bad JSON, a Zipkin span without a
+# traceId, and an OTel resource without service.name.
+BAD_FILES = {
+    MalformedDocumentError: "{broken",
+    MissingFieldError: json.dumps([{key: value for key, value in zipkin_span().items() if key != "traceId"}]),
+    MissingServiceNameError: json.dumps(
+        {"resourceSpans": [{"resource": {"attributes": []}, "scopeSpans": [{"spans": [otel_span()]}]}]}
+    ),
+}
+
+
 class TestCorpusDirectory:
     def test_mixed_formats_combine(self, tmp_path):
         (tmp_path / "zipkin.json").write_text(json.dumps([zipkin_span()]))
@@ -480,9 +495,25 @@ class TestCorpusDirectory:
         assert len(json_loads_calls) == 2
 
     def test_malformed_file_names_the_file(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{broken")
-        with pytest.raises(MalformedDocumentError, match="bad.json"):
-            load_corpus_dir(tmp_path)
+        for error, text in BAD_FILES.items():
+            (tmp_path / "bad.json").write_text(text)
+            with pytest.raises(MalformedDocumentError) as exc:
+                load_corpus_dir(tmp_path)
+            assert type(exc.value) is error
+            assert str(exc.value).startswith("bad.json: ")
+
+    def test_a_workers_read_error_keeps_its_class(self, tmp_path, design_set):
+        # The second of two files is read by the second of two forked
+        # workers, so the error crosses its pipe.
+        (tmp_path / "a.json").write_text(json.dumps([zipkin_span()]))
+        for error, text in BAD_FILES.items():
+            (tmp_path / "bad.json").write_text(text)
+            read, workers = corpus_reader(tmp_path, 2)
+            assert workers == 2
+            with pytest.raises(MalformedDocumentError) as exc:
+                check_partitions(design_set, functools.partial(worker_partition, read), workers)
+            assert type(exc.value) is error
+            assert str(exc.value).startswith("bad.json: ")
 
     def test_integer_beyond_digit_limit_names_the_file(self, tmp_path):
         # json.loads raises a plain ValueError for an integer of more than

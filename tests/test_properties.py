@@ -425,7 +425,8 @@ def test_a_failing_check_reads_alike_at_every_worker_count(seed):
             for _ in range(faults.count("truncated file")):
                 path = rng.choice(sorted(corpus.glob("*.json")))
                 text = path.read_bytes()
-                path.write_bytes(text[: rng.randrange(len(text))])
+                if text:  # a file truncated twice may be empty already
+                    path.write_bytes(text[: rng.randrange(len(text))])
             outcome = _check_outcome(design, corpus, 1)
             assert outcome[0] == 2 and outcome[2].startswith("error: ")
             assert _check_outcome(design, corpus, 2) == outcome

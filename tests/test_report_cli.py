@@ -1478,7 +1478,7 @@ class TestModuleLoads:
         argv = ["check", BUNDLED_DESIGN, fixture_corpus_dir, "--format", output, "--workers", "1"]
         assert loaded_modules(RUN_MAIN, *argv) == {
             "confcheck",
-            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "gcpause", "ingest", "model", "report", "runner")),
+            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "ingest", "model", "report", "runner")),
         }
 
     def test_simulate_loads_no_checker_design_or_report(self, tmp_path):
@@ -1486,7 +1486,7 @@ class TestModuleLoads:
         assert len(list(tmp_path.iterdir())) == 1
         assert loaded == {
             "confcheck",
-            *(f"confcheck.{name}" for name in ("cli", "gcpause", "ingest", "model", "runner", "simulator")),
+            *(f"confcheck.{name}" for name in ("cli", "ingest", "model", "runner", "simulator")),
             "hashlib",
         }
 
@@ -1495,7 +1495,7 @@ class TestModuleLoads:
         argv = ["check", BUNDLED_DESIGN, fixture_corpus_dir, "--workers", "2"]
         assert loaded_modules(RUN_MAIN, *argv) == {
             "confcheck",
-            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "gcpause", "ingest", "model", "report", "runner")),
+            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "ingest", "model", "report", "runner")),
         }
 
     def test_a_parallel_simulate_loads_no_multiprocessing(self, tmp_path):
@@ -1505,7 +1505,7 @@ class TestModuleLoads:
         # Only the workers draw traces, so only they load hashlib.
         assert loaded == {
             "confcheck",
-            *(f"confcheck.{name}" for name in ("cli", "gcpause", "ingest", "model", "runner", "simulator")),
+            *(f"confcheck.{name}" for name in ("cli", "ingest", "model", "runner", "simulator")),
         }
 
     def test_import_design_loads_design_ingest_and_model(self, fixture_corpus_dir):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -37,6 +38,18 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def collector(enabled: bool):
+    """The cyclic collector on or off for the block; the caller's state
+    comes back after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def columns_of(trace_ids):
     columns = SpanColumns()
     for row, trace_id in enumerate(trace_ids):
@@ -65,11 +78,12 @@ WORKERS = [2, 3]
 @pytest.mark.parametrize("workers", WORKERS)
 class TestTargetThatNeverTrades:
     def test_results_come_back_in_worker_order(self, workers):
-        with deadline(60):
-            results = runner.run(lambda index, exchange: (index, exchange.workers, os.getpid()), workers)
+        with collector(True), deadline(60):
+            results = runner.run(lambda index, exchange: (index, exchange.workers, os.getpid(), gc.isenabled()), workers)
         assert [result[:2] for result in results] == [(index, workers) for index in range(workers)]
-        pids = {pid for _, _, pid in results}
+        pids = {pid for _, _, pid, _ in results}
         assert len(pids) == workers and os.getpid() not in pids
+        assert not any(collecting for *_, collecting in results)  # a forked worker runs with the collector off
 
     @pytest.mark.parametrize("failing", ["first", "last"])
     def test_a_workers_exception_is_raised_here(self, workers, failing):
@@ -158,7 +172,9 @@ def test_some_workers_trading_and_some_not_is_refused():
 
 
 def test_one_worker_runs_here_without_an_exchange():
-    assert runner.run(lambda index, exchange: (index, exchange, os.getpid()), 1) == [(0, None, os.getpid())]
+    with collector(True):
+        results = runner.run(lambda index, exchange: (index, exchange, os.getpid(), gc.isenabled()), 1)
+    assert results == [(0, None, os.getpid(), False)]
 
 
 def open_fds():
@@ -195,15 +211,18 @@ ENDINGS = {
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("ending", list(ENDINGS))
 def test_no_worker_or_pipe_outlives_the_run(workers, ending):
+    # Nor does the paused collector: the caller's state comes back.
     target, seconds, error = ENDINGS[ending]
-    fds = open_fds()
-    with deadline(seconds):
-        if error is None:
-            assert runner.run(target, workers) == list(range(workers))
-        else:
-            with pytest.raises(error):
-                runner.run(target, workers)
-    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
-    if fds is not None:
-        assert open_fds() == fds
+    for enabled in (True, False):
+        fds = open_fds()
+        with collector(enabled), deadline(seconds):
+            if error is None:
+                assert runner.run(target, workers) == list(range(workers))
+            else:
+                with pytest.raises(error):
+                    runner.run(target, workers)
+            assert gc.isenabled() is enabled
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        if fds is not None:
+            assert open_fds() == fds

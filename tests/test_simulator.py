@@ -322,8 +322,8 @@ class TestWriteCorpus:
             assert (streamed / path.name).read_bytes() == path.read_bytes()
 
     def test_streamed_run_leaves_no_unreachable_objects(self, tmp_path):
-        # `simulate` pauses the cyclic collector for this run, which holds
-        # only while the run builds no reference cycles.
+        # `simulate` writes through runner.run, which pauses the cyclic
+        # collector; that holds only while the run builds no reference cycles.
         config = SimConfig(seed=3, trace_count=300, p_omit=0.3, p_slow=0.3, p_direct=0.3)
         was_enabled = gc.isenabled()
         gc.collect()
