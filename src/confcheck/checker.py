@@ -60,7 +60,7 @@ import functools
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq, floordiv, le, not_, sub
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .model import (
     AttrValue,
@@ -90,6 +90,7 @@ __all__ = [
     "check_partitions",
     "compile_match_plan",
     "evaluate",
+    "matched_attribute_keys",
     "WorkerExitedError",
 ]
 
@@ -180,6 +181,14 @@ def compile_match_plan(trace: DesignTrace) -> MatchPlan:
             raise ValueError(f"design trace {trace.design_trace_id}: unknown or cyclic design parents")
         pending = deferred
     return MatchPlan(steps=tuple(steps), by_id=tuple(position[span_id] for span_id in sorted(position)))
+
+
+def matched_attribute_keys(design_set: DesignTraceSet) -> FrozenSet[str]:
+    """The attribute keys that the match plans of ``design_set`` read from
+    an observed span: every step's but ``service.name``, which is matched
+    against the span's service name. A check needs no other attribute."""
+    keys = {key for trace in design_set.design_traces for step in trace.match_plan.steps for key, _ in step.attributes}
+    return frozenset(keys - {SERVICE_NAME_KEY})
 
 
 class CandidateIndex:

@@ -47,6 +47,15 @@ def _default_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _workers(requested: Optional[int]) -> int:
+    """The number K of workers a command runs: ``requested``, or by default
+    ``_default_workers()``; but one where the platform has no ``os.fork``,
+    by which every further worker starts. Reports and files are the same at
+    every K. A value below one is kept, for the command to reject."""
+    workers = _default_workers() if requested is None else requested
+    return workers if hasattr(os, "fork") else min(workers, 1)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_ERROR
@@ -94,7 +103,7 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    workers = _default_workers() if args.workers is None else args.workers
+    workers = _workers(args.workers)
     if workers < 1:
         return _fail(f"--workers must be a positive integer, got {workers}")
     if args.max_ids < 0:
@@ -105,7 +114,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     try:
         design_set = _load_design(args.design)
-        read, workers = ingest.corpus_reader(args.traces, workers)
+        # Each span keeps only the attributes the design matches on.
+        keys = checker.matched_attribute_keys(design_set)
+        read, workers = ingest.corpus_reader(args.traces, workers, keys)
         corpus_report, verdicts, warning_count = checker.check_partitions(
             design_set, functools.partial(worker_partition, read), workers
         )
@@ -143,7 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         # The runner pauses the cyclic collector: each worker holds one
         # file's traces at a time and builds no reference cycles.
-        file_count = simulator.write_simulated_corpus(config, args.out_dir, args.traces_per_file, _default_workers())
+        file_count = simulator.write_simulated_corpus(config, args.out_dir, args.traces_per_file, _workers(None))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except WorkerExitedError:

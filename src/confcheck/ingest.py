@@ -28,14 +28,26 @@ or link decode) is a fast pass over a whole column; only when that fails
 does it find its first bad span, and it raises that span's message, which
 is written once, in the rule. The rules run in the order in which a span's
 fields are checked, and ``_read_rows`` reads the spans before a rule's bad
-span again, so that a later rule's error on an earlier span wins. End
-times before their start are then clamped, with a warning, and
-:func:`~confcheck.model.first_span_error` checks every span object's rule a
-column at a time and names the first span that breaks one by its span
-object's own message. :func:`assemble_partition` then assembles the
-columns, and the partition names a duplicate span id or a parent cycle
-through :meth:`~confcheck.model.ObservedTrace.from_spans` on the offending
-trace. Span objects are built only when asked for: ``parse_trace_document``
+span again, so that a later rule's error on an earlier span wins. The
+reader also runs the rules of a span object that its passes do not settle,
+each once, on the column it has just read, by their column forms in
+:mod:`confcheck.model`: the id rules (the trace id rule once per distinct
+id), the 64-bit range of an integer attribute and the ids of the links.
+End times before their start are then clamped, with a warning, and the
+64-bit time range is tested. No rule is tested twice, and only when one of
+those fails does :func:`~confcheck.model.first_span_error` name the first
+span that breaks a rule, by its span object's own message.
+
+``check`` reads with the attribute keys that its design matches on
+(:func:`~confcheck.checker.matched_attribute_keys`), which ``corpus_reader``
+hands to ``read_files``: each span then keeps only the attributes of those
+keys, and the shared ``_NO_ATTRIBUTES`` when it has none, but every
+attribute is still read and checked. Every other read keeps every attribute.
+
+:func:`assemble_partition` then assembles the columns, and the partition
+names a duplicate span id or a parent cycle through
+:meth:`~confcheck.model.ObservedTrace.from_spans` on the offending trace.
+Span objects are built only when asked for: ``parse_trace_document``
 returns them, ``load_corpus_dir`` builds the partition's
 :class:`~confcheck.model.ObservedTrace` objects, and ``assemble_traces``
 groups span objects into traces, each of which checks its own spans.
@@ -70,7 +82,7 @@ from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, eq, is_, is_not, lt, not_
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -86,8 +98,14 @@ from .model import (
     SpanId,
     TRACE_ID_LENGTH,
     TraceId,
+    attr_values_valid,
     echo,
     first_span_error,
+    links_valid,
+    parent_ids_valid,
+    span_ids_valid,
+    times_in_range,
+    trace_ids_valid,
 )
 
 __all__ = [
@@ -149,6 +167,12 @@ def _span_label(span_id: object) -> str:
     return f"span {echo(span_id, str)}"
 
 
+# A document's reader: its first ``end`` spans as columns, and whether they
+# pass every span rule; ``_RowError`` when one breaks a rule of the reader's
+# own, with its own message.
+_Reader = Callable[[int], "tuple[SpanColumns, bool]"]
+
+
 class _RowError(Exception):
     """A reader rule's error, raised as ``_RowError(row, error)`` at the
     first row (a span, in file order) that breaks the rule. A row before it
@@ -193,15 +217,16 @@ def _of_types(values: Sequence[object], types: "set[type]") -> bool:
     return set(map(type, values)) <= types
 
 
-def _cut(columns: "tuple[list, ...]", texts: int) -> "tuple[list, ...]":
+def _cut(columns: "tuple[list, ...]", texts: int) -> "tuple[tuple[list, ...], bool]":
     """The rows of ``columns`` through the first where one of the first
-    ``texts`` columns, span fields that must be strings, holds no string.
-    That row's span object cannot build, so its error, or an earlier row's,
-    is the document's, and no later row is read."""
+    ``texts`` columns, span fields that must be strings, holds no string,
+    and whether no row does. That row's span object cannot build, so its
+    error, or an earlier row's, is the document's, and no later row is
+    read."""
     if all(map(_of_types, columns[:texts], repeat({str}))):
-        return columns
+        return columns, True
     end = _first_false(map(_of_types, zip(*columns[:texts]), repeat({str}))) + 1
-    return tuple(column[:end] for column in columns)
+    return tuple(column[:end] for column in columns), False
 
 
 def _normalize_parent_id(raw: object) -> Optional[str]:
@@ -215,24 +240,51 @@ def _normalize_parent_id(raw: object) -> Optional[str]:
     return raw
 
 
-def _parent_column(raw: list, span_ids: list) -> list:
+def _parent_column(raw: list, span_ids: list) -> "tuple[list, bool]":
     """Raw parent ids as ``_normalize_parent_id`` reads them, with ``""`` for
-    a root (an absent, null, empty or all-zero id)."""
-    if _of_types(raw, {str}) and set(map(len, raw)) <= {0, 16} and "0" * 16 not in raw:
-        return raw
-    return _each_row(lambda value: _normalize_parent_id(value) or "", raw, span_ids)
+    a root (an absent, null, empty or all-zero id), and whether they pass
+    :func:`~confcheck.model.parent_ids_valid`. Ids that pass it are kept as
+    they are, as the rule admits no other root than ``""``."""
+    if parent_ids_valid(raw):
+        return raw, True
+    parent_ids = _each_row(lambda value: _normalize_parent_id(value) or "", raw, span_ids)
+    return parent_ids, parent_ids_valid(parent_ids)
+
+
+def _tag_text(value: object) -> str:
+    """A Zipkin tag value as its string."""
+    return value if isinstance(value, str) else str(value)
 
 
 def _string_tags(tags: dict) -> dict:
     """Zipkin tags as attributes, each value as its string."""
-    return {key: value if isinstance(value, str) else str(value) for key, value in tags.items()}
+    return {key: _tag_text(value) for key, value in tags.items()}
+
+
+def _tag_column(tags: list, keys: Optional[AbstractSet[str]]) -> list:
+    """A column of Zipkin tag objects as attributes, one dict per span,
+    ``_NO_ATTRIBUTES`` for none; given ``keys``, only the tags of those
+    keys. A tag breaks no rule, as each value is taken as its string."""
+    if keys is None:
+        if _of_types(list(chain.from_iterable(map(dict.values, tags))), {str}):
+            # Kept as decoded; an empty one is dropped, to hold less memory.
+            return [tag or _NO_ATTRIBUTES for tag in tags]
+        return list(map(_string_tags, tags))
+    column = [_NO_ATTRIBUTES] * len(tags)
+    for key in sorted(keys):
+        for row in compress(range(len(tags)), map(dict.__contains__, tags, repeat(key))):
+            if column[row] is _NO_ATTRIBUTES:
+                column[row] = {}
+            column[row][key] = _tag_text(tags[row][key])
+    return column
 
 
 _MICROS = 1000  # nanoseconds
 
 
-def _zipkin_columns(spans: list) -> SpanColumns:
-    """The spans of a Zipkin v2 array.
+def _zipkin_columns(spans: list, keys: Optional[AbstractSet[str]]) -> "tuple[SpanColumns, bool]":
+    """The spans of a Zipkin v2 array, with only the tags of ``keys`` when
+    given, and whether they pass every span rule (see ``_read_rows``).
 
     Zipkin timestamps and durations are in microseconds and are converted to
     nanoseconds. Trace ids shorter than 32 chars are left-padded with zeros
@@ -244,7 +296,8 @@ def _zipkin_columns(spans: list) -> SpanColumns:
     get = dict.get
     trace_ids = list(map(get, spans, repeat("traceId")))
     span_ids = list(map(get, spans, repeat("id")))
-    if not (_of_types(trace_ids, {str}) and _of_types(span_ids, {str}) and all(trace_ids) and all(span_ids)):
+    span_ids_ok = span_ids_valid(span_ids)  # valid span ids are non-empty strings
+    if not (span_ids_ok and _of_types(trace_ids, {str}) and all(trace_ids)):
         _require(map(all, zip(trace_ids, span_ids)), "span #{row} lacks id or traceId", error=MissingFieldError)
         _require(map(_of_types, zip(trace_ids, span_ids), repeat({str})), "span #{row}: id and traceId must be strings")
     endpoints = list(map(get, spans, repeat("localEndpoint")))
@@ -255,7 +308,7 @@ def _zipkin_columns(spans: list) -> SpanColumns:
     if not all(services):
         _require(services, "{span} lacks localEndpoint.serviceName", span_ids, MissingFieldError)
     names = list(map(get, spans, repeat("name"), repeat("")))
-    names, services, spans, trace_ids, span_ids = _cut((names, services, spans, trace_ids, span_ids), 2)
+    (names, services, spans, trace_ids, span_ids), texts_ok = _cut((names, services, spans, trace_ids, span_ids), 2)
     timestamps = list(map(get, spans, repeat("timestamp"), repeat(0)))
     durations = list(map(get, spans, repeat("duration"), repeat(0)))
     for field, times in (("timestamp", timestamps), ("duration", durations)):
@@ -264,12 +317,7 @@ def _zipkin_columns(spans: list) -> SpanColumns:
     tags = list(map(get, spans, repeat("tags"), repeat(_NO_ATTRIBUTES)))
     if not _of_types(tags, {dict}):
         _require(map(isinstance, tags, repeat(dict)), "{span}: tags must be an object", span_ids)
-    parent_ids = _parent_column(list(map(get, spans, repeat("parentId"), repeat(""))), span_ids)
-    if _of_types(list(chain.from_iterable(map(dict.values, tags))), {str}):
-        # Kept as decoded; an empty one is dropped, to hold less memory.
-        tags = [tag or _NO_ATTRIBUTES for tag in tags]
-    else:
-        tags = list(map(_string_tags, tags))
+    parent_ids, parent_ids_ok = _parent_column(list(map(get, spans, repeat("parentId"), repeat(""))), span_ids)
     columns = SpanColumns()
     columns.trace_ids = list(map(str.rjust, trace_ids, repeat(TRACE_ID_LENGTH), repeat("0")))
     columns.span_ids = span_ids
@@ -278,9 +326,10 @@ def _zipkin_columns(spans: list) -> SpanColumns:
     columns.services = services
     columns.starts = list(map(_MICROS.__mul__, timestamps))
     columns.ends = list(map(_MICROS.__mul__, map(add, timestamps, durations)))
-    columns.attributes = tags
+    columns.attributes = _tag_column(tags, keys)
     columns.links = [()] * len(spans)
-    return columns
+    valid = texts_ok and span_ids_ok and parent_ids_ok and trace_ids_valid(set(columns.trace_ids))
+    return columns, valid
 
 
 _DECIMAL_DIGITS = b"0123456789"
@@ -411,10 +460,12 @@ def _links_from_json(links: object) -> Tuple[Tuple[object, object], ...]:
     return tuple((link["traceId"], link["spanId"]) for link in links)
 
 
-def _attr_values_from_json(values: list) -> Optional[list]:
-    """``_attr_value_from_json`` over a column, None for an error. String and
-    integer values, each an object of one key, are read a column at a
-    time."""
+def _attr_values_from_json(values: list) -> "Optional[tuple[list, bool]]":
+    """``_attr_value_from_json`` over a column, and whether the values it
+    gives (None, for an ignored kind, aside) pass
+    :func:`~confcheck.model.attr_values_valid`; None for an error. String
+    and integer values, each an object of one key, are read a column at a
+    time, and only their integers are tested."""
     if _of_types(values, {dict}) and set(map(len, values)) <= {1}:
         kinds = list(map(next, map(iter, values)))
         decoded = list(map(dict.__getitem__, values, kinds))
@@ -425,43 +476,59 @@ def _attr_values_from_json(values: list) -> Optional[list]:
             if not _of_types(raw, {str, int}) or not _decimal([value for value in raw if type(value) is str]):
                 return None
             try:
-                for row, number in zip(rows, map(int, raw)):
-                    decoded[row] = number
+                numbers = list(map(int, raw))
             except ValueError:
                 return None
-            return decoded
+            for row, number in zip(rows, numbers):
+                decoded[row] = number
+            return decoded, attr_values_valid(numbers)
     try:
-        return [_attr_value_from_json(value) for value in values]
+        decoded = [_attr_value_from_json(value) for value in values]
     except MalformedDocumentError:
         return None
+    return decoded, attr_values_valid([value for value in decoded if value is not None])
 
 
-def _attribute_column(raw: list) -> Optional[list]:
+def _attribute_column(raw: list, keys: Optional[AbstractSet[str]]) -> "Optional[tuple[list, bool]]":
     """``_attrs_from_json`` over a column of raw attribute lists (None for
-    none), as one dict per span, ``_NO_ATTRIBUTES`` for none; None when a
-    list breaks a rule."""
+    none), as one dict per span, ``_NO_ATTRIBUTES`` for none, and whether
+    every value passes :func:`~confcheck.model.attr_values_valid`; None when
+    a list breaks a rule. Given ``keys``, a dict holds only the attributes
+    of those keys, unless a value fails that rule: every attribute is then
+    kept, for the span's own rule to name."""
     column = [_NO_ATTRIBUTES] * len(raw)
     rows = list(compress(range(len(raw)), map(is_not, raw, repeat(None))))
     if not rows:
-        return column
+        return column, True
     lists = list(map(raw.__getitem__, rows))
     if not _of_types(lists, {list}):
         return None
     entries = list(chain.from_iterable(lists))
     if not _of_types(entries, {dict}):
         return None
-    keys = list(map(dict.get, entries, repeat("key")))
-    if not _of_types(keys, {str}):
+    names = list(map(dict.get, entries, repeat("key")))
+    if not _of_types(names, {str}):
         return None
-    values = _attr_values_from_json(list(map(dict.get, entries, repeat("value"), repeat({}))))
-    if values is None:
+    decoded = _attr_values_from_json(list(map(dict.get, entries, repeat("value"), repeat({}))))
+    if decoded is None:
         return None
-    pairs = zip(keys, values)
-    skip = None in values  # value kinds outside the four scalar types are ignored
-    for row, size in zip(rows, map(len, lists)):
-        entries = islice(pairs, size)
-        column[row] = {key: value for key, value in entries if value is not None} if skip else dict(entries)
-    return column
+    values, valid = decoded
+    sizes = list(map(len, lists))
+    if keys is None or not valid:
+        skip = None in values  # value kinds outside the four scalar types are ignored
+        pairs = zip(names, values)
+        for row, size in zip(rows, sizes):
+            entries = islice(pairs, size)
+            column[row] = {key: value for key, value in entries if value is not None} if skip else dict(entries)
+    elif keys:
+        owners = list(chain.from_iterable(map(repeat, rows, sizes)))
+        for entry in compress(range(len(names)), map(keys.__contains__, names)):
+            if values[entry] is not None:
+                row = owners[entry]
+                if column[row] is _NO_ATTRIBUTES:
+                    column[row] = {}
+                column[row][names[entry]] = values[entry]
+    return column, valid
 
 
 def _otel_spans(data: dict) -> "tuple[list, list, Optional[MalformedDocumentError]]":
@@ -506,9 +573,13 @@ def _otel_spans(data: dict) -> "tuple[list, list, Optional[MalformedDocumentErro
     return spans, services, None
 
 
-def _otel_columns(spans: list, services: list) -> SpanColumns:
+def _otel_columns(
+    spans: list, services: list, keys: Optional[AbstractSet[str]]
+) -> "tuple[SpanColumns, bool]":
     """The spans of an OTel-layout document, as ``_otel_spans`` gives them,
-    with their service names. Typed attribute values are preserved."""
+    with their service names and only the attributes of ``keys`` when given,
+    and whether they pass every span rule (see ``_read_rows``). Typed
+    attribute values are preserved."""
     if not _of_types(spans, {dict}):
         _require(map(isinstance, spans, repeat(dict)), "span entries must be objects")
     get = dict.get
@@ -517,18 +588,19 @@ def _otel_columns(spans: list, services: list) -> SpanColumns:
     if not (all(trace_ids) and all(span_ids)):
         _require(map(all, zip(trace_ids, span_ids)), "a span lacks spanId or traceId", error=MissingFieldError)
     names = list(map(get, spans, repeat("name"), repeat("")))
-    trace_ids, names, spans, services, span_ids = _cut((trace_ids, names, spans, services, span_ids), 2)
+    (trace_ids, names, spans, services, span_ids), texts_ok = _cut((trace_ids, names, spans, services, span_ids), 2)
     starts = _otel_times(spans, "startTimeUnixNano", span_ids)
     ends = _otel_times(spans, "endTimeUnixNano", span_ids)
     links = [()] * len(spans)
     rows = list(compress(range(len(spans)), map(dict.__contains__, spans, repeat("links"))))
-    for row, pairs in zip(rows, _each_row(_links_from_json, [spans[row]["links"] for row in rows], span_ids, rows)):
+    linked = _each_row(_links_from_json, [spans[row]["links"] for row in rows], span_ids, rows)
+    for row, pairs in zip(rows, linked):
         links[row] = pairs
-    parent_ids = _parent_column(list(map(get, spans, repeat("parentSpanId"), repeat(""))), span_ids)
+    parent_ids, parent_ids_ok = _parent_column(list(map(get, spans, repeat("parentSpanId"), repeat(""))), span_ids)
     raw_attributes = list(map(get, spans, repeat("attributes")))
-    attributes = _attribute_column(raw_attributes)
-    if attributes is None:
-        attributes = _each_row(_attrs_from_json, raw_attributes, span_ids)
+    read = _attribute_column(raw_attributes, keys)
+    # The span-at-a-time decode raises the first bad list's error.
+    attributes, attributes_ok = read or (_each_row(_attrs_from_json, raw_attributes, span_ids), False)
     columns = SpanColumns()
     columns.trace_ids = trace_ids
     columns.span_ids = span_ids
@@ -539,27 +611,36 @@ def _otel_columns(spans: list, services: list) -> SpanColumns:
     columns.ends = ends
     columns.attributes = attributes
     columns.links = links
-    return columns
+    valid = (
+        texts_ok
+        and parent_ids_ok
+        and attributes_ok
+        and span_ids_valid(span_ids)
+        and trace_ids_valid(set(trace_ids))
+        and links_valid(linked)
+    )
+    return columns, valid
 
 
-def _clamp_and_check(columns: SpanColumns) -> List[IngestWarning]:
-    """Clamp each end time before its start to the start, then check every
-    span of a column read: the clamp warnings, once every span would build
-    its span object; else raise the error of the first that does not, as
-    ``span S: ...``."""
+def _clamp_and_check(columns: SpanColumns, valid: bool) -> List[IngestWarning]:
+    """Clamp each end time before its start to the start, and return the
+    clamp warnings of a column read once every span would build its span
+    object: its reader found every other rule to hold (``valid``), and the
+    times are within 64 bits. Else raise the error of the first span that
+    would not, as ``span S: ...``."""
     starts, ends = columns.starts, columns.ends
     late = list(compress(range(len(starts)), map(lt, ends, starts)))
     clamps = [_clamp_warning(starts[row], ends[row], columns.trace_ids[row], columns.span_ids[row]) for row in late]
     for row in late:
         ends[row] = starts[row]
-    failure = first_span_error(columns)
+    failure = None if valid and times_in_range(starts, ends) else first_span_error(columns)
     if failure is not None:
         row, error = failure
         raise MalformedDocumentError(f"{_span_label(columns.span_ids[row])}: {error}") from error
     return clamps
 
 
-def _read_rows(read: Callable[[int], SpanColumns], end: int) -> "tuple[SpanColumns, List[IngestWarning]]":
+def _read_rows(read: _Reader, end: int) -> "tuple[SpanColumns, List[IngestWarning]]":
     """The columns of a document's first ``end`` spans, by its reader
     ``read``, and their clamp warnings, once every span passes every rule;
     else raise the error of the first span in file order that breaks one.
@@ -568,44 +649,53 @@ def _read_rows(read: Callable[[int], SpanColumns], end: int) -> "tuple[SpanColum
     ``r`` are then read again, as a later rule may fail on one of them. A
     rule that passes on some spans passes on every run of them from the
     first, so each rule fails once at most, and a document is read at most
-    once per rule, plus once. The span objects' rules come last and need no
-    second read: every span before the first that breaks one has passed
+    once per rule, plus once. The span objects' rules (ids, times,
+    attribute values and links) come last and need no second read: the
+    reader tests each on its whole column and says whether all hold, and
+    only when one does not does :func:`~confcheck.model.first_span_error`
+    name the first span that breaks one, as every span before it has passed
     every rule."""
     try:
-        columns = read(end)
+        columns, valid = read(end)
     except _RowError as fault:
         row, error = fault.args
     else:
-        return columns, _clamp_and_check(columns)
+        return columns, _clamp_and_check(columns, valid)
     _read_rows(read, row)
     raise error
 
 
-def _layout(data: object) -> "tuple[Callable[[int], SpanColumns], int, Optional[MalformedDocumentError]]":
+def _layout(
+    data: object, keys: Optional[AbstractSet[str]]
+) -> "tuple[_Reader, int, Optional[MalformedDocumentError]]":
     """The one layout check: a decoded document's reader, which reads its
-    first ``end`` spans into columns; its span count; and the error of its
-    layout that follows those spans in file order, or None. A list is
-    Zipkin v2; an object whose ``resourceSpans`` is a list is the OTel-style
-    layout."""
+    first ``end`` spans into columns, with only the attributes of ``keys``
+    when given; its span count; and the error of its layout that follows
+    those spans in file order, or None. A list is Zipkin v2; an object whose
+    ``resourceSpans`` is a list is the OTel-style layout."""
     if isinstance(data, list):
-        return (lambda end: _zipkin_columns(data[:end])), len(data), None
+        return (lambda end: _zipkin_columns(data[:end], keys)), len(data), None
     if isinstance(data, dict) and isinstance(data.get("resourceSpans"), list):
         spans, services, error = _otel_spans(data)
-        return (lambda end: _otel_columns(spans[:end], services[:end])), len(spans), error
+        return (lambda end: _otel_columns(spans[:end], services[:end], keys)), len(spans), error
     raise MalformedDocumentError(
         "unrecognized trace document: expected a Zipkin v2 array or an object with resourceSpans"
     )
 
 
 def _read_document(
-    data: object, warnings: "Optional[list[IngestWarning]]", strings: dict, columns: SpanColumns
+    data: object,
+    warnings: "Optional[list[IngestWarning]]",
+    strings: dict,
+    columns: SpanColumns,
+    keys: Optional[AbstractSet[str]] = None,
 ) -> None:
-    """Append the spans of one decoded document to ``columns``, and their
-    clamp warnings to ``warnings``, when every span passes every rule; else
-    raise the document's first error in file order. Trace ids, names and
-    services are kept as one string object per distinct string in
-    ``strings``."""
-    read, spans, layout_error = _layout(data)
+    """Append the spans of one decoded document to ``columns``, with only
+    the attributes of ``keys`` when given, and their clamp warnings to
+    ``warnings``, when every span passes every rule; else raise the
+    document's first error in file order. Trace ids, names and services are
+    kept as one string object per distinct string in ``strings``."""
+    read, spans, layout_error = _layout(data, keys)
     read, clamps = _read_rows(read, spans)
     if layout_error is not None:
         raise layout_error
@@ -790,16 +880,22 @@ def _write_whole(path: "Path | str", text: str) -> None:
         raise
 
 
-def read_files(paths: Sequence[Path]) -> Tuple[SpanColumns, List[IngestWarning]]:
+def read_files(
+    paths: Sequence[Path], keys: Optional[AbstractSet[str]] = None
+) -> Tuple[SpanColumns, List[IngestWarning]]:
     """The spans of ``paths`` as columns that pass every span rule,
-    unassembled, and their clamp warnings. A file's error is raised with its
-    class kept and its text prefixed with the file's name."""
+    unassembled, and their clamp warnings. Given ``keys``, a span keeps only
+    its attributes of those keys; every attribute is still checked. A file's
+    error is raised with its class kept and its text prefixed with the
+    file's name."""
     warnings: List[IngestWarning] = []
     columns = SpanColumns()
     strings: dict = {}
     for path in paths:
         try:
-            _read_document(_load_json(path.read_bytes(), MalformedDocumentError), warnings, strings, columns)
+            # The decoded document is held by no name here, so it is freed
+            # before the next file is decoded.
+            _read_document(_load_json(path.read_bytes(), MalformedDocumentError), warnings, strings, columns, keys)
         except MalformedDocumentError as exc:
             raise type(exc)(f"{path.name}: {exc}") from exc
     return columns, warnings
@@ -847,19 +943,20 @@ def read_plan(sizes: Sequence[int], workers: int) -> List[Tuple[int, int]]:
 
 
 def corpus_reader(
-    directory: "Path | str", workers: int
+    directory: "Path | str", workers: int, keys: Optional[AbstractSet[str]] = None
 ) -> Tuple[Callable[[int], Tuple[SpanColumns, List[IngestWarning]]], int]:
     """The reader of a corpus directory for
     :func:`~confcheck.runner.worker_partition`, and the number K of workers
     it serves, at most ``workers``: each worker's files by :func:`read_plan`,
-    read by :func:`read_files` and unassembled, for the runner to exchange
-    the traces that cross workers' files and assemble."""
+    read by :func:`read_files` with only the attributes of ``keys`` when
+    given, and unassembled, for the runner to exchange the traces that cross
+    workers' files and assemble."""
     paths = _corpus_files(directory)
     plan = read_plan([path.stat().st_size for path in paths], workers)
 
     def read(worker: int) -> Tuple[SpanColumns, List[IngestWarning]]:
         lo, hi = plan[worker]
-        return read_files(paths[lo:hi])
+        return read_files(paths[lo:hi], keys)
 
     return read, len(plan)
 

@@ -26,10 +26,14 @@ trace, built on first use.
 list per field, one entry per span (a struct of arrays). Every per-span rule
 of ``ObservedSpan`` has a column form next to its scalar form
 (:func:`span_ids_valid` beside :func:`validate_span_id`, and so on), which
-checks a whole column in a few C-level passes; :func:`columns_valid` runs
-them all, checking each distinct trace id once, and
-:func:`first_span_error` names the first row that breaks one by the
-message its span object raises. A ``Partition`` is
+checks a whole column in a few C-level passes; a string column's one
+``"".join`` is both its string check and, for ids, the text of its hex
+check. :func:`columns_valid` runs them all, checking each distinct trace id
+once, and :func:`first_span_error` names the first row that breaks one by
+the message its span object raises. The trace reader in
+:mod:`confcheck.ingest` runs each column form once, on the column it reads,
+where its own passes do not already settle the rule, and calls
+:func:`first_span_error` only when one fails. A ``Partition`` is
 assembled columns: each span's parent resolved to a row, dangling parents
 listed, and duplicate span ids and parent cycles rejected. Those errors are
 named by :meth:`ObservedTrace.from_spans` on the offending trace, so their
@@ -46,8 +50,10 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, le, lt, ne
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import attrgetter, eq, is_, le, lt, ne
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 if TYPE_CHECKING:
     from .checker import MatchPlan
@@ -181,8 +187,13 @@ def _all_lower_hex(text: str) -> bool:
     return text.isascii() and not text.encode().translate(None, _LOWER_HEX_BYTES)
 
 
-def _all_str(values: Sequence[object]) -> bool:
-    return set(map(type, values)) <= {str} or all(map(isinstance, values, repeat(str)))
+def _all_str(values: Iterable[object]) -> bool:
+    """Every value a string: one ``"".join``, which raises on any other."""
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
 
 
 def _all_int(values: Sequence[object]) -> bool:
@@ -191,13 +202,13 @@ def _all_int(values: Sequence[object]) -> bool:
     return types <= {int} or (bool not in types and all(map(isinstance, values, repeat(int))))
 
 
-def _hex_ids_valid(values: Sequence[object], lengths: "set[int]", zero: str) -> bool:
-    return (
-        _all_str(values)
-        and set(map(len, values)) <= lengths
-        and _all_lower_hex("".join(values))
-        and zero not in values
-    )
+def _hex_ids_valid(values: Collection[object], lengths: "set[int]", zero: str) -> bool:
+    # One join is both the string check and the text of the hex check.
+    try:
+        joined = "".join(values)
+    except TypeError:  # a value that is no string
+        return False
+    return set(map(len, values)) <= lengths and _all_lower_hex(joined) and zero not in values
 
 
 def span_ids_valid(values: Sequence[object]) -> bool:
@@ -218,21 +229,18 @@ def trace_ids_valid(values: Sequence[object]) -> bool:
     return _hex_ids_valid(values, {TRACE_ID_LENGTH}, _ZERO_TRACE_ID)
 
 
+def times_in_range(starts: Sequence[int], ends: Sequence[int]) -> bool:
+    """The 64-bit part of ``ObservedSpan``'s time rule, on integer columns in
+    which no end precedes its start: True when every start and end is an
+    unsigned 64-bit nanosecond count."""
+    return not starts or (min(starts) >= 0 and max(ends) <= _UINT64_MAX)
+
+
 def times_valid(starts: Sequence[object], ends: Sequence[object]) -> bool:
     """The column form of ``ObservedSpan``'s time rule: True when every start
     and end is an unsigned 64-bit nanosecond count and no end precedes its
     start."""
-    if not starts:
-        return True
-    return (
-        _all_int(starts)
-        and _all_int(ends)
-        and min(starts) >= 0
-        and min(ends) >= 0
-        and max(starts) <= _UINT64_MAX
-        and max(ends) <= _UINT64_MAX
-        and not any(map(lt, ends, starts))
-    )
+    return _all_int(starts) and _all_int(ends) and not any(map(lt, ends, starts)) and times_in_range(starts, ends)
 
 
 def ensure_attr_value(key: str, value: object) -> AttrValue:
@@ -258,7 +266,7 @@ def attr_values_valid(values: Sequence[object]) -> bool:
     if types <= {str, bool, float}:
         return True
     if types <= {str, bool, float, int}:
-        integers = [value for value in values if type(value) is int]
+        integers = list(compress(values, map(is_, map(type, values), repeat(int))))
         return _INT64_MIN <= min(integers) and max(integers) <= _INT64_MAX
     try:
         for value in values:
@@ -266,6 +274,14 @@ def attr_values_valid(values: Sequence[object]) -> bool:
     except ValueError:
         return False
     return True
+
+
+def links_valid(links: Iterable[Tuple[Tuple[object, object], ...]]) -> bool:
+    """The column form of ``ObservedSpan``'s link rule, over every (trace id,
+    span id) pair of a column of link tuples: True when each pair passes
+    :func:`validate_trace_id` and :func:`validate_span_id`."""
+    pairs = list(chain.from_iterable(links))
+    return trace_ids_valid([pair[0] for pair in pairs]) and span_ids_valid([pair[1] for pair in pairs])
 
 
 def attr_values_equal(a: AttrValue, b: AttrValue) -> bool:
@@ -514,7 +530,6 @@ def columns_valid(columns: SpanColumns) -> bool:
     except TypeError:  # an unhashable value is no trace id
         return False
     attributes = columns.attributes
-    links = list(chain.from_iterable(columns.links))
     return (
         trace_ids_valid(trace_ids)
         and span_ids_valid(columns.span_ids)
@@ -523,10 +538,9 @@ def columns_valid(columns: SpanColumns) -> bool:
         and _all_str(columns.services)
         and "" not in columns.services
         and times_valid(columns.starts, columns.ends)
-        and _all_str(list(chain.from_iterable(attributes)))
+        and _all_str(chain.from_iterable(attributes))
         and attr_values_valid(list(chain.from_iterable(map(dict.values, attributes))))
-        and trace_ids_valid([link[0] for link in links])
-        and span_ids_valid([link[1] for link in links])
+        and links_valid(columns.links)
     )
 
 

@@ -353,6 +353,32 @@ def shuffled_copy(source: Path, target: Path, seed: int) -> None:
         (target / path.name).write_text(json.dumps(document))
 
 
+# The keys of the attributes ``attribute_heavy_copy`` adds, which no design
+# span of the bundled or random design sets reads.
+EXTRA_KEY = "extra.{}"
+
+
+def attribute_heavy_copy(source: Path, target: Path, extra: int, seed: int) -> None:
+    """Copy each file of ``source`` (either layout) to ``target`` with
+    ``extra`` more attributes on every span (Zipkin tags), keyed
+    ``EXTRA_KEY``, each a seeded random string."""
+    rng = random.Random(seed)
+    target.mkdir()
+    for path in sorted(source.glob("*.json")):
+        document = json.loads(path.read_bytes())
+        for spans in _span_lists(document):
+            for span in spans:
+                values = [f"{rng.getrandbits(64):x}" for _ in range(extra)]
+                if isinstance(document, list):
+                    span.setdefault("tags", {}).update(zip(map(EXTRA_KEY.format, range(extra)), values))
+                else:
+                    span.setdefault("attributes", []).extend(
+                        {"key": EXTRA_KEY.format(index), "value": {"stringValue": value}}
+                        for index, value in enumerate(values)
+                    )
+        (target / path.name).write_text(json.dumps(document))
+
+
 def dealt_copy(source: Path, target: Path, files: int, seed: int) -> None:
     """Copy the OTel-layout corpus ``source`` into ``files`` files in
     ``target`` with each trace's spans shuffled and dealt over them from a

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from confcheck import model
+from confcheck import ingest, model
 from confcheck.ingest import (
     CyclicParentChainError,
     DuplicateSpanIdError,
@@ -23,11 +23,21 @@ from confcheck.ingest import (
     read_plan,
     serialize_otel_json,
 )
-from confcheck.checker import check_partitions
-from confcheck.model import ObservedSpan, ObservedTrace
+from confcheck.checker import check_partitions, matched_attribute_keys
+from confcheck.model import ObservedSpan, ObservedTrace, SpanColumns
 from confcheck.runner import worker_partition
+from confcheck.simulator import SimConfig, write_simulated_corpus
+
+import genutil
 
 TRACE_ID = "00000000000000000000000000000001"
+
+
+def parse_kept(document, keys):
+    """``parse_trace_document`` keeping only the attributes of ``keys``."""
+    columns = SpanColumns()
+    ingest._read_document(json.loads(document), None, {}, columns, keys)
+    return list(map(columns.span, range(len(columns))))
 
 
 @pytest.fixture()
@@ -598,6 +608,20 @@ class TestFastPathsKeepErrorsAndValues:
             parse_trace_document(otel_document([otel_span(links=None)]))
         assert str(excinfo.value) == "span 0000000000000001: links must be a list"
 
+    @pytest.mark.parametrize(
+        "link, message",
+        [
+            ({"traceId": "xyz", "spanId": "00000000000000ff"}, "trace id must be 32 lowercase hex chars, got 'xyz'"),
+            ({"traceId": TRACE_ID, "spanId": "0" * 16}, "span id must not be all zeros"),
+            ({"traceId": TRACE_ID, "spanId": 5}, "span id must be 16 lowercase hex chars, got 5"),
+        ],
+    )
+    def test_a_bad_link_id_names_its_span(self, link, message):
+        document = otel_document([otel_span(spanId="00000000000000a1"), otel_span(links=[link])])
+        with pytest.raises(MalformedDocumentError) as excinfo:
+            parse_trace_document(document)
+        assert str(excinfo.value) == "span 0000000000000001: " + message
+
     def test_attribute_errors_keep_their_span_context(self):
         with pytest.raises(MalformedDocumentError) as excinfo:
             parse_trace_document(otel_document([otel_span(attributes={})]))
@@ -691,3 +715,57 @@ class TestSharedStrings:
         assert first.name is second.name
         [other] = parse_trace_document(json.dumps([zipkin_span()]))
         assert other.trace_id is not first.trace_id
+
+
+class TestKeptAttributes:
+    """Given attribute keys, a read keeps only the attributes of those keys,
+    as ``check`` reads with the keys its design matches on; every attribute
+    is still checked."""
+
+    def read(self, document, keys):
+        return [span.attributes for span in parse_kept(json.dumps(document), keys)]
+
+    def test_otel_keeps_the_given_keys(self):
+        attributes = [
+            {"key": "a", "value": {"intValue": "1"}},
+            {"key": "b", "value": {"stringValue": "x"}},
+            {"key": "c", "value": {"boolValue": True}},
+        ]
+        document = json.loads(otel_document([otel_span(attributes=attributes), otel_span(spanId="00000000000000a2")]))
+        assert self.read(document, frozenset({"a", "c", "z"})) == [{"a": 1, "c": True}, {}]
+        assert self.read(document, frozenset()) == [{}, {}]
+
+    def test_zipkin_keeps_the_given_tags_as_strings(self):
+        document = [zipkin_span(tags={"a": 5, "b": "x"}), zipkin_span(id="0000000000000002", tags={"b": "y"})]
+        assert self.read(document, frozenset({"a"})) == [{"a": "5"}, {}]
+        assert self.read(document, frozenset({"b"})) == [{"b": "x"}, {"b": "y"}]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"intValue": str(2**63)}, "attribute 'b': integer 9223372036854775808 outside 64-bit signed range"),
+            ({"intValue": "x1"}, "intValue 'x1' is not an integer"),
+            ({"boolValue": "yes"}, "boolValue must hold a boolean"),
+        ],
+    )
+    def test_a_bad_value_of_a_dropped_key_fails_the_document(self, value, message):
+        attributes = [{"key": "a", "value": {"intValue": "1"}}, {"key": "b", "value": value}]
+        document = json.loads(otel_document([otel_span(attributes=attributes)]))
+        for keys in (frozenset(), frozenset({"a"})):
+            with pytest.raises(MalformedDocumentError) as exc:
+                self.read(document, keys)
+            assert str(exc.value) == "span 0000000000000001: " + message
+
+    def test_the_bundled_design_keeps_no_attribute(self, tmp_path, design_set):
+        otel, zipkin = tmp_path / "otel", tmp_path / "zipkin"
+        write_simulated_corpus(SimConfig(seed=3, trace_count=40), otel, 20)
+        genutil.zipkin_copy(otel, zipkin)
+        keys = matched_attribute_keys(design_set)
+        assert keys == frozenset()
+        for corpus in (otel, zipkin):
+            traces, _ = load_corpus_dir(corpus)
+            assert any(span.attributes for trace in traces for span in trace.spans.values())
+            read, workers = corpus_reader(corpus, 1, keys)
+            partition, _ = worker_partition(read, 0, None)
+            assert len(partition) == sum(len(trace.spans) for trace in traces)
+            assert all(attributes is model._NO_ATTRIBUTES for attributes in partition.attributes)

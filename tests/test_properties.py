@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
+import functools
 import io
 import json
 import random
@@ -21,7 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcheck import cli, ingest
-from confcheck.checker import ConformanceReport, check_corpus, check_trace, evaluate
+from confcheck.checker import (
+    ConformanceReport,
+    check_corpus,
+    check_partitions,
+    check_trace,
+    evaluate,
+    matched_attribute_keys,
+)
 from confcheck.design import DesignValidationError, MalformedDesignError, load_design_set, serialize_design_set
 from confcheck.ingest import (
     MalformedDocumentError,
@@ -325,12 +334,40 @@ def _assembly_by_span_objects(spans):
     return traces, [(trace.trace_id, span_id) for trace in traces for span_id in sorted(trace.dangling_parents)]
 
 
-def _read_as_the_reference(document):
+# The attribute keys of ``genutil.random_trace_document`` and its faults.
+DOCUMENT_KEYS = genutil.ATTR_KEYS + ("list", "ratio", "count", "k")
+
+
+def _read_keeping(document, keys):
+    """The column read of ``document`` keeping only the attributes of
+    ``keys``: its spans and warnings, or its error's class and text."""
+
+    def read(warnings):
+        columns = SpanColumns()
+        ingest._read_document(json.loads(json.dumps(document)), warnings, {}, columns, keys)
+        return [columns.span(row) for row in range(len(columns))]
+
+    return _ingest_outcome(read)
+
+
+def _read_as_the_reference(document, rng):
     """The column read of ``document`` gives the reference reader's spans and
-    warnings, or its first error, class and text; returns that outcome."""
+    warnings, or its first error, class and text; so does a read keeping
+    only a random set of attribute keys (the empty set among them), with
+    each span's attributes filtered to that set. Returns the outcome."""
     text = json.dumps(document)
     outcome = _ingest_outcome(lambda warnings: reference_parse(text, warnings))
     assert _ingest_outcome(lambda warnings: parse_trace_document(text, warnings)) == outcome
+    keys = frozenset(rng.sample(DOCUMENT_KEYS, rng.randint(0, len(DOCUMENT_KEYS))))
+    if isinstance(outcome[0], type):
+        assert _read_keeping(document, keys) == outcome
+    else:
+        spans, warnings = outcome
+        filtered = [
+            dataclasses.replace(span, attributes={key: span.attributes[key] for key in keys & span.attributes.keys()})
+            for span in spans
+        ]
+        assert _read_keeping(document, keys) == (filtered, warnings)
     return outcome
 
 
@@ -345,7 +382,7 @@ def test_column_and_record_paths_agree(seed, fault, zipkin):
     document = genutil.random_trace_document(rng, zipkin)
     if fault is not None:
         genutil.inject_fault(rng, document, fault)
-    outcome = _read_as_the_reference(document)
+    outcome = _read_as_the_reference(document, rng)
     if isinstance(outcome[0], type):
         assert fault not in (None, "duplicate span", "parent cycle")
         assert outcome[0] in (MalformedDocumentError, MissingFieldError, MissingServiceNameError)
@@ -384,8 +421,36 @@ def test_the_first_bad_span_in_file_order_is_named(seed, faults, zipkin, layout_
     target = genutil.some_span(rng, document)
     for index, kind in enumerate(kinds):
         genutil.inject_fault(rng, document, kind, target if index < 2 or rng.random() < 0.5 else None)
-    outcome = _read_as_the_reference(document)
+    outcome = _read_as_the_reference(document, rng)
     assert isinstance(outcome[0], type)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_a_check_that_keeps_the_matched_attributes_reports_as_check_corpus(seed):
+    """A random design set, which matches on an attribute 30% of the time,
+    and a random corpus dealt over 1-3 files, as OTel and as Zipkin: read by
+    ``corpus_reader`` keeping only the keys the design matches on, at 1-3
+    workers, the corpus gives the report, verdicts and warning count that
+    ``check_corpus`` gives over its span objects with every attribute."""
+    from confcheck.runner import worker_partition
+
+    rng = random.Random(seed)
+    design_set = genutil.random_design_set(rng)
+    keys = matched_attribute_keys(design_set)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        source, otel, zipkin = root / "source", root / "otel", root / "zipkin"
+        source.mkdir()
+        (source / "corpus.json").write_text(serialize_otel_json(genutil.random_corpus(rng)))
+        genutil.dealt_copy(source, otel, rng.randint(1, 3), seed=rng.randrange(2**32))
+        genutil.zipkin_copy(otel, zipkin)
+        for corpus in (otel, zipkin):
+            traces, warnings = ingest.load_corpus_dir(corpus)
+            expected = (*check_corpus(design_set, traces), len(warnings))
+            for workers in (1, 2, 3):
+                read, served = ingest.corpus_reader(corpus, workers, keys)
+                assert check_partitions(design_set, functools.partial(worker_partition, read), served) == expected
 
 
 def _check_outcome(design, corpus, workers):

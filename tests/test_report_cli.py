@@ -9,6 +9,7 @@ import importlib
 import json
 import os
 import pkgutil
+import random
 import shutil
 import subprocess
 import sys
@@ -782,7 +783,7 @@ class TestMissingOutDirectory:
         monkeypatch.setattr(
             ingest,
             "read_files",
-            lambda paths: loads.extend({str(path.parent) for path in paths}) or real_read(paths),
+            lambda paths, keys=None: loads.extend({str(path.parent) for path in paths}) or real_read(paths, keys),
         )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         out = tmp_path / "missing" / "result.out"
@@ -811,7 +812,9 @@ class TestOutNamesNoFile:
     def test_fails_before_ingest(self, command, out, fixture_corpus_dir, tmp_path, monkeypatch, capsys):
         loads = []
         real_read = ingest.read_files
-        monkeypatch.setattr(ingest, "read_files", lambda paths: loads.append(paths) or real_read(paths))
+        monkeypatch.setattr(
+            ingest, "read_files", lambda paths, keys=None: loads.append(paths) or real_read(paths, keys)
+        )
         argv = [arg.format(corpus=fixture_corpus_dir) for arg in command]
         if out == "directory":
             expected = f"error: cannot write {tmp_path}: it is a directory\n"
@@ -1241,10 +1244,10 @@ class TestPartitionedCheck:
         real_read = ingest.read_files
         last = sorted(fixture_corpus_dir.glob("*.json"))[-1]
 
-        def read(paths):
+        def read(paths, keys=None):
             if last in paths:  # the second worker's files
                 os._exit(9)
-            return real_read(paths)
+            return real_read(paths, keys)
 
         monkeypatch.setattr(ingest, "read_files", read)
         assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "2"]) == 2
@@ -1695,6 +1698,99 @@ class TestOverflowingDuration:
     def test_check(self, design_path, fixture_corpus_dir, capsys):
         assert main(["check", str(design_path), str(fixture_corpus_dir), "--workers", "1"]) == 2
         assert capsys.readouterr() == ("", "error: " + self.MESSAGE)
+
+
+class TestAttributeHeavyCorpus:
+    """``check`` keeps only the attributes its design matches on, and checks
+    every attribute. A copy of a corpus whose spans carry 20 more attributes
+    that no design span reads checks as the corpus does, at every worker
+    count; and a fault in that copy fails ``check`` as it fails a read that
+    keeps every attribute."""
+
+    EXTRA = 20
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("heavy")
+        config = simulator.SimConfig(seed=7, trace_count=90, p_omit=0.07, p_slow=0.06, p_direct=0.075)
+        simulator.write_simulated_corpus(config, root / "otel", 30)
+        genutil.zipkin_copy(root / "otel", root / "zipkin")
+        for layout in ("otel", "zipkin"):
+            genutil.attribute_heavy_copy(root / layout, root / f"{layout}-heavy", self.EXTRA, seed=5)
+        return root
+
+    def check(self, corpus, workers, capsys):
+        code = main(["check", BUNDLED_DESIGN, str(corpus), "--format", "json", "--workers", workers])
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("layout", ["otel", "zipkin"])
+    def test_checks_as_the_plain_corpus(self, corpora, layout, capsys):
+        plain = self.check(corpora / layout, "1", capsys)
+        assert plain[0] == 1
+        for workers in ("1", "2", "3"):
+            assert self.check(corpora / f"{layout}-heavy", workers, capsys) == plain
+
+    @pytest.mark.parametrize("fault", genutil.FAULTS)
+    @pytest.mark.parametrize("layout", ["otel", "zipkin"])
+    def test_a_fault_fails_as_a_full_read(self, corpora, layout, fault, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpora / f"{layout}-heavy", corpus)
+        rng = random.Random(f"{layout} {fault}")
+        path = rng.choice(sorted(corpus.glob("*.json")))
+        document = json.loads(path.read_bytes())
+        genutil.inject_fault(rng, document, fault)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError) as full:
+            ingest.load_partition(corpus)
+        for workers in ("1", "2", "3"):
+            assert self.check(corpus, workers, capsys) == (2, "", f"error: {full.value}\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"intValue": str(2**63)}, "attribute 'extra.3': integer 9223372036854775808 outside 64-bit signed range"),
+            ({"intValue": "1_000"}, "intValue '1_000' is not an integer"),
+            ({"doubleValue": "nan"}, "doubleValue must hold a number"),
+        ],
+    )
+    def test_a_bad_value_of_an_extra_key_fails_with_its_message(self, corpora, value, message, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpora / "otel-heavy", corpus)
+        path = sorted(corpus.glob("*.json"))[1]
+        document = json.loads(path.read_bytes())
+        span = document["resourceSpans"][0]["scopeSpans"][0]["spans"][4]
+        [extra] = [entry for entry in span["attributes"] if entry["key"] == "extra.3"]
+        extra["value"] = value
+        path.write_text(json.dumps(document))
+        expected = f"error: {path.name}: span {span['spanId']}: {message}\n"
+        for workers in ("1", "2", "3"):
+            assert self.check(corpus, workers, capsys) == (2, "", expected)
+
+
+class TestWithoutFork:
+    """Where the platform has no ``os.fork``, by which every further worker
+    starts, ``check`` runs one worker, in process, whatever ``--workers``
+    asks, and gives what it gives at one worker."""
+
+    def test_check_at_two_workers_reads_as_at_one(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", str(corpus), "--count", "300", "--seed", "5", "--p-omit", "0.2",
+                     "--traces-per-file", "100"]) == 0
+        capsys.readouterr()
+
+        def check(workers):
+            code = main(["check", BUNDLED_DESIGN, str(corpus), "--format", "json", "--workers", workers])
+            return code, *capsys.readouterr()
+
+        one = check("1")
+        assert one[0] == 1
+        monkeypatch.delattr(os, "fork")
+        assert check("2") == one
+
+    def test_a_worker_count_below_one_is_still_refused(self, fixture_corpus_dir, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        assert main(["check", BUNDLED_DESIGN, str(fixture_corpus_dir), "--workers", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --workers must be a positive integer, got 0\n")
 
 
 class TestUsage:

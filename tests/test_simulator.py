@@ -267,6 +267,15 @@ class TestWriteCorpus:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
         assert digests == GOLDEN_SHA256
 
+    def test_simulate_without_fork_runs_one_worker_and_matches_golden_digests(self, tmp_path, monkeypatch, capsys):
+        # A platform without os.fork runs simulate's one worker in process.
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("CONFCHECK_WORKERS", "3")
+        assert main(["simulate", str(tmp_path), *GOLDEN_ARGS]) == 0
+        assert capsys.readouterr() == (f"wrote 250 traces to 3 file(s) in {tmp_path}\n", "")
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == GOLDEN_SHA256
+
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_simulate_output_with_every_deviation_matches_golden_digests(self, tmp_path, workers, monkeypatch, capsys):
         config = SimConfig(seed=11, trace_count=37, p_omit=0.5, p_slow=0.5, p_direct=0.5)
