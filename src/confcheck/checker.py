@@ -44,14 +44,16 @@ the same code on a one-trace partition,
 :meth:`~confcheck.model.Partition.from_traces`.
 
 :func:`check_partitions` checks a corpus with K workers through
-:func:`confcheck.runner.run`: each worker checks the traces its loader gives,
-and only the partial reports and verdicts come back. ``check``'s loader is
-:func:`~confcheck.runner.worker_partition`: each worker reads its group of
-files, so each file is decoded once, trades the traces that cross workers'
-reads with their owners, and assembles whole traces. A failed check raises a
-serial run's error: its first bad file, else its broken trace of least id.
-:func:`check_corpus` cuts an in-memory corpus into K slices of whole
-traces, and its workers never trade.
+:func:`confcheck.runner.run`. Each worker takes the rows of its whole traces
+from its reader, ``read(index, exchange)``, assembles them by
+:func:`~confcheck.ingest.assemble_partition` and checks them, and only the
+partial reports and verdicts come back. ``check``'s reader,
+:func:`~confcheck.ingest.corpus_reader`, reads each worker's group of files,
+so each file is decoded once, and trades the traces that cross workers'
+reads with their owners. A failed check raises a serial run's error: its
+first bad file, else its broken trace of least id. :func:`check_corpus`
+gives each worker a slice of whole traces, and its workers never trade.
+Both take K from :func:`~confcheck.ingest.read_plan`, the one rule for it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .model import (
     ObservedTrace,
     Partition,
     SERVICE_NAME_KEY,
+    SpanColumns,
     SpanId,
     TraceId,
     TraceVerdict,
@@ -497,22 +500,28 @@ class ConformanceReport:
 
 PartialCheck = Tuple[ConformanceReport, List[TraceVerdict], int]
 
-# A loader maps a worker index and the worker's exchange (None in this
-# process) to the worker's whole traces and its ingest warning count.
-Loader = Callable[[int, Optional["Exchange"]], Tuple[Partition, int]]
+# A reader maps a worker index and the worker's exchange (None in this
+# process) to the rows of the worker's whole traces, unassembled and already
+# traded, and its ingest warning count.
+Reader = Callable[[int, Optional["Exchange"]], Tuple[SpanColumns, int]]
 
 
 def _check_partition(
-    design_set: DesignTraceSet, load: Loader, index: int, exchange: Optional["Exchange"]
+    design_set: DesignTraceSet, read: Reader, index: int, exchange: Optional["Exchange"]
 ) -> "PartialCheck | BrokenTraceError":
-    """The one worker entry point: take worker ``index``'s traces by
-    ``load(index, exchange)``, check all of them at once, and return the
+    """The one worker entry point: take worker ``index``'s rows by
+    ``read(index, exchange)``, assemble them (which raises on a duplicate
+    span id or a parent cycle), check every trace at once, and return the
     partial report, the non-conformant verdicts ordered by trace id and the
-    number of ingest warnings; a ``BrokenTraceError`` of the load is returned.
-    It runs under :func:`~confcheck.runner.run`, with the cyclic collector
-    off, and builds no reference cycles."""
+    number of ingest warnings, dangling parents among them; a
+    ``BrokenTraceError`` of the assembly is returned. It runs under
+    :func:`~confcheck.runner.run`, with the cyclic collector off, and builds
+    no reference cycles."""
+    from .ingest import assemble_partition
+
     try:
-        partition, warning_count = load(index, exchange)
+        columns, warning_count = read(index, exchange)
+        partition, dangling = assemble_partition(columns)
     except BrokenTraceError as error:
         return error.with_traceback(None)  # its frames would keep the read spans alive
     candidates = CandidateIndex(partition)
@@ -522,14 +531,14 @@ def _check_partition(
     report = ConformanceReport.from_verdicts(verdicts).merge(
         ConformanceReport(total_traces=conformant, conformant_traces=conformant)
     )
-    return report, verdicts, warning_count
+    return report, verdicts, warning_count + len(dangling)
 
 
-def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> PartialCheck:
-    """Check the traces that each of ``workers`` workers takes by ``load``,
-    each worker in its own process, or in this process when there is one.
-    A corpus directory's loader is :func:`~confcheck.runner.worker_partition`
-    over its reader.
+def check_partitions(design_set: DesignTraceSet, read: Reader, workers: int) -> PartialCheck:
+    """Check the traces whose rows each of ``workers`` workers takes by
+    ``read``, each worker in its own process, or in this process when there
+    is one. A corpus directory's reader, and its K, come from
+    :func:`~confcheck.ingest.corpus_reader`.
 
     Returns the merged report, the non-conformant verdicts ordered by trace id,
     and the total ingest warning count. The merge is associative and
@@ -540,11 +549,11 @@ def check_partitions(design_set: DesignTraceSet, load: Loader, workers: int) -> 
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    # Imported here: only a check runs it, and it loads ingest, which
-    # check_trace and graph's rendering do not need.
+    # Imported here: only a check runs it, and check_trace and graph's
+    # rendering do not need it.
     from . import runner
 
-    results = runner.run(functools.partial(_check_partition, design_set, load), workers)
+    results = runner.run(functools.partial(_check_partition, design_set, read), workers)
     broken = [result for result in results if isinstance(result, BrokenTraceError)]
     if broken:
         raise min(broken, key=lambda error: error.trace_id)
@@ -565,23 +574,25 @@ def check_corpus(
     """Check an in-memory corpus of traces with distinct trace ids,
     optionally in parallel; ``ValueError`` when two traces share an id.
 
-    The traces, ordered by trace id, are cut into one contiguous slice per
-    worker; each worker checks its slice as it is, with nothing to trade.
-    Returns the report and the non-conformant verdicts ordered by trace id;
-    both are identical for every worker count.
+    The traces, ordered by trace id, are cut by
+    :func:`~confcheck.ingest.read_plan` over their span counts into one
+    contiguous slice per worker; each worker checks its slice as it is, with
+    nothing to trade. Returns the report and the non-conformant verdicts
+    ordered by trace id; both are identical for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
+    from .ingest import read_plan
+
     trace_list = sorted(traces, key=lambda t: t.trace_id)
     trace_ids = [trace.trace_id for trace in trace_list]
     if len(set(trace_ids)) != len(trace_ids):
         raise ValueError("a trace id appears in more than one of the traces")
     del trace_ids
-    # A tiny corpus is not worth starting processes for.
-    partitions = workers if len(trace_list) >= 2 * workers else 1
-    cuts = [len(trace_list) * index // partitions for index in range(partitions + 1)]
-    parts = [trace_list[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    report, verdicts, _ = check_partitions(
-        design_set, lambda index, exchange: (Partition.from_traces(parts[index]), 0), partitions
-    )
+    plan = read_plan([len(trace.spans) for trace in trace_list], workers)
+
+    def read(index: int, exchange: object) -> Tuple[SpanColumns, int]:
+        return SpanColumns.of_traces(trace_list[slice(*plan[index])]), 0
+
+    report, verdicts, _ = check_partitions(design_set, read, len(plan))
     return report, verdicts

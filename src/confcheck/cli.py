@@ -14,7 +14,6 @@ loads only design and model.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -45,15 +44,6 @@ def _default_workers() -> int:
         print(f"warning: ignoring invalid {WORKERS_ENV_VAR}={env!r}", file=sys.stderr)
     # The CPUs this process may run on, which can be fewer than the machine has.
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _workers(requested: Optional[int]) -> int:
-    """The number K of workers a command runs: ``requested``, or by default
-    ``_default_workers()``; but one where the platform has no ``os.fork``,
-    by which every further worker starts. Reports and files are the same at
-    every K. A value below one is kept, for the command to reject."""
-    workers = _default_workers() if requested is None else requested
-    return workers if hasattr(os, "fork") else min(workers, 1)
 
 
 def _fail(message: str) -> int:
@@ -103,23 +93,20 @@ def _load_trace(directory: str, trace_id: str) -> ObservedTrace:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    workers = _workers(args.workers)
+    workers = _default_workers() if args.workers is None else args.workers
     if workers < 1:
         return _fail(f"--workers must be a positive integer, got {workers}")
     if args.max_ids < 0:
         return _fail(f"--max-ids must be non-negative, got {args.max_ids}")
     from . import checker, ingest, report
     from .model import WorkerExitedError
-    from .runner import worker_partition
 
     try:
         design_set = _load_design(args.design)
         # Each span keeps only the attributes the design matches on.
         keys = checker.matched_attribute_keys(design_set)
         read, workers = ingest.corpus_reader(args.traces, workers, keys)
-        corpus_report, verdicts, warning_count = checker.check_partitions(
-            design_set, functools.partial(worker_partition, read), workers
-        )
+        corpus_report, verdicts, warning_count = checker.check_partitions(design_set, read, workers)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except WorkerExitedError:
@@ -154,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         # The runner pauses the cyclic collector: each worker holds one
         # file's traces at a time and builds no reference cycles.
-        file_count = simulator.write_simulated_corpus(config, args.out_dir, args.traces_per_file, _workers(None))
+        file_count = simulator.write_simulated_corpus(config, args.out_dir, args.traces_per_file, _default_workers())
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except WorkerExitedError:

@@ -62,12 +62,15 @@ value through :func:`~confcheck.model.echo`.
 Every corpus read is ``read_files``, unassembled columns and their clamp
 warnings, then ``assemble_partition``: ``load_partition`` reads a whole
 directory so, and each of ``check``'s workers the files that
-``corpus_reader`` gives it by :func:`read_plan`. The name-sorted files are
-cut into K = max(1, min(files, workers)) contiguous groups of about equal
-size, one per worker, the rule ``simulate`` follows too; each file is so
-decoded once, and a one-file corpus is read in this process. A trace whose
-spans lie in files that different workers read is exchanged by
-:mod:`confcheck.runner` before the worker assembles it.
+``corpus_reader``'s reader gives it by :func:`read_plan`. That is the one
+rule for the number K of workers, which ``simulate`` and ``check_corpus``
+follow too: the name-sorted files are cut into K = max(1, min(files,
+workers)) contiguous groups of about equal size, one per worker, and K is 1
+where the platform has no ``os.fork``. Each file is so decoded once, and a
+one-file corpus is read in this process. The reader trades a trace whose
+spans lie in files that different workers read through the worker's
+:class:`~confcheck.runner.Exchange`, so that each worker holds whole traces,
+which :func:`~confcheck.checker.check_partitions` then assembles.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from itertools import chain, compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, eq, is_, is_not, lt, not_
 from pathlib import Path
-from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     _NO_ATTRIBUTES,
@@ -107,6 +110,10 @@ from .model import (
     times_in_range,
     trace_ids_valid,
 )
+
+if TYPE_CHECKING:
+    from .checker import Reader
+    from .runner import Exchange
 
 __all__ = [
     "IngestWarning",
@@ -839,9 +846,7 @@ def serialize_otel_json(traces: Iterable[ObservedTrace]) -> str:
     writes with ``separators=(",", ":")`` for the same document of dicts,
     but it is written from the spans' columns, with no dict built.
     """
-    columns = SpanColumns()
-    columns.extend_spans([span for trace in traces for span in trace.spans.values()])
-    return _otel_text(columns)
+    return _otel_text(SpanColumns.of_traces(traces))
 
 
 def _corpus_files(directory: "Path | str") -> List[Path]:
@@ -923,17 +928,21 @@ def load_partition(directory: "Path | str") -> Tuple[Partition, List[IngestWarni
 
 
 def read_plan(sizes: Sequence[int], workers: int) -> List[Tuple[int, int]]:
-    """The range ``[lo, hi)`` of the name-sorted files of ``sizes`` bytes
-    that each worker reads whole: max(1, min(files, ``workers``)) contiguous
-    ranges of about equal size, so that every file is read by exactly one
-    worker and none is left without a file. No files are one empty range."""
-    groups = max(1, min(len(sizes), workers))
+    """The one rule for the number K of workers, and what each does: the
+    range ``[lo, hi)`` of the items of ``sizes`` (name-sorted files of that
+    many bytes, or traces of that many spans) that each worker takes whole.
+    K = max(1, min(items, ``workers``)), but 1 where the platform has no
+    ``os.fork``, by which every further worker starts; the ranges are
+    contiguous and of about equal size, so that every item is taken by
+    exactly one worker and none is left without one. No items are one empty
+    range."""
+    groups = max(1, min(len(sizes), workers if hasattr(os, "fork") else 1))
     ends = [0]
     for size in sizes:
         ends.append(ends[-1] + size)
     cuts = [0]
     for group in range(1, groups):
-        # The file boundary nearest an equal share, leaving a file for each
+        # The item boundary nearest an equal share, leaving an item for each
         # group to come.
         target = ends[-1] * group / groups
         bounds = range(cuts[-1] + 1, len(sizes) - (groups - group) + 1)
@@ -944,19 +953,22 @@ def read_plan(sizes: Sequence[int], workers: int) -> List[Tuple[int, int]]:
 
 def corpus_reader(
     directory: "Path | str", workers: int, keys: Optional[AbstractSet[str]] = None
-) -> Tuple[Callable[[int], Tuple[SpanColumns, List[IngestWarning]]], int]:
+) -> "tuple[Reader, int]":
     """The reader of a corpus directory for
-    :func:`~confcheck.runner.worker_partition`, and the number K of workers
-    it serves, at most ``workers``: each worker's files by :func:`read_plan`,
-    read by :func:`read_files` with only the attributes of ``keys`` when
-    given, and unassembled, for the runner to exchange the traces that cross
-    workers' files and assemble."""
+    :func:`~confcheck.checker.check_partitions`, and the number K of workers
+    it serves, by :func:`read_plan`. Worker ``index`` reads its files by
+    :func:`read_files`, with only the attributes of ``keys`` when given, and
+    then, given an exchange, trades the traces that cross workers' files
+    with their owners; it returns the rows of its whole traces, unassembled,
+    and its clamp warning count."""
     paths = _corpus_files(directory)
     plan = read_plan([path.stat().st_size for path in paths], workers)
 
-    def read(worker: int) -> Tuple[SpanColumns, List[IngestWarning]]:
-        lo, hi = plan[worker]
-        return read_files(paths[lo:hi], keys)
+    def read(index: int, exchange: "Optional[Exchange]") -> Tuple[SpanColumns, int]:
+        columns, warnings = read_files(paths[slice(*plan[index])], keys)
+        count = len(warnings)
+        del warnings  # dropped before the exchange
+        return (columns if exchange is None else exchange.trade(columns)), count
 
     return read, len(plan)
 

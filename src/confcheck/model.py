@@ -466,6 +466,14 @@ class SpanColumns:
         self.attributes += other.attributes
         self.links += other.links
 
+    @staticmethod
+    def of_traces(traces: Iterable[ObservedTrace]) -> "SpanColumns":
+        """The one conversion of span objects to rows: the spans of
+        ``traces``, in trace order, each trace's in its own order."""
+        columns = SpanColumns()
+        columns.extend_spans([span for trace in traces for span in trace.spans.values()])
+        return columns
+
     def extend_spans(self, spans: Sequence[ObservedSpan]) -> None:
         """Append one row per span object."""
         if not spans:
@@ -636,9 +644,7 @@ class Partition(SpanColumns):
     @classmethod
     def from_traces(cls, traces: Iterable[ObservedTrace]) -> "Partition":
         """The partition of ``traces``, whose ids must be distinct."""
-        columns = SpanColumns()
-        columns.extend_spans([span for trace in traces for span in trace.spans.values()])
-        return cls(columns)
+        return cls(SpanColumns.of_traces(traces))
 
     def trace(self, trace_id: TraceId) -> Optional[ObservedTrace]:
         """The trace ``trace_id``, its span objects in input order, or None

@@ -12,29 +12,28 @@ another. Every message a worker sends is tagged as a request to the
 exchange, its target's result or the exception its target raised. A worker
 ends in ``os._exit`` and never returns into the caller, and every worker is
 reaped before :func:`run` returns or raises. The cyclic collector is off
-throughout, in this process and in every worker.
+throughout, in this process and in every worker. Callers take the number of
+workers from :func:`~confcheck.ingest.read_plan`, which gives one where the
+platform has no ``os.fork``.
 
 A target may trade through its exchange or not. Either every worker calls
 :meth:`Exchange.trade` exactly once, before it returns (``check`` does), or
 none calls it (``simulate``, and ``check_corpus``, whose slices are whole
 traces); a run in which some trade and some do not raises ``RuntimeError``.
 
-:func:`worker_partition` is what a ``check`` worker assembles. Worker
-``index`` reads its spans by ``read(index)``, and a trace whose spans lie in
-files that different workers read is read in part by each of them. Through
-:meth:`Exchange.trade`, every worker sends this process its distinct trace
-ids and gets back those that more than one worker read. It ships their rows,
-marshalled, to each such trace's owner, worker ``crc32(trace id) % K``, and
-keeps every other row where it was read: a trace read by one worker never
-moves. A worker cuts its read columns by one
-:meth:`~confcheck.model.SpanColumns.split` into the rows it keeps and the
-rows it ships to each owner, then appends what comes in. Each worker then
-holds whole traces, and assembles them by
-:func:`~confcheck.ingest.assemble_partition`. Each side drops what it has
-passed on as it goes: a worker each read column once every group has
-copied its rows, and each incoming byte string once unpacked; this process
-each shipment once relayed. Only when no trace crosses two workers' reads
-does a worker keep its read columns as they are.
+Through :meth:`Exchange.trade`, a ``check`` worker gives up the rows of the
+traces that other workers read in part too, and gets those of the traces it
+owns. Every worker sends this process its distinct trace ids and gets back
+those that more than one worker read. It ships their rows, marshalled, to
+each such trace's owner, worker ``crc32(trace id) % K``, and keeps every
+other row where it was read: a trace read by one worker never moves. A
+worker cuts its read columns by one :meth:`~confcheck.model.SpanColumns.split`
+into the rows it keeps and the rows it ships to each owner, then appends
+what comes in, so that it holds whole traces. Each side drops what it has
+passed on as it goes: a worker each read column once every group has copied
+its rows, and each incoming byte string once unpacked; this process each
+shipment once relayed. Only when no trace crosses two workers' reads does a
+worker keep its read columns as they are.
 
 An exception a worker raises is sent back and raised here. A worker that
 exits before it answers (an end of file or a truncated pickle on its pipe,
@@ -49,20 +48,13 @@ import marshal
 import os
 import sys
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-from .ingest import assemble_partition
-from .model import _NO_ATTRIBUTES, Partition, SpanColumns, WorkerExitedError, trace_hash_class
+from .model import _NO_ATTRIBUTES, SpanColumns, WorkerExitedError, trace_hash_class
 
-__all__ = ["Exchange", "Reader", "run", "worker_partition"]
+__all__ = ["Exchange", "run"]
 
 Result = TypeVar("Result")
-
-# A reader maps a worker index to the spans that worker reads, as columns
-# that pass every span rule, unassembled, and the ingest warnings raised
-# while reading them.
-Reader = Callable[[int], Tuple[SpanColumns, Sequence[object]]]
-
 
 # The tag of each message a worker sends: a request to the exchange, the
 # target's result, or the exception the target raised.
@@ -123,19 +115,6 @@ class Exchange:
         while incoming:  # each byte string dropped once unpacked
             columns.extend(_unpack(incoming.pop()))
         return columns
-
-
-def worker_partition(read: Reader, index: int, exchange: Optional[Exchange]) -> Tuple[Partition, int]:
-    """Worker ``index``'s whole traces and its ingest warning count: the
-    spans of ``read(index)``, traded through ``exchange`` when there is one,
-    then assembled (which raises on a duplicate span id or a parent cycle)."""
-    columns, warnings = read(index)
-    count = len(warnings)
-    del warnings
-    if exchange is not None:
-        columns = exchange.trade(columns)
-    partition, dangling = assemble_partition(columns)
-    return partition, count + len(dangling)
 
 
 class _Link:

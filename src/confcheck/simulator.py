@@ -361,12 +361,10 @@ def write_corpus(
     traces = iter(traces)
     file_count = 0
     while batch := list(itertools.islice(traces, traces_per_file)):
-        columns = SpanColumns()
-        columns.extend_spans([span for trace in batch for span in trace.spans.values()])
-        _write_file(directory, file_count, columns)
+        _write_file(directory, file_count, SpanColumns.of_traces(batch))
         file_count += 1
         # Dropped before the next batch is drawn, not when it is bound.
-        del batch, columns
+        del batch
     _remove_stale(directory, file_count)
     return file_count
 

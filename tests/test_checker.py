@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import os
 import random
 from importlib import resources
 
@@ -754,16 +755,15 @@ class TestCollectorState:
         spans = [span for trace in traces for span in trace.spans.values()]
         seen = []
 
-        def read(index):
+        def read(index, exchange):
             # Each worker reads every other span, unassembled, so at two
             # workers every trace crosses their reads and is exchanged.
             seen.append(gc.isenabled())
             columns = SpanColumns()
             columns.extend_spans(spans[index::partitions])
-            return columns, []
+            return (columns if exchange is None else exchange.trade(columns)), 0
 
-        load = functools.partial(runner.worker_partition, read)
-        report, verdicts, warnings = check_partitions(design_set, load, partitions)
+        report, verdicts, warnings = check_partitions(design_set, read, partitions)
         assert (report.total_traces, verdicts, warnings) == (4, [], 0)
         assert gc.isenabled() is collector
         if partitions == 1:
@@ -771,23 +771,22 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("partitions", [1, 2])
     def test_state_restored_after_error(self, design_set, collector, partitions):
-        def read(index):
+        def read(index, exchange):
             raise ingest.MalformedDocumentError(f"bad partition {index}")
 
         with pytest.raises(ingest.MalformedDocumentError):
-            check_partitions(design_set, functools.partial(runner.worker_partition, read), partitions)
+            check_partitions(design_set, read, partitions)
         assert gc.isenabled() is collector
 
 
-def _loaded_traces_as_columns(directory, index):
+def _loaded_traces_as_columns(directory, index, exchange):
     traces, warnings = ingest.load_corpus_dir(directory)
-    columns = SpanColumns()
-    columns.extend_spans([span for trace in traces for span in trace.spans.values()])
-    return columns, warnings
+    return SpanColumns.of_traces(traces), len(warnings)
 
 
-def _read_directory(directory, index):
-    return ingest.read_files(sorted(directory.glob("*.json")))
+def _read_directory(directory, index, exchange):
+    columns, warnings = ingest.read_files(sorted(directory.glob("*.json")))
+    return columns, len(warnings)
 
 
 # Columns built from loaded span objects, and columns read from the files, as
@@ -820,7 +819,7 @@ def test_partition_is_dropped_before_the_collector_returns(design_set, tmp_path,
     monkeypatch.setattr(gc, "enable", counting_enable)
     try:
         read = functools.partial(LOADERS[loader], tmp_path)
-        report, _, _ = check_partitions(design_set, functools.partial(runner.worker_partition, read), 1)
+        report, _, _ = check_partitions(design_set, read, 1)
     finally:
         monkeypatch.undo()
         (gc.enable if was_enabled else gc.disable)()
@@ -837,7 +836,7 @@ def test_check_leaves_no_unreachable_objects(design_set, tmp_path, workers):
 
     def check():
         read, served = ingest.corpus_reader(tmp_path, workers)
-        return check_partitions(design_set, functools.partial(runner.worker_partition, read), served)[0]
+        return check_partitions(design_set, read, served)[0]
 
     check()  # the first run's imports leave cycles of their own
     was_enabled = gc.isenabled()
@@ -887,6 +886,14 @@ class TestCheckCorpus:
         report, verdicts = check_corpus(design_set, traces, workers=2)
         assert (report, verdicts) == check_corpus(design_set, traces, workers=1)
         assert (report.total_traces, [verdict.trace_id for verdict in verdicts]) == (7, [f"{7:032x}"])
+
+    def test_runs_one_worker_without_fork(self, design_set, monkeypatch):
+        # A platform without os.fork runs check_corpus's one worker in process.
+        traces = [with_trace_id(gateway_trace(), f"{index + 1:032x}") for index in range(6)]
+        traces.append(with_trace_id(gateway_trace(root_duration_micros=600_000), f"{7:032x}"))
+        expected = check_corpus(design_set, traces, workers=1)
+        monkeypatch.delattr(os, "fork")
+        assert check_corpus(design_set, traces, workers=2) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_repeated_trace_id_raises_at_any_worker_count(self, design_set, workers):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import os
 
 import pytest
 
@@ -16,6 +16,7 @@ from confcheck.ingest import (
     MalformedDocumentError,
     MissingFieldError,
     MissingServiceNameError,
+    assemble_partition,
     assemble_traces,
     corpus_reader,
     load_corpus_dir,
@@ -25,7 +26,6 @@ from confcheck.ingest import (
 )
 from confcheck.checker import check_partitions, matched_attribute_keys
 from confcheck.model import ObservedSpan, ObservedTrace, SpanColumns
-from confcheck.runner import worker_partition
 from confcheck.simulator import SimConfig, write_simulated_corpus
 
 import genutil
@@ -521,7 +521,7 @@ class TestCorpusDirectory:
             read, workers = corpus_reader(tmp_path, 2)
             assert workers == 2
             with pytest.raises(MalformedDocumentError) as exc:
-                check_partitions(design_set, functools.partial(worker_partition, read), workers)
+                check_partitions(design_set, read, workers)
             assert type(exc.value) is error
             assert str(exc.value).startswith("bad.json: ")
 
@@ -537,18 +537,23 @@ class TestCorpusDirectory:
 
 
 class TestReadPlan:
-    """``read_plan`` cuts the name-sorted files into contiguous ranges of
-    about equal size, one per worker and no more than there are files, each
-    read whole by its worker."""
+    """``read_plan``, the one rule for the number of workers of ``check``,
+    ``simulate`` and ``check_corpus``, cuts the name-sorted files (or the
+    sorted traces) into contiguous ranges of about equal size, one per
+    worker and no more than there are files, each read whole by its worker;
+    where the platform has no ``os.fork``, into one range."""
 
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
     @pytest.mark.parametrize("files", range(1, 8))
     @pytest.mark.parametrize("workers", range(1, 6))
-    def test_every_file_and_class_is_read_once(self, files, workers):
+    def test_every_file_and_class_is_read_once(self, files, workers, fork, monkeypatch):
         # Every file, and so every trace-id class of its spans, is read by
         # exactly one worker.
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         sizes = [100 + (37 * index) % 50 for index in range(files)]
         plan = read_plan(sizes, workers)
-        assert len(plan) == max(1, min(files, workers))
+        assert len(plan) == (max(1, min(files, workers)) if fork else 1)
         for file in range(files):
             readers = [worker for worker, (lo, hi) in enumerate(plan) if lo <= file < hi]
             assert len(readers) == 1, (file, readers)
@@ -766,6 +771,6 @@ class TestKeptAttributes:
             traces, _ = load_corpus_dir(corpus)
             assert any(span.attributes for trace in traces for span in trace.spans.values())
             read, workers = corpus_reader(corpus, 1, keys)
-            partition, _ = worker_partition(read, 0, None)
+            partition, _ = assemble_partition(read(0, None)[0])
             assert len(partition) == sum(len(trace.spans) for trace in traces)
             assert all(attributes is model._NO_ATTRIBUTES for attributes in partition.attributes)

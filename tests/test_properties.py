@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import functools
 import io
 import json
 import random
@@ -433,8 +432,6 @@ def test_a_check_that_keeps_the_matched_attributes_reports_as_check_corpus(seed)
     ``corpus_reader`` keeping only the keys the design matches on, at 1-3
     workers, the corpus gives the report, verdicts and warning count that
     ``check_corpus`` gives over its span objects with every attribute."""
-    from confcheck.runner import worker_partition
-
     rng = random.Random(seed)
     design_set = genutil.random_design_set(rng)
     keys = matched_attribute_keys(design_set)
@@ -450,7 +447,7 @@ def test_a_check_that_keeps_the_matched_attributes_reports_as_check_corpus(seed)
             expected = (*check_corpus(design_set, traces), len(warnings))
             for workers in (1, 2, 3):
                 read, served = ingest.corpus_reader(corpus, workers, keys)
-                assert check_partitions(design_set, functools.partial(worker_partition, read), served) == expected
+                assert check_partitions(design_set, read, served) == expected
 
 
 def _check_outcome(design, corpus, workers):

@@ -1511,6 +1511,16 @@ class TestModuleLoads:
             *(f"confcheck.{name}" for name in ("cli", "ingest", "model", "runner", "simulator")),
         }
 
+    def test_the_runner_loads_only_model(self):
+        assert loaded_modules("import confcheck.runner") == {"confcheck", "confcheck.model", "confcheck.runner"}
+
+    def test_graph_loads_no_runner(self, fixture_corpus_dir):
+        argv = ["graph", BUNDLED_DESIGN, fixture_corpus_dir, "--trace-id", NONCONFORMANT_ID]
+        assert loaded_modules(RUN_MAIN, *argv) == {
+            "confcheck",
+            *(f"confcheck.{name}" for name in ("checker", "cli", "design", "ingest", "model", "report")),
+        }
+
     def test_import_design_loads_design_ingest_and_model(self, fixture_corpus_dir):
         argv = ["import-design", fixture_corpus_dir, "--trace-id", CONFORMANT_ID]
         expected = {"confcheck", "confcheck.cli", "confcheck.design", "confcheck.ingest", "confcheck.model"}

@@ -156,7 +156,7 @@ def test_the_exchange_keeps_every_span_field(workers, tmp_path):
     assert served == workers
 
     def target(index, exchange):
-        return runner.worker_partition(read, index, exchange)[0].traces()
+        return ingest.assemble_partition(read(index, exchange)[0])[0].traces()
 
     with deadline(60):
         results = runner.run(target, workers)

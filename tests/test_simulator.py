@@ -276,6 +276,13 @@ class TestWriteCorpus:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
         assert digests == GOLDEN_SHA256
 
+    def test_the_library_without_fork_runs_one_worker_and_matches_golden_digests(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        config = SimConfig(seed=7, trace_count=250, p_omit=0.07, p_slow=0.06, p_direct=0.075)
+        assert write_simulated_corpus(config, tmp_path, 100, workers=3) == 3
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert digests == GOLDEN_SHA256
+
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_simulate_output_with_every_deviation_matches_golden_digests(self, tmp_path, workers, monkeypatch, capsys):
         config = SimConfig(seed=11, trace_count=37, p_omit=0.5, p_slow=0.5, p_direct=0.5)
